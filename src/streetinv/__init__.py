@@ -46,8 +46,6 @@ from .simulator import (
     SceneSpec,
     default_scene_spec,
     generate_scene,
-    oracle_enumerate_assignment,
-    oracle_grid_center,
     straight_trajectory,
 )
 from .triangulation import (
@@ -55,12 +53,9 @@ from .triangulation import (
     DegenerateClusterError,
     Ray,
     energy,
-    energy_gradient,
     estimate_center,
-    init_center,
     point_ray_distance,
     ray_ray_distance,
-    xy_ray_intersection,
 )
 
 __version__ = "0.1.0"

@@ -16,9 +16,9 @@ import os
 import sys
 
 from . import io as sio
-from .io import DataError, NumericalError
+from .io import DataError
+from .metrics import EvaluationReport, build_report
 from .pipeline import (
-    PipelineResult,
     RunConfig,
     associate,
     inventory_records,
@@ -161,14 +161,12 @@ def _write_inventory(path: str, inventory: list[dict]) -> None:
     sio.write_jsonl(path, inventory)
 
 
-def _write_report(out_dir: str, result: PipelineResult) -> None:
-    if result.report is None:
-        return
+def _write_report(out_dir: str, report: EvaluationReport) -> None:
     sio.atomic_write_text(
         os.path.join(out_dir, "report.json"),
-        json.dumps(result.report.to_dict(), sort_keys=True, indent=1) + "\n",
+        json.dumps(report.to_dict(), sort_keys=True, indent=1, allow_nan=False) + "\n",
     )
-    sio.atomic_write_text(os.path.join(out_dir, "report.txt"), result.report.to_text())
+    sio.atomic_write_text(os.path.join(out_dir, "report.txt"), report.to_text())
 
 
 def _cmd_simulate(args, config: dict) -> int:
@@ -274,7 +272,6 @@ def _cmd_evaluate(args, config: dict) -> int:
     cfg = _run_config(args, config)
     truth = sio.read_truth(args.truth)
     inventory = sio.read_inventory(args.inventory)
-    from .metrics import build_report
     import numpy as np
 
     cluster_of = {}
@@ -308,11 +305,7 @@ def _cmd_evaluate(args, config: dict) -> int:
         cfg.identification_tol,
     )
     os.makedirs(args.out, exist_ok=True)
-    sio.atomic_write_text(
-        os.path.join(args.out, "report.json"),
-        json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n",
-    )
-    sio.atomic_write_text(os.path.join(args.out, "report.txt"), report.to_text())
+    _write_report(args.out, report)
     print(report.to_text(), end="")
     return EXIT_OK
 
@@ -326,7 +319,8 @@ def _cmd_run(args, config: dict) -> int:
     result = run_pipeline(cfg, observations, truth)
     os.makedirs(args.out, exist_ok=True)
     _write_inventory(os.path.join(args.out, "inventory.jsonl"), result.inventory)
-    _write_report(args.out, result)
+    if result.report is not None:
+        _write_report(args.out, result.report)
     localized = sum(1 for r in result.inventory if r["center"] is not None)
     print(
         f"{len(observations)} observations -> {len(result.inventory)} objects "
@@ -408,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericalError, DegenerateClusterError, FloatingPointError) as exc:
+    except (DegenerateClusterError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

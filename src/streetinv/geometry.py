@@ -79,14 +79,21 @@ class Detection2D:
     confidence: float = 1.0
 
     def __post_init__(self):
-        if self.image_w <= 0 or self.image_h <= 0:
-            raise ValueError(f"image dimensions must be positive, got {self.image_w}x{self.image_h}")
+        # Written as `not (inside)` so that NaN, which fails every
+        # comparison, is rejected along with out-of-range values.
+        if not (0.0 < self.image_w < math.inf and 0.0 < self.image_h < math.inf):
+            raise ValueError(
+                f"image dimensions must be positive and finite, got {self.image_w}x{self.image_h}"
+            )
         if not (0.0 <= self.center_x <= self.image_w):
             raise ValueError(f"center_x={self.center_x} outside [0, {self.image_w}]")
         if not (0.0 <= self.center_y <= self.image_h):
             raise ValueError(f"center_y={self.center_y} outside [0, {self.image_h}]")
-        if self.box_w <= 0 or self.box_h <= 0:
-            raise ValueError(f"box dimensions must be positive, got {self.box_w}x{self.box_h}")
+        if not (0.0 < self.box_w <= self.image_w and 0.0 < self.box_h <= self.image_h):
+            raise ValueError(
+                f"box {self.box_w}x{self.box_h} must be positive and fit its "
+                f"{self.image_w}x{self.image_h} image"
+            )
         if not (0.0 <= self.confidence <= 1.0):
             raise ValueError(f"confidence={self.confidence} outside [0, 1]")
 
@@ -118,9 +125,12 @@ class Observation:
         self.direction = np.asarray(self.direction, dtype=float)
         if self.exposure.shape != (3,) or self.direction.shape != (3,):
             raise ValueError("exposure and direction must be 3-vectors")
+        if not np.isfinite(self.exposure).all():
+            raise ValueError("exposure must be finite")
         norm = float(np.linalg.norm(self.direction))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # a NaN or infinite norm fails too
             raise ValueError(f"direction must be a unit vector, |d|={norm}")
+        # Chained comparisons are False for NaN, so non-finite sizes fail.
         if not (0.0 < self.box_w_norm <= 1.0) or not (0.0 < self.box_h_norm <= 1.0):
             raise ValueError("normalized box sizes must lie in (0, 1]")
 

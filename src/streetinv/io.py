@@ -23,7 +23,6 @@ from .geometry import CameraPose, Detection2D, Observation, build_observation
 
 __all__ = [
     "DataError",
-    "NumericalError",
     "geodetic_to_enu",
     "read_poses",
     "read_detections",
@@ -45,10 +44,6 @@ __all__ = [
 
 class DataError(Exception):
     """Malformed or inconsistent input data."""
-
-
-class NumericalError(Exception):
-    """A numerical routine failed in a way the pipeline cannot absorb."""
 
 
 # WGS-84 ellipsoid.
@@ -94,6 +89,11 @@ def geodetic_to_enu(lat: float, lon: float, alt: float, lat0: float, lon0: float
     return np.array([east, north, up])
 
 
+def _reject_constant(name: str):
+    """`parse_constant` hook: JSON has no NaN or Infinity, so refuse them."""
+    raise DataError(f"non-finite number {name}")
+
+
 def _read_jsonl(path: str) -> Iterable[tuple[int, dict]]:
     try:
         handle = open(path, "r", encoding="utf-8")
@@ -105,9 +105,11 @@ def _read_jsonl(path: str) -> Iterable[tuple[int, dict]]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(line, parse_constant=_reject_constant)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from exc
+            except DataError as exc:
+                raise DataError(f"{path}:{line_no}: {exc}") from exc
             if not isinstance(record, dict):
                 raise DataError(f"{path}:{line_no}: expected a JSON object")
             yield line_no, record
@@ -237,7 +239,7 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_jsonl(path: str, records: Iterable[dict]) -> None:
-    text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    text = "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in records)
     atomic_write_text(path, text)
 
 
@@ -356,7 +358,7 @@ def write_truth(path: str, truth) -> None:
             for obs_id in truth.obs_ids
         ],
     }
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n")
 
 
 def read_truth(path: str):
@@ -364,11 +366,13 @@ def read_truth(path: str):
 
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+            payload = json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: malformed JSON: {exc.msg}") from exc
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     try:
         entries = sorted(payload["objects"], key=lambda r: int(r["object_id"]))
         if [int(r["object_id"]) for r in entries] != list(range(len(entries))):

@@ -97,7 +97,7 @@ def split_overmatched(
     clusters. A cluster that lost members has its center recomputed from
     the survivors (once, with no further pruning) so the following merge
     stage tests against an unbiased center. Clusters whose ray bundle is
-    degenerate (no usable XY intersection) pass through unchanged.
+    degenerate (all rays parallel) pass through unchanged.
     """
     next_id = max((c.cluster_id for c in clusters), default=-1) + 1
     result: list[Cluster] = []

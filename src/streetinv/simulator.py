@@ -1,4 +1,4 @@
-"""Synthetic street scenes with ground truth, plus brute-force oracles.
+"""Synthetic street scenes with ground truth.
 
 Scenes are a camera trajectory down a street and a set of fixed objects
 with categories and physical heights. Each object visible from a frame
@@ -7,21 +7,16 @@ noise: the direction is then perturbed by a small random rotation, the
 recorded exposure position by Gaussian noise, and observations may be
 dropped or joined by clutter detections. Everything is a pure function of
 the scene spec, including its seed.
-
-The grid-search and enumeration oracles double-check the optimizing code
-paths in tests; they are deliberately naive.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import CameraPose, Detection2D, Observation
-from .triangulation import Ray, energy
 
 __all__ = [
     "SceneObject",
@@ -31,8 +26,6 @@ __all__ = [
     "default_scene_spec",
     "generate_scene",
     "export_scene",
-    "oracle_grid_center",
-    "oracle_enumerate_assignment",
 ]
 
 DEFAULT_CATEGORIES = ("street_light", "traffic_sign", "signal_light", "trash_bin", "bollard")
@@ -74,8 +67,10 @@ class SceneObject:
         self.center = np.asarray(self.center, dtype=float)
         if self.center.shape != (3,):
             raise ValueError("center must be a 3-vector")
-        if self.height <= 0:
-            raise ValueError("height must be positive")
+        if not np.isfinite(self.center).all():
+            raise ValueError("center must be finite")
+        if not (0.0 < self.height < math.inf):
+            raise ValueError("height must be positive and finite")
 
 
 @dataclass(eq=False)
@@ -346,69 +341,3 @@ def export_scene(
         )
     poses = [recorded_poses[f] for f in sorted(recorded_poses)]
     return poses, detections, observations, truth
-
-
-def oracle_grid_center(rays: list[Ray], bounds, step: float) -> np.ndarray:
-    """Exhaustive grid search for the minimum-energy point. Test use only.
-
-    `bounds` is a (lo, hi) pair of 3-vectors; the grid includes both
-    endpoints on each axis. Returns the grid point with the lowest energy
-    (first one wins on exact ties).
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    lo = np.asarray(bounds[0], dtype=float)
-    hi = np.asarray(bounds[1], dtype=float)
-    if np.any(hi < lo):
-        raise ValueError("invalid bounds")
-    axes = [np.arange(lo[k], hi[k] + step * 0.5, step) for k in range(3)]
-    origins = np.stack([r.origin for r in rays])
-    dirs = np.stack([r.direction for r in rays])
-    best_value = np.inf
-    best_point = None
-    # Chunk over the x axis to bound memory on fine grids.
-    yz = np.stack(
-        [g.ravel() for g in np.meshgrid(axes[1], axes[2], indexing="ij")], axis=1
-    )  # (My*Mz, 2)
-    for x in axes[0]:
-        pts = np.empty((yz.shape[0], 3))
-        pts[:, 0] = x
-        pts[:, 1:] = yz
-        v = pts[:, None, :] - origins[None, :, :]  # (M, R, 3)
-        t = np.einsum("mrk,rk->mr", v, dirs)
-        perp = v - t[:, :, None] * dirs[None, :, :]
-        e = (perp * perp).sum(axis=2).sum(axis=1)
-        idx = int(np.argmin(e))
-        if e[idx] < best_value:
-            best_value = float(e[idx])
-            best_point = pts[idx].copy()
-    return best_point
-
-
-def oracle_enumerate_assignment(score_block: np.ndarray) -> tuple[list[tuple[int, int]], float]:
-    """Optimal one-to-one assignment by exhaustive enumeration. Test use only.
-
-    Returns the (row, col) pairs and their total score, maximizing total
-    score over all injective assignments of the smaller side. Ties go to
-    the lexicographically smallest assignment. Sides over 7 are rejected.
-    """
-    block = np.asarray(score_block, dtype=float)
-    if block.ndim != 2:
-        raise ValueError("score block must be 2-dimensional")
-    n_rows, n_cols = block.shape
-    if n_rows > 7 or n_cols > 7:
-        raise ValueError("enumeration oracle limited to 7 per side")
-    transposed = n_rows > n_cols
-    work = block.T if transposed else block
-    n_small, n_large = work.shape
-    best_total = -np.inf
-    best: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(n_large), n_small):
-        total = sum(work[i, perm[i]] for i in range(n_small))
-        if total > best_total:
-            best_total = total
-            best = perm
-    pairs = [(i, best[i]) for i in range(n_small)]
-    if transposed:
-        pairs = sorted((c, r) for r, c in pairs)
-    return pairs, float(best_total)

@@ -1,10 +1,15 @@
 """Estimating a 3D object center from a bundle of observation rays.
 
 The center of a cluster of observations is the point minimizing the sum of
-squared perpendicular distances to all rays. Minimization runs in two
-stages: an initial guess from pairwise ray intersections in the XY plane
-(back-projected onto the rays to recover Z), then BFGS refinement of the
-full 3D energy with an analytic gradient.
+squared perpendicular distances to all rays. That energy is a convex
+quadratic in the center, so its minimizer solves the 3x3 normal equations
+
+    sum_i (I - d_i d_i^T) c = sum_i (I - d_i d_i^T) o_i
+
+for ray origins o_i and unit directions d_i: the N-line midpoint
+triangulation of Hartley & Zisserman, Multiple View Geometry (2nd ed.).
+The matrix is singular exactly when every ray is parallel; such a bundle
+has no unique center.
 """
 
 from __future__ import annotations
@@ -20,23 +25,16 @@ __all__ = [
     "point_ray_distance",
     "ray_ray_distance",
     "energy",
-    "energy_gradient",
-    "xy_ray_intersection",
-    "init_center",
     "estimate_center",
 ]
 
-# Rays steeper than this |dir_z| have a numerically meaningless XY
-# projection and are skipped when intersecting in the XY plane.
-NEAR_VERTICAL_DIR_Z = 0.999
-
-# Projected directions whose normalized 2D cross product is below this are
-# treated as parallel.
-PARALLEL_CROSS_EPS = 1e-9
+# A normal matrix whose smallest eigenvalue is at most this share of its
+# trace is treated as singular: the rays are parallel to working precision.
+PARALLEL_EIGEN_RATIO = 1e-12
 
 
 class DegenerateClusterError(ValueError):
-    """Raised when a ray bundle admits no usable XY intersection."""
+    """Raised when a ray bundle has no unique center: under 2 rays, or all parallel."""
 
 
 @dataclass(eq=False)
@@ -51,8 +49,10 @@ class Ray:
         self.direction = np.asarray(self.direction, dtype=float)
         if self.origin.shape != (3,) or self.direction.shape != (3,):
             raise ValueError("origin and direction must be 3-vectors")
+        if not np.isfinite(self.origin).all():
+            raise ValueError("origin must be finite")
         norm = float(np.linalg.norm(self.direction))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # a NaN or infinite norm fails too
             raise ValueError(f"direction must be a unit vector, |d|={norm}")
 
     @classmethod
@@ -68,12 +68,10 @@ class Ray:
 
 @dataclass(eq=False)
 class CenterEstimate:
-    """Result of estimate_center: the refined center and per-ray residuals."""
+    """Result of estimate_center: the center and per-ray residuals."""
 
     center: np.ndarray
     residuals: list[float]
-    converged: bool = True
-    iterations: int = 0
 
 
 def point_ray_distance(c, ray: Ray) -> float:
@@ -130,152 +128,35 @@ def energy(c, rays: list[Ray]) -> float:
     if not rays:
         raise ValueError("energy requires at least one ray")
     origins, dirs = _stack(rays)
-    return _energy_arrays(np.asarray(c, dtype=float), origins, dirs)
+    perp = _perpendiculars(np.asarray(c, dtype=float), origins, dirs)
+    return float(np.einsum("ij,ij->i", perp, perp).sum())
 
 
-def _energy_arrays(c: np.ndarray, origins: np.ndarray, dirs: np.ndarray) -> float:
+def _perpendiculars(c: np.ndarray, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     # Explicit perpendicular form: nonnegative by construction, no
     # cancellation near exact intersections.
     v = c - origins
     t = np.einsum("ij,ij->i", v, dirs)
-    perp = v - t[:, None] * dirs
-    return float(np.einsum("ij,ij->i", perp, perp).sum())
-
-
-def energy_gradient(c, rays: list[Ray]) -> np.ndarray:
-    """Analytic gradient of energy() with respect to the candidate center."""
-    if not rays:
-        raise ValueError("energy_gradient requires at least one ray")
-    origins, dirs = _stack(rays)
-    return _gradient_arrays(np.asarray(c, dtype=float), origins, dirs)
-
-
-def _gradient_arrays(c: np.ndarray, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    v = c - origins
-    t = np.einsum("ij,ij->i", v, dirs)
-    return 2.0 * (v - t[:, None] * dirs).sum(axis=0)
-
-
-def xy_ray_intersection(a: Ray, b: Ray) -> np.ndarray | None:
-    """Intersection of the two rays projected into the XY plane.
-
-    The projections are treated as infinite lines. Returns None when either
-    ray is near-vertical or the projected directions are parallel.
-    """
-    if abs(a.direction[2]) > NEAR_VERTICAL_DIR_Z or abs(b.direction[2]) > NEAR_VERTICAL_DIR_Z:
-        return None
-    u1 = a.direction[:2]
-    u2 = b.direction[:2]
-    n1 = np.linalg.norm(u1)
-    n2 = np.linalg.norm(u2)
-    if n1 < 1e-12 or n2 < 1e-12:
-        return None
-    cross = (u1[0] * u2[1] - u1[1] * u2[0]) / (n1 * n2)
-    if abs(cross) < PARALLEL_CROSS_EPS:
-        return None
-    # Solve p1 + t1*u1 = p2 + t2*u2 for t1 by Cramer's rule.
-    rhs = b.origin[:2] - a.origin[:2]
-    det = -(u1[0] * u2[1] - u1[1] * u2[0])
-    t1 = (rhs[0] * (-u2[1]) - (-u2[0]) * rhs[1]) / det
-    return a.origin[:2] + t1 * u1
-
-
-def _z_on_ray_at_xy(ray: Ray, q: np.ndarray) -> float:
-    """Z of the ray point whose XY projection is closest to `q`."""
-    u = ray.direction[:2]
-    t = float(np.dot(q - ray.origin[:2], u) / np.dot(u, u))
-    return float(ray.origin[2] + t * ray.direction[2])
-
-
-def init_center(rays: list[Ray]) -> np.ndarray:
-    """Initial center guess from pairwise XY ray intersections.
-
-    XY is the mean of all valid pairwise intersections; Z is the mean of
-    the ray heights obtained by projecting each intersection back onto the
-    two rays that produced it.
-
-    Raises:
-        DegenerateClusterError: no pair of rays intersects in the XY plane
-            (all parallel or near-vertical).
-    """
-    points_xy = []
-    z_values = []
-    n = len(rays)
-    for i in range(n):
-        for j in range(i + 1, n):
-            q = xy_ray_intersection(rays[i], rays[j])
-            if q is None:
-                continue
-            points_xy.append(q)
-            z_values.append(_z_on_ray_at_xy(rays[i], q))
-            z_values.append(_z_on_ray_at_xy(rays[j], q))
-    if not points_xy:
-        raise DegenerateClusterError("no valid pairwise XY intersection among rays")
-    xy = np.mean(points_xy, axis=0)
-    z = float(np.mean(z_values))
-    return np.array([xy[0], xy[1], z])
-
-
-# BFGS hyperparameters: Armijo backtracking line search with contraction
-# 0.5 and slope factor 1e-4; stop at gradient norm 1e-8 or 200 iterations.
-_GRAD_TOL = 1e-8
-_MAX_ITER = 200
-_ARMIJO_SLOPE = 1e-4
-_ARMIJO_CONTRACTION = 0.5
-_NONCONVERGED_GRAD = 1e-4
+    return v - t[:, None] * dirs
 
 
 def estimate_center(rays: list[Ray]) -> CenterEstimate:
-    """Refine the initial center by BFGS on the point-to-ray energy.
+    """Least-squares closest point to a bundle of rays, solved in closed form.
 
-    Guarantees the returned center never has higher energy than the
-    initialization. If the iteration cap is hit while the gradient norm is
-    still above 1e-4 the result is returned with converged=False.
+    Solves A c = b with A = sum(I - d d^T) and b = sum((I - d d^T) o) over
+    the rays, through the eigendecomposition of the symmetric 3x3 matrix A.
 
     Raises:
-        DegenerateClusterError: propagated from init_center.
+        DegenerateClusterError: fewer than 2 rays, or all rays parallel.
     """
     if len(rays) < 2:
         raise DegenerateClusterError("center estimation requires at least 2 rays")
-    x = init_center(rays)
     origins, dirs = _stack(rays)
-
-    f = lambda c: _energy_arrays(c, origins, dirs)
-    g = lambda c: _gradient_arrays(c, origins, dirs)
-
-    fx = f(x)
-    grad = g(x)
-    h_inv = np.eye(3)
-    iterations = 0
-    for iterations in range(1, _MAX_ITER + 1):
-        if np.linalg.norm(grad) < _GRAD_TOL:
-            iterations -= 1
-            break
-        p = -h_inv @ grad
-        slope = float(np.dot(grad, p))
-        if slope >= 0.0:
-            # Curvature information went bad; fall back to steepest descent.
-            p = -grad
-            slope = -float(np.dot(grad, grad))
-        alpha = 1.0
-        while f(x + alpha * p) > fx + _ARMIJO_SLOPE * alpha * slope:
-            alpha *= _ARMIJO_CONTRACTION
-            if alpha < 1e-20:
-                break
-        if alpha < 1e-20:
-            break
-        x_new = x + alpha * p
-        grad_new = g(x_new)
-        s = x_new - x
-        y = grad_new - grad
-        sy = float(np.dot(s, y))
-        if sy > 1e-14:
-            rho = 1.0 / sy
-            left = np.eye(3) - rho * np.outer(s, y)
-            h_inv = left @ h_inv @ left.T + rho * np.outer(s, s)
-        x, grad = x_new, grad_new
-        fx = f(x)
-
-    converged = bool(np.linalg.norm(grad) <= _NONCONVERGED_GRAD)
-    residuals = [point_ray_distance(x, r) for r in rays]
-    return CenterEstimate(center=x, residuals=residuals, converged=converged, iterations=iterations)
+    a = len(rays) * np.eye(3) - dirs.T @ dirs
+    b = origins.sum(axis=0) - dirs.T @ np.einsum("ij,ij->i", origins, dirs)
+    w, v = np.linalg.eigh(a)
+    if w[0] <= PARALLEL_EIGEN_RATIO * w.sum():
+        raise DegenerateClusterError("all rays are parallel; no unique closest point")
+    center = v @ ((v.T @ b) / w)
+    residuals = np.linalg.norm(_perpendiculars(center, origins, dirs), axis=1)
+    return CenterEstimate(center=center, residuals=residuals.tolist())

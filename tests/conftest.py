@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from streetinv import Cluster, Ray
-from streetinv.simulator import GroundTruth, oracle_grid_center
+from streetinv.simulator import GroundTruth
 
 
 def make_ray(origin, point) -> Ray:
@@ -15,14 +16,71 @@ def make_ray(origin, point) -> Ray:
     return Ray.through(origin, point)
 
 
-def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient, the independent check for analytic ones."""
-    g = np.zeros_like(x, dtype=float)
-    for k in range(len(x)):
-        e = np.zeros_like(x, dtype=float)
-        e[k] = h
-        g[k] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
+def oracle_grid_center(rays, bounds, step: float) -> np.ndarray:
+    """Exhaustive grid search for the minimum-energy point.
+
+    `bounds` is a (lo, hi) pair of 3-vectors; the grid includes both
+    endpoints on each axis. Returns the grid point with the lowest energy
+    (first one wins on exact ties). Deliberately naive: it is the reference
+    the closed-form center is tested against.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    lo = np.asarray(bounds[0], dtype=float)
+    hi = np.asarray(bounds[1], dtype=float)
+    if np.any(hi < lo):
+        raise ValueError("invalid bounds")
+    axes = [np.arange(lo[k], hi[k] + step * 0.5, step) for k in range(3)]
+    origins = np.stack([r.origin for r in rays])
+    dirs = np.stack([r.direction for r in rays])
+    best_value = np.inf
+    best_point = None
+    # Chunk over the x axis to bound memory on fine grids.
+    yz = np.stack(
+        [g.ravel() for g in np.meshgrid(axes[1], axes[2], indexing="ij")], axis=1
+    )  # (My*Mz, 2)
+    for x in axes[0]:
+        pts = np.empty((yz.shape[0], 3))
+        pts[:, 0] = x
+        pts[:, 1:] = yz
+        v = pts[:, None, :] - origins[None, :, :]  # (M, R, 3)
+        t = np.einsum("mrk,rk->mr", v, dirs)
+        perp = v - t[:, :, None] * dirs[None, :, :]
+        e = (perp * perp).sum(axis=2).sum(axis=1)
+        idx = int(np.argmin(e))
+        if e[idx] < best_value:
+            best_value = float(e[idx])
+            best_point = pts[idx].copy()
+    return best_point
+
+
+def oracle_enumerate_assignment(score_block: np.ndarray) -> tuple[list[tuple[int, int]], float]:
+    """Optimal one-to-one assignment by exhaustive enumeration.
+
+    Returns the (row, col) pairs and their total score, maximizing total
+    score over all injective assignments of the smaller side. Ties go to
+    the lexicographically smallest assignment. Sides over 7 are rejected.
+    """
+    block = np.asarray(score_block, dtype=float)
+    if block.ndim != 2:
+        raise ValueError("score block must be 2-dimensional")
+    n_rows, n_cols = block.shape
+    if n_rows > 7 or n_cols > 7:
+        raise ValueError("enumeration oracle limited to 7 per side")
+    transposed = n_rows > n_cols
+    work = block.T if transposed else block
+    n_small, n_large = work.shape
+    best_total = -np.inf
+    best: tuple[int, ...] | None = None
+    for perm in itertools.permutations(range(n_large), n_small):
+        total = sum(work[i, perm[i]] for i in range(n_small))
+        if total > best_total:
+            best_total = total
+            best = perm
+    pairs = [(i, best[i]) for i in range(n_small)]
+    if transposed:
+        pairs = sorted((c, r) for r, c in pairs)
+    return pairs, float(best_total)
 
 
 def grid_argmin(rays, center_hint, half_width=1.0, coarse_step=0.02, fine_step=0.001):

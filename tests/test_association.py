@@ -16,7 +16,8 @@ from streetinv import (
     geometric_score,
     transitive_cluster,
 )
-from streetinv.simulator import oracle_enumerate_assignment
+
+from conftest import oracle_enumerate_assignment
 
 
 def obs(obs_id, frame_id, origin, toward, category="sign"):

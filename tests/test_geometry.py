@@ -212,3 +212,47 @@ class TestValidation:
     def test_detection_center_outside_image_rejected(self):
         with pytest.raises(ValueError):
             det(-1.0, H / 2)
+
+    @pytest.mark.parametrize(
+        "exposure, direction",
+        [
+            ([0.0, 0.0, 0.0], [math.nan, 0.0, 0.0]),
+            ([0.0, 0.0, 0.0], [math.inf, 0.0, 0.0]),
+            ([math.nan, 0.0, 0.0], [1.0, 0.0, 0.0]),
+            ([0.0, -math.inf, 0.0], [1.0, 0.0, 0.0]),
+        ],
+    )
+    def test_observation_requires_finite_vectors(self, exposure, direction):
+        with pytest.raises(ValueError):
+            Observation(
+                obs_id=0, frame_id=0, category="sign",
+                exposure=np.array(exposure), direction=np.array(direction),
+                box_w_norm=0.1, box_h_norm=0.1,
+            )
+
+    @pytest.mark.parametrize("size", [math.nan, math.inf, 0.0, 1.5])
+    def test_observation_requires_box_sizes_in_unit_interval(self, size):
+        with pytest.raises(ValueError, match="box sizes"):
+            Observation(
+                obs_id=0, frame_id=0, category="sign",
+                exposure=np.zeros(3), direction=np.array([1.0, 0.0, 0.0]),
+                box_w_norm=size, box_h_norm=0.1,
+            )
+
+    @pytest.mark.parametrize(
+        "box", [(W + 10.0, 60.0), (40.0, H + 1.0), (math.nan, 60.0), (40.0, math.inf)]
+    )
+    def test_detection_box_must_be_finite_and_fit_image(self, box):
+        with pytest.raises(ValueError, match="box"):
+            det(W / 2, H / 2, box=box)
+
+    def test_detection_box_filling_image_accepted(self):
+        assert det(W / 2, H / 2, box=(W, H)).box_w == W
+
+    @pytest.mark.parametrize("image_w", [math.nan, math.inf])
+    def test_detection_image_size_must_be_finite(self, image_w):
+        with pytest.raises(ValueError, match="image dimensions"):
+            Detection2D(
+                frame_id=0, center_x=1.0, center_y=1.0, box_w=1.0, box_h=1.0,
+                image_w=image_w, image_h=H, category="sign",
+            )

@@ -1,4 +1,4 @@
-"""Triangulation: energies, gradients, initialization, BFGS refinement."""
+"""Triangulation: distances, the energy and the closed-form center."""
 
 import math
 
@@ -10,16 +10,13 @@ from streetinv import (
     DegenerateClusterError,
     Ray,
     energy,
-    energy_gradient,
     estimate_center,
-    init_center,
     point_ray_distance,
     ray_ray_distance,
-    xy_ray_intersection,
 )
 from streetinv.geometry import rotation_from_euler
 
-from conftest import finite_difference_gradient, grid_argmin, make_ray
+from conftest import grid_argmin, make_ray
 
 X_RAY = Ray(np.zeros(3), np.array([1.0, 0.0, 0.0]))
 
@@ -129,89 +126,6 @@ class TestEnergy:
         )
 
 
-class TestEnergyGradient:
-    def test_zero_at_energy_minimum(self):
-        target = np.array([5.0, 0.0, 2.0])
-        rays = [make_ray([0, 0, 0], target), make_ray([10, 3, 0], target)]
-        np.testing.assert_allclose(energy_gradient(target, rays), np.zeros(3), atol=1e-12)
-
-    def test_single_ray_points_away_scaled(self):
-        # Quadratic in the perpendicular offset: grad = 2 * offset vector.
-        c = np.array([2.0, 3.0, 0.0])
-        np.testing.assert_allclose(energy_gradient(c, [X_RAY]), [0.0, 6.0, 0.0], atol=1e-12)
-
-    def test_empty_rays_rejected(self):
-        with pytest.raises(ValueError):
-            energy_gradient(np.zeros(3), [])
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            rays, center = random_rays(rng, int(rng.integers(1, 6)), noise=0.01)
-            c = center + rng.normal(0, 2.0, 3)
-            analytic = energy_gradient(c, rays)
-            numeric = finite_difference_gradient(lambda x: energy(x, rays), c)
-            denom = max(1.0, float(np.linalg.norm(numeric)))
-            assert np.linalg.norm(analytic - numeric) / denom < 1e-6
-
-
-class TestXYRayIntersection:
-    def test_perpendicular_lines(self):
-        a = Ray(np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-        b = Ray(np.array([5.0, 5.0, 0.0]), np.array([0.0, -1.0, 0.0]))
-        np.testing.assert_allclose(xy_ray_intersection(a, b), [5.0, 0.0], atol=1e-12)
-
-    def test_parallel_projections_absent(self):
-        a = Ray(np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-        b = Ray(np.array([0.0, 3.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-        assert xy_ray_intersection(a, b) is None
-
-    def test_near_vertical_ray_absent(self):
-        steep = np.array([1e-4, 0.0, 1.0])
-        steep /= np.linalg.norm(steep)
-        a = Ray(np.zeros(3), steep)
-        b = Ray(np.array([5.0, 5.0, 0.0]), np.array([0.0, -1.0, 0.0]))
-        assert xy_ray_intersection(a, b) is None
-
-    def test_solution_satisfies_both_line_equations(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            a = Ray(rng.normal(size=3) * 5, _random_unit(rng))
-            b = Ray(rng.normal(size=3) * 5, _random_unit(rng))
-            q = xy_ray_intersection(a, b)
-            if q is None:
-                continue
-            for r in (a, b):
-                u = r.direction[:2]
-                t = np.dot(q - r.origin[:2], u) / np.dot(u, u)
-                residual = np.linalg.norm(r.origin[:2] + t * u - q)
-                assert residual < 1e-9
-
-
-class TestInitCenter:
-    def test_two_rays_exact_meeting_point(self):
-        target = np.array([5.0, 0.0, 2.0])
-        rays = [make_ray([0, 0, 0], target), make_ray([10, 4, 1], target)]
-        np.testing.assert_allclose(init_center(rays), target, atol=1e-9)
-
-    def test_three_rays_common_point(self):
-        target = np.array([-3.0, 7.0, 1.5])
-        rays = [make_ray([0, 0, 0], target), make_ray([10, 0, 0], target), make_ray([0, 12, 3], target)]
-        np.testing.assert_allclose(init_center(rays), target, atol=1e-9)
-
-    def test_perturbed_rays_near_grid_minimizer(self):
-        rng = np.random.default_rng(6)
-        rays, center = random_rays(rng, 3, center=np.array([1.0, 2.0, 3.0]), noise=math.radians(0.2))
-        oracle_point = grid_argmin(rays, center)
-        assert np.linalg.norm(init_center(rays) - oracle_point) < 0.10
-
-    def test_all_parallel_is_degenerate(self):
-        d = np.array([1.0, 0.0, 0.0])
-        rays = [Ray(np.array([0.0, k, 0.0]), d) for k in range(3)]
-        with pytest.raises(DegenerateClusterError):
-            init_center(rays)
-
-
 class TestEstimateCenter:
     def test_two_exactly_intersecting_rays(self):
         target = np.array([5.0, 0.0, 2.0])
@@ -219,7 +133,11 @@ class TestEstimateCenter:
         estimate = estimate_center(rays)
         np.testing.assert_allclose(estimate.center, target, atol=1e-9)
         assert estimate.residuals == pytest.approx([0.0, 0.0], abs=1e-9)
-        assert estimate.converged
+
+    def test_three_rays_common_point(self):
+        target = np.array([-3.0, 7.0, 1.5])
+        rays = [make_ray([0, 0, 0], target), make_ray([10, 0, 0], target), make_ray([0, 12, 3], target)]
+        np.testing.assert_allclose(estimate_center(rays).center, target, atol=1e-9)
 
     def test_noisy_cluster_matches_grid_oracle(self):
         rng = np.random.default_rng(7)
@@ -234,20 +152,40 @@ class TestEstimateCenter:
         with pytest.raises(DegenerateClusterError):
             estimate_center(rays)
 
+    def test_all_parallel_is_degenerate(self):
+        d = np.array([1.0, 0.0, 0.0])
+        rays = [Ray(np.array([0.0, k, 0.0]), d) for k in range(3)]
+        with pytest.raises(DegenerateClusterError):
+            estimate_center(rays)
+
+    def test_parallel_in_xy_only_is_localized(self):
+        # Both rays lie in the plane y = 0, so their XY projections are
+        # parallel, but in 3D they cross at the target.
+        target = np.array([10.0, 0.0, 5.0])
+        rays = [make_ray([0, 0, 0], target), make_ray([20, 0, 0], target)]
+        estimate = estimate_center(rays)
+        np.testing.assert_allclose(estimate.center, target, atol=1e-9)
+        assert estimate.residuals == pytest.approx([0.0, 0.0], abs=1e-9)
+
+    def test_two_parallel_rays_degenerate(self):
+        d = np.array([0.6, 0.0, 0.8])
+        rays = [Ray(np.zeros(3), d), Ray(np.array([0.0, 2.0, 1.0]), d)]
+        with pytest.raises(DegenerateClusterError):
+            estimate_center(rays)
+
     def test_single_ray_rejected(self):
         with pytest.raises(DegenerateClusterError):
             estimate_center([X_RAY])
 
-    def test_never_increases_energy_vs_init(self):
+    def test_no_nearby_point_has_lower_energy(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
             rays, _ = random_rays(rng, int(rng.integers(2, 8)), noise=0.02)
-            try:
-                x0 = init_center(rays)
-            except DegenerateClusterError:
-                continue
             estimate = estimate_center(rays)
-            assert energy(estimate.center, rays) <= energy(x0, rays) + 1e-12
+            best = energy(estimate.center, rays)
+            for scale in (1e-4, 1e-2, 1.0):
+                for step in rng.normal(0.0, scale, (10, 3)):
+                    assert best <= energy(estimate.center + step, rays) + 1e-12
 
     def test_exact_recovery_with_clean_rays(self):
         rng = np.random.default_rng(9)
@@ -295,6 +233,20 @@ class TestRayValidation:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ValueError, match="unit"):
             Ray(np.zeros(3), np.array([2.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "origin, direction",
+        [
+            ([0.0, 0.0, 0.0], [math.nan, 0.0, 0.0]),
+            ([0.0, 0.0, 0.0], [1.0, math.nan, 0.0]),
+            ([0.0, 0.0, 0.0], [0.0, 0.0, -math.inf]),
+            ([math.nan, 0.0, 0.0], [1.0, 0.0, 0.0]),
+            ([0.0, math.inf, 0.0], [1.0, 0.0, 0.0]),
+        ],
+    )
+    def test_non_finite_rejected(self, origin, direction):
+        with pytest.raises(ValueError):
+            Ray(np.array(origin), np.array(direction))
 
     def test_through_requires_distinct_points(self):
         with pytest.raises(ValueError):
