@@ -1,17 +1,23 @@
 """Cross-view association of observations within a sliding frame window.
 
-Pairwise matchability scores (from the built-in geometric scorer or an
-external file) feed an optimal one-to-one assignment per frame pair;
-matches below the confidence threshold are discarded, and the surviving
-pairs are chained into initial clusters by connected components.
+Matchability scores, from the built-in geometric scorer or an external
+file, are held in a sparse matrix with an entry only for the pairs the
+scorer produced: the geometric scorer scores same-category pairs of frames
+inside the window and nothing else. Each frame pair in the window reads
+its block of scores and solves an optimal one-to-one assignment; matches
+below the confidence threshold are discarded, and the surviving pairs are
+chained into initial clusters by connected components.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import coo_array, csr_array, sparray
+from scipy.sparse.csgraph import connected_components
 
 from .geometry import Observation
 from .triangulation import Ray, ray_ray_distance
@@ -32,31 +38,49 @@ DEFAULT_SIGMA_G = 0.5  # meters; decay scale of the geometric score
 
 @dataclass(eq=False)
 class MatchMatrix:
-    """Symmetric N x N matchability scores over an ordered set of obs ids."""
+    """Sparse symmetric matchability scores over an ordered set of obs ids.
+
+    Holds only the pairs a scorer produced; every other pair scores 0.
+    Dense input is accepted and stored sparse.
+    """
 
     obs_ids: list[int]
-    scores: np.ndarray
+    scores: sparray
 
     def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=float)
+        self.scores = csr_array(self.scores, dtype=float)
         n = len(self.obs_ids)
         if self.scores.shape != (n, n):
             raise ValueError(f"scores must be {n}x{n}, got {self.scores.shape}")
-        if np.any(self.scores < 0.0) or np.any(self.scores > 1.0):
+        if np.any(self.scores.data < 0.0) or np.any(self.scores.data > 1.0):
             raise ValueError("scores must lie in [0, 1]")
-        if np.any(np.abs(np.diagonal(self.scores)) > 0.0):
+        if np.any(self.scores.diagonal() != 0.0):
             raise ValueError("diagonal entries must be zero")
-        if not np.allclose(self.scores, self.scores.T, atol=1e-9):
+        if n and abs(self.scores - self.scores.T).max() > 1e-9:
             raise ValueError("scores must be symmetric")
         self._index = {obs_id: i for i, obs_id in enumerate(self.obs_ids)}
         if len(self._index) != n:
             raise ValueError("obs_ids contains duplicates")
 
-    def index_of(self, obs_id: int) -> int:
-        return self._index[obs_id]
+    @classmethod
+    def from_pairs(cls, obs_ids: list[int], rows, cols, values) -> "MatchMatrix":
+        """Scores of the unordered pairs (obs_ids[rows[k]], obs_ids[cols[k]]),
+        each pair listed once."""
+        n = len(obs_ids)
+        one_way = coo_array((values, (rows, cols)), shape=(n, n))
+        return cls(obs_ids=obs_ids, scores=one_way + one_way.T)
 
     def score(self, obs_a: int, obs_b: int) -> float:
         return float(self.scores[self._index[obs_a], self._index[obs_b]])
+
+    def block(self, rows: list[int], cols: list[int]) -> np.ndarray:
+        """Dense scores between two lists of obs ids (rows x cols)."""
+        try:
+            r = [self._index[obs_id] for obs_id in rows]
+            c = [self._index[obs_id] for obs_id in cols]
+        except KeyError as exc:
+            raise ValueError(f"obs id {exc.args[0]} missing from the score matrix") from None
+        return self.scores[np.ix_(r, c)].toarray()
 
 
 @dataclass(frozen=True)
@@ -112,100 +136,53 @@ def build_score_matrix(
     sigma_g: float = DEFAULT_SIGMA_G,
     max_frame_gap: int | None = None,
 ) -> MatchMatrix:
-    """Geometric-score matrix over all observations.
+    """Sparse geometric scores between observations of nearby frames.
 
-    Only same-category pairs from different frames get a nonzero score.
-    When `max_frame_gap` is given, pairs further apart in the sorted frame
-    ordering are left at zero; the assignment stage never consults them.
+    Only same-category pairs from different frames are scored. When
+    `max_frame_gap` is given, only frames at most that many ranks apart in
+    the sorted frame ordering are paired; the assignment stage never
+    consults the others.
     """
-    obs_ids = [o.obs_id for o in observations]
-    n = len(observations)
-    scores = np.zeros((n, n))
-    frame_rank = {f: i for i, f in enumerate(sorted({o.frame_id for o in observations}))}
-    by_category: dict[str, list[int]] = {}
+    by_frame: dict[int, list[int]] = {}
     for i, o in enumerate(observations):
-        by_category.setdefault(o.category, []).append(i)
-    for indices in by_category.values():
-        for ai in range(len(indices)):
-            for bi in range(ai + 1, len(indices)):
-                i, j = indices[ai], indices[bi]
-                a, b = observations[i], observations[j]
-                if a.frame_id == b.frame_id:
-                    continue
-                if max_frame_gap is not None:
-                    if abs(frame_rank[a.frame_id] - frame_rank[b.frame_id]) > max_frame_gap:
-                        continue
-                s = geometric_score(a, b, sigma_g)
-                scores[i, j] = s
-                scores[j, i] = s
-    return MatchMatrix(obs_ids=obs_ids, scores=scores)
+        by_frame.setdefault(o.frame_id, []).append(i)
+    frames = sorted(by_frame)
+    gap = len(frames) if max_frame_gap is None else max_frame_gap
+    rows, cols, values = [], [], []
+    for rank, frame in enumerate(frames):
+        for other in frames[rank + 1 : rank + 1 + gap]:
+            for i, j in itertools.product(by_frame[frame], by_frame[other]):
+                # In observation order: the score is symmetric only to rounding.
+                a, b = observations[min(i, j)], observations[max(i, j)]
+                if a.category == b.category:
+                    rows.append(i)
+                    cols.append(j)
+                    values.append(geometric_score(a, b, sigma_g))
+    return MatchMatrix.from_pairs([o.obs_id for o in observations], rows, cols, values)
 
 
 def assign_pairs(
     m: MatchMatrix,
-    frame_of: dict[int, int],
-    window: list[int],
+    left: list[int],
+    right: list[int],
     tau: float = DEFAULT_TAU,
 ) -> list[PairMatch]:
-    """Optimal one-to-one matches for every frame pair in the window.
+    """Optimal one-to-one matches between the observations of two frames.
 
-    For each unordered pair of frames, solves the maximum-weight bipartite
-    assignment between the frames' observations and keeps assignments whose
-    score is at least `tau`.
+    Solves the maximum-weight bipartite assignment between the obs ids in
+    `left` and `right` and keeps assignments whose score is at least `tau`.
     """
-    missing = [obs_id for obs_id in m.obs_ids if obs_id not in frame_of]
-    if missing:
-        raise ValueError(f"obs ids missing from frame_of: {missing[:5]}")
-    by_frame: dict[int, list[int]] = {f: [] for f in window}
-    for obs_id in m.obs_ids:
-        f = frame_of[obs_id]
-        if f in by_frame:
-            by_frame[f].append(obs_id)
-    for ids in by_frame.values():
-        ids.sort()
-
+    if not left or not right:
+        return []
+    block = m.block(left, right)
+    rows, cols = linear_sum_assignment(block, maximize=True)
     matches: list[PairMatch] = []
-    frames = sorted(window)
-    for i in range(len(frames)):
-        for j in range(i + 1, len(frames)):
-            left = by_frame[frames[i]]
-            right = by_frame[frames[j]]
-            if not left or not right:
-                continue
-            block = np.array([[m.score(a, b) for b in right] for a in left])
-            rows, cols = linear_sum_assignment(block, maximize=True)
-            for r, c in zip(rows, cols):
-                score = float(block[r, c])
-                if score >= tau:
-                    a, b = left[r], right[c]
-                    matches.append(PairMatch(obs_a=min(a, b), obs_b=max(a, b), score=score))
+    for r, c in zip(rows, cols):
+        score = float(block[r, c])
+        if score >= tau:
+            a, b = left[r], right[c]
+            matches.append(PairMatch(obs_a=min(a, b), obs_b=max(a, b), score=score))
     return matches
-
-
-class _UnionFind:
-    """Union by rank with path compression over observation ids."""
-
-    def __init__(self, items):
-        self._parent = {x: x for x in items}
-        self._rank = {x: 0 for x in items}
-
-    def find(self, x):
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self._rank[ra] < self._rank[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        if self._rank[ra] == self._rank[rb]:
-            self._rank[ra] += 1
 
 
 def transitive_cluster(pairs: list[PairMatch], all_obs: list[int]) -> list[Cluster]:
@@ -215,14 +192,21 @@ def transitive_cluster(pairs: list[PairMatch], all_obs: list[int]) -> list[Clust
     unmatched observations become singletons. Cluster ids are assigned in
     order of each component's smallest member id.
     """
-    uf = _UnionFind(all_obs)
-    known = set(all_obs)
+    ids = sorted(set(all_obs))
+    index = {obs_id: i for i, obs_id in enumerate(ids)}
+    rows, cols = [], []
     for pair in pairs:
-        if pair.obs_a not in known or pair.obs_b not in known:
+        if pair.obs_a not in index or pair.obs_b not in index:
             raise ValueError(f"pair ({pair.obs_a}, {pair.obs_b}) references unknown observation")
-        uf.union(pair.obs_a, pair.obs_b)
-    components: dict[int, set[int]] = {}
-    for obs_id in all_obs:
-        components.setdefault(uf.find(obs_id), set()).add(obs_id)
-    ordered = sorted(components.values(), key=min)
-    return [Cluster(cluster_id=i, members=members) for i, members in enumerate(ordered)]
+        rows.append(index[pair.obs_a])
+        cols.append(index[pair.obs_b])
+    n = len(ids)
+    if n == 0:
+        return []
+    graph = coo_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    # Nodes are the sorted ids and components are labelled in order of
+    # their first node, so labels already follow each smallest member id.
+    _, labels = connected_components(graph, directed=False)
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(np.asarray(ids)[order], np.flatnonzero(np.diff(labels[order])) + 1)
+    return [Cluster(cluster_id=k, members=set(g.tolist())) for k, g in enumerate(groups)]

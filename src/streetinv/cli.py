@@ -10,10 +10,12 @@ config values. Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
+import typing
 
 from . import io as sio
 from .io import DataError
@@ -46,21 +48,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Flat config keys: every scalar RunConfig field, typed by its annotation.
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
 _CONFIG_KEYS = {
-    "window": int,
-    "tau": float,
-    "sigma_g": float,
-    "tau_split": float,
-    "tau_merge": float,
-    "tau_scale": float,
-    "no_refine": bool,
-    "scorer": str,
-    "coord_mode": str,
-    "seed": int,
-    "identification_tol": float,
+    f.name: _FIELD_TYPES[f.name]
+    for f in dataclasses.fields(RunConfig)
+    if _FIELD_TYPES[f.name] in (int, float, bool, str)
 }
 
 _SCENE_KEYS = {
+    "seed": int,
     "n_objects": int,
     "length": float,
     "spacing": float,
@@ -112,30 +109,13 @@ def _load_config(path: str | None) -> dict:
 
 def _run_config(args, config: dict) -> RunConfig:
     """Merge config-file values and CLI flags (flags win)."""
-
-    def pick(name, flag_value):
-        return flag_value if flag_value is not None else config.get(name)
-
     kwargs = {}
-    for name in (
-        "window",
-        "tau",
-        "sigma_g",
-        "tau_split",
-        "tau_merge",
-        "tau_scale",
-        "scorer",
-        "coord_mode",
-        "seed",
-        "identification_tol",
-    ):
-        value = pick(name, getattr(args, name, None))
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(args, f.name, None)
+        if value is None:
+            value = config.get(f.name)
         if value is not None:
-            kwargs[name] = value
-    no_refine = getattr(args, "no_refine", False) or config.get("no_refine", False)
-    kwargs["no_refine"] = bool(no_refine)
-    kwargs["tau_split_per_category"] = config.get("tau_split_per_category", {})
-    kwargs["tau_merge_per_category"] = config.get("tau_merge_per_category", {})
+            kwargs[f.name] = value
     try:
         return RunConfig(**kwargs)
     except ValueError as exc:
@@ -154,7 +134,6 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scorer", help="'geometric' or 'file:PATH' with score triplets")
     parser.add_argument("--coord-mode", dest="coord_mode", choices=("local", "geodetic"),
                         help="pose coordinate interpretation")
-    parser.add_argument("--seed", type=int, help="seed (simulation)")
 
 
 def _write_inventory(path: str, inventory: list[dict]) -> None:
@@ -175,9 +154,8 @@ def _cmd_simulate(args, config: dict) -> int:
         value = getattr(args, name, None)
         if value is not None:
             scene_cfg[name] = value
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
     spec = default_scene_spec(
-        seed=seed,
+        seed=scene_cfg.get("seed", 0),
         n_objects=scene_cfg.get("n_objects"),
         street_length=scene_cfg.get("length", 200.0),
         frame_spacing=scene_cfg.get("spacing", 10.0),
@@ -272,38 +250,7 @@ def _cmd_evaluate(args, config: dict) -> int:
     cfg = _run_config(args, config)
     truth = sio.read_truth(args.truth)
     inventory = sio.read_inventory(args.inventory)
-    import numpy as np
-
-    cluster_of = {}
-    categories_of = {}
-    for record in inventory:
-        for m in record["members"]:
-            cluster_of[int(m)] = record["object_id"]
-            categories_of[int(m)] = record["category"]
-    keep = [
-        i
-        for i, obs_id in enumerate(truth.obs_ids)
-        if truth.object_of[obs_id] is not None and obs_id in cluster_of
-    ]
-    kept_ids = [truth.obs_ids[i] for i in keep]
-    lab = np.array([cluster_of[i] for i in kept_ids])
-    y_pred = (lab[:, None] == lab[None, :]).astype(np.int8) if len(lab) else np.zeros((0, 0), np.int8)
-    if len(lab):
-        np.fill_diagonal(y_pred, 0)
-    report = build_report(
-        [categories_of[i] for i in kept_ids],
-        truth.pair_matrix[np.ix_(keep, keep)],
-        y_pred,
-        [truth.object_of[i] for i in kept_ids],
-        [cluster_of[i] for i in kept_ids],
-        [
-            (np.asarray(r["center"], dtype=float), r["category"])
-            for r in inventory
-            if r.get("center") is not None
-        ],
-        [(o.center, o.category) for o in truth.objects],
-        cfg.identification_tol,
-    )
+    report = build_report(inventory, truth, cfg.identification_tol)
     os.makedirs(args.out, exist_ok=True)
     _write_report(args.out, report)
     print(report.to_text(), end="")

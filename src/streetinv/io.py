@@ -331,12 +331,43 @@ def read_clusters(path: str) -> list[Cluster]:
     return clusters
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
 def read_inventory(path: str) -> list[dict]:
-    """Read inventory records written by the run/evaluate pipeline."""
+    """Read inventory records written by the run/evaluate pipeline.
+
+    Each record needs a string category, a center that is null or three
+    finite numbers, and a non-empty list of integer members; no
+    observation may be a member of two records.
+    """
     records = []
+    owner: dict[int, int] = {}
     fields = ("object_id", "category", "center", "n_observations", "max_residual", "members")
     for line_no, record in _read_jsonl(path):
         _require(record, fields, path, line_no)
+        if not isinstance(record["category"], str):
+            raise DataError(f"{path}:{line_no}: category must be a string")
+        center = record["center"]
+        if center is not None and not (
+            isinstance(center, list) and len(center) == 3 and all(map(_is_number, center))
+        ):
+            raise DataError(f"{path}:{line_no}: center must be null or 3 finite numbers")
+        members = record["members"]
+        if not (isinstance(members, list) and members and all(map(_is_int, members))):
+            raise DataError(f"{path}:{line_no}: members must be a non-empty list of integers")
+        for obs_id in members:
+            if obs_id in owner:
+                raise DataError(
+                    f"{path}:{line_no}: observation {obs_id} is already a member on line "
+                    f"{owner[obs_id]}"
+                )
+            owner[obs_id] = line_no
         records.append(record)
     return records
 
@@ -389,8 +420,16 @@ def read_truth(path: str):
         object_of = {}
         for r in payload["observations"]:
             obs_id = int(r["obs_id"])
+            if obs_id in object_of:
+                raise DataError(f"{path}: duplicate observation id {obs_id}")
+            object_id = None if r["object_id"] is None else int(r["object_id"])
+            if object_id is not None and not 0 <= object_id < len(objects):
+                raise DataError(
+                    f"{path}: observation {obs_id} names object {object_id}, "
+                    f"outside 0..{len(objects) - 1}"
+                )
             obs_ids.append(obs_id)
-            object_of[obs_id] = None if r["object_id"] is None else int(r["object_id"])
+            object_of[obs_id] = object_id
         return GroundTruth(objects=objects, obs_ids=obs_ids, object_of=object_of)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc

@@ -1,20 +1,30 @@
 """Evaluation metrics: pairwise matching, clustering quality, and 3D
 identification / localization accuracy.
 
-Pairwise precision/recall/F1 count unordered observation pairs (strict
-upper triangle of the binary matrices). Clustering quality uses the
-entropy-based homogeneity / completeness / V-measure family. The 3D level
-matches predicted centers to ground-truth centers one-to-one within a
-distance tolerance and reports identification rates plus the mean
-localization error over the matched pairs.
+Observation-level metrics are read off the contingency table between
+predicted clusters and true objects, built from two label sequences.
+Pairwise precision/recall/F1 count unordered observation pairs: a pair is
+predicted when both observations share a cluster and true when they share
+an object, so true positives are Σ C(n_km, 2) over the table's cells and
+the predicted and true pair totals are the same sum over its margins
+(Hubert & Arabie 1985, "Comparing partitions"). Clustering quality uses
+the entropy-based homogeneity / completeness / V-measure family of the
+same table. The 3D level matches predicted centers to ground-truth centers
+one-to-one within each category under a distance tolerance and reports
+identification rates plus the mean localization error over the matched
+pairs. `build_report` evaluates an inventory against ground truth.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.spatial import cKDTree
+
+if TYPE_CHECKING:
+    from .simulator import GroundTruth
 
 __all__ = [
     "ContingencyTable",
@@ -37,31 +47,55 @@ class MatchCounts:
 
 @dataclass
 class ContingencyTable:
-    """Joint counts between predicted clusters and ground-truth objects."""
+    """Joint counts between predicted clusters and ground-truth objects.
 
-    counts: np.ndarray  # (n_clusters, n_objects)
+    Only the nonzero cells are kept: cell i counts the `counts[i]`
+    observations of cluster `cell_cluster[i]` that belong to object
+    `cell_object[i]`, indices into `cluster_totals` and `object_totals`.
+    """
+
+    counts: np.ndarray
+    cell_cluster: np.ndarray
+    cell_object: np.ndarray
     cluster_totals: np.ndarray
     object_totals: np.ndarray
     total: int
 
     @classmethod
     def from_labels(cls, y, c) -> "ContingencyTable":
-        """Build the table from true labels `y` and cluster assignments `c`."""
-        y = list(y)
-        c = list(c)
-        if len(y) != len(c) or not y:
+        """Build the table from true labels `y` and cluster assignments `c`.
+
+        Labels of one sequence must be mutually comparable (e.g. all ints).
+        """
+        y, c = np.asarray(y), np.asarray(c)
+        if y.ndim != 1 or y.shape != c.shape or len(y) == 0:
             raise ValueError("label sequences must be nonempty and of equal length")
-        object_index = {label: i for i, label in enumerate(dict.fromkeys(y))}
-        cluster_index = {label: i for i, label in enumerate(dict.fromkeys(c))}
-        counts = np.zeros((len(cluster_index), len(object_index)), dtype=int)
-        for yi, ci in zip(y, c):
-            counts[cluster_index[ci], object_index[yi]] += 1
+        _, obj, object_totals = np.unique(y, return_inverse=True, return_counts=True)
+        _, clu, cluster_totals = np.unique(c, return_inverse=True, return_counts=True)
+        cells, counts = np.unique(
+            clu.astype(np.int64) * len(object_totals) + obj, return_counts=True
+        )
         return cls(
             counts=counts,
-            cluster_totals=counts.sum(axis=1),
-            object_totals=counts.sum(axis=0),
+            cell_cluster=cells // len(object_totals),
+            cell_object=cells % len(object_totals),
+            cluster_totals=cluster_totals,
+            object_totals=object_totals,
             total=len(y),
         )
+
+    def pair_counts(self) -> MatchCounts:
+        """TP/FP/FN over unordered pairs of observations."""
+        tp = _pairs(self.counts)
+        return MatchCounts(
+            tp=tp, fp=_pairs(self.cluster_totals) - tp, fn=_pairs(self.object_totals) - tp
+        )
+
+
+def _pairs(counts: np.ndarray) -> int:
+    """Σ C(n, 2): unordered pairs inside groups of the given sizes."""
+    counts = counts.astype(np.int64)
+    return int((counts * (counts - 1) // 2).sum())
 
 
 def _entropy(totals: np.ndarray, n: int) -> float:
@@ -86,66 +120,33 @@ def _f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _validate_binary_matrix(name: str, m: np.ndarray) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square")
-    if np.any(np.diagonal(m)):
-        raise ValueError(f"{name} must have a zero diagonal")
-    if not np.array_equal(m, m.T):
-        raise ValueError(f"{name} must be symmetric")
-
-
-def _pairwise_counts(y_true: np.ndarray, y_pred: np.ndarray) -> MatchCounts:
-    upper = np.triu_indices(y_true.shape[0], k=1)
-    t = y_true[upper].astype(bool)
-    p = y_pred[upper].astype(bool)
-    return MatchCounts(
-        tp=int(np.sum(t & p)),
-        fp=int(np.sum(~t & p)),
-        fn=int(np.sum(t & ~p)),
-    )
-
-
-def pairwise_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[float, float, float]:
-    """Precision, recall, and F1 over unordered observation pairs.
-
-    Both inputs are symmetric binary matrices with zero diagonals; entry
-    (i, j) says whether observations i and j belong to the same object.
-    """
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if y_true.shape != y_pred.shape:
-        raise ValueError("matrices must have equal shape")
-    _validate_binary_matrix("y_true", y_true)
-    _validate_binary_matrix("y_pred", y_pred)
-    counts = _pairwise_counts(y_true, y_pred)
+def _precision_recall_f1(counts: MatchCounts) -> tuple[float, float, float]:
     precision = _rate(counts.tp, counts.tp + counts.fp, counts.fn)
     recall = _rate(counts.tp, counts.tp + counts.fn, counts.fp)
     return precision, recall, _f1(precision, recall)
 
 
-def clustering_metrics(y, c) -> tuple[float, float, float]:
-    """Homogeneity, completeness, and V-measure of a cluster assignment.
+def pairwise_metrics(y, c) -> tuple[float, float, float]:
+    """Precision, recall, and F1 over unordered observation pairs.
 
-    Entropies use the natural logarithm. Homogeneity is 1 when the true
-    labeling carries no entropy, completeness is 1 when the clustering
-    carries none, and V is 0 when both scores are 0.
+    `y` holds each observation's true object, `c` its predicted cluster; a
+    pair counts as predicted when it shares a cluster and as true when it
+    shares an object.
     """
-    table = ContingencyTable.from_labels(y, c)
+    return _precision_recall_f1(ContingencyTable.from_labels(y, c).pair_counts())
+
+
+def _clustering_scores(table: ContingencyTable) -> tuple[float, float, float]:
     n = table.total
     h_y = _entropy(table.object_totals, n)
     h_c = _entropy(table.cluster_totals, n)
-
-    h_y_given_c = 0.0
-    h_c_given_y = 0.0
-    for k in range(table.counts.shape[0]):
-        for m in range(table.counts.shape[1]):
-            n_km = table.counts[k, m]
-            if n_km == 0:
-                continue
-            h_y_given_c -= (n_km / n) * math.log(n_km / table.cluster_totals[k])
-            h_c_given_y -= (n_km / n) * math.log(n_km / table.object_totals[m])
-
+    share = table.counts / n
+    h_y_given_c = -float(
+        (share * np.log(table.counts / table.cluster_totals[table.cell_cluster])).sum()
+    )
+    h_c_given_y = -float(
+        (share * np.log(table.counts / table.object_totals[table.cell_object])).sum()
+    )
     homogeneity = 1.0 - h_y_given_c / h_y if h_y > 0.0 else 1.0
     completeness = 1.0 - h_c_given_y / h_c if h_c > 0.0 else 1.0
     if homogeneity + completeness == 0.0:
@@ -155,51 +156,74 @@ def clustering_metrics(y, c) -> tuple[float, float, float]:
     return homogeneity, completeness, v_measure
 
 
-def _greedy_mutual_pairs(
-    pred: list[np.ndarray], gt: list[np.ndarray], tol: float
-) -> list[tuple[int, int, float]]:
-    """One-to-one pairing by repeatedly taking the globally closest pair.
+def clustering_metrics(y, c) -> tuple[float, float, float]:
+    """Homogeneity, completeness, and V-measure of a cluster assignment.
 
-    Only pairs within `tol` are eligible. The globally closest remaining
-    pair is always mutually nearest, so this realizes mutual-nearest
-    pairing deterministically (ties broken by indices).
+    Entropies use the natural logarithm. Homogeneity is 1 when the true
+    labeling carries no entropy, completeness is 1 when the clustering
+    carries none, and V is 0 when both scores are 0.
     """
-    candidates = []
-    for i, p in enumerate(pred):
-        for j, g in enumerate(gt):
-            d = float(np.linalg.norm(p - g))
-            if d < tol:
-                candidates.append((d, i, j))
-    candidates.sort()
-    used_pred: set[int] = set()
-    used_gt: set[int] = set()
-    pairs = []
-    for d, i, j in candidates:
-        if i in used_pred or j in used_gt:
-            continue
-        pairs.append((i, j, d))
-        used_pred.add(i)
-        used_gt.add(j)
-    return pairs
+    return _clustering_scores(ContingencyTable.from_labels(y, c))
 
 
-def _identification_match(
+def _match_category(
+    pred: list[np.ndarray], gt: list[np.ndarray], tol: float
+) -> tuple[MatchCounts, list[float]]:
+    """One-to-one matching of one category's centers within `tol`.
+
+    Repeatedly takes the globally closest remaining pair closer than
+    `tol`. That pair is always mutually nearest, so this realizes
+    mutual-nearest pairing deterministically (ties broken by indices).
+    Returns the counts and the matched distances in matching order.
+    """
+    distances: list[float] = []
+    if pred and gt:
+        near = cKDTree(np.array(pred)).sparse_distance_matrix(
+            cKDTree(np.array(gt)), tol, output_type="ndarray"
+        )
+        near = near[near["v"] < tol]
+        used_pred: set[int] = set()
+        used_gt: set[int] = set()
+        for k in np.lexsort((near["j"], near["i"], near["v"])):
+            i, j = int(near["i"][k]), int(near["j"][k])
+            if i in used_pred or j in used_gt:
+                continue
+            distances.append(float(near["v"][k]))
+            used_pred.add(i)
+            used_gt.add(j)
+    matched = len(distances)
+    return MatchCounts(tp=matched, fp=len(pred) - matched, fn=len(gt) - matched), distances
+
+
+def _match_by_category(
     pred: list[tuple[np.ndarray, str]],
     gt: list[tuple[np.ndarray, str]],
     tol: float,
-) -> tuple[MatchCounts, list[float]]:
+) -> dict[str, tuple[MatchCounts, list[float]]]:
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     categories = sorted({c for _, c in pred} | {c for _, c in gt})
-    counts = MatchCounts()
+    return {
+        category: _match_category(
+            [np.asarray(x, dtype=float) for x, cat in pred if cat == category],
+            [np.asarray(x, dtype=float) for x, cat in gt if cat == category],
+            tol,
+        )
+        for category in categories
+    }
+
+
+def _sum_matches(matches) -> tuple[MatchCounts, list[float]]:
+    """Aggregate per-category matches in category order."""
+    total = MatchCounts()
     distances: list[float] = []
-    for category in categories:
-        p_centers = [np.asarray(c, dtype=float) for c, cat in pred if cat == category]
-        g_centers = [np.asarray(c, dtype=float) for c, cat in gt if cat == category]
-        pairs = _greedy_mutual_pairs(p_centers, g_centers, tol)
-        counts.tp += len(pairs)
-        counts.fp += len(p_centers) - len(pairs)
-        counts.fn += len(g_centers) - len(pairs)
-        distances.extend(d for _, _, d in pairs)
-    return counts, distances
+    for category in sorted(matches):
+        counts, d = matches[category]
+        total.tp += counts.tp
+        total.fp += counts.fp
+        total.fn += counts.fn
+        distances.extend(d)
+    return total, distances
 
 
 def identification_metrics(
@@ -214,13 +238,9 @@ def identification_metrics(
     localization error averages distances over matched pairs and is None
     when nothing matched.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    counts, distances = _identification_match(pred, gt, tol)
-    precision = _rate(counts.tp, counts.tp + counts.fp, counts.fn)
-    recall = _rate(counts.tp, counts.tp + counts.fn, counts.fp)
+    counts, distances = _sum_matches(_match_by_category(pred, gt, tol))
     loc_err = float(np.mean(distances)) if distances else None
-    return precision, recall, _f1(precision, recall), loc_err
+    return (*_precision_recall_f1(counts), loc_err)
 
 
 @dataclass
@@ -293,68 +313,58 @@ class EvaluationReport:
         return "\n".join(lines) + "\n"
 
 
-def _metrics_slice(
-    y_true: np.ndarray,
-    y_pred: np.ndarray,
-    true_labels: list,
-    pred_labels: list,
-    pred_objects: list[tuple[np.ndarray, str]],
-    gt_objects: list[tuple[np.ndarray, str]],
-    tol: float,
+def _category_metrics(
+    true_labels: np.ndarray,
+    pred_labels: np.ndarray,
+    identified: tuple[MatchCounts, list[float]],
 ) -> CategoryMetrics:
     m = CategoryMetrics()
     if len(true_labels) > 0:
-        m.counts_mat = _pairwise_counts(y_true, y_pred)
-        m.pre_mat = _rate(m.counts_mat.tp, m.counts_mat.tp + m.counts_mat.fp, m.counts_mat.fn)
-        m.rec_mat = _rate(m.counts_mat.tp, m.counts_mat.tp + m.counts_mat.fn, m.counts_mat.fp)
-        m.f1_mat = _f1(m.pre_mat, m.rec_mat)
-        m.homogeneity, m.completeness, m.v_measure = clustering_metrics(true_labels, pred_labels)
-    m.counts_idf, distances = _identification_match(pred_objects, gt_objects, tol)
-    m.pre_idf = _rate(m.counts_idf.tp, m.counts_idf.tp + m.counts_idf.fp, m.counts_idf.fn)
-    m.rec_idf = _rate(m.counts_idf.tp, m.counts_idf.tp + m.counts_idf.fn, m.counts_idf.fp)
-    m.f1_idf = _f1(m.pre_idf, m.rec_idf)
+        table = ContingencyTable.from_labels(true_labels, pred_labels)
+        m.counts_mat = table.pair_counts()
+        m.pre_mat, m.rec_mat, m.f1_mat = _precision_recall_f1(m.counts_mat)
+        m.homogeneity, m.completeness, m.v_measure = _clustering_scores(table)
+    m.counts_idf, distances = identified
+    m.pre_idf, m.rec_idf, m.f1_idf = _precision_recall_f1(m.counts_idf)
     m.loc_err = float(np.mean(distances)) if distances else None
     return m
 
 
-def build_report(
-    obs_categories: list[str],
-    y_true: np.ndarray,
-    y_pred: np.ndarray,
-    true_labels: list,
-    pred_labels: list,
-    pred_objects: list[tuple[np.ndarray, str]],
-    gt_objects: list[tuple[np.ndarray, str]],
-    tol: float = 1.0,
-) -> EvaluationReport:
-    """Assemble the full report, per category and aggregated.
+def build_report(inventory: list[dict], truth: GroundTruth, tol: float = 1.0) -> EvaluationReport:
+    """Evaluate inventory records against ground truth, per category and overall.
 
-    `obs_categories`, `true_labels`, and `pred_labels` are aligned with
-    the rows of the binary matrices. Category slices restrict matrices and
-    labels to that category's observations; identification metrics are
-    already category-gated by construction.
+    Pairwise and clustering metrics cover the true-object observations
+    that some record lists as a member; clutter has no identity to recover,
+    and truth observations no record lists were never ingested (their
+    objects still count as missed targets). Every record is one predicted
+    cluster, and its category places its members in a per-category slice.
+    Identification matches each category's localized records to its true
+    objects once; the aggregate sums the categories.
     """
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if not (len(obs_categories) == len(true_labels) == len(pred_labels) == y_true.shape[0]):
-        raise ValueError("per-observation inputs must be aligned")
-    aggregate = _metrics_slice(
-        y_true, y_pred, true_labels, pred_labels, pred_objects, gt_objects, tol
+    record_of: dict[int, int] = {}
+    for k, record in enumerate(inventory):
+        for obs_id in record["members"]:
+            record_of[obs_id] = k
+    kept = [
+        obs_id
+        for obs_id in truth.obs_ids
+        if truth.object_of[obs_id] is not None and obs_id in record_of
+    ]
+    true_labels = np.array([truth.object_of[obs_id] for obs_id in kept], dtype=np.int64)
+    pred_labels = np.array([record_of[obs_id] for obs_id in kept], dtype=np.int64)
+    obs_categories = np.array(
+        [inventory[record_of[obs_id]]["category"] for obs_id in kept], dtype=str
     )
+    pred_objects = [(r["center"], r["category"]) for r in inventory if r["center"] is not None]
+    gt_objects = [(o.center, o.category) for o in truth.objects]
+    identified = _match_by_category(pred_objects, gt_objects, tol)
     per_category: dict[str, CategoryMetrics] = {}
-    categories = sorted(
-        set(obs_categories) | {c for _, c in pred_objects} | {c for _, c in gt_objects}
-    )
-    for category in categories:
-        idx = [i for i, c in enumerate(obs_categories) if c == category]
-        sel = np.ix_(idx, idx)
-        per_category[category] = _metrics_slice(
-            y_true[sel],
-            y_pred[sel],
-            [true_labels[i] for i in idx],
-            [pred_labels[i] for i in idx],
-            [(c, cat) for c, cat in pred_objects if cat == category],
-            [(c, cat) for c, cat in gt_objects if cat == category],
-            tol,
+    for category in sorted(set(obs_categories.tolist()) | set(identified)):
+        sel = obs_categories == category
+        per_category[category] = _category_metrics(
+            true_labels[sel],
+            pred_labels[sel],
+            identified.get(category, (MatchCounts(), [])),
         )
+    aggregate = _category_metrics(true_labels, pred_labels, _sum_matches(identified))
     return EvaluationReport(aggregate=aggregate, per_category=per_category)

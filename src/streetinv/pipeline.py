@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .association import (
     Cluster,
     MatchMatrix,
@@ -45,7 +43,6 @@ class RunConfig:
     no_refine: bool = False
     scorer: str = "geometric"  # "geometric" or "file:PATH"
     coord_mode: str = "local"  # "local" or "geodetic"
-    seed: int = 0
     identification_tol: float = 1.0
 
     def __post_init__(self):
@@ -55,6 +52,8 @@ class RunConfig:
             raise ValueError(f"scorer must be 'geometric' or 'file:PATH', got {self.scorer!r}")
         if self.coord_mode not in ("local", "geodetic"):
             raise ValueError(f"coord_mode must be 'local' or 'geodetic', got {self.coord_mode!r}")
+        if self.identification_tol <= 0:
+            raise ValueError("identification_tol must be positive")
 
     def refine_config(self) -> RefineConfig:
         return RefineConfig(
@@ -79,8 +78,7 @@ def _score_matrix_from_file(path: str, observations: list[Observation]) -> Match
     from .io import read_score_triplets
 
     index = {o.obs_id: i for i, o in enumerate(observations)}
-    n = len(observations)
-    scores = np.zeros((n, n))
+    rows, cols, values = [], [], []
     seen: set[tuple[int, int]] = set()
     for a, b, s in read_score_triplets(path):
         if a not in index or b not in index:
@@ -89,9 +87,10 @@ def _score_matrix_from_file(path: str, observations: list[Observation]) -> Match
         if key in seen:
             raise DataError(f"{path}: duplicate score for pair {key}")
         seen.add(key)
-        scores[index[a], index[b]] = s
-        scores[index[b], index[a]] = s
-    return MatchMatrix(obs_ids=[o.obs_id for o in observations], scores=scores)
+        rows.append(index[a])
+        cols.append(index[b])
+        values.append(s)
+    return MatchMatrix.from_pairs([o.obs_id for o in observations], rows, cols, values)
 
 
 def _window_frame_pairs(frames: list[int], window: int) -> list[tuple[int, int]]:
@@ -109,12 +108,13 @@ def associate(observations: list[Observation], cfg: RunConfig) -> tuple[list[Pai
         matrix = _score_matrix_from_file(cfg.scorer[len("file:"):], observations)
     else:
         matrix = build_score_matrix(observations, cfg.sigma_g, max_frame_gap=cfg.window - 1)
-    frame_of = {o.obs_id: o.frame_id for o in observations}
-    frames = sorted({o.frame_id for o in observations})
+    by_frame: dict[int, list[int]] = {}
+    for o in sorted(observations, key=lambda o: o.obs_id):
+        by_frame.setdefault(o.frame_id, []).append(o.obs_id)
     matches: list[PairMatch] = []
-    for fa, fb in _window_frame_pairs(frames, cfg.window):
-        matches.extend(assign_pairs(matrix, frame_of, [fa, fb], cfg.tau))
-    clusters = transitive_cluster(matches, sorted(frame_of))
+    for fa, fb in _window_frame_pairs(sorted(by_frame), cfg.window):
+        matches.extend(assign_pairs(matrix, by_frame[fa], by_frame[fb], cfg.tau))
+    clusters = transitive_cluster(matches, [o.obs_id for o in observations])
     return matches, clusters
 
 
@@ -175,51 +175,6 @@ def inventory_records(clusters: list[Cluster], obs: dict[int, Observation]) -> l
     return records
 
 
-def _evaluate(
-    observations: list[Observation],
-    clusters: list[Cluster],
-    inventory: list[dict],
-    truth: GroundTruth,
-    tol: float,
-) -> EvaluationReport:
-    """Compare final clusters and centers against scene ground truth.
-
-    Pairwise and clustering metrics are computed over true-object
-    observations only (clutter has no identity to recover); clutter still
-    hurts identification precision through the clusters it spawns.
-    """
-    cluster_of: dict[int, int] = {}
-    for cluster in clusters:
-        for m in cluster.members:
-            cluster_of[m] = cluster.cluster_id
-    obs_by_id = {o.obs_id: o for o in observations}
-    # Truth observations not in this run (nothing was ingested for them)
-    # cannot enter the co-membership matrices; the objects they belong to
-    # still count as missed targets through gt_objects below.
-    keep = [
-        i
-        for i, obs_id in enumerate(truth.obs_ids)
-        if truth.object_of[obs_id] is not None and obs_id in cluster_of
-    ]
-    kept_ids = [truth.obs_ids[i] for i in keep]
-    categories = [obs_by_id[i].category for i in kept_ids]
-    true_labels = [truth.object_of[i] for i in kept_ids]
-    pred_labels = [cluster_of[i] for i in kept_ids]
-    y_true = truth.pair_matrix[np.ix_(keep, keep)]
-    lab = np.array(pred_labels)
-    y_pred = (lab[:, None] == lab[None, :]).astype(np.int8)
-    np.fill_diagonal(y_pred, 0)
-    pred_objects = [
-        (np.asarray(r["center"], dtype=float), r["category"])
-        for r in inventory
-        if r["center"] is not None
-    ]
-    gt_objects = [(o.center, o.category) for o in truth.objects]
-    return build_report(
-        categories, y_true, y_pred, true_labels, pred_labels, pred_objects, gt_objects, tol
-    )
-
-
 def run_pipeline(
     cfg: RunConfig,
     observations: list[Observation],
@@ -233,7 +188,7 @@ def run_pipeline(
     if not observations:
         return PipelineResult(
             observations=[], matches=[], clusters=[], inventory=[],
-            report=None if truth is None else _evaluate([], [], [], truth, cfg.identification_tol),
+            report=None if truth is None else build_report([], truth, cfg.identification_tol),
         )
     matches, initial = associate(observations, cfg)
     obs = {o.obs_id: o for o in observations}
@@ -244,7 +199,7 @@ def run_pipeline(
     inventory = inventory_records(final, obs)
     report = None
     if truth is not None:
-        report = _evaluate(observations, final, inventory, truth, cfg.identification_tol)
+        report = build_report(inventory, truth, cfg.identification_tol)
     return PipelineResult(
         observations=observations,
         matches=matches,

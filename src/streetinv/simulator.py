@@ -12,7 +12,7 @@ the scene spec, including its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,25 +101,14 @@ class SceneSpec:
 class GroundTruth:
     """What actually generated the observations.
 
-    object_of maps each observation id to its true object id (None for
-    clutter). pair_matrix is the binary same-object matrix over obs_ids,
-    block-diagonal under grouping by object id.
+    object_of maps each observation id in obs_ids to the index of its true
+    object in `objects`, or to None for clutter, which belongs to no
+    object and is the same object as no other observation.
     """
 
     objects: list[SceneObject]
     obs_ids: list[int]
     object_of: dict[int, int | None]
-    pair_matrix: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        # Clutter (object id None) matches nothing, itself included.
-        labels = np.array(
-            [-1 - k if self.object_of[i] is None else self.object_of[i]
-             for k, i in enumerate(self.obs_ids)]
-        )
-        y = ((labels[:, None] == labels[None, :]) & (labels[:, None] >= 0)).astype(np.int8)
-        np.fill_diagonal(y, 0)
-        self.pair_matrix = y
 
 
 def straight_trajectory(

@@ -83,6 +83,22 @@ def oracle_enumerate_assignment(score_block: np.ndarray) -> tuple[list[tuple[int
     return pairs, float(best_total)
 
 
+def oracle_pair_counts(true_labels, pred_labels) -> tuple[int, int, int]:
+    """(tp, fp, fn) over unordered pairs from N x N co-membership matrices.
+
+    Deliberately quadratic: it compares every pair of observations, the
+    way the contingency-table counts are checked against.
+    """
+    y = np.asarray(true_labels)
+    c = np.asarray(pred_labels)
+    same_true = y[:, None] == y[None, :]
+    same_pred = c[:, None] == c[None, :]
+    upper = np.triu_indices(len(y), k=1)
+    t = same_true[upper]
+    p = same_pred[upper]
+    return int(np.sum(t & p)), int(np.sum(~t & p)), int(np.sum(t & ~p))
+
+
 def grid_argmin(rays, center_hint, half_width=1.0, coarse_step=0.02, fine_step=0.001):
     """Coarse-to-fine composition of exhaustive grid searches.
 

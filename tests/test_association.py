@@ -91,47 +91,48 @@ class TestMatchMatrix:
         m = build_score_matrix(observations)
         assert m.score(0, 1) == pytest.approx(1.0)
         assert m.score(1, 2) == pytest.approx(1.0)
-        np.testing.assert_allclose(m.scores, m.scores.T)
+        dense = m.scores.toarray()
+        np.testing.assert_array_equal(dense, dense.T)
 
 
-def two_frame_matrix(block: np.ndarray) -> tuple[MatchMatrix, dict[int, int]]:
-    """MatchMatrix for frame 0 (rows) and frame 1 (columns) of `block`."""
+def two_frame_matrix(block: np.ndarray) -> tuple[MatchMatrix, list[int], list[int]]:
+    """MatchMatrix for frame 0 (rows) and frame 1 (columns) of `block`,
+    with the obs ids of both frames."""
     n_a, n_b = block.shape
     n = n_a + n_b
     scores = np.zeros((n, n))
     scores[:n_a, n_a:] = block
     scores[n_a:, :n_a] = block.T
-    frame_of = {i: (0 if i < n_a else 1) for i in range(n)}
-    return MatchMatrix(obs_ids=list(range(n)), scores=scores), frame_of
+    return MatchMatrix(obs_ids=list(range(n)), scores=scores), list(range(n_a)), list(range(n_a, n))
 
 
 class TestAssignPairs:
     def test_two_by_two_prefers_diagonal(self):
         # Enumerating both assignments: 0.9 + 0.8 beats 0.2 + 0.3.
-        m, frame_of = two_frame_matrix(np.array([[0.9, 0.2], [0.3, 0.8]]))
-        matches = assign_pairs(m, frame_of, [0, 1], tau=0.5)
+        m, left, right = two_frame_matrix(np.array([[0.9, 0.2], [0.3, 0.8]]))
+        matches = assign_pairs(m, left, right, tau=0.5)
         assert {(p.obs_a, p.obs_b) for p in matches} == {(0, 2), (1, 3)}
 
     def test_below_threshold_dropped(self):
-        m, frame_of = two_frame_matrix(np.array([[0.4]]))
-        assert assign_pairs(m, frame_of, [0, 1], tau=0.5) == []
+        m, left, right = two_frame_matrix(np.array([[0.4]]))
+        assert assign_pairs(m, left, right, tau=0.5) == []
 
     def test_threshold_above_one_empty(self):
-        m, frame_of = two_frame_matrix(np.array([[0.9, 0.2], [0.3, 0.8]]))
-        assert assign_pairs(m, frame_of, [0, 1], tau=1.01) == []
+        m, left, right = two_frame_matrix(np.array([[0.9, 0.2], [0.3, 0.8]]))
+        assert assign_pairs(m, left, right, tau=1.01) == []
 
     def test_never_matches_within_a_frame(self):
         rng = np.random.default_rng(2)
         block = rng.uniform(0, 1, size=(4, 3))
-        m, frame_of = two_frame_matrix(block)
-        for p in assign_pairs(m, frame_of, [0, 1], tau=0.0):
-            assert frame_of[p.obs_a] != frame_of[p.obs_b]
+        m, left, right = two_frame_matrix(block)
+        for p in assign_pairs(m, left, right, tau=0.0):
+            assert (p.obs_a in left) != (p.obs_b in left)
 
     def test_one_to_one_per_frame_pair(self):
         rng = np.random.default_rng(3)
         block = rng.uniform(0, 1, size=(5, 5))
-        m, frame_of = two_frame_matrix(block)
-        matches = assign_pairs(m, frame_of, [0, 1], tau=0.0)
+        m, left, right = two_frame_matrix(block)
+        matches = assign_pairs(m, left, right, tau=0.0)
         seen = [p.obs_a for p in matches] + [p.obs_b for p in matches]
         assert len(seen) == len(set(seen))
 
@@ -141,17 +142,16 @@ class TestAssignPairs:
             n_a = int(rng.integers(1, 8))
             n_b = int(rng.integers(1, 8))
             block = np.round(rng.uniform(0, 1, size=(n_a, n_b)), 6)
-            m, frame_of = two_frame_matrix(block)
-            matches = assign_pairs(m, frame_of, [0, 1], tau=0.0)
+            m, left, right = two_frame_matrix(block)
+            matches = assign_pairs(m, left, right, tau=0.0)
             total = sum(p.score for p in matches)
             _, oracle_total = oracle_enumerate_assignment(block)
             assert total == pytest.approx(oracle_total, abs=1e-9)
 
-    def test_missing_frame_of_entry_rejected(self):
-        m, frame_of = two_frame_matrix(np.array([[0.9]]))
-        del frame_of[1]
+    def test_unknown_obs_id_rejected(self):
+        m, left, right = two_frame_matrix(np.array([[0.9]]))
         with pytest.raises(ValueError, match="missing"):
-            assign_pairs(m, frame_of, [0, 1], tau=0.5)
+            assign_pairs(m, left, right + [7], tau=0.5)
 
 
 class TestTransitiveCluster:
@@ -185,6 +185,9 @@ class TestTransitiveCluster:
         clusters = transitive_cluster(pairs, all_obs)
         union = sorted(m for c in clusters for m in c.members)
         assert union == all_obs  # disjoint cover
+        smallest = [min(c.members) for c in clusters]
+        assert smallest == sorted(smallest)  # ids follow each smallest member
+        assert [c.cluster_id for c in clusters] == list(range(len(clusters)))
 
     def test_cluster_ids_deterministic(self):
         pairs = [PairMatch(5, 9, 0.9)]

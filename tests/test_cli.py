@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from streetinv import io as sio
-from streetinv.cli import EXIT_DATA, EXIT_OK, main
+from streetinv.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 
 def _strict_load(text: str):
@@ -66,6 +66,113 @@ class TestRun:
         assert not os.path.exists(os.path.join(out, "inventory.jsonl"))
 
 
+def _cross_category_scores(scene_dir, path):
+    """Scores that link adjacent frames' observations of different categories."""
+    observations = sio.read_observations(os.path.join(scene_dir, "observations.jsonl"))
+    rank = {f: r for r, f in enumerate(sorted({o.frame_id for o in observations}))}
+    _write_lines(path, [
+        {"obs_a": a.obs_id, "obs_b": b.obs_id, "score": 0.9 if a.category != b.category else 0.1}
+        for a in observations
+        for b in observations
+        if rank[b.frame_id] - rank[a.frame_id] == 1
+    ])
+    return {o.obs_id: o.category for o in observations}
+
+
+class TestEvaluate:
+    @pytest.fixture(scope="class")
+    def mixed_scene(self, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("mixed"))
+        assert main(["simulate", "--out", out, "--seed", "3", "--n-objects", "12"]) == EXIT_OK
+        return out
+
+    @pytest.mark.parametrize("cross_category", [False, True])
+    def test_reproduces_run_report(self, mixed_scene, tmp_path, cross_category):
+        run_out, eval_out = str(tmp_path / "run"), str(tmp_path / "eval")
+        args = _run_args(mixed_scene, run_out)
+        if cross_category:
+            scores = str(tmp_path / "scores.jsonl")
+            category_of = _cross_category_scores(mixed_scene, scores)
+            args += ["--scorer", "file:" + scores, "--no-refine"]
+        assert main(args) == EXIT_OK
+        inventory = os.path.join(run_out, "inventory.jsonl")
+        if cross_category:
+            records = [json.loads(line) for line in _read_lines(inventory)]
+            assert any(len({category_of[m] for m in r["members"]}) > 1 for r in records)
+        assert main(["evaluate", "--inventory", inventory,
+                     "--truth", os.path.join(mixed_scene, "truth.json"), "--out", eval_out]) == EXIT_OK
+        assert _read_lines(os.path.join(eval_out, "report.json")) == _read_lines(
+            os.path.join(run_out, "report.json"))
+
+    @pytest.fixture(scope="class")
+    def inventory(self, scene_dir, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("inventory"))
+        assert main(_run_args(scene_dir, out)) == EXIT_OK
+        records = [json.loads(line) for line in _read_lines(os.path.join(out, "inventory.jsonl"))]
+        assert len(records) >= 2
+        return records
+
+    def _evaluate(self, scene_dir, tmp_path, records=None, truth=None):
+        inventory = str(tmp_path / "inventory.jsonl")
+        _write_lines(inventory, records)
+        truth_path = os.path.join(scene_dir, "truth.json")
+        if truth is not None:
+            truth_path = str(tmp_path / "truth.json")
+            with open(truth_path, "w", encoding="utf-8") as handle:
+                json.dump(truth, handle)
+        return main(["evaluate", "--inventory", inventory, "--truth", truth_path,
+                     "--out", str(tmp_path / "eval")])
+
+    @pytest.mark.parametrize("field, value", [
+        ("center", "abc"),
+        ("center", [1, 2]),
+        ("members", ["x"]),
+        ("members", 5),
+        ("members", []),
+        ("category", 7),
+    ])
+    def test_malformed_record_is_a_data_error(self, scene_dir, inventory, tmp_path, capsys,
+                                              field, value):
+        records = [dict(r) for r in inventory]
+        records[0][field] = value
+        assert self._evaluate(scene_dir, tmp_path, records) == EXIT_DATA
+        assert "inventory.jsonl:1:" in capsys.readouterr().err
+
+    def test_observation_in_two_records_is_a_data_error(self, scene_dir, inventory, tmp_path):
+        records = [dict(r) for r in inventory]
+        records[1]["members"] = records[1]["members"] + records[0]["members"][:1]
+        assert self._evaluate(scene_dir, tmp_path, records) == EXIT_DATA
+
+    def _truth(self, scene_dir):
+        with open(os.path.join(scene_dir, "truth.json"), encoding="utf-8") as handle:
+            return json.load(handle)
+
+    def test_duplicate_truth_observation_is_a_data_error(self, scene_dir, inventory, tmp_path):
+        truth = self._truth(scene_dir)
+        truth["observations"].append(dict(truth["observations"][0]))
+        assert self._evaluate(scene_dir, tmp_path, inventory, truth) == EXIT_DATA
+
+    def test_truth_object_id_out_of_range_is_a_data_error(self, scene_dir, inventory, tmp_path):
+        truth = self._truth(scene_dir)
+        truth["observations"][0]["object_id"] = len(truth["objects"])
+        assert self._evaluate(scene_dir, tmp_path, inventory, truth) == EXIT_DATA
+
+
+class TestSeed:
+    def test_simulate_reads_scene_seed_from_config(self, tmp_path):
+        config = tmp_path / "scene.cfg"
+        config.write_text("scene.seed = 4\nscene.n_objects = 6\nscene.length = 60\n")
+        by_config, by_flag = str(tmp_path / "config"), str(tmp_path / "flag")
+        assert main(["--config", str(config), "simulate", "--out", by_config]) == EXIT_OK
+        assert main(["simulate", "--out", by_flag, "--seed", "4", "--n-objects", "6",
+                     "--length", "60"]) == EXIT_OK
+        assert _read_lines(os.path.join(by_config, "truth.json")) == _read_lines(
+            os.path.join(by_flag, "truth.json"))
+
+    def test_pipeline_commands_take_no_seed(self, scene_dir, tmp_path):
+        assert main(_run_args(scene_dir, str(tmp_path / "run")) + ["--seed", "1"]) == EXIT_USAGE
+
+
 class TestLocalize:
     def test_nan_direction_is_a_data_error(self, scene_dir, tmp_path, capsys):
         records = [json.loads(line) for line in _read_lines(os.path.join(scene_dir, "observations.jsonl"))]
@@ -108,6 +215,20 @@ class TestReaders:
         path.write_text(json.dumps(payload).replace('"HEIGHT"', "1e999"))
         with pytest.raises(sio.DataError, match="finite"):
             sio.read_truth(str(path))
+
+    def test_ingest_rebuilds_exported_observations(self, scene_dir):
+        # export_scene's contract: its poses and detections, written out and
+        # ingested, rebuild its observations up to float round trip.
+        exported = sio.read_observations(os.path.join(scene_dir, "observations.jsonl"))
+        ingested = sio.ingest(os.path.join(scene_dir, "poses.jsonl"),
+                              os.path.join(scene_dir, "detections.jsonl"))
+        assert len(ingested) == len(exported) > 0
+        for a, b in zip(ingested, exported):
+            assert (a.obs_id, a.frame_id, a.category) == (b.obs_id, b.frame_id, b.category)
+            np.testing.assert_allclose(a.exposure, b.exposure, atol=1e-9)
+            np.testing.assert_allclose(a.direction, b.direction, atol=1e-9)
+            assert a.box_w_norm == pytest.approx(b.box_w_norm, abs=1e-12)
+            assert a.box_h_norm == pytest.approx(b.box_h_norm, abs=1e-12)
 
     def test_write_jsonl_refuses_nan(self, tmp_path):
         path = tmp_path / "out.jsonl"
