@@ -3,8 +3,9 @@
 Subcommands mirror the pipeline stages (simulate, ingest, associate,
 localize, refine, evaluate) plus `run` for the whole chain. Every tunable
 can come from a flat key-value config file; command-line flags override
-config values. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numerical failure.
+config values. Exit codes: 0 success; 1 usage error (bad flags, or
+settings RunConfig rejects); 2 data error (malformed or inconsistent input
+or config files).
 """
 
 from __future__ import annotations
@@ -29,12 +30,10 @@ from .pipeline import (
 )
 from .refinement import refine
 from .simulator import default_scene_spec, export_scene
-from .triangulation import DegenerateClusterError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-EXIT_NUMERICAL = 3
 
 
 class UsageError(Exception):
@@ -226,8 +225,8 @@ def _cmd_associate(args, config: dict) -> int:
 
 def _cmd_localize(args, config: dict) -> int:
     observations = sio.read_observations(args.observations)
-    clusters = sio.read_clusters(args.clusters)
     obs = {o.obs_id: o for o in observations}
+    clusters = sio.read_clusters(args.clusters, obs)
     localized = localize_clusters(clusters, obs)
     sio.write_clusters(args.out, localized)
     n = sum(1 for c in localized if c.center is not None)
@@ -238,8 +237,8 @@ def _cmd_localize(args, config: dict) -> int:
 def _cmd_refine(args, config: dict) -> int:
     cfg = _run_config(args, config)
     observations = sio.read_observations(args.observations)
-    clusters = sio.read_clusters(args.clusters)
     obs = {o.obs_id: o for o in observations}
+    clusters = sio.read_clusters(args.clusters, obs)
     refined = refine(clusters, obs, cfg.refine_config())
     sio.write_clusters(args.out, refined)
     print(f"{len(clusters)} clusters in, {len(refined)} out -> {args.out}")
@@ -349,9 +348,6 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DegenerateClusterError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

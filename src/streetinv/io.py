@@ -14,7 +14,7 @@ import json
 import math
 import os
 import tempfile
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -321,14 +321,40 @@ def write_clusters(path: str, clusters: list[Cluster]) -> None:
     write_jsonl(path, (cluster_to_record(c) for c in ordered))
 
 
-def read_clusters(path: str) -> list[Cluster]:
+def read_clusters(path: str, obs_ids: Collection[int]) -> list[Cluster]:
+    """Read clusters of the observations `obs_ids`.
+
+    Members must be a non-empty list of integers from `obs_ids`, and no
+    observation may be a member of two clusters.
+    """
     clusters = []
+    owner: dict[int, int] = {}
     for line_no, record in _read_jsonl(path):
+        _require(record, ("cluster_id", "members"), path, line_no)
+        _claim_members(owner, record["members"], path, line_no)
+        unknown = [m for m in record["members"] if m not in obs_ids]
+        if unknown:
+            raise DataError(f"{path}:{line_no}: unknown observation {unknown[0]}")
         try:
             clusters.append(cluster_from_record(record))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from exc
     return clusters
+
+
+def _claim_members(owner: dict[int, int], members, path: str, line_no: int) -> None:
+    """Check that members are a non-empty list of integers and record each one's line.
+
+    A member already recorded is a DataError.
+    """
+    if not (isinstance(members, list) and members and all(map(_is_int, members))):
+        raise DataError(f"{path}:{line_no}: members must be a non-empty list of integers")
+    for obs_id in members:
+        if obs_id in owner:
+            raise DataError(
+                f"{path}:{line_no}: observation {obs_id} is already a member on line {owner[obs_id]}"
+            )
+        owner[obs_id] = line_no
 
 
 def _is_int(value) -> bool:
@@ -358,16 +384,7 @@ def read_inventory(path: str) -> list[dict]:
             isinstance(center, list) and len(center) == 3 and all(map(_is_number, center))
         ):
             raise DataError(f"{path}:{line_no}: center must be null or 3 finite numbers")
-        members = record["members"]
-        if not (isinstance(members, list) and members and all(map(_is_int, members))):
-            raise DataError(f"{path}:{line_no}: members must be a non-empty list of integers")
-        for obs_id in members:
-            if obs_id in owner:
-                raise DataError(
-                    f"{path}:{line_no}: observation {obs_id} is already a member on line "
-                    f"{owner[obs_id]}"
-                )
-            owner[obs_id] = line_no
+        _claim_members(owner, record["members"], path, line_no)
         records.append(record)
     return records
 

@@ -4,34 +4,30 @@ Association errors come in two structural flavors: over-matching (rays of
 distinct objects grouped together, biasing the center) and under-matching
 (one object's rays fragmented across clusters). Refinement resolves both:
 
-  Step 1 splits geometric outliers off each cluster,
+  Step 1 frees each cluster's members past the split threshold, refitting
+         the center until none is,
   Step 2 re-attaches singletons to consistent clusters or pairs them up
          (guarded by a physical-size consistency check),
-  Step 3 re-estimates all centers from the corrected memberships.
+  Step 3 is step 1 again.
+
+Step 2 pairs rays in closed form: the least-squares point of two lines is
+the midpoint of their common perpendicular (Hartley & Zisserman).
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .association import Cluster
 from .geometry import Observation
-from .triangulation import (
-    DegenerateClusterError,
-    Ray,
-    estimate_center,
-    point_ray_distance,
-)
+from .triangulation import PARALLEL_EIGEN_RATIO, DegenerateClusterError, Ray, estimate_center
 
-__all__ = [
-    "RefineConfig",
-    "split_overmatched",
-    "estimate_physical_size",
-    "merge_undermatched",
-    "refine",
-]
+__all__ = ["RefineConfig", "split_overmatched", "estimate_physical_size", "merge_undermatched", "refine"]
 
 ObservationStore = dict[int, Observation]
 
@@ -65,18 +61,6 @@ class RefineConfig:
         return self.tau_merge_per_category.get(category, self.tau_merge)
 
 
-def _ray(obs: Observation) -> Ray:
-    return Ray(obs.exposure, obs.direction)
-
-
-def _cluster_category(cluster: Cluster, obs: ObservationStore) -> str | None:
-    """The common category of a cluster's members, or None if mixed."""
-    categories = {obs[m].category for m in cluster.members}
-    if len(categories) == 1:
-        return categories.pop()
-    return None
-
-
 def _check_partition(clusters: list[Cluster]) -> None:
     seen: set[int] = set()
     for c in clusters:
@@ -86,88 +70,107 @@ def _check_partition(clusters: list[Cluster]) -> None:
         seen |= c.members
 
 
+def _fit_and_prune(
+    cluster: Cluster, obs: ObservationStore, cfg: RefineConfig
+) -> tuple[Cluster | None, list[int]]:
+    """Fit the center, free every member past its split threshold, refit until none is.
+
+    Returns the pruned cluster (None if every member was freed) and the
+    freed members in the order they were freed. A cluster left with one
+    member, or whose rays are all parallel, keeps its members unlocalized.
+    """
+    members = sorted(cluster.members)
+    freed: list[int] = []
+    while len(members) >= 2:
+        try:
+            estimate = estimate_center([Ray(obs[m].exposure, obs[m].direction) for m in members])
+        except DegenerateClusterError:
+            break
+        residuals = dict(zip(members, estimate.residuals))
+        over = [residuals[m] > cfg.split_threshold(obs[m].category) for m in members]
+        if not any(over):
+            return Cluster(cluster.cluster_id, set(members), estimate.center, residuals), freed
+        freed += [m for m, out in zip(members, over) if out]
+        members = [m for m, out in zip(members, over) if not out]
+    return (Cluster(cluster.cluster_id, set(members)) if members else None), freed
+
+
 def split_overmatched(
     clusters: list[Cluster], obs: ObservationStore, cfg: RefineConfig
 ) -> list[Cluster]:
-    """Prune geometric outliers from every multi-member cluster.
+    """Prune geometric outliers from every cluster with `_fit_and_prune`.
 
-    Each cluster's center is computed once and all violators are pruned in
-    a single pass: members whose point-to-ray distance exceeds the split
-    threshold for their category are removed and become singleton
-    clusters. A cluster that lost members has its center recomputed from
-    the survivors (once, with no further pruning) so the following merge
-    stage tests against an unbiased center. Clusters whose ray bundle is
-    degenerate (all rays parallel) pass through unchanged.
+    Freed members become singleton clusters with fresh ids, so every
+    localized multi-member cluster out of it has max residual <= tau_split.
+    A cluster whose rays are all parallel keeps its members, unlocalized.
     """
-    next_id = max((c.cluster_id for c in clusters), default=-1) + 1
+    fresh_ids = itertools.count(max((c.cluster_id for c in clusters), default=-1) + 1)
     result: list[Cluster] = []
     freed: list[Cluster] = []
     for cluster in sorted(clusters, key=lambda c: c.cluster_id):
-        if cluster.size < 2:
-            result.append(cluster)
-            continue
-        members = sorted(cluster.members)
-        rays = [_ray(obs[m]) for m in members]
-        try:
-            estimate = estimate_center(rays)
-        except DegenerateClusterError:
-            result.append(cluster)
-            continue
-        residuals = dict(zip(members, estimate.residuals))
-        keep = sorted(m for m in members if residuals[m] <= cfg.split_threshold(obs[m].category))
-        removed = sorted(set(members) - set(keep))
-        for m in removed:
-            freed.append(Cluster(cluster_id=next_id, members={m}))
-            next_id += 1
-        if not keep:
-            continue
-        center = estimate.center
-        kept_residuals = {m: residuals[m] for m in keep}
-        if removed and len(keep) >= 2:
-            try:
-                survivors = estimate_center([_ray(obs[m]) for m in keep])
-                center = survivors.center
-                kept_residuals = dict(zip(keep, survivors.residuals))
-            except DegenerateClusterError:
-                center = None
-                kept_residuals = None
-        elif removed and len(keep) == 1:
-            center, kept_residuals = None, None
-        result.append(
-            Cluster(
-                cluster_id=cluster.cluster_id,
-                members=set(keep),
-                center=center,
-                residuals=kept_residuals,
-            )
-        )
+        kept, loose = _fit_and_prune(cluster, obs, cfg)
+        if kept is not None:
+            result.append(kept)
+        freed += [Cluster(cluster_id=next(fresh_ids), members={m}) for m in loose]
     return result + freed
 
 
-def estimate_physical_size(o: Observation, c_tri, dimension: str = "height") -> float:
-    """Physical object size implied by a 2D box at a triangulated center.
+def estimate_physical_size(o: Observation, c_tri):
+    """Physical object height implied by a 2D box at a triangulated center.
 
-    Multiplies the normalized box dimension by the projection depth of the
-    center along the observation ray.
+    Multiplies the normalized box height by the projection depth of the
+    center along the observation ray; elementwise when `o` holds n rays as
+    arrays (like `_Rays`) and `c_tri` is n x 3.
     """
-    if dimension == "height":
-        s_2d = o.box_h_norm
-    elif dimension == "width":
-        s_2d = o.box_w_norm
-    else:
-        raise ValueError(f"dimension must be 'width' or 'height', got {dimension!r}")
-    depth = abs(float(np.dot(np.asarray(c_tri, dtype=float) - o.exposure, o.direction)))
-    return s_2d * depth
+    offset = np.asarray(c_tri, dtype=float) - o.exposure
+    return o.box_h_norm * np.abs(np.einsum("...k,...k->...", offset, o.direction))
 
 
-def _line_line_distance(a: Ray, b: Ray) -> float:
-    """Distance between the two rays' infinite lines (merge prefilter)."""
-    n = np.cross(a.direction, b.direction)
-    norm = np.linalg.norm(n)
-    w0 = b.origin - a.origin
-    if norm < 1e-12:
-        return float(np.linalg.norm(w0 - np.dot(w0, a.direction) * a.direction))
-    return float(abs(np.dot(w0, n)) / norm)
+class _Rays(NamedTuple):
+    """One category's singleton rays as arrays, named like Observation's fields."""
+
+    exposure: np.ndarray
+    direction: np.ndarray
+    box_h_norm: np.ndarray
+    frame_id: np.ndarray
+
+    def take(self, index) -> "_Rays":
+        return _Rays(*(a[index] for a in self))
+
+
+def _pair(
+    rays: _Rays, ids: np.ndarray, threshold: float, tau_scale: float
+) -> list[tuple[float, int, int]]:
+    """Take disjoint pairs from different frames whose two-ray center passes the gates.
+
+    The center is the midpoint of the common perpendicular and the residual
+    half the line-line gap. Pairs go best-first by (residual, id_a, id_b).
+    """
+    i, j = np.triu_indices(len(ids), 1)
+    cos = np.einsum("pk,pk->p", rays.direction[i], rays.direction[j])
+    # Two unit rays have normal-matrix eigenvalues 1 - |cos|, 1 + |cos| and
+    # 2, so this is estimate_center's parallel test on a trace of 4.
+    keep = (rays.frame_id[i] != rays.frame_id[j]) & (1.0 - np.abs(cos) > 4.0 * PARALLEL_EIGEN_RATIO)
+    i, j, cos = i[keep], j[keep], cos[keep]
+    a, b = rays.take(i), rays.take(j)
+    w = b.exposure - a.exposure
+    e = np.einsum("pk,pk->p", w, a.direction)
+    f = np.einsum("pk,pk->p", w, b.direction)
+    foot_a = a.exposure + ((e - cos * f) / (1.0 - cos * cos))[:, None] * a.direction
+    foot_b = b.exposure + ((cos * e - f) / (1.0 - cos * cos))[:, None] * b.direction
+    residual = 0.5 * np.linalg.norm(foot_a - foot_b, axis=1)
+    center = 0.5 * (foot_a + foot_b)
+    size_a, size_b = estimate_physical_size(a, center), estimate_physical_size(b, center)
+    # A zero size fails the ratio test too.
+    ok = (residual < threshold) & (np.maximum(size_a, size_b) < tau_scale * np.minimum(size_a, size_b))
+    i, j, residual = i[ok], j[ok], residual[ok]
+    used = np.zeros(len(ids), dtype=bool)
+    taken: list[tuple[float, int, int]] = []
+    for k in np.lexsort((ids[j], ids[i], residual)):
+        if not (used[i[k]] or used[j[k]]):
+            used[i[k]] = used[j[k]] = True
+            taken.append((float(residual[k]), int(ids[i[k]]), int(ids[j[k]])))
+    return taken
 
 
 def merge_undermatched(
@@ -175,150 +178,65 @@ def merge_undermatched(
 ) -> list[Cluster]:
     """Recover missed links by absorbing and pairing singletons.
 
-    First, each singleton whose ray passes within the merge threshold of a
-    multi-member cluster's center (category agreeing) is absorbed into the
-    nearest such cluster. Remaining singletons are merged pairwise, most
-    consistent pair first, when their two-ray triangulated center is
-    within the threshold of both rays and the implied physical sizes (box
-    height times projection depth) agree within tau_scale. Cluster centers
-    are used as they stand on entry; absorbing a singleton never triggers
-    recomputation before later tests.
+    Each singleton whose ray passes within the merge threshold of a
+    localized cluster of its own category (and no other) joins the nearest
+    one, the smallest id on ties; centers stay as they were on entry. The
+    rest are paired, most consistent pair first, when their two-ray center
+    is within the threshold of both rays and the implied physical sizes
+    (box height times projection depth) agree within tau_scale.
     """
     _check_partition(clusters)
-    singles = sorted((c for c in clusters if c.size == 1), key=lambda c: c.cluster_id)
-    multis = [
-        Cluster(
-            cluster_id=c.cluster_id,
-            members=set(c.members),
-            center=c.center,
-            residuals=None if c.residuals is None else dict(c.residuals),
-        )
-        for c in sorted(clusters, key=lambda c: c.cluster_id)
-        if c.size >= 2
+    ordered = sorted(clusters, key=lambda c: c.cluster_id)
+    multis = [copy.deepcopy(c) for c in ordered if c.size >= 2]
+    targets: dict[str, list[Cluster]] = {}
+    for m in multis:
+        categories = {obs[x].category for x in m.members}
+        if m.center is not None and len(categories) == 1:
+            targets.setdefault(categories.pop(), []).append(m)
+    singles: dict[str, list[Cluster]] = {}
+    for s in ordered:
+        if s.size == 1:
+            singles.setdefault(obs[next(iter(s.members))].category, []).append(s)
+
+    # Each category is absorbed and paired on arrays of its own.
+    left: set[int] = set()
+    taken: list[tuple[float, int, int]] = []
+    for category, group in singles.items():
+        members = [next(iter(s.members)) for s in group]
+        rays = _Rays(*(np.array([getattr(obs[m], f) for m in members]) for f in _Rays._fields))
+        threshold = cfg.merge_threshold(category)
+        free = np.ones(len(group), dtype=bool)
+        if category in targets:
+            near = targets[category]
+            v = np.stack([t.center for t in near])[None, :, :] - rays.exposure[:, None, :]
+            dist = np.linalg.norm(np.cross(v, rays.direction[:, None, :]), axis=2)
+            nearest = dist.argmin(axis=1)
+            d = dist[np.arange(len(group)), nearest]
+            for k in np.flatnonzero(d < threshold):
+                near[nearest[k]].members.add(members[k])
+                near[nearest[k]].residuals[members[k]] = float(d[k])
+            free = d >= threshold
+        ids = np.array([s.cluster_id for s in group])[free]
+        left.update(ids.tolist())
+        taken += _pair(rays.take(free), ids, threshold, cfg.tau_scale)
+
+    by_id = {c.cluster_id: c for c in ordered}
+    next_id = max(by_id, default=-1) + 1
+    merged = [
+        Cluster(cluster_id=next_id + k, members=by_id[id_a].members | by_id[id_b].members)
+        for k, (_, id_a, id_b) in enumerate(sorted(taken))
     ]
-    next_id = max((c.cluster_id for c in clusters), default=-1) + 1
-
-    # Absorb singletons into existing localized clusters.
-    remaining: list[Cluster] = []
-    for s in singles:
-        member = next(iter(s.members))
-        o = obs[member]
-        ray = _ray(o)
-        threshold = cfg.merge_threshold(o.category)
-        best: tuple[float, int, Cluster] | None = None
-        for m in multis:
-            if m.center is None or _cluster_category(m, obs) != o.category:
-                continue
-            d = point_ray_distance(m.center, ray)
-            if d < threshold and (best is None or (d, m.cluster_id) < (best[0], best[1])):
-                best = (d, m.cluster_id, m)
-        if best is None:
-            remaining.append(s)
-            continue
-        d, _, target = best
-        target.members.add(member)
-        if target.residuals is not None:
-            target.residuals[member] = d
-
-    # Pair up what is left, guarded by the physical-size consistency check.
-    # All eligible pairs are ranked by their joint residual and taken
-    # best-first, so a ray prefers its most consistent partner over a
-    # merely acceptable coincidental crossing.
-    candidates: list[tuple[float, int, int]] = []
-    for i in range(len(remaining)):
-        a = remaining[i]
-        obs_a = obs[next(iter(a.members))]
-        for j in range(i + 1, len(remaining)):
-            b = remaining[j]
-            obs_b = obs[next(iter(b.members))]
-            if obs_a.category != obs_b.category or obs_a.frame_id == obs_b.frame_id:
-                continue
-            threshold = cfg.merge_threshold(obs_a.category)
-            ray_a, ray_b = _ray(obs_a), _ray(obs_b)
-            if _line_line_distance(ray_a, ray_b) >= 2.0 * threshold:
-                continue
-            try:
-                estimate = estimate_center([ray_a, ray_b])
-            except DegenerateClusterError:
-                continue
-            if max(estimate.residuals) >= threshold:
-                continue
-            size_a = estimate_physical_size(obs_a, estimate.center)
-            size_b = estimate_physical_size(obs_b, estimate.center)
-            if min(size_a, size_b) <= 0.0:
-                continue
-            if max(size_a / size_b, size_b / size_a) >= cfg.tau_scale:
-                continue
-            candidates.append((max(estimate.residuals), a.cluster_id, b.cluster_id))
-    candidates.sort()
-    merged_away: set[int] = set()
-    new_clusters: list[Cluster] = []
-    by_id = {c.cluster_id: c for c in remaining}
-    for _, id_a, id_b in candidates:
-        if id_a in merged_away or id_b in merged_away:
-            continue
-        new_clusters.append(
-            Cluster(
-                cluster_id=next_id,
-                members=set(by_id[id_a].members) | set(by_id[id_b].members),
-            )
-        )
-        next_id += 1
-        merged_away.add(id_a)
-        merged_away.add(id_b)
-
-    survivors = [c for c in remaining if c.cluster_id not in merged_away]
-    return multis + survivors + new_clusters
+    left -= {x for _, id_a, id_b in taken for x in (id_a, id_b)}
+    return multis + [c for c in ordered if c.cluster_id in left] + merged
 
 
 def refine(clusters: list[Cluster], obs: ObservationStore, cfg: RefineConfig) -> list[Cluster]:
-    """Full refinement pass: split, merge, then re-estimate all centers.
+    """Full refinement pass: split, merge, then split again.
 
-    The final re-estimation re-splits iteratively: after recomputing a
-    cluster's center, members that still violate the split threshold are
-    freed as singletons and the center is recomputed, so every multi-member
-    cluster in the output satisfies max residual <= tau_split.
+    The second split refits every center from the corrected memberships
+    and prunes to a fixed point, so every multi-member cluster in the
+    output satisfies max residual <= tau_split.
     """
     _check_partition(clusters)
-    merged = merge_undermatched(split_overmatched(clusters, obs, cfg), obs, cfg)
-
-    next_id = max((c.cluster_id for c in merged), default=-1) + 1
-    result: list[Cluster] = []
-    freed: list[Cluster] = []
-    for cluster in sorted(merged, key=lambda c: c.cluster_id):
-        members = set(cluster.members)
-        center = None
-        residuals = None
-        while len(members) >= 2:
-            ordered = sorted(members)
-            rays = [_ray(obs[m]) for m in ordered]
-            try:
-                estimate = estimate_center(rays)
-            except DegenerateClusterError:
-                center, residuals = None, None
-                break
-            center = estimate.center
-            residuals = dict(zip(ordered, estimate.residuals))
-            violators = [
-                m for m in ordered if residuals[m] > cfg.split_threshold(obs[m].category)
-            ]
-            if not violators:
-                break
-            for m in violators:
-                members.discard(m)
-                freed.append(Cluster(cluster_id=next_id, members={m}))
-                next_id += 1
-            center, residuals = None, None
-        if not members:
-            continue
-        if len(members) < 2:
-            center, residuals = None, None
-        result.append(
-            Cluster(
-                cluster_id=cluster.cluster_id,
-                members=members,
-                center=center,
-                residuals=residuals,
-            )
-        )
-    return result + freed
+    split = split_overmatched(clusters, obs, cfg)
+    return split_overmatched(merge_undermatched(split, obs, cfg), obs, cfg)

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from streetinv import Cluster, Ray
+from streetinv import Cluster, DegenerateClusterError, Ray, estimate_center, point_ray_distance
 from streetinv.simulator import GroundTruth
 
 
@@ -97,6 +97,90 @@ def oracle_pair_counts(true_labels, pred_labels) -> tuple[int, int, int]:
     t = same_true[upper]
     p = same_pred[upper]
     return int(np.sum(t & p)), int(np.sum(~t & p)), int(np.sum(t & ~p))
+
+
+def _line_line_distance(a: Ray, b: Ray) -> float:
+    n = np.cross(a.direction, b.direction)
+    norm = np.linalg.norm(n)
+    w0 = b.origin - a.origin
+    if norm < 1e-12:
+        return float(np.linalg.norm(w0 - np.dot(w0, a.direction) * a.direction))
+    return float(abs(np.dot(w0, n)) / norm)
+
+
+def oracle_merge_undermatched(clusters, obs, cfg) -> list[Cluster]:
+    """Singleton absorption and pairing, one pair at a time.
+
+    The scalar reference `refinement.merge_undermatched` is checked
+    against: each singleton scans every localized single-category cluster;
+    each singleton pair is prefiltered by its line-line distance, then
+    triangulated by `estimate_center` and gated on its residual and on
+    its implied sizes (box height times depth); pairs are taken best-first.
+    """
+    def ray(o):
+        return Ray(o.exposure, o.direction)
+
+    def category_of(cluster):
+        categories = {obs[m].category for m in cluster.members}
+        return categories.pop() if len(categories) == 1 else None
+
+    def size(o, c):
+        return o.box_h_norm * abs(float(np.dot(np.asarray(c) - o.exposure, o.direction)))
+
+    singles = sorted((c for c in clusters if c.size == 1), key=lambda c: c.cluster_id)
+    multis = [
+        Cluster(cluster_id=c.cluster_id, members=set(c.members), center=c.center,
+                residuals=None if c.residuals is None else dict(c.residuals))
+        for c in sorted(clusters, key=lambda c: c.cluster_id)
+        if c.size >= 2
+    ]
+    next_id = max((c.cluster_id for c in clusters), default=-1) + 1
+    remaining = []
+    for s in singles:
+        member = next(iter(s.members))
+        o = obs[member]
+        best = None
+        for m in multis:
+            if m.center is None or category_of(m) != o.category:
+                continue
+            d = point_ray_distance(m.center, ray(o))
+            if d < cfg.merge_threshold(o.category) and (best is None or (d, m.cluster_id) < best[:2]):
+                best = (d, m.cluster_id, m)
+        if best is None:
+            remaining.append(s)
+        else:
+            best[2].members.add(member)
+            best[2].residuals[member] = best[0]
+    candidates = []
+    for i, a in enumerate(remaining):
+        obs_a = obs[next(iter(a.members))]
+        for b in remaining[i + 1:]:
+            obs_b = obs[next(iter(b.members))]
+            if obs_a.category != obs_b.category or obs_a.frame_id == obs_b.frame_id:
+                continue
+            threshold = cfg.merge_threshold(obs_a.category)
+            if _line_line_distance(ray(obs_a), ray(obs_b)) >= 2.0 * threshold:
+                continue
+            try:
+                estimate = estimate_center([ray(obs_a), ray(obs_b)])
+            except DegenerateClusterError:
+                continue
+            if max(estimate.residuals) >= threshold:
+                continue
+            size_a, size_b = size(obs_a, estimate.center), size(obs_b, estimate.center)
+            if min(size_a, size_b) <= 0.0 or max(size_a / size_b, size_b / size_a) >= cfg.tau_scale:
+                continue
+            candidates.append((max(estimate.residuals), a.cluster_id, b.cluster_id))
+    merged_away = set()
+    new_clusters = []
+    by_id = {c.cluster_id: c for c in remaining}
+    for _, id_a, id_b in sorted(candidates):
+        if id_a in merged_away or id_b in merged_away:
+            continue
+        new_clusters.append(Cluster(cluster_id=next_id, members=by_id[id_a].members | by_id[id_b].members))
+        next_id += 1
+        merged_away |= {id_a, id_b}
+    return multis + [c for c in remaining if c.cluster_id not in merged_away] + new_clusters
 
 
 def grid_argmin(rays, center_hint, half_width=1.0, coarse_step=0.02, fine_step=0.001):

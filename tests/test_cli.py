@@ -65,6 +65,12 @@ class TestRun:
         assert f"{bad}:1:" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "inventory.jsonl"))
 
+    def test_setting_run_config_rejects_is_a_usage_error(self, scene_dir, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert main(_run_args(scene_dir, out) + ["--window", "1"]) == EXIT_USAGE
+        assert "window must be at least 2" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 def _cross_category_scores(scene_dir, path):
     """Scores that link adjacent frames' observations of different categories."""
@@ -185,6 +191,38 @@ class TestLocalize:
         code = main(["localize", "--observations", observations, "--clusters", clusters, "--out", out])
         assert code == EXIT_DATA
         assert f"{observations}:1:" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+class TestClusterFiles:
+    def _run(self, scene_dir, tmp_path, command, second):
+        observations = os.path.join(scene_dir, "observations.jsonl")
+        ids = [json.loads(line)["obs_id"] for line in _read_lines(observations)]
+        clusters = str(tmp_path / "clusters.jsonl")
+        _write_lines(clusters, [{"cluster_id": 0, "members": ids[:2]},
+                                {"cluster_id": 1, "members": second(ids)}])
+        out = str(tmp_path / "out.jsonl")
+        code = main([command, "--observations", observations, "--clusters", clusters, "--out", out])
+        return code, clusters, out
+
+    @pytest.mark.parametrize("command", ["localize", "refine"])
+    def test_disjoint_known_members_accepted(self, scene_dir, tmp_path, command):
+        code, _, out = self._run(scene_dir, tmp_path, command, lambda ids: ids[2:4])
+        assert code == EXIT_OK and os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["localize", "refine"])
+    @pytest.mark.parametrize("second, message", [
+        (lambda ids: ids[1:3], "already a member on line 1"),
+        (lambda ids: [max(ids) + 1], "unknown observation"),
+        (lambda ids: [ids[2] + 0.5], "members must be a non-empty list of integers"),
+        (lambda ids: [str(ids[2])], "members must be a non-empty list of integers"),
+    ], ids=["overlap", "unknown-member", "fractional-member", "string-member"])
+    def test_bad_cluster_file_is_a_data_error(self, scene_dir, tmp_path, capsys, command, second,
+                                              message):
+        code, clusters, out = self._run(scene_dir, tmp_path, command, second)
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{clusters}:2:" in err and message in err
         assert not os.path.exists(out)
 
 

@@ -12,11 +12,11 @@ from streetinv import (
     refine,
     split_overmatched,
 )
-from streetinv.refinement import _ray
+from streetinv.refinement import _Rays
 from streetinv.simulator import default_scene_spec, generate_scene
 from streetinv.triangulation import point_ray_distance
 
-from conftest import corrupt_links, true_clusters
+from conftest import corrupt_links, oracle_merge_undermatched, true_clusters
 
 
 def mkobs(obs_id, frame_id, origin, target, category="street_light", height=1.2):
@@ -123,6 +123,29 @@ class TestSplitOvermatched:
         assert out[0].members == {0, 1}
         assert out[0].center is None
 
+    def test_prunes_until_no_member_violates(self):
+        # Five rays at scattered targets: freeing the worst one moves the
+        # refitted center 0.59 m off another ray, which must go too.
+        targets = [[12.04, 5.91, 2.88], [12.09, 6.2, 3.63], [11.4, 7.47, 3.79],
+                   [11.97, 5.64, 3.29], [12.75, 6.59, 3.39]]
+        obs = {i: mkobs(i, i, FRAMES[i], t) for i, t in enumerate(targets)}
+        cfg = RefineConfig()
+        out = split_overmatched([Cluster(cluster_id=0, members=set(obs))], obs, cfg)
+        assert sum(c.size == 1 for c in out) >= 2
+        for c in out:
+            if c.center is not None:
+                assert max(c.residuals.values()) <= cfg.tau_split
+
+    def test_output_residuals_within_threshold(self):
+        cfg = RefineConfig()
+        for seed in (2, 6, 9):
+            observations, truth = generate_scene(default_scene_spec(seed=seed, n_objects=20))
+            obs = {o.obs_id: o for o in observations}
+            clusters, _, _ = corrupt_links(observations, truth, 0.15, np.random.default_rng(seed))
+            for c in split_overmatched(clusters, obs, cfg):
+                if c.size >= 2 and c.center is not None:
+                    assert all(r <= cfg.split_threshold(obs[m].category) for m, r in c.residuals.items())
+
     def test_category_threshold_respected(self):
         t_off = T1 + np.array([2.0, 0.7, 0.0])
         members = [mkobs(i, i, FRAMES[i], T1) for i in range(4)]
@@ -148,15 +171,13 @@ class TestEstimatePhysicalSize:
         o = mkobs(0, 0, [0, 0, 0], [10, 0, 0])
         assert estimate_physical_size(o, [0.0, 5.0, 0.0]) == pytest.approx(0.0)
 
-    def test_width_dimension(self):
-        o = mkobs(0, 0, [0, 0, 0], [10, 0, 0])
-        o.box_w_norm = 0.05
-        assert estimate_physical_size(o, [10.0, 0.0, 0.0], dimension="width") == pytest.approx(0.5)
-
-    def test_unknown_dimension_rejected(self):
-        o = mkobs(0, 0, [0, 0, 0], [10, 0, 0])
-        with pytest.raises(ValueError):
-            estimate_physical_size(o, [10.0, 0.0, 0.0], dimension="depth")
+    def test_array_form_matches_each_ray(self):
+        observations = [mkobs(i, i, FRAMES[i], T1 + [0.0, i, 0.0]) for i in range(4)]
+        centers = np.array([T1, T1 + 1.0, [0.0, 0.0, 2.5], [-5.0, 3.0, 1.0]])
+        rays = _Rays(*(np.array([getattr(o, f) for o in observations]) for f in _Rays._fields))
+        sizes = estimate_physical_size(rays, centers)
+        for o, c, s in zip(observations, centers, sizes):
+            assert s == pytest.approx(estimate_physical_size(o, c), abs=1e-15)
 
 
 class TestMergeUndermatched:
@@ -198,6 +219,17 @@ class TestMergeUndermatched:
         out = merge_undermatched(clusters, obs, RefineConfig(tau_scale=1.5))
         assert sorted(tuple(sorted(c.members)) for c in out) == [(0, 1)]
 
+    @pytest.mark.parametrize("gap, merges", [(0.8, True), (1.2, False)])
+    def test_pair_residual_is_half_the_gap(self, gap, merges):
+        # The center is the midpoint of the common perpendicular, gap/2 from
+        # each ray; tau_merge is 0.5.
+        a = mkobs(0, 0, [0, 0, 0], [10, 0, 0], category="bollard", height=0.9)
+        b = mkobs(1, 1, [20, 5, gap], [10, 0, gap], category="bollard", height=0.9)
+        obs = {0: a, 1: b}
+        clusters = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})]
+        out = merge_undermatched(clusters, obs, RefineConfig())
+        assert (len(out) == 1) == merges
+
     def test_same_frame_pair_never_merges(self):
         crossing = np.array([10.0, 0.0, 0.0])
         a = mkobs(0, 5, [0, 0, 0], crossing, category="bollard", height=0.9)
@@ -225,6 +257,46 @@ class TestMergeUndermatched:
         ) + [Cluster(cluster_id=1, members={3})]
         out = merge_undermatched(clusters, obs, RefineConfig())
         assert sorted(len(c.members) for c in out) == [1, 3]
+
+    def test_parallel_rays_never_pair(self):
+        a = mkobs(0, 0, [0, 0, 0], [10, 0, 0], category="bollard")
+        b = mkobs(1, 1, [0, 0.1, 0], [10, 0.1, 0], category="bollard")
+        obs = {0: a, 1: b}
+        clusters = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})]
+        for merge in (merge_undermatched, oracle_merge_undermatched):
+            out = merge(clusters, obs, RefineConfig())
+            assert sorted(tuple(sorted(c.members)) for c in out) == [(0,), (1,)]
+
+    def test_matches_scalar_oracle(self):
+        cfg = RefineConfig()
+        absorbed = paired = 0
+        for seed in range(8):
+            spec = default_scene_spec(seed=seed, n_objects=20, drop_prob=0.2)
+            observations, truth = generate_scene(spec)
+            obs = {o.obs_id: o for o in observations}
+            rng = np.random.default_rng(100 + seed)
+            # Shatter a third of the corrupted clusters so singletons of
+            # one object are left to pair up.
+            parts = []
+            for c in corrupt_links(observations, truth, 0.2, rng)[0]:
+                parts += [{m} for m in c.members] if rng.random() < 0.3 else [c.members]
+            shattered = [Cluster(cluster_id=k, members=m) for k, m in enumerate(parts)]
+            clusters = split_overmatched(shattered, obs, cfg)
+            out = merge_undermatched(clusters, obs, cfg)
+            expected = oracle_merge_undermatched(clusters, obs, cfg)
+            assert [(c.cluster_id, c.members) for c in out] == [
+                (c.cluster_id, c.members) for c in expected
+            ]
+            for c, e in zip(out, expected):
+                assert (c.residuals is None) == (e.residuals is None)
+                if c.residuals is not None:
+                    assert set(c.residuals) == set(e.residuals)
+                    for m in c.residuals:
+                        assert c.residuals[m] == pytest.approx(e.residuals[m], abs=1e-12)
+            known = {c.cluster_id: c.size for c in clusters}
+            absorbed += sum(c.size - known[c.cluster_id] for c in out if c.cluster_id in known)
+            paired += sum(c.cluster_id not in known for c in out)
+        assert absorbed > 0 and paired > 0
 
     def test_requires_partition(self):
         a = mkobs(0, 0, [0, 0, 0], [10, 0, 0])
