@@ -5,6 +5,11 @@ into a deduplicated inventory of 3D object centers: observations are
 lifted to world-space rays, associated across views, triangulated by
 point-to-ray least squares, and cleaned up by a split/merge refinement
 driven by geometric consistency.
+
+Files and the simulator deal in `Observation` records, one per ray.
+Localization and refinement read the rays as rows of one
+`ObservationTable`, built once per run from those records; a cluster
+names its rays by observation id.
 """
 
 from .association import (
@@ -20,6 +25,7 @@ from .geometry import (
     CameraPose,
     Detection2D,
     Observation,
+    ObservationTable,
     angles_to_camera_dir,
     build_observation,
     pixel_to_angles,
@@ -51,10 +57,7 @@ from .simulator import (
 from .triangulation import (
     CenterEstimate,
     DegenerateClusterError,
-    Ray,
-    energy,
     estimate_center,
-    point_ray_distance,
     ray_ray_distance,
 )
 

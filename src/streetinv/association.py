@@ -20,7 +20,7 @@ from scipy.sparse import coo_array, csr_array, sparray
 from scipy.sparse.csgraph import connected_components
 
 from .geometry import Observation
-from .triangulation import Ray, ray_ray_distance
+from .triangulation import ray_ray_distance
 
 __all__ = [
     "MatchMatrix",
@@ -127,7 +127,7 @@ def geometric_score(a: Observation, b: Observation, sigma_g: float = DEFAULT_SIG
     """
     if a.category != b.category or a.frame_id == b.frame_id:
         return 0.0
-    gap = ray_ray_distance(Ray(a.exposure, a.direction), Ray(b.exposure, b.direction))
+    gap = ray_ray_distance(a.exposure, a.direction, b.exposure, b.direction)
     return float(min(1.0, max(0.0, np.exp(-gap / sigma_g))))
 
 

@@ -19,6 +19,7 @@ import sys
 import typing
 
 from . import io as sio
+from .geometry import ObservationTable
 from .io import DataError
 from .metrics import EvaluationReport, build_report
 from .pipeline import (
@@ -224,10 +225,9 @@ def _cmd_associate(args, config: dict) -> int:
 
 
 def _cmd_localize(args, config: dict) -> int:
-    observations = sio.read_observations(args.observations)
-    obs = {o.obs_id: o for o in observations}
-    clusters = sio.read_clusters(args.clusters, obs)
-    localized = localize_clusters(clusters, obs)
+    table = ObservationTable.from_observations(sio.read_observations(args.observations))
+    clusters = sio.read_clusters(args.clusters, set(table.obs_id.tolist()))
+    localized = localize_clusters(clusters, table)
     sio.write_clusters(args.out, localized)
     n = sum(1 for c in localized if c.center is not None)
     print(f"localized {n} of {len(localized)} clusters -> {args.out}")
@@ -236,10 +236,9 @@ def _cmd_localize(args, config: dict) -> int:
 
 def _cmd_refine(args, config: dict) -> int:
     cfg = _run_config(args, config)
-    observations = sio.read_observations(args.observations)
-    obs = {o.obs_id: o for o in observations}
-    clusters = sio.read_clusters(args.clusters, obs)
-    refined = refine(clusters, obs, cfg.refine_config())
+    table = ObservationTable.from_observations(sio.read_observations(args.observations))
+    clusters = sio.read_clusters(args.clusters, set(table.obs_id.tolist()))
+    refined = refine(clusters, table, cfg.refine_config())
     sio.write_clusters(args.out, refined)
     print(f"{len(clusters)} clusters in, {len(refined)} out -> {args.out}")
     return EXIT_OK

@@ -15,12 +15,17 @@ Image frame (equirectangular panorama):
 
 Orientation is parameterized by heading / pitch / roll Euler angles,
 composed as Rz(heading) @ Ry(pitch) @ Rx(roll), counterclockwise-positive.
+
+An `Observation` is one lifted ray as a record, the form files and the
+simulator deal in. The pipeline's later stages read rays as rows of one
+`ObservationTable`, a column per field, built once per run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +33,7 @@ __all__ = [
     "CameraPose",
     "Detection2D",
     "Observation",
+    "ObservationTable",
     "pixel_to_angles",
     "angles_to_camera_dir",
     "rotation_from_euler",
@@ -133,6 +139,73 @@ class Observation:
         # Chained comparisons are False for NaN, so non-finite sizes fail.
         if not (0.0 < self.box_w_norm <= 1.0) or not (0.0 < self.box_h_norm <= 1.0):
             raise ValueError("normalized box sizes must lie in (0, 1]")
+
+
+@dataclass(frozen=True, eq=False)
+class ObservationTable:
+    """Validated observations as columns, one row per observation.
+
+    Attributes:
+        obs_id: (n,) integer ids, unique.
+        frame_id: (n,) integer frame ids.
+        category: (n,) category labels, Python strings.
+        exposure: (n, 3) ray origins in meters.
+        direction: (n, 3) unit ray directions.
+        box_h_norm: (n,) normalized box heights.
+    """
+
+    obs_id: np.ndarray
+    frame_id: np.ndarray
+    category: np.ndarray
+    exposure: np.ndarray
+    direction: np.ndarray
+    box_h_norm: np.ndarray
+
+    @classmethod
+    def from_observations(cls, observations: list[Observation]) -> "ObservationTable":
+        """Stack records that each validated their own ray.
+
+        Raises:
+            ValueError: if two observations share an obs_id.
+        """
+        table = cls(
+            obs_id=np.array([o.obs_id for o in observations], dtype=np.int64),
+            frame_id=np.array([o.frame_id for o in observations], dtype=np.int64),
+            category=np.array([o.category for o in observations], dtype=object),
+            exposure=np.array([o.exposure for o in observations], dtype=float).reshape(-1, 3),
+            direction=np.array([o.direction for o in observations], dtype=float).reshape(-1, 3),
+            box_h_norm=np.array([o.box_h_norm for o in observations], dtype=float),
+        )
+        _, sorted_ids = table._index
+        repeated = sorted_ids[1:][np.diff(sorted_ids) == 0]
+        if repeated.size:
+            raise ValueError(f"duplicate observation ids: {repeated[:5].tolist()}")
+        return table
+
+    @cached_property
+    def _index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row order that sorts the ids, and the sorted ids."""
+        order = np.argsort(self.obs_id, kind="stable")
+        return order, self.obs_id[order]
+
+    def rows(self, obs_ids) -> np.ndarray:
+        """Row index of each id in the sequence `obs_ids`, in its order.
+
+        Raises:
+            KeyError: if an id is not in the table.
+        """
+        order, sorted_ids = self._index
+        ids = np.asarray(obs_ids, dtype=np.int64)
+        at = np.searchsorted(sorted_ids, ids)
+        known = at < len(sorted_ids)
+        known[known] = sorted_ids[at[known]] == ids[known]
+        if not known.all():
+            raise KeyError(f"unknown observation {int(ids[~known][0])}")
+        return order[at]
+
+    def take(self, rows) -> "ObservationTable":
+        """The sub-table of `rows` (an index array or boolean mask), in their order."""
+        return ObservationTable(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 def pixel_to_angles(det: Detection2D) -> tuple[float, float]:

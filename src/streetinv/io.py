@@ -131,9 +131,11 @@ def read_poses(path: str, coord_mode: str = "local") -> list[CameraPose]:
         raise DataError(f"unknown coordinate mode {coord_mode!r}")
     poses: list[CameraPose] = []
     anchor: tuple[float, float, float] | None = None
+    frames: dict[int, int] = {}
     for line_no, record in _read_jsonl(path):
         _require(record, ("frame_id", "heading", "pitch", "roll"), path, line_no)
         try:
+            frame_id = _id(record, "frame_id")
             if coord_mode == "geodetic":
                 _require(record, ("lat", "lon", "alt"), path, line_no)
                 lat, lon, alt = float(record["lat"]), float(record["lon"]), float(record["alt"])
@@ -147,7 +149,7 @@ def read_poses(path: str, coord_mode: str = "local") -> list[CameraPose]:
                 )
             poses.append(
                 CameraPose(
-                    frame_id=int(record["frame_id"]),
+                    frame_id=frame_id,
                     position=position,
                     heading=float(record["heading"]),
                     pitch=float(record["pitch"]),
@@ -156,6 +158,7 @@ def read_poses(path: str, coord_mode: str = "local") -> list[CameraPose]:
             )
         except (TypeError, ValueError) as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from exc
+        _claim(frames, frame_id, "frame {} already has a pose", path, line_no)
     return poses
 
 
@@ -167,7 +170,7 @@ def read_detections(path: str) -> list[Detection2D]:
         try:
             detections.append(
                 Detection2D(
-                    frame_id=int(record["frame_id"]),
+                    frame_id=_id(record, "frame_id"),
                     center_x=float(record["cx"]),
                     center_y=float(record["cy"]),
                     box_w=float(record["w"]),
@@ -212,7 +215,7 @@ def read_score_triplets(path: str) -> list[tuple[int, int, float]]:
     for line_no, record in _read_jsonl(path):
         _require(record, ("obs_a", "obs_b", "score"), path, line_no)
         try:
-            a, b, s = int(record["obs_a"]), int(record["obs_b"]), float(record["score"])
+            a, b, s = _id(record, "obs_a"), _id(record, "obs_b"), float(record["score"])
         except (TypeError, ValueError) as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from exc
         if not (0.0 <= s <= 1.0):
@@ -265,8 +268,8 @@ def observation_from_record(record: dict) -> Observation:
     if norm == 0:
         raise ValueError("zero direction vector")
     return Observation(
-        obs_id=int(record["obs_id"]),
-        frame_id=int(record["frame_id"]),
+        obs_id=_id(record, "obs_id"),
+        frame_id=_id(record, "frame_id"),
         category=str(record["category"]),
         exposure=np.array([record["px"], record["py"], record["pz"]], dtype=float),
         direction=direction / norm,
@@ -280,12 +283,15 @@ def write_observations(path: str, observations: list[Observation]) -> None:
 
 
 def read_observations(path: str) -> list[Observation]:
+    """Read observation records; no two may share an obs_id."""
     observations = []
+    lines: dict[int, int] = {}
     for line_no, record in _read_jsonl(path):
         try:
             observations.append(observation_from_record(record))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from exc
+        _claim(lines, observations[-1].obs_id, "obs_id {} is already used", path, line_no)
     return observations
 
 
@@ -302,18 +308,18 @@ def cluster_to_record(c: Cluster) -> dict:
 
 
 def cluster_from_record(record: dict) -> Cluster:
-    members = [int(m) for m in record["members"]]
+    members = record["members"]
     center = record.get("center")
     residuals = record.get("residuals")
     if center is not None:
         residual_map = {m: float(r) for m, r in zip(members, residuals)}
         return Cluster(
-            cluster_id=int(record["cluster_id"]),
+            cluster_id=_id(record, "cluster_id"),
             members=set(members),
             center=np.asarray(center, dtype=float),
             residuals=residual_map,
         )
-    return Cluster(cluster_id=int(record["cluster_id"]), members=set(members))
+    return Cluster(cluster_id=_id(record, "cluster_id"), members=set(members))
 
 
 def write_clusters(path: str, clusters: list[Cluster]) -> None:
@@ -324,11 +330,13 @@ def write_clusters(path: str, clusters: list[Cluster]) -> None:
 def read_clusters(path: str, obs_ids: Collection[int]) -> list[Cluster]:
     """Read clusters of the observations `obs_ids`.
 
-    Members must be a non-empty list of integers from `obs_ids`, and no
-    observation may be a member of two clusters.
+    Cluster ids must be unique integers. Members must be a non-empty list
+    of integers from `obs_ids`, and no observation may be a member of two
+    clusters.
     """
     clusters = []
     owner: dict[int, int] = {}
+    lines: dict[int, int] = {}
     for line_no, record in _read_jsonl(path):
         _require(record, ("cluster_id", "members"), path, line_no)
         _claim_members(owner, record["members"], path, line_no)
@@ -339,26 +347,43 @@ def read_clusters(path: str, obs_ids: Collection[int]) -> list[Cluster]:
             clusters.append(cluster_from_record(record))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from exc
+        _claim(lines, clusters[-1].cluster_id, "cluster_id {} is already used", path, line_no)
     return clusters
 
 
-def _claim_members(owner: dict[int, int], members, path: str, line_no: int) -> None:
-    """Check that members are a non-empty list of integers and record each one's line.
+def _claim(lines: dict[int, int], key: int, claim: str, path: str, line_no: int) -> None:
+    """Record that `key` is claimed on `line_no`.
 
-    A member already recorded is a DataError.
+    A key claimed before is a DataError naming both lines; `claim` is its
+    message, with `{}` standing for the key.
     """
+    if key in lines:
+        raise DataError(f"{path}:{line_no}: {claim.format(key)} on line {lines[key]}")
+    lines[key] = line_no
+
+
+def _claim_members(owner: dict[int, int], members, path: str, line_no: int) -> None:
+    """Check that members are a non-empty list of integers and claim each one for `line_no`."""
     if not (isinstance(members, list) and members and all(map(_is_int, members))):
         raise DataError(f"{path}:{line_no}: members must be a non-empty list of integers")
     for obs_id in members:
-        if obs_id in owner:
-            raise DataError(
-                f"{path}:{line_no}: observation {obs_id} is already a member on line {owner[obs_id]}"
-            )
-        owner[obs_id] = line_no
+        _claim(owner, obs_id, "observation {} is already a member", path, line_no)
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _id(record: dict, key: str) -> int:
+    """`record[key]` as an id, which must be a JSON integer.
+
+    A float such as 3.7, or a string, is a TypeError: never truncated or
+    parsed into some other record's id.
+    """
+    value = record[key]
+    if not _is_int(value):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _is_number(value) -> bool:
@@ -422,8 +447,8 @@ def read_truth(path: str):
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
     try:
-        entries = sorted(payload["objects"], key=lambda r: int(r["object_id"]))
-        if [int(r["object_id"]) for r in entries] != list(range(len(entries))):
+        entries = sorted(payload["objects"], key=lambda r: _id(r, "object_id"))
+        if [r["object_id"] for r in entries] != list(range(len(entries))):
             raise DataError(f"{path}: object ids must be 0..n-1")
         objects = [
             SceneObject(
@@ -436,10 +461,10 @@ def read_truth(path: str):
         obs_ids = []
         object_of = {}
         for r in payload["observations"]:
-            obs_id = int(r["obs_id"])
+            obs_id = _id(r, "obs_id")
             if obs_id in object_of:
                 raise DataError(f"{path}: duplicate observation id {obs_id}")
-            object_id = None if r["object_id"] is None else int(r["object_id"])
+            object_id = None if r["object_id"] is None else _id(r, "object_id")
             if object_id is not None and not 0 <= object_id < len(objects):
                 raise DataError(
                     f"{path}: observation {obs_id} names object {object_id}, "

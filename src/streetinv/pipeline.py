@@ -8,6 +8,8 @@ plain transitive-chaining baseline.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .association import (
@@ -18,7 +20,7 @@ from .association import (
     build_score_matrix,
     transitive_cluster,
 )
-from .geometry import Observation
+from .geometry import Observation, ObservationTable
 from .io import DataError
 from .metrics import EvaluationReport, build_report
 from .refinement import RefineConfig, refine
@@ -118,49 +120,40 @@ def associate(observations: list[Observation], cfg: RunConfig) -> tuple[list[Pai
     return matches, clusters
 
 
-def localize_clusters(clusters: list[Cluster], obs: dict[int, Observation]) -> list[Cluster]:
+def localize_clusters(clusters: list[Cluster], table: ObservationTable) -> list[Cluster]:
     """Estimate a center for every cluster with at least two rays.
 
     Degenerate bundles and singletons pass through unlocalized.
     """
-    from .triangulation import Ray
-
     result = []
     for cluster in sorted(clusters, key=lambda c: c.cluster_id):
-        if cluster.size < 2:
-            result.append(Cluster(cluster_id=cluster.cluster_id, members=set(cluster.members)))
-            continue
         members = sorted(cluster.members)
-        rays = [Ray(obs[m].exposure, obs[m].direction) for m in members]
-        try:
-            estimate = estimate_center(rays)
-        except DegenerateClusterError:
-            result.append(Cluster(cluster_id=cluster.cluster_id, members=set(cluster.members)))
-            continue
-        result.append(
-            Cluster(
-                cluster_id=cluster.cluster_id,
-                members=set(members),
-                center=estimate.center,
-                residuals=dict(zip(members, estimate.residuals)),
-            )
-        )
+        center = residuals = None
+        if len(members) >= 2:
+            rows = table.rows(members)
+            try:
+                estimate = estimate_center(table.exposure[rows], table.direction[rows])
+            except DegenerateClusterError:
+                pass
+            else:
+                center, residuals = estimate.center, dict(zip(members, estimate.residuals))
+        result.append(Cluster(cluster.cluster_id, set(members), center, residuals))
     return result
 
 
-def inventory_records(clusters: list[Cluster], obs: dict[int, Observation]) -> list[dict]:
+def inventory_records(clusters: list[Cluster], table: ObservationTable) -> list[dict]:
     """Flatten final clusters into inventory records.
 
     Records are ordered and numbered by their smallest member observation
     id; the category is the members' majority vote (ties alphabetical).
     """
+    ordered = sorted(clusters, key=lambda c: min(c.members))
+    member_lists = [sorted(c.members) for c in ordered]
+    categories = iter(table.category[table.rows([m for ms in member_lists for m in ms])])
     records = []
-    for object_id, cluster in enumerate(sorted(clusters, key=lambda c: min(c.members))):
-        members = sorted(cluster.members)
-        votes: dict[str, int] = {}
-        for m in members:
-            votes[obs[m].category] = votes.get(obs[m].category, 0) + 1
-        category = sorted(votes.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
+    for object_id, (cluster, members) in enumerate(zip(ordered, member_lists)):
+        votes = Counter(itertools.islice(categories, len(members)))
+        category = min(votes, key=lambda name: (-votes[name], name))
         localized = cluster.center is not None
         records.append(
             {
@@ -185,18 +178,13 @@ def run_pipeline(
     Deterministic for fixed config and inputs. With ground truth supplied
     the result carries an evaluation report.
     """
-    if not observations:
-        return PipelineResult(
-            observations=[], matches=[], clusters=[], inventory=[],
-            report=None if truth is None else build_report([], truth, cfg.identification_tol),
-        )
+    table = ObservationTable.from_observations(observations)
     matches, initial = associate(observations, cfg)
-    obs = {o.obs_id: o for o in observations}
     if cfg.no_refine:
-        final = localize_clusters(initial, obs)
+        final = localize_clusters(initial, table)
     else:
-        final = refine(initial, obs, cfg.refine_config())
-    inventory = inventory_records(final, obs)
+        final = refine(initial, table, cfg.refine_config())
+    inventory = inventory_records(final, table)
     report = None
     if truth is not None:
         report = build_report(inventory, truth, cfg.identification_tol)

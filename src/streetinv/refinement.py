@@ -19,17 +19,14 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .association import Cluster
-from .geometry import Observation
-from .triangulation import PARALLEL_EIGEN_RATIO, DegenerateClusterError, Ray, estimate_center
+from .geometry import Observation, ObservationTable
+from .triangulation import PARALLEL_EIGEN_RATIO, DegenerateClusterError, estimate_center
 
 __all__ = ["RefineConfig", "split_overmatched", "estimate_physical_size", "merge_undermatched", "refine"]
-
-ObservationStore = dict[int, Observation]
 
 
 @dataclass
@@ -71,7 +68,7 @@ def _check_partition(clusters: list[Cluster]) -> None:
 
 
 def _fit_and_prune(
-    cluster: Cluster, obs: ObservationStore, cfg: RefineConfig
+    cluster: Cluster, table: ObservationTable, cfg: RefineConfig
 ) -> tuple[Cluster | None, list[int]]:
     """Fit the center, free every member past its split threshold, refit until none is.
 
@@ -82,12 +79,13 @@ def _fit_and_prune(
     members = sorted(cluster.members)
     freed: list[int] = []
     while len(members) >= 2:
+        rows = table.rows(members)
         try:
-            estimate = estimate_center([Ray(obs[m].exposure, obs[m].direction) for m in members])
+            estimate = estimate_center(table.exposure[rows], table.direction[rows])
         except DegenerateClusterError:
             break
         residuals = dict(zip(members, estimate.residuals))
-        over = [residuals[m] > cfg.split_threshold(obs[m].category) for m in members]
+        over = [r > cfg.split_threshold(c) for r, c in zip(estimate.residuals, table.category[rows])]
         if not any(over):
             return Cluster(cluster.cluster_id, set(members), estimate.center, residuals), freed
         freed += [m for m, out in zip(members, over) if out]
@@ -96,7 +94,7 @@ def _fit_and_prune(
 
 
 def split_overmatched(
-    clusters: list[Cluster], obs: ObservationStore, cfg: RefineConfig
+    clusters: list[Cluster], table: ObservationTable, cfg: RefineConfig
 ) -> list[Cluster]:
     """Prune geometric outliers from every cluster with `_fit_and_prune`.
 
@@ -108,38 +106,26 @@ def split_overmatched(
     result: list[Cluster] = []
     freed: list[Cluster] = []
     for cluster in sorted(clusters, key=lambda c: c.cluster_id):
-        kept, loose = _fit_and_prune(cluster, obs, cfg)
+        kept, loose = _fit_and_prune(cluster, table, cfg)
         if kept is not None:
             result.append(kept)
         freed += [Cluster(cluster_id=next(fresh_ids), members={m}) for m in loose]
     return result + freed
 
 
-def estimate_physical_size(o: Observation, c_tri):
+def estimate_physical_size(o: Observation | ObservationTable, c_tri):
     """Physical object height implied by a 2D box at a triangulated center.
 
     Multiplies the normalized box height by the projection depth of the
-    center along the observation ray; elementwise when `o` holds n rays as
-    arrays (like `_Rays`) and `c_tri` is n x 3.
+    center along the observation ray. `o` is an `Observation`, or an
+    `ObservationTable` of n rows with `c_tri` n x 3 for n sizes at once.
     """
     offset = np.asarray(c_tri, dtype=float) - o.exposure
     return o.box_h_norm * np.abs(np.einsum("...k,...k->...", offset, o.direction))
 
 
-class _Rays(NamedTuple):
-    """One category's singleton rays as arrays, named like Observation's fields."""
-
-    exposure: np.ndarray
-    direction: np.ndarray
-    box_h_norm: np.ndarray
-    frame_id: np.ndarray
-
-    def take(self, index) -> "_Rays":
-        return _Rays(*(a[index] for a in self))
-
-
 def _pair(
-    rays: _Rays, ids: np.ndarray, threshold: float, tau_scale: float
+    rays: ObservationTable, ids: np.ndarray, threshold: float, tau_scale: float
 ) -> list[tuple[float, int, int]]:
     """Take disjoint pairs from different frames whose two-ray center passes the gates.
 
@@ -174,7 +160,7 @@ def _pair(
 
 
 def merge_undermatched(
-    clusters: list[Cluster], obs: ObservationStore, cfg: RefineConfig
+    clusters: list[Cluster], table: ObservationTable, cfg: RefineConfig
 ) -> list[Cluster]:
     """Recover missed links by absorbing and pairing singletons.
 
@@ -190,35 +176,34 @@ def merge_undermatched(
     multis = [copy.deepcopy(c) for c in ordered if c.size >= 2]
     targets: dict[str, list[Cluster]] = {}
     for m in multis:
-        categories = {obs[x].category for x in m.members}
+        categories = set(table.category[table.rows(list(m.members))])
         if m.center is not None and len(categories) == 1:
             targets.setdefault(categories.pop(), []).append(m)
-    singles: dict[str, list[Cluster]] = {}
-    for s in ordered:
-        if s.size == 1:
-            singles.setdefault(obs[next(iter(s.members))].category, []).append(s)
+    singles = [c for c in ordered if c.size == 1]
+    single_rays = table.take(table.rows([next(iter(s.members)) for s in singles]))
+    single_ids = np.array([s.cluster_id for s in singles], dtype=np.int64)
 
     # Each category is absorbed and paired on arrays of its own.
     left: set[int] = set()
     taken: list[tuple[float, int, int]] = []
-    for category, group in singles.items():
-        members = [next(iter(s.members)) for s in group]
-        rays = _Rays(*(np.array([getattr(obs[m], f) for m in members]) for f in _Rays._fields))
+    for category in dict.fromkeys(single_rays.category):
+        in_category = single_rays.category == category
+        rays, ids = single_rays.take(in_category), single_ids[in_category]
         threshold = cfg.merge_threshold(category)
-        free = np.ones(len(group), dtype=bool)
+        free = np.ones(len(ids), dtype=bool)
         if category in targets:
             near = targets[category]
             v = np.stack([t.center for t in near])[None, :, :] - rays.exposure[:, None, :]
             dist = np.linalg.norm(np.cross(v, rays.direction[:, None, :]), axis=2)
             nearest = dist.argmin(axis=1)
-            d = dist[np.arange(len(group)), nearest]
+            d = dist[np.arange(len(ids)), nearest]
             for k in np.flatnonzero(d < threshold):
-                near[nearest[k]].members.add(members[k])
-                near[nearest[k]].residuals[members[k]] = float(d[k])
+                member = int(rays.obs_id[k])
+                near[nearest[k]].members.add(member)
+                near[nearest[k]].residuals[member] = float(d[k])
             free = d >= threshold
-        ids = np.array([s.cluster_id for s in group])[free]
-        left.update(ids.tolist())
-        taken += _pair(rays.take(free), ids, threshold, cfg.tau_scale)
+        left.update(ids[free].tolist())
+        taken += _pair(rays.take(free), ids[free], threshold, cfg.tau_scale)
 
     by_id = {c.cluster_id: c for c in ordered}
     next_id = max(by_id, default=-1) + 1
@@ -230,7 +215,7 @@ def merge_undermatched(
     return multis + [c for c in ordered if c.cluster_id in left] + merged
 
 
-def refine(clusters: list[Cluster], obs: ObservationStore, cfg: RefineConfig) -> list[Cluster]:
+def refine(clusters: list[Cluster], table: ObservationTable, cfg: RefineConfig) -> list[Cluster]:
     """Full refinement pass: split, merge, then split again.
 
     The second split refits every center from the corrected memberships
@@ -238,5 +223,5 @@ def refine(clusters: list[Cluster], obs: ObservationStore, cfg: RefineConfig) ->
     output satisfies max residual <= tau_split.
     """
     _check_partition(clusters)
-    split = split_overmatched(clusters, obs, cfg)
-    return split_overmatched(merge_undermatched(split, obs, cfg), obs, cfg)
+    split = split_overmatched(clusters, table, cfg)
+    return split_overmatched(merge_undermatched(split, table, cfg), table, cfg)

@@ -4,16 +4,50 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from streetinv import Cluster, DegenerateClusterError, Ray, estimate_center, point_ray_distance
+from streetinv import Cluster, DegenerateClusterError, estimate_center
 from streetinv.simulator import GroundTruth
 
 
+class Ray(NamedTuple):
+    """A test ray: origin and unit direction.
+
+    Unpacks to the (origin, direction) pair `ray_ray_distance` takes per ray.
+    """
+
+    origin: np.ndarray
+    direction: np.ndarray
+
+
 def make_ray(origin, point) -> Ray:
-    """Ray from origin through point (test fixture convenience)."""
-    return Ray.through(origin, point)
+    """Ray from origin through point."""
+    origin = np.asarray(origin, dtype=float)
+    delta = np.asarray(point, dtype=float) - origin
+    norm = np.linalg.norm(delta)
+    if norm == 0.0:
+        raise ValueError("origin and point coincide")
+    return Ray(origin, delta / norm)
+
+
+def bundle(rays) -> tuple[np.ndarray, np.ndarray]:
+    """The n x 3 origins and directions `estimate_center` takes, from test rays."""
+    return np.array([r.origin for r in rays]), np.array([r.direction for r in rays])
+
+
+def point_ray_distance(c, ray) -> float:
+    """Perpendicular distance from point `c` to the infinite line of `ray`."""
+    v = np.asarray(c, dtype=float) - ray.origin
+    return float(np.linalg.norm(v - np.dot(v, ray.direction) * ray.direction))
+
+
+def energy(c, rays) -> float:
+    """Sum of squared point-to-ray distances from `c` to all rays."""
+    if not rays:
+        raise ValueError("energy requires at least one ray")
+    return sum(point_ray_distance(c, r) ** 2 for r in rays)
 
 
 def oracle_grid_center(rays, bounds, step: float) -> np.ndarray:
@@ -108,7 +142,7 @@ def _line_line_distance(a: Ray, b: Ray) -> float:
     return float(abs(np.dot(w0, n)) / norm)
 
 
-def oracle_merge_undermatched(clusters, obs, cfg) -> list[Cluster]:
+def oracle_merge_undermatched(clusters, table, cfg) -> list[Cluster]:
     """Singleton absorption and pairing, one pair at a time.
 
     The scalar reference `refinement.merge_undermatched` is checked
@@ -117,6 +151,9 @@ def oracle_merge_undermatched(clusters, obs, cfg) -> list[Cluster]:
     triangulated by `estimate_center` and gated on its residual and on
     its implied sizes (box height times depth); pairs are taken best-first.
     """
+    # One row of the table per id: scalar fields, named like Observation's.
+    obs = {m: table.take(k) for k, m in enumerate(table.obs_id.tolist())}
+
     def ray(o):
         return Ray(o.exposure, o.direction)
 
@@ -162,7 +199,7 @@ def oracle_merge_undermatched(clusters, obs, cfg) -> list[Cluster]:
             if _line_line_distance(ray(obs_a), ray(obs_b)) >= 2.0 * threshold:
                 continue
             try:
-                estimate = estimate_center([ray(obs_a), ray(obs_b)])
+                estimate = estimate_center(*bundle([ray(obs_a), ray(obs_b)]))
             except DegenerateClusterError:
                 continue
             if max(estimate.residuals) >= threshold:

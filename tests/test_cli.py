@@ -273,3 +273,113 @@ class TestReaders:
         with pytest.raises(ValueError):
             sio.write_jsonl(str(path), [{"center": [np.nan, 0.0, 0.0]}])
         assert not path.exists()
+
+
+def _copy_records(scene_dir, tmp_path, name, edit):
+    """Write `edit(records)` of scene file `name` (JSON lines) under tmp_path; return its path."""
+    records = [json.loads(line) for line in _read_lines(os.path.join(scene_dir, name))]
+    path = str(tmp_path / name)
+    _write_lines(path, edit(records))
+    return path
+
+
+def _set_first(field, value):
+    def edit(records):
+        records[0][field] = value(records[0][field])
+        return records
+
+    return edit
+
+
+class TestIds:
+    """Every id a reader takes must be a JSON integer: 0.7 is refused, never truncated to 0."""
+
+    def _command(self, scene_dir, tmp_path, kind, field):
+        fractional = _set_first(field, lambda v: v + 0.7)
+        observations = os.path.join(scene_dir, "observations.jsonl")
+        out = str(tmp_path / "out")
+        if kind in ("poses", "detections"):
+            path = _copy_records(scene_dir, tmp_path, f"{kind}.jsonl", fractional)
+            args = _run_args(scene_dir, out)
+            args[args.index("--" + kind) + 1] = path
+            return args, f"{path}:1:"
+        if kind == "observations":
+            path = _copy_records(scene_dir, tmp_path, "observations.jsonl", fractional)
+            return ["associate", "--observations", path, "--out", out], f"{path}:1:"
+        if kind == "scores":
+            path = str(tmp_path / "scores.jsonl")
+            _write_lines(path, [{"obs_a": 0.7 if field == "obs_a" else 0,
+                                 "obs_b": 1.7 if field == "obs_b" else 1, "score": 0.5}])
+            return _run_args(scene_dir, out) + ["--scorer", "file:" + path], f"{path}:1:"
+        if kind == "clusters":
+            path = str(tmp_path / "clusters.jsonl")
+            _write_lines(path, [{"cluster_id": 0.7, "members": [0, 1]}])
+            return ["localize", "--observations", observations, "--clusters", path,
+                    "--out", out], f"{path}:1:"
+        with open(os.path.join(scene_dir, "truth.json"), encoding="utf-8") as handle:
+            truth = json.load(handle)
+        entry = truth["objects" if kind == "truth-objects" else "observations"][0]
+        entry[field] += 0.7
+        path = str(tmp_path / "truth.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(truth, handle)
+        args = _run_args(scene_dir, out)
+        args[args.index("--truth") + 1] = path
+        return args, f"{path}: "
+
+    @pytest.mark.parametrize("kind, field", [
+        ("poses", "frame_id"),
+        ("detections", "frame_id"),
+        ("observations", "obs_id"),
+        ("observations", "frame_id"),
+        ("scores", "obs_a"),
+        ("scores", "obs_b"),
+        ("clusters", "cluster_id"),
+        ("truth-objects", "object_id"),
+        ("truth-observations", "obs_id"),
+        ("truth-observations", "object_id"),
+    ])
+    def test_fractional_id_is_a_data_error(self, scene_dir, tmp_path, capsys, kind, field):
+        args, where = self._command(scene_dir, tmp_path, kind, field)
+        assert main(args) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert where in err and f"{field} must be an integer" in err
+
+
+class TestUniqueKeys:
+    """A key that names a record may appear once; a second one names both lines."""
+
+    def test_second_pose_of_a_frame_is_a_data_error(self, scene_dir, tmp_path, capsys):
+        def repeat_moved(records):
+            moved = dict(records[0], x=records[0]["x"] + 50.0)
+            return records + [moved]
+
+        poses = _copy_records(scene_dir, tmp_path, "poses.jsonl", repeat_moved)
+        n = len(_read_lines(poses))
+        args = _run_args(scene_dir, str(tmp_path / "run"))
+        args[args.index("--poses") + 1] = poses
+        assert main(args) == EXIT_DATA
+        assert f"{poses}:{n}: frame 0 already has a pose on line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["associate", "localize", "refine"])
+    def test_second_observation_with_an_id_is_a_data_error(self, scene_dir, tmp_path, capsys,
+                                                           command):
+        observations = _copy_records(scene_dir, tmp_path, "observations.jsonl",
+                                     _set_first("obs_id", lambda v: v + 1))
+        clusters = str(tmp_path / "clusters.jsonl")
+        _write_lines(clusters, [{"cluster_id": 0, "members": [1, 2]}])
+        args = [command, "--observations", observations, "--out", str(tmp_path / "out.jsonl")]
+        if command != "associate":
+            args += ["--clusters", clusters]
+        assert main(args) == EXIT_DATA
+        assert f"{observations}:2: obs_id 1 is already used on line 1" in capsys.readouterr().err
+
+    def test_second_cluster_with_an_id_is_a_data_error(self, scene_dir, tmp_path, capsys):
+        clusters = str(tmp_path / "clusters.jsonl")
+        _write_lines(clusters, [{"cluster_id": 5, "members": [0, 1]},
+                                {"cluster_id": 5, "members": [2, 3]}])
+        out = str(tmp_path / "out.jsonl")
+        assert main(["refine", "--observations", os.path.join(scene_dir, "observations.jsonl"),
+                     "--clusters", clusters, "--out", out]) == EXIT_DATA
+        assert f"{clusters}:2: cluster_id 5 is already used on line 1" in capsys.readouterr().err
+        assert not os.path.exists(out)

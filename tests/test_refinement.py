@@ -6,15 +6,14 @@ import pytest
 from streetinv import (
     Cluster,
     Observation,
+    ObservationTable,
     RefineConfig,
     estimate_physical_size,
     merge_undermatched,
     refine,
     split_overmatched,
 )
-from streetinv.refinement import _Rays
 from streetinv.simulator import default_scene_spec, generate_scene
-from streetinv.triangulation import point_ray_distance
 
 from conftest import corrupt_links, oracle_merge_undermatched, true_clusters
 
@@ -45,7 +44,7 @@ def fig3_scenario():
     c = mkobs(2, 2, FRAMES[2], T1)
     d = mkobs(3, 3, FRAMES[3], t2)
     e = mkobs(4, 4, FRAMES[4], t2)
-    obs = {o.obs_id: o for o in (a, b, c, d, e)}
+    obs = ObservationTable.from_observations([a, b, c, d, e])
     clusters = [
         Cluster(cluster_id=0, members={0, 1, 2, 4}),
         Cluster(cluster_id=1, members={3}),
@@ -84,13 +83,13 @@ class TestSplitOvermatched:
         t_off = T1 + np.array([2.0, 0.7, 0.0])
         members = [mkobs(i, i, FRAMES[i], T1) for i in range(4)]
         members.append(mkobs(4, 4, FRAMES[4], t_off))
-        obs = {o.obs_id: o for o in members}
+        obs = ObservationTable.from_observations(members)
         out = split_overmatched([Cluster(cluster_id=0, members={0, 1, 2, 3, 4})], obs, RefineConfig())
         assert sorted(tuple(sorted(c.members)) for c in out) == [(0, 1, 2, 3), (4,)]
 
     def test_consistent_cluster_unchanged(self):
         members = [mkobs(i, i, FRAMES[i], T1) for i in range(4)]
-        obs = {o.obs_id: o for o in members}
+        obs = ObservationTable.from_observations(members)
         out = split_overmatched([Cluster(cluster_id=0, members={0, 1, 2, 3})], obs, RefineConfig())
         assert len(out) == 1
         assert out[0].members == {0, 1, 2, 3}
@@ -102,7 +101,7 @@ class TestSplitOvermatched:
         # so both become singletons.
         a = mkobs(0, 0, [0, 0, 0], [20, 0, 0])
         b = mkobs(1, 1, [20, 10, 2.4], [0, -10, 2.4])
-        obs = {0: a, 1: b}
+        obs = ObservationTable.from_observations([a, b])
         estimate = split_overmatched([Cluster(cluster_id=0, members={0, 1})], obs, RefineConfig())
         assert sorted(tuple(sorted(c.members)) for c in estimate) == [(0,), (1,)]
         for c in estimate:
@@ -110,14 +109,15 @@ class TestSplitOvermatched:
 
     def test_singletons_pass_through(self):
         a = mkobs(0, 0, [0, 0, 0], [20, 0, 0])
-        out = split_overmatched([Cluster(cluster_id=7, members={0})], {0: a}, RefineConfig())
+        out = split_overmatched(
+            [Cluster(cluster_id=7, members={0})], ObservationTable.from_observations([a]), RefineConfig())
         assert len(out) == 1 and out[0].cluster_id == 7
 
     def test_degenerate_cluster_passes_through(self):
         # Same line, no XY intersection anywhere.
         a = mkobs(0, 0, [0, 0, 0], [20, 0, 0])
         b = mkobs(1, 1, [10, 0, 0], [20, 0, 0])
-        obs = {0: a, 1: b}
+        obs = ObservationTable.from_observations([a, b])
         out = split_overmatched([Cluster(cluster_id=0, members={0, 1})], obs, RefineConfig())
         assert len(out) == 1
         assert out[0].members == {0, 1}
@@ -128,9 +128,10 @@ class TestSplitOvermatched:
         # refitted center 0.59 m off another ray, which must go too.
         targets = [[12.04, 5.91, 2.88], [12.09, 6.2, 3.63], [11.4, 7.47, 3.79],
                    [11.97, 5.64, 3.29], [12.75, 6.59, 3.39]]
-        obs = {i: mkobs(i, i, FRAMES[i], t) for i, t in enumerate(targets)}
+        obs = ObservationTable.from_observations(
+            [mkobs(i, i, FRAMES[i], t) for i, t in enumerate(targets)])
         cfg = RefineConfig()
-        out = split_overmatched([Cluster(cluster_id=0, members=set(obs))], obs, cfg)
+        out = split_overmatched([Cluster(cluster_id=0, members=set(range(5)))], obs, cfg)
         assert sum(c.size == 1 for c in out) >= 2
         for c in out:
             if c.center is not None:
@@ -140,17 +141,18 @@ class TestSplitOvermatched:
         cfg = RefineConfig()
         for seed in (2, 6, 9):
             observations, truth = generate_scene(default_scene_spec(seed=seed, n_objects=20))
-            obs = {o.obs_id: o for o in observations}
+            obs = ObservationTable.from_observations(observations)
             clusters, _, _ = corrupt_links(observations, truth, 0.15, np.random.default_rng(seed))
             for c in split_overmatched(clusters, obs, cfg):
                 if c.size >= 2 and c.center is not None:
-                    assert all(r <= cfg.split_threshold(obs[m].category) for m, r in c.residuals.items())
+                    for m, r in c.residuals.items():
+                        assert r <= cfg.split_threshold(obs.category[obs.rows([m])[0]])
 
     def test_category_threshold_respected(self):
         t_off = T1 + np.array([2.0, 0.7, 0.0])
         members = [mkobs(i, i, FRAMES[i], T1) for i in range(4)]
         members.append(mkobs(4, 4, FRAMES[4], t_off))
-        obs = {o.obs_id: o for o in members}
+        obs = ObservationTable.from_observations(members)
         # Loose per-category threshold keeps the outlier in place.
         cfg = RefineConfig(tau_split_per_category={"street_light": 5.0})
         out = split_overmatched([Cluster(cluster_id=0, members={0, 1, 2, 3, 4})], obs, cfg)
@@ -174,7 +176,7 @@ class TestEstimatePhysicalSize:
     def test_array_form_matches_each_ray(self):
         observations = [mkobs(i, i, FRAMES[i], T1 + [0.0, i, 0.0]) for i in range(4)]
         centers = np.array([T1, T1 + 1.0, [0.0, 0.0, 2.5], [-5.0, 3.0, 1.0]])
-        rays = _Rays(*(np.array([getattr(o, f) for o in observations]) for f in _Rays._fields))
+        rays = ObservationTable.from_observations(observations)
         sizes = estimate_physical_size(rays, centers)
         for o, c, s in zip(observations, centers, sizes):
             assert s == pytest.approx(estimate_physical_size(o, c), abs=1e-15)
@@ -184,7 +186,7 @@ class TestMergeUndermatched:
     def test_singleton_absorbed_into_nearby_cluster(self):
         members = [mkobs(i, i, FRAMES[i], T1) for i in range(3)]
         stray = mkobs(3, 3, FRAMES[3], T1)  # ray passes exactly through T1
-        obs = {o.obs_id: o for o in members + [stray]}
+        obs = ObservationTable.from_observations(members + [stray])
         clusters = split_overmatched(
             [Cluster(cluster_id=0, members={0, 1, 2})], obs, RefineConfig()
         ) + [Cluster(cluster_id=1, members={3})]
@@ -205,7 +207,7 @@ class TestMergeUndermatched:
         b = mkobs(1, 1, [20, 5, 0], crossing, category="bollard")
         a.box_h_norm = 0.5 / np.linalg.norm(crossing - a.exposure)
         b.box_h_norm = 2.0 / np.linalg.norm(crossing - b.exposure)
-        obs = {0: a, 1: b}
+        obs = ObservationTable.from_observations([a, b])
         clusters = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})]
         out = merge_undermatched(clusters, obs, RefineConfig(tau_scale=1.5))
         assert sorted(tuple(sorted(c.members)) for c in out) == [(0,), (1,)]
@@ -214,7 +216,7 @@ class TestMergeUndermatched:
         crossing = np.array([10.0, 0.0, 0.0])
         a = mkobs(0, 0, [0, 0, 0], crossing, category="bollard", height=0.9)
         b = mkobs(1, 1, [20, 5, 0], crossing, category="bollard", height=0.9)
-        obs = {0: a, 1: b}
+        obs = ObservationTable.from_observations([a, b])
         clusters = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})]
         out = merge_undermatched(clusters, obs, RefineConfig(tau_scale=1.5))
         assert sorted(tuple(sorted(c.members)) for c in out) == [(0, 1)]
@@ -225,7 +227,7 @@ class TestMergeUndermatched:
         # each ray; tau_merge is 0.5.
         a = mkobs(0, 0, [0, 0, 0], [10, 0, 0], category="bollard", height=0.9)
         b = mkobs(1, 1, [20, 5, gap], [10, 0, gap], category="bollard", height=0.9)
-        obs = {0: a, 1: b}
+        obs = ObservationTable.from_observations([a, b])
         clusters = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})]
         out = merge_undermatched(clusters, obs, RefineConfig())
         assert (len(out) == 1) == merges
@@ -234,7 +236,7 @@ class TestMergeUndermatched:
         crossing = np.array([10.0, 0.0, 0.0])
         a = mkobs(0, 5, [0, 0, 0], crossing, category="bollard", height=0.9)
         b = mkobs(1, 5, [20, 5, 0], crossing, category="bollard", height=0.9)
-        obs = {0: a, 1: b}
+        obs = ObservationTable.from_observations([a, b])
         clusters = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})]
         out = merge_undermatched(clusters, obs, RefineConfig())
         assert len(out) == 2
@@ -243,7 +245,7 @@ class TestMergeUndermatched:
         crossing = np.array([10.0, 0.0, 0.0])
         a = mkobs(0, 0, [0, 0, 0], crossing, category="bollard", height=0.9)
         b = mkobs(1, 1, [20, 5, 0], crossing, category="trash_bin", height=0.9)
-        obs = {0: a, 1: b}
+        obs = ObservationTable.from_observations([a, b])
         clusters = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})]
         out = merge_undermatched(clusters, obs, RefineConfig())
         assert len(out) == 2
@@ -251,7 +253,7 @@ class TestMergeUndermatched:
     def test_absorb_requires_category_agreement(self):
         members = [mkobs(i, i, FRAMES[i], T1, category="street_light") for i in range(3)]
         stray = mkobs(3, 3, FRAMES[3], T1, category="traffic_sign")
-        obs = {o.obs_id: o for o in members + [stray]}
+        obs = ObservationTable.from_observations(members + [stray])
         clusters = split_overmatched(
             [Cluster(cluster_id=0, members={0, 1, 2})], obs, RefineConfig()
         ) + [Cluster(cluster_id=1, members={3})]
@@ -261,7 +263,7 @@ class TestMergeUndermatched:
     def test_parallel_rays_never_pair(self):
         a = mkobs(0, 0, [0, 0, 0], [10, 0, 0], category="bollard")
         b = mkobs(1, 1, [0, 0.1, 0], [10, 0.1, 0], category="bollard")
-        obs = {0: a, 1: b}
+        obs = ObservationTable.from_observations([a, b])
         clusters = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})]
         for merge in (merge_undermatched, oracle_merge_undermatched):
             out = merge(clusters, obs, RefineConfig())
@@ -273,7 +275,7 @@ class TestMergeUndermatched:
         for seed in range(8):
             spec = default_scene_spec(seed=seed, n_objects=20, drop_prob=0.2)
             observations, truth = generate_scene(spec)
-            obs = {o.obs_id: o for o in observations}
+            obs = ObservationTable.from_observations(observations)
             rng = np.random.default_rng(100 + seed)
             # Shatter a third of the corrupted clusters so singletons of
             # one object are left to pair up.
@@ -300,7 +302,7 @@ class TestMergeUndermatched:
 
     def test_requires_partition(self):
         a = mkobs(0, 0, [0, 0, 0], [10, 0, 0])
-        obs = {0: a}
+        obs = ObservationTable.from_observations([a])
         overlapping = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={0})]
         with pytest.raises(ValueError, match="disjoint"):
             merge_undermatched(overlapping, obs, RefineConfig())
@@ -318,7 +320,7 @@ class TestRefine:
 
     def test_fixed_point_on_consistent_input(self):
         members = [mkobs(i, i, FRAMES[i], T1) for i in range(4)]
-        obs = {o.obs_id: o for o in members}
+        obs = ObservationTable.from_observations(members)
         clusters = [Cluster(cluster_id=0, members={0, 1, 2, 3})]
         once = refine(clusters, obs, RefineConfig())
         assert [sorted(c.members) for c in once] == [[0, 1, 2, 3]]
@@ -329,7 +331,7 @@ class TestRefine:
     def test_partition_preserved(self):
         spec = default_scene_spec(seed=3, n_objects=15)
         observations, truth = generate_scene(spec)
-        obs = {o.obs_id: o for o in observations}
+        obs = ObservationTable.from_observations(observations)
         rng = np.random.default_rng(42)
         clusters, _, _ = corrupt_links(observations, truth, 0.10, rng)
         out = refine(clusters, obs, RefineConfig())
@@ -339,7 +341,7 @@ class TestRefine:
     def test_multi_member_residuals_bounded(self):
         spec = default_scene_spec(seed=5, n_objects=15)
         observations, truth = generate_scene(spec)
-        obs = {o.obs_id: o for o in observations}
+        obs = ObservationTable.from_observations(observations)
         rng = np.random.default_rng(43)
         clusters, _, _ = corrupt_links(observations, truth, 0.10, rng)
         cfg = RefineConfig()
@@ -347,7 +349,7 @@ class TestRefine:
         for c in out:
             if c.size >= 2 and c.residuals is not None:
                 for m, r in c.residuals.items():
-                    assert r <= cfg.split_threshold(obs[m].category) + 1e-12
+                    assert r <= cfg.split_threshold(obs.category[obs.rows([m])[0]]) + 1e-12
 
     def test_corrupted_links_v_measure_improves(self):
         from streetinv.metrics import clustering_metrics
@@ -355,7 +357,7 @@ class TestRefine:
 
         spec = default_scene_spec(seed=11, n_objects=20)
         observations, truth = generate_scene(spec)
-        obs = {o.obs_id: o for o in observations}
+        obs = ObservationTable.from_observations(observations)
         rng = np.random.default_rng(44)
         corrupted, n_ghost, _ = corrupt_links(observations, truth, 0.10, rng)
         assert n_ghost > 0

@@ -6,17 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streetinv import (
-    DegenerateClusterError,
-    Ray,
-    energy,
-    estimate_center,
-    point_ray_distance,
-    ray_ray_distance,
-)
+from streetinv import DegenerateClusterError, estimate_center, ray_ray_distance
 from streetinv.geometry import rotation_from_euler
 
-from conftest import grid_argmin, make_ray
+from conftest import Ray, bundle, energy, grid_argmin, make_ray, point_ray_distance
 
 X_RAY = Ray(np.zeros(3), np.array([1.0, 0.0, 0.0]))
 
@@ -63,31 +56,31 @@ class TestPointRayDistance:
 
 class TestRayRayDistance:
     def test_identical_rays(self):
-        assert ray_ray_distance(X_RAY, X_RAY) == pytest.approx(0.0)
+        assert ray_ray_distance(*X_RAY, *X_RAY) == pytest.approx(0.0)
 
     def test_crossing_rays(self):
         a = make_ray([0, 0, 0], [5, 5, 0])
         b = make_ray([10, 0, 0], [5, 5, 0])
-        assert ray_ray_distance(a, b) == pytest.approx(0.0, abs=1e-12)
+        assert ray_ray_distance(*a, *b) == pytest.approx(0.0, abs=1e-12)
 
     def test_skew_rays_known_gap(self):
         a = Ray(np.zeros(3), np.array([1.0, 0.0, 0.0]))
         b = Ray(np.array([0.0, 0.0, 2.0]), np.array([0.0, 1.0, 0.0]))
-        assert ray_ray_distance(a, b) == pytest.approx(2.0)
+        assert ray_ray_distance(*a, *b) == pytest.approx(2.0)
 
     def test_behind_origin_does_not_count(self):
         # Lines cross at (-5, 0) but both rays point away from it; the
         # closest admissible points are the two origins, sqrt(50) apart.
         a = Ray(np.zeros(3), np.array([1.0, 0.0, 0.0]))
         b = Ray(np.array([-5.0, 5.0, 0.0]), np.array([0.0, 1.0, 0.0]))
-        assert ray_ray_distance(a, b) == pytest.approx(math.sqrt(50.0))
+        assert ray_ray_distance(*a, *b) == pytest.approx(math.sqrt(50.0))
 
     def test_symmetric(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             a = Ray(rng.normal(size=3) * 5, _random_unit(rng))
             b = Ray(rng.normal(size=3) * 5, _random_unit(rng))
-            assert ray_ray_distance(a, b) == pytest.approx(ray_ray_distance(b, a), abs=1e-12)
+            assert ray_ray_distance(*a, *b) == pytest.approx(ray_ray_distance(*b, *a), abs=1e-12)
 
     def test_lower_bounded_by_sampled_minimum(self):
         rng = np.random.default_rng(2)
@@ -98,7 +91,7 @@ class TestRayRayDistance:
             pa = a.origin[None, :] + t[:, None] * a.direction[None, :]
             pb = b.origin[None, :] + t[:, None] * b.direction[None, :]
             sampled = np.min(np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2))
-            assert ray_ray_distance(a, b) <= sampled + 1e-9
+            assert ray_ray_distance(*a, *b) <= sampled + 1e-9
 
 
 class TestEnergy:
@@ -120,7 +113,7 @@ class TestEnergy:
         rng = np.random.default_rng(3)
         rays, center = random_rays(rng, 3, center=np.array([2.0, -1.0, 4.0]), noise=math.radians(0.2))
         oracle_point = grid_argmin(rays, center)
-        estimate = estimate_center(rays)
+        estimate = estimate_center(*bundle(rays))
         assert energy(estimate.center, rays) == pytest.approx(
             energy(oracle_point, rays), abs=1e-6
         )
@@ -130,19 +123,19 @@ class TestEstimateCenter:
     def test_two_exactly_intersecting_rays(self):
         target = np.array([5.0, 0.0, 2.0])
         rays = [make_ray([0, 0, 0], target), make_ray([10, 4, 1], target)]
-        estimate = estimate_center(rays)
+        estimate = estimate_center(*bundle(rays))
         np.testing.assert_allclose(estimate.center, target, atol=1e-9)
         assert estimate.residuals == pytest.approx([0.0, 0.0], abs=1e-9)
 
     def test_three_rays_common_point(self):
         target = np.array([-3.0, 7.0, 1.5])
         rays = [make_ray([0, 0, 0], target), make_ray([10, 0, 0], target), make_ray([0, 12, 3], target)]
-        np.testing.assert_allclose(estimate_center(rays).center, target, atol=1e-9)
+        np.testing.assert_allclose(estimate_center(*bundle(rays)).center, target, atol=1e-9)
 
     def test_noisy_cluster_matches_grid_oracle(self):
         rng = np.random.default_rng(7)
         rays, center = random_rays(rng, 6, center=np.array([0.0, 0.0, 2.0]), noise=math.radians(0.2))
-        estimate = estimate_center(rays)
+        estimate = estimate_center(*bundle(rays))
         oracle_point = grid_argmin(rays, center)
         assert np.linalg.norm(estimate.center - oracle_point) < 1e-3
 
@@ -150,20 +143,20 @@ class TestEstimateCenter:
         d = np.array([1.0, 0.0, 0.0])
         rays = [Ray(np.array([float(k), 0.0, 0.0]), d) for k in range(3)]
         with pytest.raises(DegenerateClusterError):
-            estimate_center(rays)
+            estimate_center(*bundle(rays))
 
     def test_all_parallel_is_degenerate(self):
         d = np.array([1.0, 0.0, 0.0])
         rays = [Ray(np.array([0.0, k, 0.0]), d) for k in range(3)]
         with pytest.raises(DegenerateClusterError):
-            estimate_center(rays)
+            estimate_center(*bundle(rays))
 
     def test_parallel_in_xy_only_is_localized(self):
         # Both rays lie in the plane y = 0, so their XY projections are
         # parallel, but in 3D they cross at the target.
         target = np.array([10.0, 0.0, 5.0])
         rays = [make_ray([0, 0, 0], target), make_ray([20, 0, 0], target)]
-        estimate = estimate_center(rays)
+        estimate = estimate_center(*bundle(rays))
         np.testing.assert_allclose(estimate.center, target, atol=1e-9)
         assert estimate.residuals == pytest.approx([0.0, 0.0], abs=1e-9)
 
@@ -171,17 +164,17 @@ class TestEstimateCenter:
         d = np.array([0.6, 0.0, 0.8])
         rays = [Ray(np.zeros(3), d), Ray(np.array([0.0, 2.0, 1.0]), d)]
         with pytest.raises(DegenerateClusterError):
-            estimate_center(rays)
+            estimate_center(*bundle(rays))
 
     def test_single_ray_rejected(self):
         with pytest.raises(DegenerateClusterError):
-            estimate_center([X_RAY])
+            estimate_center(*bundle([X_RAY]))
 
     def test_no_nearby_point_has_lower_energy(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
             rays, _ = random_rays(rng, int(rng.integers(2, 8)), noise=0.02)
-            estimate = estimate_center(rays)
+            estimate = estimate_center(*bundle(rays))
             best = energy(estimate.center, rays)
             for scale in (1e-4, 1e-2, 1.0):
                 for step in rng.normal(0.0, scale, (10, 3)):
@@ -191,13 +184,13 @@ class TestEstimateCenter:
         rng = np.random.default_rng(9)
         for _ in range(50):
             rays, center = random_rays(rng, int(rng.integers(2, 6)), noise=0.0)
-            estimate = estimate_center(rays)
+            estimate = estimate_center(*bundle(rays))
             assert np.linalg.norm(estimate.center - center) < 1e-6
 
     def test_residuals_are_point_ray_distances(self):
         rng = np.random.default_rng(10)
         rays, _ = random_rays(rng, 5, noise=0.01)
-        estimate = estimate_center(rays)
+        estimate = estimate_center(*bundle(rays))
         expected = [point_ray_distance(estimate.center, r) for r in rays]
         assert estimate.residuals == pytest.approx(expected, abs=1e-12)
 
@@ -213,8 +206,8 @@ class TestEquivariance:
         rays, _ = random_rays(rng, 4, noise=0.01)
         t = np.array([tx, ty, tz])
         moved = [Ray(r.origin + t, r.direction) for r in rays]
-        a = estimate_center(rays).center
-        b = estimate_center(moved).center
+        a = estimate_center(*bundle(rays)).center
+        b = estimate_center(*bundle(moved)).center
         np.testing.assert_allclose(b, a + t, atol=1e-6)
 
     @settings(max_examples=30, deadline=None)
@@ -224,30 +217,6 @@ class TestEquivariance:
         rays, _ = random_rays(rng, 4, noise=0.01)
         rz = rotation_from_euler(alpha, 0.0, 0.0)
         rotated = [Ray(rz @ r.origin, rz @ r.direction) for r in rays]
-        a = estimate_center(rays).center
-        b = estimate_center(rotated).center
+        a = estimate_center(*bundle(rays)).center
+        b = estimate_center(*bundle(rotated)).center
         np.testing.assert_allclose(b, rz @ a, atol=1e-6)
-
-
-class TestRayValidation:
-    def test_non_unit_direction_rejected(self):
-        with pytest.raises(ValueError, match="unit"):
-            Ray(np.zeros(3), np.array([2.0, 0.0, 0.0]))
-
-    @pytest.mark.parametrize(
-        "origin, direction",
-        [
-            ([0.0, 0.0, 0.0], [math.nan, 0.0, 0.0]),
-            ([0.0, 0.0, 0.0], [1.0, math.nan, 0.0]),
-            ([0.0, 0.0, 0.0], [0.0, 0.0, -math.inf]),
-            ([math.nan, 0.0, 0.0], [1.0, 0.0, 0.0]),
-            ([0.0, math.inf, 0.0], [1.0, 0.0, 0.0]),
-        ],
-    )
-    def test_non_finite_rejected(self, origin, direction):
-        with pytest.raises(ValueError):
-            Ray(np.array(origin), np.array(direction))
-
-    def test_through_requires_distinct_points(self):
-        with pytest.raises(ValueError):
-            Ray.through([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
