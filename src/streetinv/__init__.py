@@ -6,20 +6,24 @@ lifted to world-space rays, associated across views, triangulated by
 point-to-ray least squares, and cleaned up by a split/merge refinement
 driven by geometric consistency.
 
-Files and the simulator deal in `Observation` records, one per ray.
-Localization and refinement read the rays as rows of one
-`ObservationTable`, built once per run from those records; a cluster
-names its rays by observation id.
+Files and the simulator deal in `Observation` records, one per ray. Every
+later stage reads the rays as rows of an `ObservationTable` built from
+those records; a cluster names its rays by observation id. Association
+sorts its table by frame, so each frame is one run of rows, and takes
+from one function, `window_pairs`, the row-slice pairs of frames fewer
+than `window` ranks apart. Its scores, geometric or from a file, are an
+upper-triangular sparse matrix over those rows, and assignment reads one
+dense block of it per frame pair.
 """
 
 from .association import (
     Cluster,
-    MatchMatrix,
     PairMatch,
     assign_pairs,
     build_score_matrix,
-    geometric_score,
+    ray_gaps,
     transitive_cluster,
+    window_pairs,
 )
 from .geometry import (
     CameraPose,
@@ -58,7 +62,6 @@ from .triangulation import (
     CenterEstimate,
     DegenerateClusterError,
     estimate_center,
-    ray_ray_distance,
 )
 
 __version__ = "0.1.0"

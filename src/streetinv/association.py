@@ -1,86 +1,47 @@
 """Cross-view association of observations within a sliding frame window.
 
+Association reads the observations as rows of one `ObservationTable`
+sorted by (frame_id, obs_id), so each frame is one run of rows. The
+window is decided in one place, `window_pairs`: it lists the row-slice
+pairs of frames fewer than `window` ranks apart, counting only frames
+that have observations. Scoring and assignment both read that list.
+
 Matchability scores, from the built-in geometric scorer or an external
-file, are held in a sparse matrix with an entry only for the pairs the
-scorer produced: the geometric scorer scores same-category pairs of frames
-inside the window and nothing else. Each frame pair in the window reads
-its block of scores and solves an optimal one-to-one assignment; matches
-below the confidence threshold are discarded, and the surviving pairs are
-chained into initial clusters by connected components.
+file, are an upper-triangular sparse matrix over the sorted rows: each
+scored pair sits at (earlier row, later row). The geometric scorer scores
+same-category pairs of window frames only, exp(-gap / sigma_g) for the
+gap between the two rays, in array passes. Each frame pair in the window
+reads its dense block of scores and solves an optimal one-to-one
+assignment; matches below the confidence threshold are discarded, and the
+surviving pairs are chained into initial clusters by connected components.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import coo_array, csr_array, sparray
+from scipy.sparse import coo_array, csr_array
 from scipy.sparse.csgraph import connected_components
 
-from .geometry import Observation
-from .triangulation import ray_ray_distance
+from .geometry import ObservationTable
 
 __all__ = [
-    "MatchMatrix",
     "PairMatch",
     "Cluster",
-    "geometric_score",
+    "window_pairs",
+    "ray_gaps",
     "build_score_matrix",
     "assign_pairs",
     "transitive_cluster",
 ]
 
-DEFAULT_TAU = 0.5
-DEFAULT_SIGMA_G = 0.5  # meters; decay scale of the geometric score
+# Frame pairs scored per array pass: bounds the scorer's peak memory.
+SCORE_BATCH = 128
 
-
-@dataclass(eq=False)
-class MatchMatrix:
-    """Sparse symmetric matchability scores over an ordered set of obs ids.
-
-    Holds only the pairs a scorer produced; every other pair scores 0.
-    Dense input is accepted and stored sparse.
-    """
-
-    obs_ids: list[int]
-    scores: sparray
-
-    def __post_init__(self):
-        self.scores = csr_array(self.scores, dtype=float)
-        n = len(self.obs_ids)
-        if self.scores.shape != (n, n):
-            raise ValueError(f"scores must be {n}x{n}, got {self.scores.shape}")
-        if np.any(self.scores.data < 0.0) or np.any(self.scores.data > 1.0):
-            raise ValueError("scores must lie in [0, 1]")
-        if np.any(self.scores.diagonal() != 0.0):
-            raise ValueError("diagonal entries must be zero")
-        if n and abs(self.scores - self.scores.T).max() > 1e-9:
-            raise ValueError("scores must be symmetric")
-        self._index = {obs_id: i for i, obs_id in enumerate(self.obs_ids)}
-        if len(self._index) != n:
-            raise ValueError("obs_ids contains duplicates")
-
-    @classmethod
-    def from_pairs(cls, obs_ids: list[int], rows, cols, values) -> "MatchMatrix":
-        """Scores of the unordered pairs (obs_ids[rows[k]], obs_ids[cols[k]]),
-        each pair listed once."""
-        n = len(obs_ids)
-        one_way = coo_array((values, (rows, cols)), shape=(n, n))
-        return cls(obs_ids=obs_ids, scores=one_way + one_way.T)
-
-    def score(self, obs_a: int, obs_b: int) -> float:
-        return float(self.scores[self._index[obs_a], self._index[obs_b]])
-
-    def block(self, rows: list[int], cols: list[int]) -> np.ndarray:
-        """Dense scores between two lists of obs ids (rows x cols)."""
-        try:
-            r = [self._index[obs_id] for obs_id in rows]
-            c = [self._index[obs_id] for obs_id in cols]
-        except KeyError as exc:
-            raise ValueError(f"obs id {exc.args[0]} missing from the score matrix") from None
-        return self.scores[np.ix_(r, c)].toarray()
+# Rays with 1 - (d_a . d_b)^2 below this are treated as parallel.
+PARALLEL_SIN2 = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,68 +80,115 @@ class Cluster:
         return len(self.members)
 
 
-def geometric_score(a: Observation, b: Observation, sigma_g: float = DEFAULT_SIGMA_G) -> float:
-    """Baseline matchability from ray proximity: exp(-gap / sigma_g).
+def window_pairs(frame_id: np.ndarray, window: int) -> list[tuple[slice, slice]]:
+    """Row-slice pairs of the frames fewer than `window` ranks apart.
 
-    Returns 0 for observations of different categories or from the same
-    frame. The gap is the minimum 3D distance between the two rays.
+    `frame_id` gives each row's frame and must be sorted, so that each
+    frame is one run of rows. Ranks count only the frames present. Pairs
+    come earlier frame first, in order of its rank, then the later one's.
+
+    Raises:
+        ValueError: if `frame_id` is not sorted.
     """
-    if a.category != b.category or a.frame_id == b.frame_id:
-        return 0.0
-    gap = ray_ray_distance(a.exposure, a.direction, b.exposure, b.direction)
-    return float(min(1.0, max(0.0, np.exp(-gap / sigma_g))))
+    steps = np.diff(frame_id)
+    if np.any(steps < 0):
+        raise ValueError("rows must be sorted by frame")
+    edges = [0, *(np.flatnonzero(steps) + 1).tolist(), len(frame_id)]
+    runs = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    return [
+        (runs[r], runs[q])
+        for r in range(len(runs))
+        for q in range(r + 1, min(r + window, len(runs)))
+    ]
 
 
-def build_score_matrix(
-    observations: list[Observation],
-    sigma_g: float = DEFAULT_SIGMA_G,
-    max_frame_gap: int | None = None,
-) -> MatchMatrix:
-    """Sparse geometric scores between observations of nearby frames.
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
 
-    Only same-category pairs from different frames are scored. When
-    `max_frame_gap` is given, only frames at most that many ranks apart in
-    the sorted frame ordering are paired; the assignment stage never
-    consults the others.
+
+def _clamped_gap(origin, d_fix, other, d_other) -> np.ndarray:
+    """Gap with `origin` as one end: the point of ray `other` nearest
+    `origin`, then the point of ray `origin` nearest that, both clamped to
+    their rays."""
+    t = np.maximum(0.0, np.einsum("ij,ij->i", origin - other, d_other))
+    p = other + t[:, None] * d_other
+    s = np.maximum(0.0, np.einsum("ij,ij->i", p - origin, d_fix))
+    return _norm(origin + s[:, None] * d_fix - p)
+
+
+def ray_gaps(origin_a, dir_a, origin_b, dir_b) -> np.ndarray:
+    """Minimum distance between ray pairs (half-lines, parameters >= 0).
+
+    Row k of the n x 3 arrays is one pair: rays from origin_a[k] along
+    unit dir_a[k] and from origin_b[k] along unit dir_b[k]. The closest
+    approach of the two infinite lines is kept when it lies in front of
+    both origins. Otherwise, or when the rays are parallel, the gap is
+    clamped: a parameter at zero, so points behind a camera never count.
     """
-    by_frame: dict[int, list[int]] = {}
-    for i, o in enumerate(observations):
-        by_frame.setdefault(o.frame_id, []).append(i)
-    frames = sorted(by_frame)
-    gap = len(frames) if max_frame_gap is None else max_frame_gap
-    rows, cols, values = [], [], []
-    for rank, frame in enumerate(frames):
-        for other in frames[rank + 1 : rank + 1 + gap]:
-            for i, j in itertools.product(by_frame[frame], by_frame[other]):
-                # In observation order: the score is symmetric only to rounding.
-                a, b = observations[min(i, j)], observations[max(i, j)]
-                if a.category == b.category:
-                    rows.append(i)
-                    cols.append(j)
-                    values.append(geometric_score(a, b, sigma_g))
-    return MatchMatrix.from_pairs([o.obs_id for o in observations], rows, cols, values)
+    w0 = origin_a - origin_b
+    b = np.einsum("ij,ij->i", dir_a, dir_b)
+    e = np.einsum("ij,ij->i", dir_a, w0)
+    f = np.einsum("ij,ij->i", dir_b, w0)
+    denom = 1.0 - b * b  # |d_a| = |d_b| = 1
+    parallel = denom < PARALLEL_SIN2
+    denom = np.where(parallel, 1.0, denom)
+    t1 = (b * f - e) / denom
+    t2 = (f - b * e) / denom
+    interior = _norm((origin_a + t1[:, None] * dir_a) - (origin_b + t2[:, None] * dir_b))
+    # The parallel gap projects origin_b's ray point nearest origin_a's ray:
+    # the second of the two clamped cases.
+    from_b = _clamped_gap(origin_b, dir_b, origin_a, dir_a)
+    clamped = np.minimum(_clamped_gap(origin_a, dir_a, origin_b, dir_b), from_b)
+    return np.where(parallel, from_b, np.where((t1 < 0.0) | (t2 < 0.0), clamped, interior))
+
+
+def _pair_rows(pairs: list[tuple[slice, slice]]) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices (i, j) of every row pair of every slice pair, in order."""
+    a0, a1, b0, b1 = np.array([(a.start, a.stop, b.start, b.stop) for a, b in pairs]).T
+    nb = b1 - b0
+    count = (a1 - a0) * nb
+    which = np.repeat(np.arange(len(pairs)), count)
+    k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    return a0[which] + k // nb[which], b0[which] + k % nb[which]
+
+
+def build_score_matrix(table: ObservationTable, sigma_g: float, window: int) -> csr_array:
+    """Geometric scores of the same-category row pairs in the frame window.
+
+    `table` is sorted by frame (see `window_pairs`). A pair's score is
+    exp(-gap / sigma_g) for the gap between its rays. The result is an
+    upper-triangular n x n matrix over the rows of `table`; pairs of other
+    categories or outside the window have no entry.
+    """
+    n = len(table.obs_id)
+    _, category = np.unique(table.category, return_inverse=True)
+    pairs = window_pairs(table.frame_id, window)
+    scored = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
+    for start in range(0, len(pairs), SCORE_BATCH):
+        i, j = _pair_rows(pairs[start : start + SCORE_BATCH])
+        same = category[i] == category[j]
+        i, j = i[same], j[same]
+        gap = ray_gaps(table.exposure[i], table.direction[i], table.exposure[j], table.direction[j])
+        scored.append((i, j, np.clip(np.exp(-gap / sigma_g), 0.0, 1.0)))
+    rows, cols, values = (np.concatenate(part) for part in zip(*scored))
+    return csr_array((values, (rows, cols)), shape=(n, n))
 
 
 def assign_pairs(
-    m: MatchMatrix,
-    left: list[int],
-    right: list[int],
-    tau: float = DEFAULT_TAU,
+    block: np.ndarray, left_ids: list[int], right_ids: list[int], tau: float
 ) -> list[PairMatch]:
     """Optimal one-to-one matches between the observations of two frames.
 
-    Solves the maximum-weight bipartite assignment between the obs ids in
-    `left` and `right` and keeps assignments whose score is at least `tau`.
+    `block[r, c]` scores observation `left_ids[r]` against `right_ids[c]`.
+    Solves the maximum-weight bipartite assignment and keeps assignments
+    whose score is at least `tau`.
     """
-    if not left or not right:
-        return []
-    block = m.block(left, right)
     rows, cols = linear_sum_assignment(block, maximize=True)
     matches: list[PairMatch] = []
     for r, c in zip(rows, cols):
         score = float(block[r, c])
         if score >= tau:
-            a, b = left[r], right[c]
+            a, b = left_ids[r], right_ids[c]
             matches.append(PairMatch(obs_a=min(a, b), obs_b=max(a, b), score=score))
     return matches
 

@@ -177,7 +177,7 @@ def read_detections(path: str) -> list[Detection2D]:
                     box_h=float(record["h"]),
                     image_w=float(record["img_w"]),
                     image_h=float(record["img_h"]),
-                    category=str(record["category"]),
+                    category=_category(record),
                     confidence=float(record.get("confidence", 1.0)),
                 )
             )
@@ -209,9 +209,15 @@ def ingest(poses_file: str, detections_file: str, coord_mode: str = "local") -> 
     ]
 
 
-def read_score_triplets(path: str) -> list[tuple[int, int, float]]:
-    """Read external matcher scores as (obs_a, obs_b, score) triplets."""
+def read_score_triplets(path: str, obs_ids: Collection[int]) -> list[tuple[int, int, float]]:
+    """Read external matcher scores of the observations `obs_ids`.
+
+    Returns (obs_a, obs_b, score) triplets. Both ids must be in `obs_ids`
+    and differ, the score must lie in [0, 1], and no unordered pair may be
+    scored twice, in either order.
+    """
     triplets = []
+    lines: dict[tuple[int, int], int] = {}
     for line_no, record in _read_jsonl(path):
         _require(record, ("obs_a", "obs_b", "score"), path, line_no)
         try:
@@ -222,6 +228,10 @@ def read_score_triplets(path: str) -> list[tuple[int, int, float]]:
             raise DataError(f"{path}:{line_no}: score {s} outside [0, 1]")
         if a == b:
             raise DataError(f"{path}:{line_no}: self-pair ({a}, {b})")
+        for obs_id in (a, b):
+            if obs_id not in obs_ids:
+                raise DataError(f"{path}:{line_no}: unknown observation {obs_id}")
+        _claim(lines, (min(a, b), max(a, b)), "pair {} is already scored", path, line_no)
         triplets.append((a, b, s))
     return triplets
 
@@ -270,7 +280,7 @@ def observation_from_record(record: dict) -> Observation:
     return Observation(
         obs_id=_id(record, "obs_id"),
         frame_id=_id(record, "frame_id"),
-        category=str(record["category"]),
+        category=_category(record),
         exposure=np.array([record["px"], record["py"], record["pz"]], dtype=float),
         direction=direction / norm,
         box_w_norm=float(record["w_norm"]),
@@ -351,7 +361,7 @@ def read_clusters(path: str, obs_ids: Collection[int]) -> list[Cluster]:
     return clusters
 
 
-def _claim(lines: dict[int, int], key: int, claim: str, path: str, line_no: int) -> None:
+def _claim(lines: dict, key, claim: str, path: str, line_no: int) -> None:
     """Record that `key` is claimed on `line_no`.
 
     A key claimed before is a DataError naming both lines; `claim` is its
@@ -383,6 +393,15 @@ def _id(record: dict, key: str) -> int:
     value = record[key]
     if not _is_int(value):
         raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _category(record: dict) -> str:
+    """`record["category"]`, which must be a JSON string: null or 7 is a
+    TypeError, never the category "None" or "7"."""
+    value = record["category"]
+    if not isinstance(value, str):
+        raise TypeError(f"category must be a string, got {value!r}")
     return value
 
 
@@ -452,7 +471,7 @@ def read_truth(path: str):
             raise DataError(f"{path}: object ids must be 0..n-1")
         objects = [
             SceneObject(
-                category=str(r["category"]),
+                category=_category(r),
                 center=np.asarray(r["center"], dtype=float),
                 height=float(r["height"]),
             )

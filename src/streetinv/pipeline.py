@@ -1,9 +1,10 @@
 """End-to-end pipeline: association, triangulation, refinement, reporting.
 
 The run configuration collects every tunable in one place so a run is
-reproducible from a config file plus input files alone. Association works
-on a sliding window of adjacent frames; refinement is skippable to get the
-plain transitive-chaining baseline.
+reproducible from a config file plus input files alone. Association reads
+the observations as table rows sorted by frame and matches within a
+sliding window of frames; refinement is skippable to get the plain
+transitive-chaining baseline.
 """
 
 from __future__ import annotations
@@ -12,16 +13,19 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+from scipy.sparse import csr_array
+
+from . import io as sio
 from .association import (
     Cluster,
-    MatchMatrix,
     PairMatch,
     assign_pairs,
     build_score_matrix,
     transitive_cluster,
+    window_pairs,
 )
 from .geometry import Observation, ObservationTable
-from .io import DataError
 from .metrics import EvaluationReport, build_report
 from .refinement import RefineConfig, refine
 from .simulator import GroundTruth
@@ -76,47 +80,31 @@ class PipelineResult:
     report: EvaluationReport | None = None
 
 
-def _score_matrix_from_file(path: str, observations: list[Observation]) -> MatchMatrix:
-    from .io import read_score_triplets
-
-    index = {o.obs_id: i for i, o in enumerate(observations)}
-    rows, cols, values = [], [], []
-    seen: set[tuple[int, int]] = set()
-    for a, b, s in read_score_triplets(path):
-        if a not in index or b not in index:
-            raise DataError(f"{path}: score references unknown observation ({a}, {b})")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise DataError(f"{path}: duplicate score for pair {key}")
-        seen.add(key)
-        rows.append(index[a])
-        cols.append(index[b])
-        values.append(s)
-    return MatchMatrix.from_pairs([o.obs_id for o in observations], rows, cols, values)
-
-
-def _window_frame_pairs(frames: list[int], window: int) -> list[tuple[int, int]]:
-    """Unordered frame pairs covered by a size-`window` sliding window."""
-    pairs = []
-    for i in range(len(frames)):
-        for j in range(i + 1, min(i + window, len(frames))):
-            pairs.append((frames[i], frames[j]))
-    return pairs
+def _score_matrix_from_file(path: str, table: ObservationTable) -> csr_array:
+    """Scores from a triplet file, each pair at (earlier row, later row) of `table`."""
+    triplets = sio.read_score_triplets(path, set(table.obs_id.tolist()))
+    ids = np.array([(a, b) for a, b, _ in triplets], dtype=np.int64).reshape(-1, 2)
+    rows = np.sort(table.rows(ids.ravel()).reshape(-1, 2), axis=1)
+    n = len(table.obs_id)
+    return csr_array(([s for _, _, s in triplets], (rows[:, 0], rows[:, 1])), shape=(n, n))
 
 
 def associate(observations: list[Observation], cfg: RunConfig) -> tuple[list[PairMatch], list[Cluster]]:
-    """Score, assign per frame pair within the window, and chain clusters."""
+    """Score, assign per frame pair within the window, and chain clusters.
+
+    Works on the observations as table rows sorted by (frame_id, obs_id).
+    """
+    table = ObservationTable.from_observations(observations)
+    table = table.take(np.lexsort((table.obs_id, table.frame_id)))
     if cfg.scorer.startswith("file:"):
-        matrix = _score_matrix_from_file(cfg.scorer[len("file:"):], observations)
+        scores = _score_matrix_from_file(cfg.scorer[len("file:"):], table)
     else:
-        matrix = build_score_matrix(observations, cfg.sigma_g, max_frame_gap=cfg.window - 1)
-    by_frame: dict[int, list[int]] = {}
-    for o in sorted(observations, key=lambda o: o.obs_id):
-        by_frame.setdefault(o.frame_id, []).append(o.obs_id)
+        scores = build_score_matrix(table, cfg.sigma_g, cfg.window)
+    ids = table.obs_id.tolist()
     matches: list[PairMatch] = []
-    for fa, fb in _window_frame_pairs(sorted(by_frame), cfg.window):
-        matches.extend(assign_pairs(matrix, by_frame[fa], by_frame[fb], cfg.tau))
-    clusters = transitive_cluster(matches, [o.obs_id for o in observations])
+    for a, b in window_pairs(table.frame_id, cfg.window):
+        matches.extend(assign_pairs(scores[a, b].toarray(), ids[a], ids[b], cfg.tau))
+    clusters = transitive_cluster(matches, ids)
     return matches, clusters
 
 

@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "DegenerateClusterError",
     "CenterEstimate",
-    "ray_ray_distance",
     "estimate_center",
 ]
 
@@ -42,45 +41,6 @@ class CenterEstimate:
 
     center: np.ndarray
     residuals: list[float]
-
-
-def ray_ray_distance(origin_a, dir_a, origin_b, dir_b) -> float:
-    """Minimum distance between two rays (half-lines, parameters >= 0).
-
-    Each ray is a 3-vector origin and a unit 3-vector direction. Solves the
-    closest-approach problem for the two infinite lines and clamps negative
-    ray parameters to the origins, so points behind either camera never
-    count as an approach.
-    """
-    w0 = origin_a - origin_b
-    d1, d2 = dir_a, dir_b
-    b_dot = float(np.dot(d1, d2))
-    denom = 1.0 - b_dot * b_dot  # |d1|=|d2|=1
-    e = float(np.dot(d1, w0))
-    f = float(np.dot(d2, w0))
-    if denom < 1e-12:
-        # Parallel rays: project one origin on the other ray.
-        t1 = max(0.0, -e)
-        p1 = origin_a + t1 * d1
-        t2 = max(0.0, float(np.dot(p1 - origin_b, d2)))
-        return float(np.linalg.norm(p1 - (origin_b + t2 * d2)))
-    t1 = (b_dot * f - e) / denom
-    t2 = (f - b_dot * e) / denom
-    if t1 < 0.0 or t2 < 0.0:
-        # Closest approach of a clamped pair lies with at least one
-        # parameter at zero; evaluate both boundary cases.
-        best = np.inf
-        for origin, d_fix, other, d_other in (
-            (origin_a, d1, origin_b, d2), (origin_b, d2, origin_a, d1)
-        ):
-            t = max(0.0, float(np.dot(origin - other, d_other)))
-            p = other + t * d_other
-            s = max(0.0, float(np.dot(p - origin, d_fix)))
-            best = min(best, float(np.linalg.norm(origin + s * d_fix - p)))
-        return best
-    p1 = origin_a + t1 * d1
-    p2 = origin_b + t2 * d2
-    return float(np.linalg.norm(p1 - p2))
 
 
 def estimate_center(origins: np.ndarray, dirs: np.ndarray) -> CenterEstimate:

@@ -233,7 +233,7 @@ class TestReaders:
         path.write_text('{"obs_a": 0, "obs_b": 1, "score": 0.5}\n'
                         f'{{"obs_a": 0, "obs_b": 2, "score": {token}}}\n')
         with pytest.raises(sio.DataError, match=rf"scores.jsonl:2: non-finite number {token}"):
-            sio.read_score_triplets(str(path))
+            sio.read_score_triplets(str(path), {0, 1, 2})
 
     def test_truth_with_nan_rejected(self, scene_dir, tmp_path):
         with open(os.path.join(scene_dir, "truth.json"), encoding="utf-8") as handle:
@@ -374,6 +374,16 @@ class TestUniqueKeys:
         assert main(args) == EXIT_DATA
         assert f"{observations}:2: obs_id 1 is already used on line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("second", [(0, 1), (1, 0)])
+    def test_second_score_of_a_pair_is_a_data_error(self, scene_dir, tmp_path, capsys, second):
+        scores = str(tmp_path / "scores.jsonl")
+        _write_lines(scores, [{"obs_a": 0, "obs_b": 1, "score": 0.5},
+                              {"obs_a": second[0], "obs_b": second[1], "score": 0.7}])
+        out = str(tmp_path / "run")
+        assert main(_run_args(scene_dir, out) + ["--scorer", "file:" + scores]) == EXIT_DATA
+        assert f"{scores}:2: pair (0, 1) is already scored on line 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_second_cluster_with_an_id_is_a_data_error(self, scene_dir, tmp_path, capsys):
         clusters = str(tmp_path / "clusters.jsonl")
         _write_lines(clusters, [{"cluster_id": 5, "members": [0, 1]},
@@ -382,4 +392,47 @@ class TestUniqueKeys:
         assert main(["refine", "--observations", os.path.join(scene_dir, "observations.jsonl"),
                      "--clusters", clusters, "--out", out]) == EXIT_DATA
         assert f"{clusters}:2: cluster_id 5 is already used on line 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+class TestReferences:
+    """A record may name only what the other input files define."""
+
+    def test_score_of_an_unknown_observation_is_a_data_error(self, scene_dir, tmp_path, capsys):
+        scores = str(tmp_path / "scores.jsonl")
+        _write_lines(scores, [{"obs_a": 0, "obs_b": 1, "score": 0.5},
+                              {"obs_a": 0, "obs_b": 10**6, "score": 0.5}])
+        out = str(tmp_path / "run")
+        assert main(_run_args(scene_dir, out) + ["--scorer", "file:" + scores]) == EXIT_DATA
+        assert f"{scores}:2: unknown observation 1000000" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+class TestCategories:
+    """A category is a JSON string: null or 7 is refused, never read as "None" or "7"."""
+
+    @pytest.mark.parametrize("value", [None, 7])
+    @pytest.mark.parametrize("kind", ["detections", "observations", "truth"])
+    def test_non_string_category_is_a_data_error(self, scene_dir, tmp_path, capsys, kind, value):
+        out = str(tmp_path / "out")
+        if kind == "truth":
+            with open(os.path.join(scene_dir, "truth.json"), encoding="utf-8") as handle:
+                truth = json.load(handle)
+            truth["objects"][0]["category"] = value
+            path = str(tmp_path / "truth.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(truth, handle)
+            args = _run_args(scene_dir, out)
+            args[args.index("--truth") + 1] = path
+            where = f"{path}: "
+        else:
+            path = _copy_records(scene_dir, tmp_path, f"{kind}.jsonl",
+                                 _set_first("category", lambda v: value))
+            if kind == "detections":
+                args = _run_args(scene_dir, out, detections=path)
+            else:
+                args = ["associate", "--observations", path, "--out", out]
+            where = f"{path}:1: "
+        assert main(args) == EXIT_DATA
+        assert f"{where}category must be a string, got {value!r}" in capsys.readouterr().err
         assert not os.path.exists(out)

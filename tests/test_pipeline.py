@@ -1,6 +1,7 @@
 """Pipeline: the observation table, localization, inventory records, whole runs."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from streetinv import (
     Cluster,
     Observation,
     ObservationTable,
+    PairMatch,
     RunConfig,
     default_scene_spec,
     estimate_center,
     generate_scene,
     run_pipeline,
 )
-from streetinv.pipeline import inventory_records, localize_clusters
+from streetinv.pipeline import associate, inventory_records, localize_clusters
 from streetinv.simulator import GroundTruth
 
 
@@ -77,6 +79,39 @@ class TestObservationTable:
         assert table.rows([]).tolist() == []
         with pytest.raises(KeyError):
             table.rows([0])
+
+
+def _members(clusters):
+    return sorted(sorted(c.members) for c in clusters)
+
+
+class TestAssociate:
+    def test_shuffled_input_gives_the_same_matches_and_clusters(self, scene):
+        observations, _ = scene
+        shuffled = list(observations)
+        random.Random(0).shuffle(shuffled)
+        matches, clusters = associate(observations, RunConfig())
+        shuffled_matches, shuffled_clusters = associate(shuffled, RunConfig())
+        assert matches and any(c.size > 1 for c in clusters)
+        assert shuffled_matches == matches
+        assert [(c.cluster_id, c.members) for c in shuffled_clusters] == [
+            (c.cluster_id, c.members) for c in clusters]
+
+    @pytest.mark.parametrize("frames", [[], [3, 3, 3]])
+    def test_empty_or_single_frame_matches_nothing(self, frames):
+        observations = [mkobs(i, f, [0, 0, 0], [10, i, 0]) for i, f in enumerate(frames)]
+        matches, clusters = associate(observations, RunConfig())
+        assert matches == [] and _members(clusters) == [[i] for i in range(len(frames))]
+
+    def test_file_scores_outside_the_window_are_ignored(self, tmp_path):
+        observations = [mkobs(i, f, [10.0 * i, 0, 0], [5, 5, 0]) for i, f in enumerate([0, 4, 9])]
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"obs_a": 2, "obs_b": 0, "score": 0.9}\n'
+                        '{"obs_a": 1, "obs_b": 2, "score": 0.8}\n')
+        cfg = RunConfig(window=2, scorer=f"file:{path}")
+        assert associate(observations, cfg)[0] == [PairMatch(1, 2, 0.8)]
+        cfg.window = 3
+        assert associate(observations, cfg)[0] == [PairMatch(0, 2, 0.9), PairMatch(1, 2, 0.8)]
 
 
 class TestLocalizeClusters:

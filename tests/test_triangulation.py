@@ -1,4 +1,4 @@
-"""Triangulation: distances, the energy and the closed-form center."""
+"""Ray geometry: the gap between rays, the energy and the closed-form center."""
 
 import math
 
@@ -6,10 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streetinv import DegenerateClusterError, estimate_center, ray_ray_distance
+from streetinv import DegenerateClusterError, estimate_center, ray_gaps
 from streetinv.geometry import rotation_from_euler
 
-from conftest import Ray, bundle, energy, grid_argmin, make_ray, point_ray_distance
+from conftest import (
+    Ray,
+    bundle,
+    energy,
+    grid_argmin,
+    make_ray,
+    point_ray_distance,
+    ray_ray_distance,
+)
 
 X_RAY = Ray(np.zeros(3), np.array([1.0, 0.0, 0.0]))
 
@@ -32,9 +40,12 @@ def random_rays(rng, n, center=None, noise=0.0):
     return rays, center
 
 
-def _random_unit(rng):
-    v = rng.normal(size=3)
+def _unit(v):
     return v / np.linalg.norm(v)
+
+
+def _random_unit(rng):
+    return _unit(rng.normal(size=3))
 
 
 class TestPointRayDistance:
@@ -54,33 +65,38 @@ class TestPointRayDistance:
             assert point_ray_distance(rng.normal(size=3) * 10, r) >= 0.0
 
 
+def gap(a: Ray, b: Ray) -> float:
+    """`ray_gaps` of the single pair (a, b)."""
+    return float(ray_gaps(a.origin[None], a.direction[None], b.origin[None], b.direction[None])[0])
+
+
 class TestRayRayDistance:
     def test_identical_rays(self):
-        assert ray_ray_distance(*X_RAY, *X_RAY) == pytest.approx(0.0)
+        assert gap(X_RAY, X_RAY) == pytest.approx(0.0)
 
     def test_crossing_rays(self):
         a = make_ray([0, 0, 0], [5, 5, 0])
         b = make_ray([10, 0, 0], [5, 5, 0])
-        assert ray_ray_distance(*a, *b) == pytest.approx(0.0, abs=1e-12)
+        assert gap(a, b) == pytest.approx(0.0, abs=1e-12)
 
     def test_skew_rays_known_gap(self):
         a = Ray(np.zeros(3), np.array([1.0, 0.0, 0.0]))
         b = Ray(np.array([0.0, 0.0, 2.0]), np.array([0.0, 1.0, 0.0]))
-        assert ray_ray_distance(*a, *b) == pytest.approx(2.0)
+        assert gap(a, b) == pytest.approx(2.0)
 
     def test_behind_origin_does_not_count(self):
         # Lines cross at (-5, 0) but both rays point away from it; the
         # closest admissible points are the two origins, sqrt(50) apart.
         a = Ray(np.zeros(3), np.array([1.0, 0.0, 0.0]))
         b = Ray(np.array([-5.0, 5.0, 0.0]), np.array([0.0, 1.0, 0.0]))
-        assert ray_ray_distance(*a, *b) == pytest.approx(math.sqrt(50.0))
+        assert gap(a, b) == pytest.approx(math.sqrt(50.0))
 
     def test_symmetric(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             a = Ray(rng.normal(size=3) * 5, _random_unit(rng))
             b = Ray(rng.normal(size=3) * 5, _random_unit(rng))
-            assert ray_ray_distance(*a, *b) == pytest.approx(ray_ray_distance(*b, *a), abs=1e-12)
+            assert gap(a, b) == pytest.approx(gap(b, a), abs=1e-12)
 
     def test_lower_bounded_by_sampled_minimum(self):
         rng = np.random.default_rng(2)
@@ -91,7 +107,30 @@ class TestRayRayDistance:
             pa = a.origin[None, :] + t[:, None] * a.direction[None, :]
             pb = b.origin[None, :] + t[:, None] * b.direction[None, :]
             sampled = np.min(np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2))
-            assert ray_ray_distance(*a, *b) <= sampled + 1e-9
+            assert gap(a, b) <= sampled + 1e-9
+
+    def test_batch_matches_scalar_oracle(self):
+        rng = np.random.default_rng(3)
+        pairs = [(Ray(rng.normal(size=3) * 5, _random_unit(rng)),
+                  Ray(rng.normal(size=3) * 5, _random_unit(rng))) for _ in range(300)]
+        for _ in range(20):
+            o, d = rng.normal(size=3) * 5, _random_unit(rng)
+            offset = rng.normal(size=3)
+            tilted = _unit(d + 1e-7 * _random_unit(rng))
+            away = _unit(-d + 0.3 * _random_unit(rng))
+            pairs += [
+                (Ray(o, d), Ray(o + offset, d)),  # parallel
+                (Ray(o, d), Ray(o + offset, -d)),  # antiparallel
+                (Ray(o, d), Ray(o, d)),  # coincident
+                (Ray(o, d), Ray(o + offset, tilted)),  # near-parallel
+                (Ray(o, d), Ray(o - 20 * d + offset, away)),  # behind both cameras
+            ]
+        origin_a, dir_a, origin_b, dir_b = (
+            np.array([getattr(pair[k], f) for pair in pairs])
+            for k in (0, 1) for f in ("origin", "direction"))
+        expected = [ray_ray_distance(*a, *b) for a, b in pairs]
+        np.testing.assert_allclose(ray_gaps(origin_a, dir_a, origin_b, dir_b), expected,
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestEnergy:
