@@ -13,7 +13,8 @@ sorts its table by frame, so each frame is one run of rows, and takes
 from one function, `window_pairs`, the row-slice pairs of frames fewer
 than `window` ranks apart. Its scores, geometric or from a file, are an
 upper-triangular sparse matrix over those rows, and assignment reads one
-dense block of it per frame pair.
+dense block of it per frame pair. Localization and each round of
+refinement's splitting fit every cluster's center in one batched solve.
 """
 
 from .association import (
@@ -60,8 +61,10 @@ from .simulator import (
 )
 from .triangulation import (
     CenterEstimate,
+    CenterEstimates,
     DegenerateClusterError,
     estimate_center,
+    estimate_centers,
 )
 
 __version__ = "0.1.0"

@@ -94,6 +94,10 @@ def _reject_constant(name: str):
     raise DataError(f"non-finite number {name}")
 
 
+# One decoder for every line: json.loads with a hook builds a new one per call.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _read_jsonl(path: str) -> Iterable[tuple[int, dict]]:
     try:
         handle = open(path, "r", encoding="utf-8")
@@ -105,7 +109,7 @@ def _read_jsonl(path: str) -> Iterable[tuple[int, dict]]:
             if not line:
                 continue
             try:
-                record = json.loads(line, parse_constant=_reject_constant)
+                record = _DECODER.decode(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from exc
             except DataError as exc:
@@ -342,7 +346,8 @@ def read_clusters(path: str, obs_ids: Collection[int]) -> list[Cluster]:
 
     Cluster ids must be unique integers. Members must be a non-empty list
     of integers from `obs_ids`, and no observation may be a member of two
-    clusters.
+    clusters. A center is null or 3 finite numbers; residuals are null
+    with it and otherwise one finite number per member, in member order.
     """
     clusters = []
     owner: dict[int, int] = {}
@@ -353,6 +358,7 @@ def read_clusters(path: str, obs_ids: Collection[int]) -> list[Cluster]:
         unknown = [m for m in record["members"] if m not in obs_ids]
         if unknown:
             raise DataError(f"{path}:{line_no}: unknown observation {unknown[0]}")
+        _check_fit(record, path, line_no)
         try:
             clusters.append(cluster_from_record(record))
         except (KeyError, TypeError, ValueError) as exc:
@@ -409,6 +415,28 @@ def _is_number(value) -> bool:
     return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
 
 
+def _check_center(center, path: str, line_no: int) -> None:
+    if center is not None and not (
+        isinstance(center, list) and len(center) == 3 and all(map(_is_number, center))
+    ):
+        raise DataError(f"{path}:{line_no}: center must be null or 3 finite numbers")
+
+
+def _check_fit(record: dict, path: str, line_no: int) -> None:
+    """A cluster's center is null or 3 finite numbers; its residuals are
+    null with it and otherwise one finite number per member."""
+    center, residuals = record.get("center"), record.get("residuals")
+    _check_center(center, path, line_no)
+    if center is None and residuals is not None:
+        raise DataError(f"{path}:{line_no}: residuals must be null when center is null")
+    if center is not None and not (
+        isinstance(residuals, list)
+        and len(residuals) == len(record["members"])
+        and all(map(_is_number, residuals))
+    ):
+        raise DataError(f"{path}:{line_no}: residuals must be one finite number per member")
+
+
 def read_inventory(path: str) -> list[dict]:
     """Read inventory records written by the run/evaluate pipeline.
 
@@ -423,11 +451,7 @@ def read_inventory(path: str) -> list[dict]:
         _require(record, fields, path, line_no)
         if not isinstance(record["category"], str):
             raise DataError(f"{path}:{line_no}: category must be a string")
-        center = record["center"]
-        if center is not None and not (
-            isinstance(center, list) and len(center) == 3 and all(map(_is_number, center))
-        ):
-            raise DataError(f"{path}:{line_no}: center must be null or 3 finite numbers")
+        _check_center(record["center"], path, line_no)
         _claim_members(owner, record["members"], path, line_no)
         records.append(record)
     return records

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -29,7 +30,9 @@ from .geometry import Observation, ObservationTable
 from .metrics import EvaluationReport, build_report
 from .refinement import RefineConfig, refine
 from .simulator import GroundTruth
-from .triangulation import DegenerateClusterError, estimate_center
+# estimate_center is not called here; it stays importable from this module
+# because bench/run.py wraps `pipeline.estimate_center` by name.
+from .triangulation import estimate_center, estimate_centers  # noqa: F401
 
 __all__ = ["RunConfig", "PipelineResult", "run_pipeline", "localize_clusters", "inventory_records"]
 
@@ -89,6 +92,33 @@ def _score_matrix_from_file(path: str, table: ObservationTable) -> csr_array:
     return csr_array(([s for _, _, s in triplets], (rows[:, 0], rows[:, 1])), shape=(n, n))
 
 
+def _window_blocks(scores: csr_array, pairs: list[tuple[slice, slice]]) -> Iterator[np.ndarray]:
+    """The dense block of `scores` of each row-slice pair of `window_pairs`, in order.
+
+    Groups the matrix entries by frame pair once, then scatters each group
+    into a block of zeros. Entries of no pair, such as file scores beyond
+    the window, are left out.
+    """
+    # The pairs' slices are the frames' runs of rows; an entry's run is
+    # the last run starting at or before its row.
+    starts = np.array(sorted({s.start for pair in pairs for s in pair}), dtype=np.intp)
+
+    def run(rows):
+        return np.searchsorted(starts, rows, side="right") - 1
+
+    entries = scores.tocoo()
+    key = run(entries.row) * len(starts) + run(entries.col)
+    order = np.argsort(key)
+    pair_starts = np.array([(a.start, b.start) for a, b in pairs], dtype=np.intp).reshape(-1, 2)
+    pair_key = run(pair_starts[:, 0]) * len(starts) + run(pair_starts[:, 1])
+    first, last = (np.searchsorted(key[order], pair_key, side=side) for side in ("left", "right"))
+    for (a, b), lo, hi in zip(pairs, first, last):
+        k = order[lo:hi]
+        block = np.zeros((a.stop - a.start, b.stop - b.start))
+        block[entries.row[k] - a.start, entries.col[k] - b.start] = entries.data[k]
+        yield block
+
+
 def associate(observations: list[Observation], cfg: RunConfig) -> tuple[list[PairMatch], list[Cluster]]:
     """Score, assign per frame pair within the window, and chain clusters.
 
@@ -101,31 +131,32 @@ def associate(observations: list[Observation], cfg: RunConfig) -> tuple[list[Pai
     else:
         scores = build_score_matrix(table, cfg.sigma_g, cfg.window)
     ids = table.obs_id.tolist()
+    pairs = window_pairs(table.frame_id, cfg.window)
     matches: list[PairMatch] = []
-    for a, b in window_pairs(table.frame_id, cfg.window):
-        matches.extend(assign_pairs(scores[a, b].toarray(), ids[a], ids[b], cfg.tau))
+    for (a, b), block in zip(pairs, _window_blocks(scores, pairs)):
+        matches.extend(assign_pairs(block, ids[a], ids[b], cfg.tau))
     clusters = transitive_cluster(matches, ids)
     return matches, clusters
 
 
 def localize_clusters(clusters: list[Cluster], table: ObservationTable) -> list[Cluster]:
-    """Estimate a center for every cluster with at least two rays.
+    """Estimate a center for every cluster with at least two rays, in one batched solve.
 
     Degenerate bundles and singletons pass through unlocalized.
     """
+    ordered = sorted(clusters, key=lambda c: c.cluster_id)
+    member_lists = [sorted(c.members) for c in ordered]
+    rows = table.rows([m for ms in member_lists for m in ms])
+    group = np.repeat(np.arange(len(ordered)), [len(ms) for ms in member_lists])
+    fit = estimate_centers(table.exposure[rows], table.direction[rows], group, len(ordered))
+    residuals = iter(fit.residuals.tolist())
     result = []
-    for cluster in sorted(clusters, key=lambda c: c.cluster_id):
-        members = sorted(cluster.members)
-        center = residuals = None
-        if len(members) >= 2:
-            rows = table.rows(members)
-            try:
-                estimate = estimate_center(table.exposure[rows], table.direction[rows])
-            except DegenerateClusterError:
-                pass
-            else:
-                center, residuals = estimate.center, dict(zip(members, estimate.residuals))
-        result.append(Cluster(cluster.cluster_id, set(members), center, residuals))
+    for k, (cluster, members) in enumerate(zip(ordered, member_lists)):
+        spread = dict(zip(members, itertools.islice(residuals, len(members))))
+        if fit.degenerate[k]:
+            result.append(Cluster(cluster.cluster_id, set(members)))
+        else:
+            result.append(Cluster(cluster.cluster_id, set(members), fit.centers[k], spread))
     return result
 
 

@@ -10,13 +10,16 @@ distinct objects grouped together, biasing the center) and under-matching
          (guarded by a physical-size consistency check),
   Step 3 is step 1 again.
 
-Step 2 pairs rays in closed form: the least-squares point of two lines is
-the midpoint of their common perpendicular (Hartley & Zisserman).
+Steps 1 and 3 work in rounds over all clusters at once, on arrays of
+table rows: each round fits the center of every cluster still open in one
+batched closed-form solve (`triangulation.estimate_centers`) and frees
+every member past its threshold. Step 2 pairs rays in closed form: the
+least-squares point of two lines is the midpoint of their common
+perpendicular (Hartley & Zisserman).
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, field
 
@@ -24,7 +27,9 @@ import numpy as np
 
 from .association import Cluster
 from .geometry import Observation, ObservationTable
-from .triangulation import PARALLEL_EIGEN_RATIO, DegenerateClusterError, estimate_center
+# estimate_center is not called here; it stays importable from this module
+# because bench/run.py wraps `refinement.estimate_center` by name.
+from .triangulation import PARALLEL_EIGEN_RATIO, estimate_center, estimate_centers  # noqa: F401
 
 __all__ = ["RefineConfig", "split_overmatched", "estimate_physical_size", "merge_undermatched", "refine"]
 
@@ -67,50 +72,71 @@ def _check_partition(clusters: list[Cluster]) -> None:
         seen |= c.members
 
 
-def _fit_and_prune(
-    cluster: Cluster, table: ObservationTable, cfg: RefineConfig
-) -> tuple[Cluster | None, list[int]]:
-    """Fit the center, free every member past its split threshold, refit until none is.
-
-    Returns the pruned cluster (None if every member was freed) and the
-    freed members in the order they were freed. A cluster left with one
-    member, or whose rays are all parallel, keeps its members unlocalized.
-    """
-    members = sorted(cluster.members)
-    freed: list[int] = []
-    while len(members) >= 2:
-        rows = table.rows(members)
-        try:
-            estimate = estimate_center(table.exposure[rows], table.direction[rows])
-        except DegenerateClusterError:
-            break
-        residuals = dict(zip(members, estimate.residuals))
-        over = [r > cfg.split_threshold(c) for r, c in zip(estimate.residuals, table.category[rows])]
-        if not any(over):
-            return Cluster(cluster.cluster_id, set(members), estimate.center, residuals), freed
-        freed += [m for m, out in zip(members, over) if out]
-        members = [m for m, out in zip(members, over) if not out]
-    return (Cluster(cluster.cluster_id, set(members)) if members else None), freed
-
-
 def split_overmatched(
     clusters: list[Cluster], table: ObservationTable, cfg: RefineConfig
 ) -> list[Cluster]:
-    """Prune geometric outliers from every cluster with `_fit_and_prune`.
+    """Free every cluster's members past the split threshold, refitting until none is.
 
-    Freed members become singleton clusters with fresh ids, so every
-    localized multi-member cluster out of it has max residual <= tau_split.
-    A cluster whose rays are all parallel keeps its members, unlocalized.
+    Works in rounds over all open clusters at once. Each round fits every
+    open cluster's center in one `estimate_centers` call and frees each
+    member past its split threshold. A cluster closes, localized, once no
+    member is past it; it closes unlocalized when fewer than 2 members are
+    left or its rays are all parallel. So every localized multi-member
+    cluster out of it has max residual <= tau_split. Freed members become
+    singleton clusters with fresh ids, in order of cluster id, then round,
+    then member id.
     """
-    fresh_ids = itertools.count(max((c.cluster_id for c in clusters), default=-1) + 1)
+    ordered = sorted(clusters, key=lambda c: c.cluster_id)
+    members = [sorted(c.members) for c in ordered]
+    sizes = np.array([len(m) for m in members], dtype=np.intp)
+    obs = np.array(list(itertools.chain.from_iterable(members)), dtype=np.int64)
+    group = np.repeat(np.arange(len(ordered)), sizes)
+    rows = table.rows(obs)
+    categories, category = np.unique(table.category[rows], return_inverse=True)
+    threshold = np.array([cfg.split_threshold(c) for c in categories], dtype=float)[category]
+
+    freed_in = np.full(len(obs), -1)  # the round a row was freed in
+    residuals = np.full(len(obs), np.nan)
+    centers = np.full((len(ordered), 3), np.nan)
+    located = np.zeros(len(ordered), dtype=bool)
+    is_open = sizes >= 2
+    round_no = 0
+    while is_open.any():
+        live = np.flatnonzero(is_open[group] & (freed_in < 0))
+        fitted = np.flatnonzero(is_open)
+        slot = np.cumsum(is_open) - 1
+        g = slot[group[live]]
+        fit = estimate_centers(table.exposure[rows[live]], table.direction[rows[live]], g, len(fitted))
+        over = ~fit.degenerate[g] & (fit.residuals > threshold[live])
+        pruned = np.bincount(g[over], minlength=len(fitted)) > 0
+        settled = ~fit.degenerate & ~pruned
+        located[fitted[settled]] = True
+        centers[fitted[settled]] = fit.centers[settled]
+        residuals[live[settled[g]]] = fit.residuals[settled[g]]
+        freed_in[live[over]] = round_no
+        left = np.bincount(group[freed_in < 0], minlength=len(ordered))
+        is_open[fitted] = pruned & (left[fitted] >= 2)
+        round_no += 1
+
+    kept = freed_in < 0
+    counts = np.bincount(group[kept], minlength=len(ordered))
+    kept_obs, kept_residuals = iter(obs[kept].tolist()), iter(residuals[kept].tolist())
     result: list[Cluster] = []
-    freed: list[Cluster] = []
-    for cluster in sorted(clusters, key=lambda c: c.cluster_id):
-        kept, loose = _fit_and_prune(cluster, table, cfg)
-        if kept is not None:
-            result.append(kept)
-        freed += [Cluster(cluster_id=next(fresh_ids), members={m}) for m in loose]
-    return result + freed
+    for k, cluster in enumerate(ordered):
+        ids = list(itertools.islice(kept_obs, counts[k]))
+        spread = list(itertools.islice(kept_residuals, counts[k]))
+        if not ids:
+            continue
+        if located[k]:
+            result.append(Cluster(cluster.cluster_id, set(ids), centers[k], dict(zip(ids, spread))))
+        else:
+            result.append(Cluster(cluster.cluster_id, set(ids)))
+    freed = np.flatnonzero(~kept)
+    freed = freed[np.lexsort((freed_in[freed], group[freed]))]
+    next_id = max((c.cluster_id for c in ordered), default=-1) + 1
+    return result + [
+        Cluster(cluster_id=next_id + k, members={m}) for k, m in enumerate(obs[freed].tolist())
+    ]
 
 
 def estimate_physical_size(o: Observation | ObservationTable, c_tri):
@@ -169,21 +195,29 @@ def merge_undermatched(
     one, the smallest id on ties; centers stay as they were on entry. The
     rest are paired, most consistent pair first, when their two-ray center
     is within the threshold of both rays and the implied physical sizes
-    (box height times projection depth) agree within tau_scale.
+    (box height times projection depth) agree within tau_scale. A cluster
+    that absorbs is returned as a new one; every other multi-member
+    cluster is returned as given.
     """
     _check_partition(clusters)
     ordered = sorted(clusters, key=lambda c: c.cluster_id)
-    multis = [copy.deepcopy(c) for c in ordered if c.size >= 2]
-    targets: dict[str, list[Cluster]] = {}
-    for m in multis:
-        categories = set(table.category[table.rows(list(m.members))])
-        if m.center is not None and len(categories) == 1:
-            targets.setdefault(categories.pop(), []).append(m)
+    multis = [c for c in ordered if c.size >= 2]
+    # A target has a center and members of one category.
+    sizes = np.array([c.size for c in multis], dtype=np.intp)
+    group = np.repeat(np.arange(len(multis)), sizes)
+    member_categories = table.category[table.rows([m for c in multis for m in c.members])]
+    first = member_categories[np.cumsum(sizes) - sizes]
+    mixed = np.bincount(group[member_categories != first[group]], minlength=len(multis)) > 0
+    targets: dict[str, list[int]] = {}
+    for k, c in enumerate(multis):
+        if c.center is not None and not mixed[k]:
+            targets.setdefault(first[k], []).append(k)
     singles = [c for c in ordered if c.size == 1]
     single_rays = table.take(table.rows([next(iter(s.members)) for s in singles]))
     single_ids = np.array([s.cluster_id for s in singles], dtype=np.int64)
 
     # Each category is absorbed and paired on arrays of its own.
+    absorbed: dict[int, dict[int, float]] = {}
     left: set[int] = set()
     taken: list[tuple[float, int, int]] = []
     for category in dict.fromkeys(single_rays.category):
@@ -193,14 +227,12 @@ def merge_undermatched(
         free = np.ones(len(ids), dtype=bool)
         if category in targets:
             near = targets[category]
-            v = np.stack([t.center for t in near])[None, :, :] - rays.exposure[:, None, :]
+            v = np.stack([multis[t].center for t in near])[None, :, :] - rays.exposure[:, None, :]
             dist = np.linalg.norm(np.cross(v, rays.direction[:, None, :]), axis=2)
             nearest = dist.argmin(axis=1)
             d = dist[np.arange(len(ids)), nearest]
             for k in np.flatnonzero(d < threshold):
-                member = int(rays.obs_id[k])
-                near[nearest[k]].members.add(member)
-                near[nearest[k]].residuals[member] = float(d[k])
+                absorbed.setdefault(near[nearest[k]], {})[int(rays.obs_id[k])] = float(d[k])
             free = d >= threshold
         left.update(ids[free].tolist())
         taken += _pair(rays.take(free), ids[free], threshold, cfg.tau_scale)
@@ -212,7 +244,12 @@ def merge_undermatched(
         for k, (_, id_a, id_b) in enumerate(sorted(taken))
     ]
     left -= {x for _, id_a, id_b in taken for x in (id_a, id_b)}
-    return multis + [c for c in ordered if c.cluster_id in left] + merged
+    grown = [
+        Cluster(c.cluster_id, c.members | set(absorbed[k]), c.center, {**c.residuals, **absorbed[k]})
+        if k in absorbed else c
+        for k, c in enumerate(multis)
+    ]
+    return grown + [c for c in ordered if c.cluster_id in left] + merged
 
 
 def refine(clusters: list[Cluster], table: ObservationTable, cfg: RefineConfig) -> list[Cluster]:

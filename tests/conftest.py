@@ -259,6 +259,41 @@ def oracle_merge_undermatched(clusters, table, cfg) -> list[Cluster]:
     return multis + [c for c in remaining if c.cluster_id not in merged_away] + new_clusters
 
 
+def oracle_split_overmatched(clusters, table, cfg) -> list[Cluster]:
+    """Outlier pruning one cluster at a time.
+
+    The scalar reference `refinement.split_overmatched` is checked
+    against: each cluster, in id order, is fitted by `estimate_center`;
+    every member past its category's split threshold is freed and the
+    rest refitted until none is, fewer than 2 are left, or the rays are
+    all parallel. Freed members become singletons with fresh ids, cluster
+    by cluster, in the order they were freed.
+    """
+    fresh_ids = itertools.count(max((c.cluster_id for c in clusters), default=-1) + 1)
+    result, freed = [], []
+    for cluster in sorted(clusters, key=lambda c: c.cluster_id):
+        members = sorted(cluster.members)
+        kept = None
+        while len(members) >= 2:
+            rows = table.rows(members)
+            try:
+                estimate = estimate_center(table.exposure[rows], table.direction[rows])
+            except DegenerateClusterError:
+                break
+            over = [r > cfg.split_threshold(c) for r, c in zip(estimate.residuals, table.category[rows])]
+            if not any(over):
+                kept = Cluster(cluster.cluster_id, set(members), estimate.center,
+                               dict(zip(members, estimate.residuals)))
+                break
+            freed += [Cluster(next(fresh_ids), {m}) for m, out in zip(members, over) if out]
+            members = [m for m, out in zip(members, over) if not out]
+        if kept is None and members:
+            kept = Cluster(cluster.cluster_id, set(members))
+        if kept is not None:
+            result.append(kept)
+    return result + freed
+
+
 def grid_argmin(rays, center_hint, half_width=1.0, coarse_step=0.02, fine_step=0.001):
     """Coarse-to-fine composition of exhaustive grid searches.
 

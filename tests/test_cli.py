@@ -195,12 +195,12 @@ class TestLocalize:
 
 
 class TestClusterFiles:
-    def _run(self, scene_dir, tmp_path, command, second):
+    def _run(self, scene_dir, tmp_path, command, second, fit=None):
         observations = os.path.join(scene_dir, "observations.jsonl")
         ids = [json.loads(line)["obs_id"] for line in _read_lines(observations)]
         clusters = str(tmp_path / "clusters.jsonl")
         _write_lines(clusters, [{"cluster_id": 0, "members": ids[:2]},
-                                {"cluster_id": 1, "members": second(ids)}])
+                                {"cluster_id": 1, "members": second(ids), **(fit or {})}])
         out = str(tmp_path / "out.jsonl")
         code = main([command, "--observations", observations, "--clusters", clusters, "--out", out])
         return code, clusters, out
@@ -220,6 +220,35 @@ class TestClusterFiles:
     def test_bad_cluster_file_is_a_data_error(self, scene_dir, tmp_path, capsys, command, second,
                                               message):
         code, clusters, out = self._run(scene_dir, tmp_path, command, second)
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{clusters}:2:" in err and message in err
+        assert not os.path.exists(out)
+
+
+    @pytest.mark.parametrize("command", ["localize", "refine"])
+    @pytest.mark.parametrize("fit", [
+        {"center": None, "residuals": None},
+        {"center": [1.0, 2, -3.5], "residuals": [0, 0.25]},
+    ], ids=["unlocalized", "localized"])
+    def test_center_with_one_residual_per_member_accepted(self, scene_dir, tmp_path, command, fit):
+        code, _, out = self._run(scene_dir, tmp_path, command, lambda ids: ids[2:4], fit)
+        assert code == EXIT_OK and os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["localize", "refine"])
+    @pytest.mark.parametrize("fit, message", [
+        ({"center": [1.0, 2.0], "residuals": [0.1, 0.2]}, "center must be null or 3 finite numbers"),
+        ({"center": [1.0, 2.0, "3"], "residuals": [0.1, 0.2]}, "center must be null or 3 finite numbers"),
+        ({"center": [1.0, 2.0, 3.0], "residuals": [0.1, 0.2, "x"]}, "one finite number per member"),
+        ({"center": [1.0, 2.0, 3.0], "residuals": [0.1]}, "one finite number per member"),
+        ({"center": [1.0, 2.0, 3.0], "residuals": ["0.25", 0.2]}, "one finite number per member"),
+        ({"center": [1.0, 2.0, 3.0], "residuals": None}, "one finite number per member"),
+        ({"center": None, "residuals": [0.1, 0.2]}, "residuals must be null when center is null"),
+    ], ids=["short-center", "string-coordinate", "extra-residual", "missing-residual",
+            "string-residual", "null-residuals", "residuals-without-center"])
+    def test_bad_center_or_residuals_is_a_data_error(self, scene_dir, tmp_path, capsys, command,
+                                                     fit, message):
+        code, clusters, out = self._run(scene_dir, tmp_path, command, lambda ids: ids[2:4], fit)
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert f"{clusters}:2:" in err and message in err

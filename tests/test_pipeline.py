@@ -17,7 +17,10 @@ from streetinv import (
     generate_scene,
     run_pipeline,
 )
-from streetinv.pipeline import associate, inventory_records, localize_clusters
+from scipy.sparse import csr_array
+
+from streetinv import window_pairs
+from streetinv.pipeline import _window_blocks, associate, inventory_records, localize_clusters
 from streetinv.simulator import GroundTruth
 
 
@@ -112,6 +115,21 @@ class TestAssociate:
         assert associate(observations, cfg)[0] == [PairMatch(1, 2, 0.8)]
         cfg.window = 3
         assert associate(observations, cfg)[0] == [PairMatch(0, 2, 0.9), PairMatch(1, 2, 0.8)]
+
+
+    @pytest.mark.parametrize("window", [2, 3, 5])
+    def test_window_blocks_are_the_matrix_slices(self, window):
+        # Frames of 0-4 rows, and scores anywhere above the diagonal: in
+        # the window, beyond it, and within one frame.
+        rng = np.random.default_rng(window)
+        frames = np.sort(rng.choice(40, size=60))
+        n = len(frames)
+        scores = csr_array(np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.3), 1))
+        pairs = window_pairs(frames, window)
+        blocks = list(_window_blocks(scores, pairs))
+        assert len(blocks) == len(pairs) > 0
+        for (a, b), block in zip(pairs, blocks):
+            assert np.array_equal(block, scores[a, b].toarray())
 
 
 class TestLocalizeClusters:

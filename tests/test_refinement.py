@@ -15,7 +15,7 @@ from streetinv import (
 )
 from streetinv.simulator import default_scene_spec, generate_scene
 
-from conftest import corrupt_links, oracle_merge_undermatched, true_clusters
+from conftest import corrupt_links, oracle_merge_undermatched, oracle_split_overmatched, true_clusters
 
 
 def mkobs(obs_id, frame_id, origin, target, category="street_light", height=1.2):
@@ -50,6 +50,27 @@ def fig3_scenario():
         Cluster(cluster_id=1, members={3}),
     ]
     return obs, clusters, T1, t2
+
+
+def scattered_bundles(rng, n_objects=30, spread=0.4):
+    """Clusters of 2-8 rays, each aimed at its object's center plus noise of
+    `spread` meters, and one cluster of parallel rays; returns (clusters,
+    table). Pruning them takes several rounds, and some rays are freed only
+    after a refit."""
+    observations, clusters = [], []
+    for k in range(n_objects):
+        target = np.array([10.0 * k, rng.uniform(4, 8), rng.uniform(0.5, 4)])
+        n = int(rng.integers(2, 9))
+        start = len(observations)
+        for f in range(n):
+            origin = [10.0 * (k + f - n / 2), 0.0, 2.5]
+            observations.append(mkobs(start + f, f, origin, target + rng.normal(0.0, spread, 3),
+                                      category=("street_light", "bollard", "trash_bin")[k % 3]))
+        clusters.append(Cluster(cluster_id=k, members=set(range(start, start + n))))
+    start = len(observations)
+    observations += [mkobs(start + f, f, [0.0, f, 0.0], [10.0, f, 0.0]) for f in range(3)]
+    clusters.append(Cluster(cluster_id=n_objects, members=set(range(start, start + 3))))
+    return clusters, ObservationTable.from_observations(observations)
 
 
 class TestRefineConfig:
@@ -157,6 +178,41 @@ class TestSplitOvermatched:
         cfg = RefineConfig(tau_split_per_category={"street_light": 5.0})
         out = split_overmatched([Cluster(cluster_id=0, members={0, 1, 2, 3, 4})], obs, cfg)
         assert len(out) == 1 and out[0].members == {0, 1, 2, 3, 4}
+
+
+    @pytest.mark.parametrize("per_category", [{}, {"street_light": 0.3, "bollard": 0.8}])
+    def test_matches_scalar_oracle(self, per_category):
+        cfg = RefineConfig(tau_split_per_category=per_category)
+        freed = 0
+        for seed in range(8):
+            spec = default_scene_spec(seed=seed, n_objects=20, clutter_rate=0.5)
+            observations, truth = generate_scene(spec)
+            obs = ObservationTable.from_observations(observations)
+            rng = np.random.default_rng(200 + seed)
+            clusters, _, _ = corrupt_links(observations, truth, 0.1, rng)
+            # A ray moved into the cluster before it biases that center, so
+            # its pruning takes more than one round.
+            parts = [set(c.members) for c in clusters]
+            for k in range(len(parts) - 1):
+                if len(parts[k + 1]) >= 2 and rng.random() < 0.5:
+                    stray = min(parts[k + 1])
+                    parts[k + 1].discard(stray)
+                    parts[k].add(stray)
+            strays = [Cluster(cluster_id=k, members=m) for k, m in enumerate(parts)]
+            for given, table in ((clusters, obs), (strays, obs), scattered_bundles(rng)):
+                out = split_overmatched(given, table, cfg)
+                expected = oracle_split_overmatched(given, table, cfg)
+                assert [(c.cluster_id, c.members, c.center is None) for c in out] == [
+                    (c.cluster_id, c.members, c.center is None) for c in expected
+                ]
+                for c, e in zip(out, expected):
+                    if c.center is not None:
+                        np.testing.assert_allclose(c.center, e.center, rtol=0.0, atol=1e-9)
+                        assert c.residuals.keys() == e.residuals.keys()
+                        for m in c.residuals:
+                            assert c.residuals[m] == pytest.approx(e.residuals[m], abs=1e-9)
+                freed += sum(c.size == 1 for c in out) - sum(c.size == 1 for c in given)
+        assert freed > 0
 
 
 class TestEstimatePhysicalSize:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streetinv import DegenerateClusterError, estimate_center, ray_gaps
+from streetinv import DegenerateClusterError, estimate_center, estimate_centers, ray_gaps
 from streetinv.geometry import rotation_from_euler
 
 from conftest import (
@@ -232,6 +232,46 @@ class TestEstimateCenter:
         estimate = estimate_center(*bundle(rays))
         expected = [point_ray_distance(estimate.center, r) for r in rays]
         assert estimate.residuals == pytest.approx(expected, abs=1e-12)
+
+
+class TestEstimateCenters:
+    def test_groups_of_zero_one_and_two_rays(self):
+        target = np.array([5.0, 0.0, 2.0])
+        rays = [X_RAY, make_ray([0, 0, 0], target), make_ray([10, 4, 1], target)]
+        fit = estimate_centers(*bundle(rays), np.array([1, 2, 2]), 3)
+        assert fit.degenerate.tolist() == [True, True, False]
+        assert np.isnan(fit.centers[:2]).all() and np.isnan(fit.residuals[0])
+        np.testing.assert_allclose(fit.centers[2], target, atol=1e-9)
+        np.testing.assert_allclose(fit.residuals[1:], 0.0, atol=1e-9)
+
+    def test_parallel_group_leaves_its_neighbours_alone(self):
+        rng = np.random.default_rng(11)
+        d = _unit(np.array([1.0, 2.0, 0.5]))
+        parallel = [Ray(rng.normal(size=3), d) for _ in range(4)]
+        before, _ = random_rays(rng, 3, noise=0.01)
+        after, _ = random_rays(rng, 5, noise=0.01)
+        fit = estimate_centers(*bundle(before + parallel + after), np.repeat([0, 1, 2], [3, 4, 5]), 3)
+        assert fit.degenerate.tolist() == [False, True, False]
+        with pytest.raises(DegenerateClusterError):
+            estimate_center(*bundle(parallel))
+        for g, rays in ((0, before), (2, after)):
+            alone = estimate_center(*bundle(rays))
+            assert fit.centers[g].tobytes() == alone.center.tobytes()
+
+    def test_each_group_is_bitwise_its_own_estimate_center(self):
+        rng = np.random.default_rng(12)
+        groups = [random_rays(rng, int(rng.integers(2, 9)), noise=0.02)[0] for _ in range(40)]
+        origins, dirs = bundle([r for g in groups for r in g])
+        # Interleave the groups' rows at random, each group's in its own order.
+        group = np.repeat(np.arange(len(groups)), [len(g) for g in groups])[rng.permutation(len(origins))]
+        order = np.argsort(group, kind="stable")
+        mixed_origins, mixed_dirs = np.empty_like(origins), np.empty_like(dirs)
+        mixed_origins[order], mixed_dirs[order] = origins, dirs
+        fit = estimate_centers(mixed_origins, mixed_dirs, group, len(groups))
+        for g, members in enumerate(groups):
+            alone = estimate_center(*bundle(members))
+            assert fit.centers[g].tobytes() == alone.center.tobytes()
+            assert fit.residuals[group == g].tolist() == alone.residuals
 
 
 class TestEquivariance:
