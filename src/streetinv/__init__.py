@@ -44,13 +44,7 @@ from .metrics import (
     pairwise_metrics,
 )
 from .pipeline import PipelineResult, RunConfig, run_pipeline
-from .refinement import (
-    RefineConfig,
-    estimate_physical_size,
-    merge_undermatched,
-    refine,
-    split_overmatched,
-)
+from .refinement import estimate_physical_size, merge_undermatched, refine, split_overmatched
 from .simulator import (
     GroundTruth,
     SceneObject,

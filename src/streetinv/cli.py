@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Subcommands mirror the pipeline stages (simulate, ingest, associate,
-localize, refine, evaluate) plus `run` for the whole chain. Every tunable
-can come from a flat key-value config file; command-line flags override
-config values. Exit codes: 0 success; 1 usage error (bad flags, or
-settings RunConfig rejects); 2 data error (malformed or inconsistent input
-or config files).
+localize, refine, evaluate) plus `run` for the whole chain. Every command
+that builds a RunConfig takes one flag per scalar RunConfig field, and
+`simulate` one per default_scene_spec option; any of them can also come
+from a flat key-value config file, and flags override config values.
+Exit codes: 0 success; 1 usage error (bad flags, or settings RunConfig or
+the scene rejects); 2 data error (malformed or inconsistent input or
+config files).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# Flat config keys: every scalar RunConfig field, typed by its annotation.
+# Flat config keys and pipeline flags: every scalar RunConfig field, typed by its annotation.
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
 _CONFIG_KEYS = {
     f.name: _FIELD_TYPES[f.name]
@@ -56,15 +58,22 @@ _CONFIG_KEYS = {
     if _FIELD_TYPES[f.name] in (int, float, bool, str)
 }
 
+
+def degrees(text: str) -> float:
+    """An angle given in degrees, as radians; argparse names it "degrees" in errors."""
+    return math.radians(float(text))
+
+
+# simulate's options and scene.* keys: option -> (default_scene_spec parameter, parser).
 _SCENE_KEYS = {
-    "seed": int,
-    "n_objects": int,
-    "length": float,
-    "spacing": float,
-    "sigma_dir_deg": float,
-    "sigma_pose": float,
-    "drop_prob": float,
-    "clutter_rate": float,
+    "seed": ("seed", int),
+    "n_objects": ("n_objects", int),
+    "length": ("street_length", float),
+    "spacing": ("frame_spacing", float),
+    "sigma_dir_deg": ("direction_noise", degrees),
+    "sigma_pose": ("pose_noise", float),
+    "drop_prob": ("drop_prob", float),
+    "clutter_rate": ("clutter_rate", float),
 }
 
 
@@ -93,10 +102,11 @@ def _load_config(path: str | None) -> dict:
             elif key.startswith("tau_merge."):
                 values["tau_merge_per_category"][key[len("tau_merge."):]] = float(text)
             elif key.startswith("scene."):
-                scene_key = key[len("scene."):]
-                if scene_key not in _SCENE_KEYS:
+                option = key[len("scene."):]
+                if option not in _SCENE_KEYS:
                     raise DataError(f"{path}: unknown scene key {key!r}")
-                values["scene"][scene_key] = _SCENE_KEYS[scene_key](text)
+                parameter, parse = _SCENE_KEYS[option]
+                values["scene"][parameter] = parse(text)
             elif key in _CONFIG_KEYS:
                 caster = _CONFIG_KEYS[key]
                 values[key] = _parse_bool(text) if caster is bool else caster(text)
@@ -123,21 +133,14 @@ def _run_config(args, config: dict) -> RunConfig:
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--window", type=int, help="association window size K (frames)")
-    parser.add_argument("--tau", type=float, help="match confidence threshold")
-    parser.add_argument("--sigma-g", dest="sigma_g", type=float, help="geometric score decay (m)")
-    parser.add_argument("--tau-split", dest="tau_split", type=float, help="split threshold (m)")
-    parser.add_argument("--tau-merge", dest="tau_merge", type=float, help="merge threshold (m)")
-    parser.add_argument("--tau-scale", dest="tau_scale", type=float, help="size-ratio bound")
-    parser.add_argument("--no-refine", dest="no_refine", action="store_true", default=None,
-                        help="skip refinement (transitive-chaining baseline)")
-    parser.add_argument("--scorer", help="'geometric' or 'file:PATH' with score triplets")
-    parser.add_argument("--coord-mode", dest="coord_mode", choices=("local", "geodetic"),
-                        help="pose coordinate interpretation")
-
-
-def _write_inventory(path: str, inventory: list[dict]) -> None:
-    sio.write_jsonl(path, inventory)
+    """One flag per config key, `--name-with-dashes`; a bool is a switch."""
+    helps = {f.name: f.metadata.get("help") for f in dataclasses.fields(RunConfig)}
+    for name, kind in _CONFIG_KEYS.items():
+        flag = "--" + name.replace("_", "-")
+        if kind is bool:
+            parser.add_argument(flag, action="store_true", default=None, help=helps[name])
+        else:
+            parser.add_argument(flag, type=kind, help=helps[name])
 
 
 def _write_report(out_dir: str, report: EvaluationReport) -> None:
@@ -149,22 +152,15 @@ def _write_report(out_dir: str, report: EvaluationReport) -> None:
 
 
 def _cmd_simulate(args, config: dict) -> int:
-    scene_cfg = dict(config.get("scene", {}))
-    for name in _SCENE_KEYS:
-        value = getattr(args, name, None)
-        if value is not None:
-            scene_cfg[name] = value
-    spec = default_scene_spec(
-        seed=scene_cfg.get("seed", 0),
-        n_objects=scene_cfg.get("n_objects"),
-        street_length=scene_cfg.get("length", 200.0),
-        frame_spacing=scene_cfg.get("spacing", 10.0),
-        direction_noise=math.radians(scene_cfg.get("sigma_dir_deg", 0.2)),
-        pose_noise=scene_cfg.get("sigma_pose", 0.02),
-        drop_prob=scene_cfg.get("drop_prob", 0.0),
-        clutter_rate=scene_cfg.get("clutter_rate", 0.0),
-    )
-    poses, detections, observations, truth = export_scene(spec)
+    scene = dict(config.get("scene", {}))
+    for option, (parameter, _) in _SCENE_KEYS.items():
+        if getattr(args, option) is not None:
+            scene[parameter] = getattr(args, option)
+    try:
+        spec = default_scene_spec(**scene)
+        poses, detections, observations, truth = export_scene(spec)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
     sio.write_jsonl(
         os.path.join(args.out, "poses.jsonl"),
@@ -238,7 +234,7 @@ def _cmd_refine(args, config: dict) -> int:
     cfg = _run_config(args, config)
     table = ObservationTable.from_observations(sio.read_observations(args.observations))
     clusters = sio.read_clusters(args.clusters, set(table.obs_id.tolist()))
-    refined = refine(clusters, table, cfg.refine_config())
+    refined = refine(clusters, table, cfg)
     sio.write_clusters(args.out, refined)
     print(f"{len(clusters)} clusters in, {len(refined)} out -> {args.out}")
     return EXIT_OK
@@ -263,7 +259,7 @@ def _cmd_run(args, config: dict) -> int:
         print("warning: no detections; writing empty inventory", file=sys.stderr)
     result = run_pipeline(cfg, observations, truth)
     os.makedirs(args.out, exist_ok=True)
-    _write_inventory(os.path.join(args.out, "inventory.jsonl"), result.inventory)
+    sio.write_jsonl(os.path.join(args.out, "inventory.jsonl"), result.inventory)
     if result.report is not None:
         _write_report(args.out, result.report)
     localized = sum(1 for r in result.inventory if r["center"] is not None)
@@ -281,14 +277,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="generate a synthetic scene")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-objects", dest="n_objects", type=int)
-    p.add_argument("--length", type=float, help="street length (m)")
-    p.add_argument("--spacing", type=float, help="frame spacing (m)")
-    p.add_argument("--sigma-dir-deg", dest="sigma_dir_deg", type=float)
-    p.add_argument("--sigma-pose", dest="sigma_pose", type=float)
-    p.add_argument("--drop-prob", dest="drop_prob", type=float)
-    p.add_argument("--clutter-rate", dest="clutter_rate", type=float)
+    for option, (parameter, parse) in _SCENE_KEYS.items():
+        p.add_argument("--" + option.replace("_", "-"), type=parse, help=f"scene {parameter}")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("ingest", help="join poses and detections into observations")
@@ -321,7 +311,7 @@ def build_parser() -> _Parser:
     p.add_argument("--inventory", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--out", required=True, help="report output directory")
-    p.add_argument("--identification-tol", dest="identification_tol", type=float)
+    _add_pipeline_flags(p)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("run", help="full pipeline: ingest, associate, localize, refine")

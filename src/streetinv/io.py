@@ -142,22 +142,20 @@ def read_poses(path: str, coord_mode: str = "local") -> list[CameraPose]:
             frame_id = _id(record, "frame_id")
             if coord_mode == "geodetic":
                 _require(record, ("lat", "lon", "alt"), path, line_no)
-                lat, lon, alt = float(record["lat"]), float(record["lon"]), float(record["alt"])
+                lat, lon, alt = (_number(record, key) for key in ("lat", "lon", "alt"))
                 if anchor is None:
                     anchor = (lat, lon, alt)
                 position = geodetic_to_enu(lat, lon, alt, *anchor)
             else:
                 _require(record, ("x", "y", "z"), path, line_no)
-                position = np.array(
-                    [float(record["x"]), float(record["y"]), float(record["z"])]
-                )
+                position = np.array([_number(record, key) for key in ("x", "y", "z")])
             poses.append(
                 CameraPose(
                     frame_id=frame_id,
                     position=position,
-                    heading=float(record["heading"]),
-                    pitch=float(record["pitch"]),
-                    roll=float(record["roll"]),
+                    heading=_number(record, "heading"),
+                    pitch=_number(record, "pitch"),
+                    roll=_number(record, "roll"),
                 )
             )
         except (TypeError, ValueError) as exc:
@@ -175,14 +173,14 @@ def read_detections(path: str) -> list[Detection2D]:
             detections.append(
                 Detection2D(
                     frame_id=_id(record, "frame_id"),
-                    center_x=float(record["cx"]),
-                    center_y=float(record["cy"]),
-                    box_w=float(record["w"]),
-                    box_h=float(record["h"]),
-                    image_w=float(record["img_w"]),
-                    image_h=float(record["img_h"]),
+                    center_x=_number(record, "cx"),
+                    center_y=_number(record, "cy"),
+                    box_w=_number(record, "w"),
+                    box_h=_number(record, "h"),
+                    image_w=_number(record, "img_w"),
+                    image_h=_number(record, "img_h"),
                     category=_category(record),
-                    confidence=float(record.get("confidence", 1.0)),
+                    confidence=_number(record, "confidence") if "confidence" in record else 1.0,
                 )
             )
         except (TypeError, ValueError) as exc:
@@ -225,7 +223,7 @@ def read_score_triplets(path: str, obs_ids: Collection[int]) -> list[tuple[int, 
     for line_no, record in _read_jsonl(path):
         _require(record, ("obs_a", "obs_b", "score"), path, line_no)
         try:
-            a, b, s = _id(record, "obs_a"), _id(record, "obs_b"), float(record["score"])
+            a, b, s = _id(record, "obs_a"), _id(record, "obs_b"), _number(record, "score")
         except (TypeError, ValueError) as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from exc
         if not (0.0 <= s <= 1.0):
@@ -277,7 +275,7 @@ def observation_to_record(o: Observation) -> dict:
 
 
 def observation_from_record(record: dict) -> Observation:
-    direction = np.array([record["dx"], record["dy"], record["dz"]], dtype=float)
+    direction = np.array([_number(record, key) for key in ("dx", "dy", "dz")])
     norm = np.linalg.norm(direction)
     if norm == 0:
         raise ValueError("zero direction vector")
@@ -285,10 +283,10 @@ def observation_from_record(record: dict) -> Observation:
         obs_id=_id(record, "obs_id"),
         frame_id=_id(record, "frame_id"),
         category=_category(record),
-        exposure=np.array([record["px"], record["py"], record["pz"]], dtype=float),
+        exposure=np.array([_number(record, key) for key in ("px", "py", "pz")]),
         direction=direction / norm,
-        box_w_norm=float(record["w_norm"]),
-        box_h_norm=float(record["h_norm"]),
+        box_w_norm=_number(record, "w_norm"),
+        box_h_norm=_number(record, "h_norm"),
     )
 
 
@@ -412,13 +410,39 @@ def _category(record: dict) -> str:
 
 
 def _is_number(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    """A finite JSON number: an int or a float, never a bool, finite as a float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _is_point(value) -> bool:
+    return isinstance(value, list) and len(value) == 3 and all(map(_is_number, value))
+
+
+def _number(record: dict, key: str) -> float:
+    """`record[key]` as a float, which must be a finite JSON number.
+
+    A string such as "1.5", or a boolean, is a TypeError: never parsed or
+    read as 1.
+    """
+    value = record[key]
+    if not _is_number(value):
+        raise TypeError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _point(record: dict, key: str) -> np.ndarray:
+    """`record[key]`, which must be a list of 3 finite JSON numbers, as an array."""
+    value = record[key]
+    if not _is_point(value):
+        raise TypeError(f"{key} must be 3 finite numbers, got {value!r}")
+    return np.array(value, dtype=float)
 
 
 def _check_center(center, path: str, line_no: int) -> None:
-    if center is not None and not (
-        isinstance(center, list) and len(center) == 3 and all(map(_is_number, center))
-    ):
+    if center is not None and not _is_point(center):
         raise DataError(f"{path}:{line_no}: center must be null or 3 finite numbers")
 
 
@@ -496,8 +520,8 @@ def read_truth(path: str):
         objects = [
             SceneObject(
                 category=_category(r),
-                center=np.asarray(r["center"], dtype=float),
-                height=float(r["height"]),
+                center=_point(r, "center"),
+                height=_number(r, "height"),
             )
             for r in entries
         ]

@@ -17,7 +17,7 @@ pairs. `build_report` evaluates an inventory against ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -269,26 +269,8 @@ class EvaluationReport:
     per_category: dict[str, CategoryMetrics] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def bundle(m: CategoryMetrics) -> dict:
-            return {
-                "pre_mat": m.pre_mat,
-                "rec_mat": m.rec_mat,
-                "f1_mat": m.f1_mat,
-                "homogeneity": m.homogeneity,
-                "completeness": m.completeness,
-                "v_measure": m.v_measure,
-                "pre_idf": m.pre_idf,
-                "rec_idf": m.rec_idf,
-                "f1_idf": m.f1_idf,
-                "loc_err": m.loc_err,
-                "counts_mat": {"tp": m.counts_mat.tp, "fp": m.counts_mat.fp, "fn": m.counts_mat.fn},
-                "counts_idf": {"tp": m.counts_idf.tp, "fp": m.counts_idf.fp, "fn": m.counts_idf.fn},
-            }
-
-        return {
-            "aggregate": bundle(self.aggregate),
-            "per_category": {k: bundle(v) for k, v in sorted(self.per_category.items())},
-        }
+        """Every field as nested plain dicts, for JSON."""
+        return asdict(self)
 
     def to_text(self) -> str:
         header = (

@@ -28,7 +28,7 @@ from .association import (
 )
 from .geometry import Observation, ObservationTable
 from .metrics import EvaluationReport, build_report
-from .refinement import RefineConfig, refine
+from .refinement import refine
 from .simulator import GroundTruth
 # estimate_center is not called here; it stays importable from this module
 # because bench/run.py wraps `pipeline.estimate_center` by name.
@@ -39,39 +39,57 @@ __all__ = ["RunConfig", "PipelineResult", "run_pipeline", "localize_clusters", "
 
 @dataclass
 class RunConfig:
-    """All tunables of one pipeline run."""
+    """All tunables of one pipeline run, checked when the config is built.
 
-    window: int = 3
-    tau: float = 0.5
-    sigma_g: float = 0.5
-    tau_split: float = 0.5
-    tau_merge: float = 0.5
-    tau_scale: float = 1.5
+    Each scalar field's metadata "help" is the help text of its flag.
+    tau_split and tau_merge may be overridden per category.
+    """
+
+    window: int = field(default=3, metadata={"help": "association window size K (frames), at least 2"})
+    tau: float = field(default=0.5, metadata={"help": "match confidence threshold, in (0, 1]"})
+    sigma_g: float = field(default=0.5, metadata={"help": "geometric score decay (m), positive"})
+    tau_split: float = field(default=0.5, metadata={"help": "split threshold (m), positive"})
+    tau_merge: float = field(default=0.5, metadata={"help": "merge threshold (m), positive"})
+    tau_scale: float = field(
+        default=1.5, metadata={"help": "bound on the ratio of implied physical sizes in a merge, above 1"}
+    )
     tau_split_per_category: dict[str, float] = field(default_factory=dict)
     tau_merge_per_category: dict[str, float] = field(default_factory=dict)
-    no_refine: bool = False
-    scorer: str = "geometric"  # "geometric" or "file:PATH"
-    coord_mode: str = "local"  # "local" or "geodetic"
-    identification_tol: float = 1.0
+    no_refine: bool = field(default=False, metadata={"help": "skip refinement (transitive-chaining baseline)"})
+    scorer: str = field(default="geometric", metadata={"help": "'geometric' or 'file:PATH' (score triplets)"})
+    coord_mode: str = field(default="local", metadata={"help": "pose coordinates: 'local' or 'geodetic'"})
+    identification_tol: float = field(
+        default=1.0, metadata={"help": "identification distance tolerance (m), positive"}
+    )
 
     def __post_init__(self):
         if self.window < 2:
             raise ValueError("window must be at least 2")
+        if not 0 < self.tau <= 1:
+            raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
+        positive = {
+            "sigma_g": self.sigma_g,
+            "tau_split": self.tau_split,
+            "tau_merge": self.tau_merge,
+            "identification_tol": self.identification_tol,
+            **{f"tau_split.{c}": v for c, v in self.tau_split_per_category.items()},
+            **{f"tau_merge.{c}": v for c, v in self.tau_merge_per_category.items()},
+        }
+        for name, value in positive.items():
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if not self.tau_scale > 1:
+            raise ValueError(f"tau_scale must be greater than 1, got {self.tau_scale}")
         if self.scorer != "geometric" and not self.scorer.startswith("file:"):
             raise ValueError(f"scorer must be 'geometric' or 'file:PATH', got {self.scorer!r}")
         if self.coord_mode not in ("local", "geodetic"):
             raise ValueError(f"coord_mode must be 'local' or 'geodetic', got {self.coord_mode!r}")
-        if self.identification_tol <= 0:
-            raise ValueError("identification_tol must be positive")
 
-    def refine_config(self) -> RefineConfig:
-        return RefineConfig(
-            tau_split=self.tau_split,
-            tau_merge=self.tau_merge,
-            tau_scale=self.tau_scale,
-            tau_split_per_category=dict(self.tau_split_per_category),
-            tau_merge_per_category=dict(self.tau_merge_per_category),
-        )
+    def split_threshold(self, category: str) -> float:
+        return self.tau_split_per_category.get(category, self.tau_split)
+
+    def merge_threshold(self, category: str) -> float:
+        return self.tau_merge_per_category.get(category, self.tau_merge)
 
 
 @dataclass
@@ -202,7 +220,7 @@ def run_pipeline(
     if cfg.no_refine:
         final = localize_clusters(initial, table)
     else:
-        final = refine(initial, table, cfg.refine_config())
+        final = refine(initial, table, cfg)
     inventory = inventory_records(final, table)
     report = None
     if truth is not None:

@@ -15,13 +15,14 @@ table rows: each round fits the center of every cluster still open in one
 batched closed-form solve (`triangulation.estimate_centers`) and frees
 every member past its threshold. Step 2 pairs rays in closed form: the
 least-squares point of two lines is the midpoint of their common
-perpendicular (Hartley & Zisserman).
+perpendicular (Hartley & Zisserman). Every threshold comes from the run's
+`pipeline.RunConfig`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,36 +32,11 @@ from .geometry import Observation, ObservationTable
 # because bench/run.py wraps `refinement.estimate_center` by name.
 from .triangulation import PARALLEL_EIGEN_RATIO, estimate_center, estimate_centers  # noqa: F401
 
-__all__ = ["RefineConfig", "split_overmatched", "estimate_physical_size", "merge_undermatched", "refine"]
+if TYPE_CHECKING:
+    # Annotations only: pipeline imports this module.
+    from .pipeline import RunConfig
 
-
-@dataclass
-class RefineConfig:
-    """Distance and size-ratio thresholds for splitting and merging.
-
-    tau_split / tau_merge are meters and may be overridden per category;
-    tau_scale bounds the ratio of implied physical sizes in a merge.
-    """
-
-    tau_split: float = 0.5
-    tau_merge: float = 0.5
-    tau_scale: float = 1.5
-    tau_split_per_category: dict[str, float] = field(default_factory=dict)
-    tau_merge_per_category: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.tau_split <= 0 or any(v <= 0 for v in self.tau_split_per_category.values()):
-            raise ValueError("tau_split must be positive")
-        if self.tau_merge <= 0 or any(v <= 0 for v in self.tau_merge_per_category.values()):
-            raise ValueError("tau_merge must be positive")
-        if self.tau_scale <= 1.0:
-            raise ValueError("tau_scale must be greater than 1")
-
-    def split_threshold(self, category: str) -> float:
-        return self.tau_split_per_category.get(category, self.tau_split)
-
-    def merge_threshold(self, category: str) -> float:
-        return self.tau_merge_per_category.get(category, self.tau_merge)
+__all__ = ["split_overmatched", "estimate_physical_size", "merge_undermatched", "refine"]
 
 
 def _check_partition(clusters: list[Cluster]) -> None:
@@ -73,7 +49,7 @@ def _check_partition(clusters: list[Cluster]) -> None:
 
 
 def split_overmatched(
-    clusters: list[Cluster], table: ObservationTable, cfg: RefineConfig
+    clusters: list[Cluster], table: ObservationTable, cfg: RunConfig
 ) -> list[Cluster]:
     """Free every cluster's members past the split threshold, refitting until none is.
 
@@ -186,7 +162,7 @@ def _pair(
 
 
 def merge_undermatched(
-    clusters: list[Cluster], table: ObservationTable, cfg: RefineConfig
+    clusters: list[Cluster], table: ObservationTable, cfg: RunConfig
 ) -> list[Cluster]:
     """Recover missed links by absorbing and pairing singletons.
 
@@ -252,7 +228,7 @@ def merge_undermatched(
     return grown + [c for c in ordered if c.cluster_id in left] + merged
 
 
-def refine(clusters: list[Cluster], table: ObservationTable, cfg: RefineConfig) -> list[Cluster]:
+def refine(clusters: list[Cluster], table: ObservationTable, cfg: RunConfig) -> list[Cluster]:
     """Full refinement pass: split, merge, then split again.
 
     The second split refits every center from the corrected memberships

@@ -12,7 +12,7 @@ the scene spec, including its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,11 +87,12 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.direction_noise < 0 or self.pose_noise < 0:
+        # Written so that NaN fails each check too.
+        if not (self.direction_noise >= 0 and self.pose_noise >= 0):
             raise ValueError("noise sigmas must be nonnegative")
         if not (0.0 <= self.drop_prob <= 1.0):
             raise ValueError("drop_prob must lie in [0, 1]")
-        if self.clutter_rate < 0:
+        if not self.clutter_rate >= 0:
             raise ValueError("clutter_rate must be nonnegative")
         if self.max_range <= 0:
             raise ValueError("max_range must be positive")
@@ -129,7 +130,7 @@ def straight_trajectory(
 
 
 def default_scene_spec(
-    seed: int,
+    seed: int = 0,
     n_objects: int | None = None,
     street_length: float = 200.0,
     frame_spacing: float = 10.0,
@@ -144,8 +145,16 @@ def default_scene_spec(
     Objects land on both sides of the street, keeping the per-category
     cadence of real furniture (same-category spacing from
     _CATEGORY_SEPARATION, `min_separation` across categories) so purely
-    geometric association stays unambiguous.
+    geometric association stays unambiguous. A street length or frame
+    spacing that is not positive and finite, or fewer than one object, is a
+    ValueError.
     """
+    if not 0 < street_length < math.inf:
+        raise ValueError(f"street_length must be positive and finite, got {street_length}")
+    if not 0 < frame_spacing < math.inf:
+        raise ValueError(f"frame_spacing must be positive and finite, got {frame_spacing}")
+    if n_objects is not None and n_objects < 1:
+        raise ValueError(f"n_objects must be at least 1, got {n_objects}")
     rng = np.random.default_rng(seed)
     n_frames = int(street_length / frame_spacing) + 1
     trajectory = straight_trajectory(n_frames, frame_spacing)
@@ -157,7 +166,10 @@ def default_scene_spec(
     while len(objects) < n_objects:
         attempts += 1
         if attempts > 500 * n_objects:
-            raise RuntimeError("could not place objects with the requested separation")
+            raise ValueError(
+                f"could not place {n_objects} objects on a {street_length} m street "
+                "with the requested separation"
+            )
         category = DEFAULT_CATEGORIES[int(rng.integers(0, len(DEFAULT_CATEGORIES)))]
         z_center, height = _CATEGORY_GEOMETRY[category]
         x = rng.uniform(0.08 * street_length, 0.92 * street_length)
@@ -296,25 +308,16 @@ def export_scene(
     along with the observations and ground truth themselves.
     """
     observations, truth = generate_scene(spec)
-    recorded_poses: dict[int, CameraPose] = {}
-    for o in observations:
-        if o.frame_id not in recorded_poses:
-            original = next(p for p in spec.trajectory if p.frame_id == o.frame_id)
-            recorded_poses[o.frame_id] = CameraPose(
-                frame_id=o.frame_id,
-                position=o.exposure.copy(),
-                heading=original.heading,
-                pitch=original.pitch,
-                roll=original.roll,
-            )
-    # Frames that produced no observation still belong in the pose file.
-    for pose in spec.trajectory:
-        if pose.frame_id not in recorded_poses:
-            recorded_poses[pose.frame_id] = pose
+    # A frame's pose carries its recorded exposure; a frame with no observation keeps its true one.
+    recorded = {o.frame_id: o.exposure for o in observations}
+    poses = [
+        replace(p, position=recorded.get(p.frame_id, p.position).copy())
+        for p in sorted(spec.trajectory, key=lambda p: p.frame_id)
+    ]
+    pose_of = {p.frame_id: p for p in poses}
     detections = []
     for o in observations:
-        pose = recorded_poses[o.frame_id]
-        cx, cy = _direction_to_pixels(o.direction, pose, EXPORT_IMAGE_W, EXPORT_IMAGE_H)
+        cx, cy = _direction_to_pixels(o.direction, pose_of[o.frame_id], EXPORT_IMAGE_W, EXPORT_IMAGE_H)
         detections.append(
             Detection2D(
                 frame_id=o.frame_id,
@@ -328,5 +331,4 @@ def export_scene(
                 confidence=1.0,
             )
         )
-    poses = [recorded_poses[f] for f in sorted(recorded_poses)]
     return poses, detections, observations, truth

@@ -1,5 +1,6 @@
 """CLI and file boundary: exit codes, rejection of bad input, strict JSON out."""
 
+import argparse
 import json
 import os
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from streetinv import io as sio
-from streetinv.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from streetinv.cli import _CONFIG_KEYS, _SCENE_KEYS, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 
 
 def _strict_load(text: str):
@@ -65,11 +66,73 @@ class TestRun:
         assert f"{bad}:1:" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "inventory.jsonl"))
 
-    def test_setting_run_config_rejects_is_a_usage_error(self, scene_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--window", "1"], None, "window must be at least 2"),
+        (["--tau", "0"], None, "tau must lie in (0, 1]"),
+        (["--tau", "1.5"], None, "tau must lie in (0, 1]"),
+        (["--sigma-g", "0"], None, "sigma_g must be positive"),
+        (["--sigma-g", "-1"], None, "sigma_g must be positive"),
+        (["--tau-split", "-1"], None, "tau_split must be positive"),
+        (["--no-refine", "--tau-split", "-1"], None, "tau_split must be positive"),
+        ([], "tau_merge.bollard = 0\n", "tau_merge.bollard must be positive"),
+    ], ids=["window-1", "tau-0", "tau-1.5", "sigma-g-0", "sigma-g-minus-1", "tau-split-minus-1",
+            "no-refine-tau-split-minus-1", "config-tau-merge-bollard-0"])
+    def test_setting_run_config_rejects_is_a_usage_error(self, scene_dir, tmp_path, capsys, flags,
+                                                         config, message):
         out = str(tmp_path / "run")
-        assert main(_run_args(scene_dir, out) + ["--window", "1"]) == EXIT_USAGE
-        assert "window must be at least 2" in capsys.readouterr().err
-        assert not os.path.exists(out)
+        args = _run_args(scene_dir, out) + flags
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            args = ["--config", str(path)] + args
+        _assert_usage_error(main(args), capsys, message, out)
+
+
+def _assert_usage_error(code, capsys, message, out):
+    """Exit 1 with one `usage error:` line holding `message`, no traceback and no `out`."""
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert len(err.splitlines()) == 1 and err.startswith("usage error:") and message in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+class TestSettings:
+    """Every setting is checked once, where it is built, and comes from one declaration."""
+
+    def test_refine_tau_scale_not_above_one_is_a_usage_error(self, scene_dir, tmp_path, capsys):
+        clusters = str(tmp_path / "clusters.jsonl")
+        _write_lines(clusters, [{"cluster_id": 0, "members": [0, 1]}])
+        out = str(tmp_path / "out.jsonl")
+        code = main(["refine", "--observations", os.path.join(scene_dir, "observations.jsonl"),
+                     "--clusters", clusters, "--out", out, "--tau-scale", "0.5"])
+        _assert_usage_error(code, capsys, "tau_scale must be greater than 1", out)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--spacing", "0"], "frame_spacing must be positive"),
+        (["--n-objects", "0"], "n_objects must be at least 1"),
+        (["--length", "-5"], "street_length must be positive"),
+        (["--drop-prob", "2"], "drop_prob must lie in [0, 1]"),
+        (["--sigma-dir-deg", "nan"], "noise sigmas must be nonnegative"),
+        (["--n-objects", "40", "--length", "5"], "could not place 40 objects"),
+    ], ids=["spacing-0", "n-objects-0", "length-minus-5", "drop-prob-2", "sigma-dir-deg-nan",
+            "too-many-objects"])
+    def test_bad_scene_option_is_a_usage_error(self, tmp_path, capsys, flags, message):
+        out = str(tmp_path / "scene")
+        _assert_usage_error(main(["simulate", "--out", out] + flags), capsys, message, out)
+
+    def test_flags_are_the_settings(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        files = {"help", "out", "poses", "detections", "truth", "observations", "clusters", "inventory"}
+
+        def flags(command):
+            return {a.dest: a.option_strings for a in commands[command]._actions if a.dest not in files}
+
+        for command, keys in [("ingest", _CONFIG_KEYS), ("associate", _CONFIG_KEYS),
+                              ("refine", _CONFIG_KEYS), ("evaluate", _CONFIG_KEYS),
+                              ("run", _CONFIG_KEYS), ("simulate", _SCENE_KEYS), ("localize", {})]:
+            assert flags(command) == {k: ["--" + k.replace("_", "-")] for k in keys}, command
 
 
 def _cross_category_scores(scene_dir, path):
@@ -464,4 +527,53 @@ class TestCategories:
             where = f"{path}:1: "
         assert main(args) == EXIT_DATA
         assert f"{where}category must be a string, got {value!r}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+class TestNumbers:
+    """A numeric field is a finite JSON number: "1.5" or true is refused, never read as one."""
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("poses", "x", "0"),
+        ("poses", "heading", False),
+        ("detections", "cx", "2000"),
+        ("detections", "h", True),
+        ("detections", "confidence", "0.9"),
+        ("detections", "cx", 10**400),
+        ("observations", "px", "1.5"),
+        ("observations", "h_norm", True),
+        ("scores", "score", "0.5"),
+        ("scores", "score", True),
+        ("truth", "height", "1.0"),
+        ("truth", "height", True),
+        ("truth", "center", ["1", 2, 3]),
+    ], ids=lambda v: "huge" if v == 10**400 else None)
+    def test_non_number_is_a_data_error(self, scene_dir, tmp_path, capsys, kind, field, value):
+        out = str(tmp_path / "out")
+        if kind == "truth":
+            with open(os.path.join(scene_dir, "truth.json"), encoding="utf-8") as handle:
+                truth = json.load(handle)
+            truth["objects"][0][field] = value
+            path = str(tmp_path / "truth.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(truth, handle)
+            args = _run_args(scene_dir, out)
+            args[args.index("--truth") + 1] = path
+            where = f"{path}: "
+        elif kind == "scores":
+            path = str(tmp_path / "scores.jsonl")
+            _write_lines(path, [{"obs_a": 0, "obs_b": 1, "score": value}])
+            args, where = _run_args(scene_dir, out) + ["--scorer", "file:" + path], f"{path}:1: "
+        else:
+            path = _copy_records(scene_dir, tmp_path, f"{kind}.jsonl", _set_first(field, lambda v: value))
+            if kind == "observations":
+                args = ["associate", "--observations", path, "--out", out]
+            else:
+                args = _run_args(scene_dir, out)
+                args[args.index("--" + kind) + 1] = path
+            where = f"{path}:1: "
+        assert main(args) == EXIT_DATA
+        err = capsys.readouterr().err
+        expected = "3 finite numbers" if field == "center" else "a finite number"
+        assert f"{where}{field} must be {expected}" in err
         assert not os.path.exists(out)

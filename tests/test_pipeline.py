@@ -38,6 +38,44 @@ def scene():
     return generate_scene(default_scene_spec(seed=4, n_objects=12, clutter_rate=1.0))
 
 
+class TestRunConfig:
+    def test_defaults_valid(self):
+        cfg = RunConfig()
+        assert cfg.split_threshold("anything") == 0.5
+        assert cfg.merge_threshold("anything") == 0.5
+
+    def test_per_category_overrides(self):
+        cfg = RunConfig(tau_split_per_category={"manhole": 0.2})
+        assert cfg.split_threshold("manhole") == 0.2
+        assert cfg.split_threshold("sign") == 0.5
+
+    @pytest.mark.parametrize(
+        "kwargs", [
+            {"tau_split": 0.0},
+            {"tau_merge": -1.0},
+            {"tau_scale": 1.0},
+            {"tau_split_per_category": {"x": -0.5}},
+            {"tau": 0.0},
+            {"tau": 1.5},
+            {"tau": float("nan")},
+            {"sigma_g": 0.0},
+            {"sigma_g": -1.0},
+            {"tau_merge_per_category": {"x": 0.0}},
+            {"tau_split": float("nan")},
+            {"identification_tol": 0.0},
+            {"window": 1},
+            {"tau_split": -1.0, "no_refine": True},
+        ],
+    )
+    def test_invalid_rejected(self, kwargs):
+        # The message names the setting, a per-category one as tau_split.CATEGORY.
+        with pytest.raises(ValueError, match=next(iter(kwargs)).replace("_per_category", ".")):
+            RunConfig(**kwargs)
+
+    def test_tau_may_be_one(self):
+        assert RunConfig(tau=1.0).tau == 1.0
+
+
 class TestObservationTable:
     def test_rows_and_take_agree_with_the_records(self, scene):
         observations, _ = scene

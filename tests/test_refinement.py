@@ -7,7 +7,7 @@ from streetinv import (
     Cluster,
     Observation,
     ObservationTable,
-    RefineConfig,
+    RunConfig,
     estimate_physical_size,
     merge_undermatched,
     refine,
@@ -73,30 +73,6 @@ def scattered_bundles(rng, n_objects=30, spread=0.4):
     return clusters, ObservationTable.from_observations(observations)
 
 
-class TestRefineConfig:
-    def test_defaults_valid(self):
-        cfg = RefineConfig()
-        assert cfg.split_threshold("anything") == 0.5
-        assert cfg.merge_threshold("anything") == 0.5
-
-    def test_per_category_overrides(self):
-        cfg = RefineConfig(tau_split_per_category={"manhole": 0.2})
-        assert cfg.split_threshold("manhole") == 0.2
-        assert cfg.split_threshold("sign") == 0.5
-
-    @pytest.mark.parametrize(
-        "kwargs", [
-            {"tau_split": 0.0},
-            {"tau_merge": -1.0},
-            {"tau_scale": 1.0},
-            {"tau_split_per_category": {"x": -0.5}},
-        ],
-    )
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            RefineConfig(**kwargs)
-
-
 class TestSplitOvermatched:
     def test_single_outlier_pruned(self):
         # Four rays meet at T1; the fifth aims 2 m past it and sits ~0.84 m
@@ -105,13 +81,13 @@ class TestSplitOvermatched:
         members = [mkobs(i, i, FRAMES[i], T1) for i in range(4)]
         members.append(mkobs(4, 4, FRAMES[4], t_off))
         obs = ObservationTable.from_observations(members)
-        out = split_overmatched([Cluster(cluster_id=0, members={0, 1, 2, 3, 4})], obs, RefineConfig())
+        out = split_overmatched([Cluster(cluster_id=0, members={0, 1, 2, 3, 4})], obs, RunConfig())
         assert sorted(tuple(sorted(c.members)) for c in out) == [(0, 1, 2, 3), (4,)]
 
     def test_consistent_cluster_unchanged(self):
         members = [mkobs(i, i, FRAMES[i], T1) for i in range(4)]
         obs = ObservationTable.from_observations(members)
-        out = split_overmatched([Cluster(cluster_id=0, members={0, 1, 2, 3})], obs, RefineConfig())
+        out = split_overmatched([Cluster(cluster_id=0, members={0, 1, 2, 3})], obs, RunConfig())
         assert len(out) == 1
         assert out[0].members == {0, 1, 2, 3}
         assert max(out[0].residuals.values()) < 1e-9
@@ -123,7 +99,7 @@ class TestSplitOvermatched:
         a = mkobs(0, 0, [0, 0, 0], [20, 0, 0])
         b = mkobs(1, 1, [20, 10, 2.4], [0, -10, 2.4])
         obs = ObservationTable.from_observations([a, b])
-        estimate = split_overmatched([Cluster(cluster_id=0, members={0, 1})], obs, RefineConfig())
+        estimate = split_overmatched([Cluster(cluster_id=0, members={0, 1})], obs, RunConfig())
         assert sorted(tuple(sorted(c.members)) for c in estimate) == [(0,), (1,)]
         for c in estimate:
             assert c.center is None
@@ -131,7 +107,7 @@ class TestSplitOvermatched:
     def test_singletons_pass_through(self):
         a = mkobs(0, 0, [0, 0, 0], [20, 0, 0])
         out = split_overmatched(
-            [Cluster(cluster_id=7, members={0})], ObservationTable.from_observations([a]), RefineConfig())
+            [Cluster(cluster_id=7, members={0})], ObservationTable.from_observations([a]), RunConfig())
         assert len(out) == 1 and out[0].cluster_id == 7
 
     def test_degenerate_cluster_passes_through(self):
@@ -139,7 +115,7 @@ class TestSplitOvermatched:
         a = mkobs(0, 0, [0, 0, 0], [20, 0, 0])
         b = mkobs(1, 1, [10, 0, 0], [20, 0, 0])
         obs = ObservationTable.from_observations([a, b])
-        out = split_overmatched([Cluster(cluster_id=0, members={0, 1})], obs, RefineConfig())
+        out = split_overmatched([Cluster(cluster_id=0, members={0, 1})], obs, RunConfig())
         assert len(out) == 1
         assert out[0].members == {0, 1}
         assert out[0].center is None
@@ -151,7 +127,7 @@ class TestSplitOvermatched:
                    [11.97, 5.64, 3.29], [12.75, 6.59, 3.39]]
         obs = ObservationTable.from_observations(
             [mkobs(i, i, FRAMES[i], t) for i, t in enumerate(targets)])
-        cfg = RefineConfig()
+        cfg = RunConfig()
         out = split_overmatched([Cluster(cluster_id=0, members=set(range(5)))], obs, cfg)
         assert sum(c.size == 1 for c in out) >= 2
         for c in out:
@@ -159,7 +135,7 @@ class TestSplitOvermatched:
                 assert max(c.residuals.values()) <= cfg.tau_split
 
     def test_output_residuals_within_threshold(self):
-        cfg = RefineConfig()
+        cfg = RunConfig()
         for seed in (2, 6, 9):
             observations, truth = generate_scene(default_scene_spec(seed=seed, n_objects=20))
             obs = ObservationTable.from_observations(observations)
@@ -175,14 +151,14 @@ class TestSplitOvermatched:
         members.append(mkobs(4, 4, FRAMES[4], t_off))
         obs = ObservationTable.from_observations(members)
         # Loose per-category threshold keeps the outlier in place.
-        cfg = RefineConfig(tau_split_per_category={"street_light": 5.0})
+        cfg = RunConfig(tau_split_per_category={"street_light": 5.0})
         out = split_overmatched([Cluster(cluster_id=0, members={0, 1, 2, 3, 4})], obs, cfg)
         assert len(out) == 1 and out[0].members == {0, 1, 2, 3, 4}
 
 
     @pytest.mark.parametrize("per_category", [{}, {"street_light": 0.3, "bollard": 0.8}])
     def test_matches_scalar_oracle(self, per_category):
-        cfg = RefineConfig(tau_split_per_category=per_category)
+        cfg = RunConfig(tau_split_per_category=per_category)
         freed = 0
         for seed in range(8):
             spec = default_scene_spec(seed=seed, n_objects=20, clutter_rate=0.5)
@@ -244,15 +220,15 @@ class TestMergeUndermatched:
         stray = mkobs(3, 3, FRAMES[3], T1)  # ray passes exactly through T1
         obs = ObservationTable.from_observations(members + [stray])
         clusters = split_overmatched(
-            [Cluster(cluster_id=0, members={0, 1, 2})], obs, RefineConfig()
+            [Cluster(cluster_id=0, members={0, 1, 2})], obs, RunConfig()
         ) + [Cluster(cluster_id=1, members={3})]
-        out = merge_undermatched(clusters, obs, RefineConfig())
+        out = merge_undermatched(clusters, obs, RunConfig())
         assert sorted(tuple(sorted(c.members)) for c in out) == [(0, 1, 2, 3)]
 
     def test_fig3_pair_merge(self):
         obs, clusters, _, t2 = fig3_scenario()
-        after_split = split_overmatched(clusters, obs, RefineConfig())
-        out = merge_undermatched(after_split, obs, RefineConfig())
+        after_split = split_overmatched(clusters, obs, RunConfig())
+        out = merge_undermatched(after_split, obs, RunConfig())
         parts = sorted(tuple(sorted(c.members)) for c in out)
         assert (3, 4) in parts
 
@@ -265,7 +241,7 @@ class TestMergeUndermatched:
         b.box_h_norm = 2.0 / np.linalg.norm(crossing - b.exposure)
         obs = ObservationTable.from_observations([a, b])
         clusters = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})]
-        out = merge_undermatched(clusters, obs, RefineConfig(tau_scale=1.5))
+        out = merge_undermatched(clusters, obs, RunConfig(tau_scale=1.5))
         assert sorted(tuple(sorted(c.members)) for c in out) == [(0,), (1,)]
 
     def test_consistent_sizes_pair_merges(self):
@@ -274,7 +250,7 @@ class TestMergeUndermatched:
         b = mkobs(1, 1, [20, 5, 0], crossing, category="bollard", height=0.9)
         obs = ObservationTable.from_observations([a, b])
         clusters = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})]
-        out = merge_undermatched(clusters, obs, RefineConfig(tau_scale=1.5))
+        out = merge_undermatched(clusters, obs, RunConfig(tau_scale=1.5))
         assert sorted(tuple(sorted(c.members)) for c in out) == [(0, 1)]
 
     @pytest.mark.parametrize("gap, merges", [(0.8, True), (1.2, False)])
@@ -285,7 +261,7 @@ class TestMergeUndermatched:
         b = mkobs(1, 1, [20, 5, gap], [10, 0, gap], category="bollard", height=0.9)
         obs = ObservationTable.from_observations([a, b])
         clusters = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})]
-        out = merge_undermatched(clusters, obs, RefineConfig())
+        out = merge_undermatched(clusters, obs, RunConfig())
         assert (len(out) == 1) == merges
 
     def test_same_frame_pair_never_merges(self):
@@ -294,7 +270,7 @@ class TestMergeUndermatched:
         b = mkobs(1, 5, [20, 5, 0], crossing, category="bollard", height=0.9)
         obs = ObservationTable.from_observations([a, b])
         clusters = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})]
-        out = merge_undermatched(clusters, obs, RefineConfig())
+        out = merge_undermatched(clusters, obs, RunConfig())
         assert len(out) == 2
 
     def test_different_categories_never_merge(self):
@@ -303,7 +279,7 @@ class TestMergeUndermatched:
         b = mkobs(1, 1, [20, 5, 0], crossing, category="trash_bin", height=0.9)
         obs = ObservationTable.from_observations([a, b])
         clusters = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})]
-        out = merge_undermatched(clusters, obs, RefineConfig())
+        out = merge_undermatched(clusters, obs, RunConfig())
         assert len(out) == 2
 
     def test_absorb_requires_category_agreement(self):
@@ -311,9 +287,9 @@ class TestMergeUndermatched:
         stray = mkobs(3, 3, FRAMES[3], T1, category="traffic_sign")
         obs = ObservationTable.from_observations(members + [stray])
         clusters = split_overmatched(
-            [Cluster(cluster_id=0, members={0, 1, 2})], obs, RefineConfig()
+            [Cluster(cluster_id=0, members={0, 1, 2})], obs, RunConfig()
         ) + [Cluster(cluster_id=1, members={3})]
-        out = merge_undermatched(clusters, obs, RefineConfig())
+        out = merge_undermatched(clusters, obs, RunConfig())
         assert sorted(len(c.members) for c in out) == [1, 3]
 
     def test_parallel_rays_never_pair(self):
@@ -322,11 +298,11 @@ class TestMergeUndermatched:
         obs = ObservationTable.from_observations([a, b])
         clusters = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})]
         for merge in (merge_undermatched, oracle_merge_undermatched):
-            out = merge(clusters, obs, RefineConfig())
+            out = merge(clusters, obs, RunConfig())
             assert sorted(tuple(sorted(c.members)) for c in out) == [(0,), (1,)]
 
     def test_matches_scalar_oracle(self):
-        cfg = RefineConfig()
+        cfg = RunConfig()
         absorbed = paired = 0
         for seed in range(8):
             spec = default_scene_spec(seed=seed, n_objects=20, drop_prob=0.2)
@@ -361,13 +337,13 @@ class TestMergeUndermatched:
         obs = ObservationTable.from_observations([a])
         overlapping = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={0})]
         with pytest.raises(ValueError, match="disjoint"):
-            merge_undermatched(overlapping, obs, RefineConfig())
+            merge_undermatched(overlapping, obs, RunConfig())
 
 
 class TestRefine:
     def test_fig3_end_to_end(self):
         obs, clusters, t1, t2 = fig3_scenario()
-        cfg = RefineConfig()
+        cfg = RunConfig()
         out = refine(clusters, obs, cfg)
         parts = {tuple(sorted(c.members)): c for c in out}
         assert set(parts) == {(0, 1, 2), (3, 4)}
@@ -378,9 +354,9 @@ class TestRefine:
         members = [mkobs(i, i, FRAMES[i], T1) for i in range(4)]
         obs = ObservationTable.from_observations(members)
         clusters = [Cluster(cluster_id=0, members={0, 1, 2, 3})]
-        once = refine(clusters, obs, RefineConfig())
+        once = refine(clusters, obs, RunConfig())
         assert [sorted(c.members) for c in once] == [[0, 1, 2, 3]]
-        twice = refine(once, obs, RefineConfig())
+        twice = refine(once, obs, RunConfig())
         assert [sorted(c.members) for c in twice] == [sorted(c.members) for c in once]
         np.testing.assert_allclose(twice[0].center, once[0].center, atol=1e-12)
 
@@ -390,7 +366,7 @@ class TestRefine:
         obs = ObservationTable.from_observations(observations)
         rng = np.random.default_rng(42)
         clusters, _, _ = corrupt_links(observations, truth, 0.10, rng)
-        out = refine(clusters, obs, RefineConfig())
+        out = refine(clusters, obs, RunConfig())
         all_in = sorted(m for c in out for m in c.members)
         assert all_in == sorted(o.obs_id for o in observations)
 
@@ -400,7 +376,7 @@ class TestRefine:
         obs = ObservationTable.from_observations(observations)
         rng = np.random.default_rng(43)
         clusters, _, _ = corrupt_links(observations, truth, 0.10, rng)
-        cfg = RefineConfig()
+        cfg = RunConfig()
         out = refine(clusters, obs, cfg)
         for c in out:
             if c.size >= 2 and c.residuals is not None:
@@ -425,11 +401,11 @@ class TestRefine:
                 [truth.object_of[i] for i in ids], [assign[i] for i in ids]
             )[2]
 
-        assert v_of(refine(corrupted, obs, RefineConfig())) >= v_of(corrupted)
+        assert v_of(refine(corrupted, obs, RunConfig())) >= v_of(corrupted)
 
     def test_idempotent_after_clean_pass(self):
         obs, clusters, _, _ = fig3_scenario()
-        cfg = RefineConfig()
+        cfg = RunConfig()
         once = refine(clusters, obs, cfg)
         twice = refine(once, obs, cfg)
         assert sorted(tuple(sorted(c.members)) for c in twice) == sorted(
