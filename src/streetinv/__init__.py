@@ -6,9 +6,10 @@ lifted to world-space rays, associated across views, triangulated by
 point-to-ray least squares, and cleaned up by a split/merge refinement
 driven by geometric consistency.
 
-Files and the simulator deal in `Observation` records, one per ray. Every
-later stage reads the rays as rows of an `ObservationTable` built from
-those records; a cluster names its rays by observation id. Association
+The simulator deals in `Observation` records, one per ray. Files are read
+as columns, checked as arrays: `ingest` lifts every detection in one array
+pass into an `ObservationTable`, and every later stage reads the rays as
+rows of that table; a cluster names its rays by observation id. Association
 sorts its table by frame, so each frame is one run of rows, and takes
 from one function, `window_pairs`, the row-slice pairs of frames fewer
 than `window` ranks apart. Its scores, geometric or from a file, are an
@@ -29,10 +30,12 @@ from .association import (
 from .geometry import (
     CameraPose,
     Detection2D,
+    DetectionTable,
     Observation,
     ObservationTable,
     angles_to_camera_dir,
     build_observation,
+    lift_detections,
     pixel_to_angles,
     rotation_from_euler,
 )

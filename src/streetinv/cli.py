@@ -89,11 +89,7 @@ def _load_config(path: str | None) -> dict:
     """Read the flat config file into typed values."""
     if path is None:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = sio.parse_config_text(handle.read(), source=path)
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
+    raw = sio.parse_config_text(sio.read_text(path), source=path)
     values: dict = {"tau_split_per_category": {}, "tau_merge_per_category": {}, "scene": {}}
     for key, text in raw.items():
         try:
@@ -194,7 +190,9 @@ def _cmd_simulate(args, config: dict) -> int:
             for d in detections
         ),
     )
-    sio.write_observations(os.path.join(args.out, "observations.jsonl"), observations)
+    sio.write_observations(
+        os.path.join(args.out, "observations.jsonl"), ObservationTable.from_observations(observations)
+    )
     sio.write_truth(os.path.join(args.out, "truth.json"), truth)
     print(
         f"simulated {len(spec.objects)} objects, {len(observations)} observations "
@@ -205,23 +203,22 @@ def _cmd_simulate(args, config: dict) -> int:
 
 def _cmd_ingest(args, config: dict) -> int:
     cfg = _run_config(args, config)
-    observations = sio.ingest(args.poses, args.detections, cfg.coord_mode)
-    sio.write_observations(args.out, observations)
-    print(f"ingested {len(observations)} observations -> {args.out}")
+    table = sio.ingest(args.poses, args.detections, cfg.coord_mode)
+    sio.write_observations(args.out, table)
+    print(f"ingested {len(table)} observations -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_associate(args, config: dict) -> int:
     cfg = _run_config(args, config)
-    observations = sio.read_observations(args.observations)
-    _, clusters = associate(observations, cfg)
+    _, clusters = associate(sio.read_observations(args.observations), cfg)
     sio.write_clusters(args.out, clusters)
     print(f"{len(clusters)} initial clusters -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_localize(args, config: dict) -> int:
-    table = ObservationTable.from_observations(sio.read_observations(args.observations))
+    table = sio.read_observations(args.observations)
     clusters = sio.read_clusters(args.clusters, set(table.obs_id.tolist()))
     localized = localize_clusters(clusters, table)
     sio.write_clusters(args.out, localized)
@@ -232,7 +229,7 @@ def _cmd_localize(args, config: dict) -> int:
 
 def _cmd_refine(args, config: dict) -> int:
     cfg = _run_config(args, config)
-    table = ObservationTable.from_observations(sio.read_observations(args.observations))
+    table = sio.read_observations(args.observations)
     clusters = sio.read_clusters(args.clusters, set(table.obs_id.tolist()))
     refined = refine(clusters, table, cfg)
     sio.write_clusters(args.out, refined)
@@ -253,18 +250,18 @@ def _cmd_evaluate(args, config: dict) -> int:
 
 def _cmd_run(args, config: dict) -> int:
     cfg = _run_config(args, config)
-    observations = sio.ingest(args.poses, args.detections, cfg.coord_mode)
+    table = sio.ingest(args.poses, args.detections, cfg.coord_mode)
     truth = sio.read_truth(args.truth) if args.truth else None
-    if not observations:
+    if not len(table):
         print("warning: no detections; writing empty inventory", file=sys.stderr)
-    result = run_pipeline(cfg, observations, truth)
+    result = run_pipeline(cfg, table, truth)
     os.makedirs(args.out, exist_ok=True)
     sio.write_jsonl(os.path.join(args.out, "inventory.jsonl"), result.inventory)
     if result.report is not None:
         _write_report(args.out, result.report)
     localized = sum(1 for r in result.inventory if r["center"] is not None)
     print(
-        f"{len(observations)} observations -> {len(result.inventory)} objects "
+        f"{len(table)} observations -> {len(result.inventory)} objects "
         f"({localized} localized) -> {args.out}"
     )
     return EXIT_OK

@@ -1,11 +1,18 @@
 """File formats and ingestion.
 
 All record streams are JSON lines: one object per line, diffable and
-streamable. Poses may carry either local metric coordinates (x, y, z) or
-geodetic ones (lat, lon, alt in degrees/meters); geodetic input is
-converted to a local East-North-Up frame anchored at the first pose.
-Writes go through a temp file and an atomic rename so partial outputs
-never appear under the target name.
+streamable. Every file is UTF-8 text; a file that is not, or a non-blank
+line that is not exactly one JSON object, is a DataError naming the file
+and the line. A file is decoded once into its records. Detections, scores
+and observations are then checked as columns, each rule one array test
+over a field; only when a test fails do the per-record checks run, to
+name the first bad line. `ingest` lifts every detection in one array pass.
+
+Poses may carry either local metric coordinates (x, y, z) or geodetic ones
+(lat, lon, alt in degrees/meters); geodetic input is converted to a local
+East-North-Up frame anchored at the first pose. Writes go through a temp
+file and an atomic rename so partial outputs never appear under the target
+name.
 """
 
 from __future__ import annotations
@@ -14,12 +21,23 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import dataclass
 from typing import Collection, Iterable
 
 import numpy as np
 
 from .association import Cluster
-from .geometry import CameraPose, Detection2D, Observation, build_observation
+from .geometry import (
+    CameraPose,
+    Detection2D,
+    DetectionTable,
+    Observation,
+    ObservationTable,
+    lift_detections,
+)
+# build_observation is not called here; it stays importable from this module
+# because bench/run.py wraps `io.build_observation` by name.
+from .geometry import build_observation  # noqa: F401
 
 __all__ = [
     "DataError",
@@ -27,10 +45,11 @@ __all__ = [
     "read_poses",
     "read_detections",
     "ingest",
+    "ScoreTriplets",
     "read_score_triplets",
+    "read_text",
     "write_jsonl",
     "atomic_write_text",
-    "observation_to_record",
     "observation_from_record",
     "write_observations",
     "read_observations",
@@ -96,33 +115,128 @@ def _reject_constant(name: str):
 
 # One decoder for every line: json.loads with a hook builds a new one per call.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_SCAN = _DECODER.scan_once
+
+# The range of an id column.
+_INT64 = np.iinfo(np.int64)
 
 
-def _read_jsonl(path: str) -> Iterable[tuple[int, dict]]:
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file, its line ends read as by text-mode `open`.
+
+    Raises:
+        DataError: if the file cannot be opened, or is not UTF-8 (naming
+            the line of the first bad byte).
+    """
     try:
-        handle = open(path, "r", encoding="utf-8")
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = _DECODER.decode(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from exc
-            except DataError as exc:
-                raise DataError(f"{path}:{line_no}: {exc}") from exc
-            if not isinstance(record, dict):
-                raise DataError(f"{path}:{line_no}: expected a JSON object")
-            yield line_no, record
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start]
+        line_no = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        raise DataError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _decode_line(line: str, path: str, line_no: int) -> dict:
+    """One stripped line as a JSON object, or the DataError naming what it is instead."""
+    try:
+        record = _DECODER.decode(line)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from exc
+    except DataError as exc:
+        raise DataError(f"{path}:{line_no}: {exc}") from exc
+    if not isinstance(record, dict):
+        raise DataError(f"{path}:{line_no}: expected a JSON object")
+    return record
+
+
+def _read_jsonl(path: str) -> list[tuple[int, dict]]:
+    """The (line number, record) pairs of a JSON-lines file; blank lines are skipped.
+
+    Each other line must be exactly one JSON object: the scan of a line
+    must end where the line ends, so no value spans two lines.
+    """
+    records = []
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record, end = _SCAN(line, 0)
+        except (StopIteration, ValueError, DataError):
+            end = None
+        if end != len(line) or type(record) is not dict:
+            record = _decode_line(line, path, line_no)
+        records.append((line_no, record))
+    return records
 
 
 def _require(record: dict, keys: tuple[str, ...], path: str, line_no: int) -> None:
     missing = [k for k in keys if k not in record]
     if missing:
         raise DataError(f"{path}:{line_no}: missing fields {missing}")
+
+
+# --- Array checks -----------------------------------------------------------
+#
+# A reader first checks a file's records as columns, every rule one array
+# test over a field. If a test fails, it reads the records one at a time
+# instead, checking each in file order, so the first bad record raises the
+# DataError naming its line.
+
+
+class _Refused(Exception):
+    """An array check failed; the per-record checks name the first bad line."""
+
+
+_REQUIRED = object()
+
+
+def _column(records: list[tuple[int, dict]], key: str, default=_REQUIRED) -> list:
+    if default is not _REQUIRED:
+        return [r.get(key, default) for _, r in records]
+    try:
+        return [r[key] for _, r in records]
+    except KeyError:
+        raise _Refused from None
+
+
+def _ids(records: list[tuple[int, dict]], key: str) -> np.ndarray:
+    """Field `key` as int64 ids: JSON integers, never booleans, within 64 bits."""
+    values = _column(records, key)
+    if not set(map(type, values)) <= {int}:
+        raise _Refused
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise _Refused from None
+
+
+def _numbers(records: list[tuple[int, dict]], key: str, default=_REQUIRED) -> np.ndarray:
+    """Field `key` as floats: finite JSON numbers, never booleans or strings."""
+    values = _column(records, key, default)
+    if not set(map(type, values)) <= {int, float}:
+        raise _Refused
+    try:
+        column = np.array(values, dtype=float)
+    except OverflowError:  # an integer too large for a float
+        raise _Refused from None
+    if not np.isfinite(column).all():
+        raise _Refused
+    return column
+
+
+def _strings(records: list[tuple[int, dict]], key: str) -> np.ndarray:
+    """Field `key` as an object array of JSON strings."""
+    values = _column(records, key)
+    if not set(map(type, values)) <= {str}:
+        raise _Refused
+    return np.array(values, dtype=object)
 
 
 def read_poses(path: str, coord_mode: str = "local") -> list[CameraPose]:
@@ -164,32 +278,49 @@ def read_poses(path: str, coord_mode: str = "local") -> list[CameraPose]:
     return poses
 
 
-def read_detections(path: str) -> list[Detection2D]:
-    detections: list[Detection2D] = []
-    fields = ("frame_id", "cx", "cy", "w", "h", "img_w", "img_h", "category")
-    for line_no, record in _read_jsonl(path):
-        _require(record, fields, path, line_no)
+# Detection file field -> DetectionTable column.
+_DETECTION_FIELDS = {
+    "cx": "center_x", "cy": "center_y", "w": "box_w", "h": "box_h", "img_w": "image_w", "img_h": "image_h",
+}
+
+
+def read_detections(path: str) -> DetectionTable:
+    """Read detections, one row per record; `confidence` defaults to 1.
+
+    Every record must be a detection `Detection2D` accepts.
+    """
+    records = _read_jsonl(path)
+    try:
+        table = DetectionTable(
+            frame_id=_ids(records, "frame_id"),
+            category=_strings(records, "category"),
+            confidence=_numbers(records, "confidence", 1.0),
+            **{column: _numbers(records, key) for key, column in _DETECTION_FIELDS.items()},
+        )
+        if table.valid().all():
+            return table
+    except _Refused:
+        pass
+
+    detections = []
+    for line_no, record in records:
+        _require(record, ("frame_id", *_DETECTION_FIELDS, "category"), path, line_no)
         try:
             detections.append(
                 Detection2D(
-                    frame_id=_id(record, "frame_id"),
-                    center_x=_number(record, "cx"),
-                    center_y=_number(record, "cy"),
-                    box_w=_number(record, "w"),
-                    box_h=_number(record, "h"),
-                    image_w=_number(record, "img_w"),
-                    image_h=_number(record, "img_h"),
+                    frame_id=_id64(record, "frame_id"),
+                    **{column: _number(record, key) for key, column in _DETECTION_FIELDS.items()},
                     category=_category(record),
                     confidence=_number(record, "confidence") if "confidence" in record else 1.0,
                 )
             )
         except (TypeError, ValueError) as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from exc
-    return detections
+    return DetectionTable.from_detections(detections)
 
 
-def ingest(poses_file: str, detections_file: str, coord_mode: str = "local") -> list[Observation]:
-    """Join detections to poses by frame id and lift them to observations.
+def ingest(poses_file: str, detections_file: str, coord_mode: str = "local") -> ObservationTable:
+    """Join detections to poses by frame id and lift them to observations, as one table.
 
     Observation ids are assigned sequentially in detection file order.
 
@@ -199,28 +330,57 @@ def ingest(poses_file: str, detections_file: str, coord_mode: str = "local") -> 
     """
     poses = read_poses(poses_file, coord_mode)
     detections = read_detections(detections_file)
-    by_frame = {p.frame_id: p for p in poses}
-    orphans = sorted({d.frame_id for d in detections if d.frame_id not in by_frame})
-    if orphans:
+    index_of = {p.frame_id: k for k, p in enumerate(poses)}
+    pose_of = np.array([index_of.get(f, -1) for f in detections.frame_id.tolist()], dtype=np.intp)
+    orphan = pose_of < 0
+    if orphan.any():
+        orphans = sorted(set(detections.frame_id[orphan].tolist()))
         raise DataError(
             f"{detections_file}: detections reference frames with no pose: {orphans}"
         )
-    return [
-        build_observation(det, by_frame[det.frame_id], obs_id)
-        for obs_id, det in enumerate(detections)
-    ]
+    return lift_detections(detections, poses, pose_of)
 
 
-def read_score_triplets(path: str, obs_ids: Collection[int]) -> list[tuple[int, int, float]]:
+@dataclass(frozen=True, eq=False)
+class ScoreTriplets:
+    """External matcher scores as three columns, one row per scored pair."""
+
+    obs_a: np.ndarray
+    obs_b: np.ndarray
+    score: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+
+def read_score_triplets(path: str, obs_ids: Collection[int]) -> ScoreTriplets:
     """Read external matcher scores of the observations `obs_ids`.
 
-    Returns (obs_a, obs_b, score) triplets. Both ids must be in `obs_ids`
-    and differ, the score must lie in [0, 1], and no unordered pair may be
-    scored twice, in either order.
+    Both ids of a score must be in `obs_ids` and differ, the score must lie
+    in [0, 1], and no unordered pair may be scored twice, in either order.
     """
+    records = _read_jsonl(path)
+    known = np.fromiter(obs_ids, dtype=np.int64, count=len(obs_ids))
+    try:
+        a, b, score = _ids(records, "obs_a"), _ids(records, "obs_b"), _numbers(records, "score")
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        order = np.lexsort((hi, lo))
+        repeated = (np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)
+        if (
+            ((0.0 <= score) & (score <= 1.0)).all()
+            and (a != b).all()
+            and np.isin(a, known).all()
+            and np.isin(b, known).all()
+            and not repeated.any()
+        ):
+            return ScoreTriplets(a, b, score)
+    except _Refused:
+        pass
+
+    known_set = set(known.tolist())
     triplets = []
     lines: dict[tuple[int, int], int] = {}
-    for line_no, record in _read_jsonl(path):
+    for line_no, record in records:
         _require(record, ("obs_a", "obs_b", "score"), path, line_no)
         try:
             a, b, s = _id(record, "obs_a"), _id(record, "obs_b"), _number(record, "score")
@@ -231,11 +391,12 @@ def read_score_triplets(path: str, obs_ids: Collection[int]) -> list[tuple[int, 
         if a == b:
             raise DataError(f"{path}:{line_no}: self-pair ({a}, {b})")
         for obs_id in (a, b):
-            if obs_id not in obs_ids:
+            if obs_id not in known_set:
                 raise DataError(f"{path}:{line_no}: unknown observation {obs_id}")
         _claim(lines, (min(a, b), max(a, b)), "pair {} is already scored", path, line_no)
         triplets.append((a, b, s))
-    return triplets
+    a, b, score = zip(*triplets) if triplets else ((), (), ())
+    return ScoreTriplets(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), np.array(score, dtype=float))
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -258,30 +419,14 @@ def write_jsonl(path: str, records: Iterable[dict]) -> None:
     atomic_write_text(path, text)
 
 
-def observation_to_record(o: Observation) -> dict:
-    return {
-        "obs_id": o.obs_id,
-        "frame_id": o.frame_id,
-        "category": o.category,
-        "px": o.exposure[0],
-        "py": o.exposure[1],
-        "pz": o.exposure[2],
-        "dx": o.direction[0],
-        "dy": o.direction[1],
-        "dz": o.direction[2],
-        "w_norm": o.box_w_norm,
-        "h_norm": o.box_h_norm,
-    }
-
-
 def observation_from_record(record: dict) -> Observation:
     direction = np.array([_number(record, key) for key in ("dx", "dy", "dz")])
     norm = np.linalg.norm(direction)
     if norm == 0:
         raise ValueError("zero direction vector")
     return Observation(
-        obs_id=_id(record, "obs_id"),
-        frame_id=_id(record, "frame_id"),
+        obs_id=_id64(record, "obs_id"),
+        frame_id=_id64(record, "frame_id"),
         category=_category(record),
         exposure=np.array([_number(record, key) for key in ("px", "py", "pz")]),
         direction=direction / norm,
@@ -290,21 +435,61 @@ def observation_from_record(record: dict) -> Observation:
     )
 
 
-def write_observations(path: str, observations: list[Observation]) -> None:
-    write_jsonl(path, (observation_to_record(o) for o in observations))
+def write_observations(path: str, table: ObservationTable) -> None:
+    (px, py, pz), (dx, dy, dz) = table.exposure.T.tolist(), table.direction.T.tolist()
+    columns = {
+        "obs_id": table.obs_id.tolist(),
+        "frame_id": table.frame_id.tolist(),
+        "category": table.category.tolist(),
+        "px": px, "py": py, "pz": pz,
+        "dx": dx, "dy": dy, "dz": dz,
+        "w_norm": table.box_w_norm.tolist(),
+        "h_norm": table.box_h_norm.tolist(),
+    }
+    write_jsonl(path, (dict(zip(columns, row)) for row in zip(*columns.values())))
 
 
-def read_observations(path: str) -> list[Observation]:
-    """Read observation records; no two may share an obs_id."""
+def read_observations(path: str) -> ObservationTable:
+    """Read observation records as one table; no two may share an obs_id.
+
+    Each record must be an observation `observation_from_record` accepts:
+    its direction is normalized, and must then be a unit vector.
+    """
+    records = _read_jsonl(path)
+    try:
+        direction = np.stack([_numbers(records, key) for key in ("dx", "dy", "dz")], axis=-1)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(direction, axis=1)
+        if not (norm > 0).all():
+            raise _Refused
+        table = ObservationTable(
+            obs_id=_ids(records, "obs_id"),
+            frame_id=_ids(records, "frame_id"),
+            category=_strings(records, "category"),
+            exposure=np.stack([_numbers(records, key) for key in ("px", "py", "pz")], axis=-1),
+            direction=direction / norm[:, None],
+            box_w_norm=_numbers(records, "w_norm"),
+            box_h_norm=_numbers(records, "h_norm"),
+        )
+        w, h = table.box_w_norm, table.box_h_norm
+        if (
+            (np.abs(np.linalg.norm(table.direction, axis=1) - 1.0) <= 1e-9).all()
+            and ((0.0 < w) & (w <= 1.0) & (0.0 < h) & (h <= 1.0)).all()
+            and not table.repeated_ids().size
+        ):
+            return table
+    except _Refused:
+        pass
+
     observations = []
     lines: dict[int, int] = {}
-    for line_no, record in _read_jsonl(path):
+    for line_no, record in records:
         try:
             observations.append(observation_from_record(record))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from exc
         _claim(lines, observations[-1].obs_id, "obs_id {} is already used", path, line_no)
-    return observations
+    return ObservationTable.from_observations(observations)
 
 
 def cluster_to_record(c: Cluster) -> dict:
@@ -397,6 +582,14 @@ def _id(record: dict, key: str) -> int:
     value = record[key]
     if not _is_int(value):
         raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _id64(record: dict, key: str) -> int:
+    """`_id(record, key)`, which must also fit the 64-bit column it is read into."""
+    value = _id(record, key)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"{key} {value} is outside the 64-bit integer range")
     return value
 
 
@@ -504,11 +697,9 @@ def write_truth(path: str, truth) -> None:
 def read_truth(path: str):
     from .simulator import GroundTruth, SceneObject
 
+    text = read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle, parse_constant=_reject_constant)
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
+        payload = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: malformed JSON: {exc.msg}") from exc
     except DataError as exc:

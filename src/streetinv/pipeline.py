@@ -94,7 +94,6 @@ class RunConfig:
 
 @dataclass
 class PipelineResult:
-    observations: list[Observation]
     matches: list[PairMatch]
     clusters: list[Cluster]
     inventory: list[dict]
@@ -103,11 +102,10 @@ class PipelineResult:
 
 def _score_matrix_from_file(path: str, table: ObservationTable) -> csr_array:
     """Scores from a triplet file, each pair at (earlier row, later row) of `table`."""
-    triplets = sio.read_score_triplets(path, set(table.obs_id.tolist()))
-    ids = np.array([(a, b) for a, b, _ in triplets], dtype=np.int64).reshape(-1, 2)
+    scores = sio.read_score_triplets(path, table.obs_id)
+    ids = np.stack([scores.obs_a, scores.obs_b], axis=-1)
     rows = np.sort(table.rows(ids.ravel()).reshape(-1, 2), axis=1)
-    n = len(table.obs_id)
-    return csr_array(([s for _, _, s in triplets], (rows[:, 0], rows[:, 1])), shape=(n, n))
+    return csr_array((scores.score, (rows[:, 0], rows[:, 1])), shape=(len(table), len(table)))
 
 
 def _window_blocks(scores: csr_array, pairs: list[tuple[slice, slice]]) -> Iterator[np.ndarray]:
@@ -137,12 +135,14 @@ def _window_blocks(scores: csr_array, pairs: list[tuple[slice, slice]]) -> Itera
         yield block
 
 
-def associate(observations: list[Observation], cfg: RunConfig) -> tuple[list[PairMatch], list[Cluster]]:
+def associate(
+    observations: ObservationTable | list[Observation], cfg: RunConfig
+) -> tuple[list[PairMatch], list[Cluster]]:
     """Score, assign per frame pair within the window, and chain clusters.
 
     Works on the observations as table rows sorted by (frame_id, obs_id).
     """
-    table = ObservationTable.from_observations(observations)
+    table = ObservationTable.of(observations)
     table = table.take(np.lexsort((table.obs_id, table.frame_id)))
     if cfg.scorer.startswith("file:"):
         scores = _score_matrix_from_file(cfg.scorer[len("file:"):], table)
@@ -207,7 +207,7 @@ def inventory_records(clusters: list[Cluster], table: ObservationTable) -> list[
 
 def run_pipeline(
     cfg: RunConfig,
-    observations: list[Observation],
+    observations: ObservationTable | list[Observation],
     truth: GroundTruth | None = None,
 ) -> PipelineResult:
     """Run association, localization, and (unless disabled) refinement.
@@ -215,8 +215,8 @@ def run_pipeline(
     Deterministic for fixed config and inputs. With ground truth supplied
     the result carries an evaluation report.
     """
-    table = ObservationTable.from_observations(observations)
-    matches, initial = associate(observations, cfg)
+    table = ObservationTable.of(observations)
+    matches, initial = associate(table, cfg)
     if cfg.no_refine:
         final = localize_clusters(initial, table)
     else:
@@ -226,7 +226,6 @@ def run_pipeline(
     if truth is not None:
         report = build_report(inventory, truth, cfg.identification_tol)
     return PipelineResult(
-        observations=observations,
         matches=matches,
         clusters=final,
         inventory=inventory,

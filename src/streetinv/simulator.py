@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import CameraPose, Detection2D, Observation
+from .geometry import CameraPose, Detection2D, Observation, rotation_from_euler
 
 __all__ = [
     "SceneObject",
@@ -146,9 +146,11 @@ def default_scene_spec(
     cadence of real furniture (same-category spacing from
     _CATEGORY_SEPARATION, `min_separation` across categories) so purely
     geometric association stays unambiguous. A street length or frame
-    spacing that is not positive and finite, or fewer than one object, is a
-    ValueError.
+    spacing that is not positive and finite, fewer than one object, or a
+    negative seed is a ValueError.
     """
+    if not seed >= 0:
+        raise ValueError(f"seed must be 0 or more, got {seed}")
     if not 0 < street_length < math.inf:
         raise ValueError(f"street_length must be positive and finite, got {street_length}")
     if not 0 < frame_spacing < math.inf:
@@ -284,13 +286,10 @@ def generate_scene(spec: SceneSpec) -> tuple[list[Observation], GroundTruth]:
 
 
 def _direction_to_pixels(
-    d_world: np.ndarray, pose: CameraPose, image_w: float, image_h: float
+    d_world: np.ndarray, rotation: np.ndarray, image_w: float, image_h: float
 ) -> tuple[float, float]:
-    """Pixel center whose lifted ray reproduces `d_world` under `pose`."""
-    from .geometry import rotation_from_euler
-
-    r = rotation_from_euler(pose.heading, pose.pitch, pose.roll)
-    d_cam = r.T @ d_world
+    """Pixel center whose ray, lifted through the camera-to-world `rotation`, is `d_world`."""
+    d_cam = rotation.T @ d_world
     azimuth = math.atan2(d_cam[1], d_cam[0])
     elevation = math.asin(max(-1.0, min(1.0, d_cam[2])))
     cx = (azimuth + math.pi) / (2.0 * math.pi) * image_w
@@ -314,10 +313,10 @@ def export_scene(
         replace(p, position=recorded.get(p.frame_id, p.position).copy())
         for p in sorted(spec.trajectory, key=lambda p: p.frame_id)
     ]
-    pose_of = {p.frame_id: p for p in poses}
+    rotation_of = {p.frame_id: rotation_from_euler(p.heading, p.pitch, p.roll) for p in poses}
     detections = []
     for o in observations:
-        cx, cy = _direction_to_pixels(o.direction, pose_of[o.frame_id], EXPORT_IMAGE_W, EXPORT_IMAGE_H)
+        cx, cy = _direction_to_pixels(o.direction, rotation_of[o.frame_id], EXPORT_IMAGE_W, EXPORT_IMAGE_H)
         detections.append(
             Detection2D(
                 frame_id=o.frame_id,

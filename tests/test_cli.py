@@ -115,8 +115,9 @@ class TestSettings:
         (["--drop-prob", "2"], "drop_prob must lie in [0, 1]"),
         (["--sigma-dir-deg", "nan"], "noise sigmas must be nonnegative"),
         (["--n-objects", "40", "--length", "5"], "could not place 40 objects"),
+        (["--seed", "-1"], "seed must be 0 or more, got -1"),
     ], ids=["spacing-0", "n-objects-0", "length-minus-5", "drop-prob-2", "sigma-dir-deg-nan",
-            "too-many-objects"])
+            "too-many-objects", "seed-minus-1"])
     def test_bad_scene_option_is_a_usage_error(self, tmp_path, capsys, flags, message):
         out = str(tmp_path / "scene")
         _assert_usage_error(main(["simulate", "--out", out] + flags), capsys, message, out)
@@ -137,15 +138,17 @@ class TestSettings:
 
 def _cross_category_scores(scene_dir, path):
     """Scores that link adjacent frames' observations of different categories."""
-    observations = sio.read_observations(os.path.join(scene_dir, "observations.jsonl"))
-    rank = {f: r for r, f in enumerate(sorted({o.frame_id for o in observations}))}
+    table = sio.read_observations(os.path.join(scene_dir, "observations.jsonl"))
+    ids, categories = table.obs_id.tolist(), table.category.tolist()
+    _, rank = np.unique(table.frame_id, return_inverse=True)
+    rows = range(len(table))
     _write_lines(path, [
-        {"obs_a": a.obs_id, "obs_b": b.obs_id, "score": 0.9 if a.category != b.category else 0.1}
-        for a in observations
-        for b in observations
-        if rank[b.frame_id] - rank[a.frame_id] == 1
+        {"obs_a": ids[a], "obs_b": ids[b], "score": 0.9 if categories[a] != categories[b] else 0.1}
+        for a in rows
+        for b in rows
+        if rank[b] - rank[a] == 1
     ])
-    return {o.obs_id: o.category for o in observations}
+    return dict(zip(ids, categories))
 
 
 class TestEvaluate:
@@ -318,7 +321,54 @@ class TestClusterFiles:
         assert not os.path.exists(out)
 
 
+def _score(a="0", b="1", score="0.5") -> str:
+    """One score line, its values given as JSON text."""
+    return f'{{"obs_a": {a}, "obs_b": {b}, "score": {score}}}'
+
+
 class TestReaders:
+    @pytest.mark.parametrize("text, line, message", [
+        (_score() + '\n{"obs_a": 0, "obs_b": 2,\n "score": 0.5}\n', 2,
+         "malformed JSON: Expecting property name enclosed in double quotes"),
+        (_score() + '\n{"q": [[\n]]}\n', 2, "malformed JSON: Expecting value"),
+        (_score() + "\n" + _score(b="2") + " " + _score(a="1", b="2") + "\n", 2,
+         "malformed JSON: Extra data"),
+        (_score() + "\n[0, 2, 0.5]\n", 2, "expected a JSON object"),
+        (_score() + "\r\n" + _score(b="2") + "\r\n" + _score(a="1") + "\r\n", 3, "self-pair (1, 1)"),
+        (_score() + "\r" + _score() + "\r", 2, "pair (0, 1) is already scored on line 1"),
+        ("\n" + _score() + "\n   \n\n" + _score() + "\n", 5, "pair (0, 1) is already scored on line 2"),
+        (_score() + "\n" + _score(a="true"), 2, "obs_a must be an integer, got True"),
+        (_score() + "\n" + _score(score="1e999"), 2, "score must be a finite number, got inf"),
+        (_score() + "\n" + _score(b="1" + "0" * 399), 2, "unknown observation 1" + "0" * 399),
+    ], ids=["object-over-two-lines", "array-over-two-lines", "two-objects-on-a-line", "not-an-object",
+            "crlf", "cr", "blank-lines", "true-id", "overflowing-score", "400-digit-id"])
+    def test_each_line_is_one_record(self, tmp_path, text, line, message):
+        # A line that is not exactly one JSON object, or a bad record among
+        # good ones, is refused naming its line as the file counts lines.
+        path = tmp_path / "scores.jsonl"
+        path.write_bytes(text.encode())
+        with pytest.raises(sio.DataError) as refused:
+            sio.read_score_triplets(str(path), {0, 1, 2})
+        assert str(refused.value) == f"{path}:{line}: {message}"
+
+    def test_crlf_and_blank_lines_accepted(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_bytes(("\r\n" + _score() + "\r\n  \r\n" + _score(b="2", score="1") + "\r\n").encode())
+        scores = sio.read_score_triplets(str(path), np.array([0, 1, 2]))
+        assert len(scores) == 2
+        assert (scores.obs_a.tolist(), scores.obs_b.tolist(), scores.score.tolist()) == (
+            [0, 0], [1, 2], [0.5, 1.0])
+
+    @pytest.mark.parametrize("kind, field", [("detections", "frame_id"), ("observations", "obs_id"),
+                                             ("observations", "frame_id")])
+    def test_id_beyond_64_bits_is_refused_with_its_line(self, scene_dir, tmp_path, kind, field):
+        path = _copy_records(scene_dir, tmp_path, f"{kind}.jsonl", lambda records: records[:1] + [
+            dict(records[1], **{field: 2**63})] + records[2:])
+        read = sio.read_detections if kind == "detections" else sio.read_observations
+        with pytest.raises(sio.DataError) as refused:
+            read(path)
+        assert str(refused.value) == f"{path}:2: {field} {2**63} is outside the 64-bit integer range"
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_tokens_rejected_with_line(self, tmp_path, token):
         path = tmp_path / "scores.jsonl"
@@ -353,18 +403,67 @@ class TestReaders:
         ingested = sio.ingest(os.path.join(scene_dir, "poses.jsonl"),
                               os.path.join(scene_dir, "detections.jsonl"))
         assert len(ingested) == len(exported) > 0
-        for a, b in zip(ingested, exported):
-            assert (a.obs_id, a.frame_id, a.category) == (b.obs_id, b.frame_id, b.category)
-            np.testing.assert_allclose(a.exposure, b.exposure, atol=1e-9)
-            np.testing.assert_allclose(a.direction, b.direction, atol=1e-9)
-            assert a.box_w_norm == pytest.approx(b.box_w_norm, abs=1e-12)
-            assert a.box_h_norm == pytest.approx(b.box_h_norm, abs=1e-12)
+        for column in ("obs_id", "frame_id", "category"):
+            assert getattr(ingested, column).tolist() == getattr(exported, column).tolist()
+        np.testing.assert_allclose(ingested.exposure, exported.exposure, atol=1e-9)
+        np.testing.assert_allclose(ingested.direction, exported.direction, atol=1e-9)
+        np.testing.assert_allclose(ingested.box_w_norm, exported.box_w_norm, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ingested.box_h_norm, exported.box_h_norm, rtol=0, atol=1e-12)
 
     def test_write_jsonl_refuses_nan(self, tmp_path):
         path = tmp_path / "out.jsonl"
         with pytest.raises(ValueError):
             sio.write_jsonl(str(path), [{"center": [np.nan, 0.0, 0.0]}])
         assert not path.exists()
+
+
+class TestEncoding:
+    """A file that is not UTF-8 is a data error naming it, never a traceback."""
+
+    @pytest.mark.parametrize("kind", ["poses", "detections", "scores", "observations", "clusters",
+                                      "inventory", "truth", "config"])
+    def test_non_utf8_file_is_a_data_error(self, scene_dir, tmp_path, capsys, kind):
+        observations = os.path.join(scene_dir, "observations.jsonl")
+        truth = os.path.join(scene_dir, "truth.json")
+        scores, clusters, inventory = (str(tmp_path / f"{k}.jsonl") for k in ("scores", "clusters", "inventory"))
+        _write_lines(scores, [{"obs_a": 0, "obs_b": 1, "score": 0.5}, {"obs_a": 0, "obs_b": 2, "score": 0.5}])
+        _write_lines(clusters, [{"cluster_id": 0, "members": [0, 1]}, {"cluster_id": 1, "members": [2]}])
+        _write_lines(inventory, [
+            {"object_id": k, "category": "bollard", "center": None, "n_observations": 1,
+             "max_residual": None, "members": [k]} for k in range(2)])
+        out, bad = str(tmp_path / "out"), str(tmp_path / f"bad-{kind}")
+
+        def run(**files):
+            args = _run_args(scene_dir, out)
+            for flag, path in files.items():
+                args[args.index("--" + flag) + 1] = path
+            return args
+
+        source, args = {
+            "poses": (os.path.join(scene_dir, "poses.jsonl"), run(poses=bad)),
+            "detections": (os.path.join(scene_dir, "detections.jsonl"), run(detections=bad)),
+            "scores": (scores, run() + ["--scorer", "file:" + bad]),
+            "observations": (observations, ["associate", "--observations", bad, "--out", out]),
+            "clusters": (clusters, ["localize", "--observations", observations, "--clusters", bad,
+                                    "--out", out]),
+            "inventory": (inventory, ["evaluate", "--inventory", bad, "--truth", truth, "--out", out]),
+            "truth": (truth, run(truth=bad)),
+            "config": (None, ["--config", bad] + run()),
+        }[kind]
+        if source is None:
+            data = b"window = 3\n# caf\xe9\n"
+        else:
+            # A Latin-1 byte at the first quote of line 2.
+            with open(source, "rb") as handle:
+                first, rest = handle.read().split(b"\n", 1)
+            data = first + b"\n" + rest.replace(b'"', b'"\xe9', 1)
+        with open(bad, "wb") as handle:
+            handle.write(data)
+        assert main(args) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"data error: {bad}:2: not UTF-8 text (invalid continuation byte)"]
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
 
 
 def _copy_records(scene_dir, tmp_path, name, edit):

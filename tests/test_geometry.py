@@ -9,9 +9,11 @@ from hypothesis import given, strategies as st
 from streetinv import (
     CameraPose,
     Detection2D,
+    DetectionTable,
     Observation,
     angles_to_camera_dir,
     build_observation,
+    lift_detections,
     pixel_to_angles,
     rotation_from_euler,
 )
@@ -196,6 +198,89 @@ class TestBuildObservation:
         assert abs(np.linalg.norm(o.direction) - 1.0) <= 1e-9
 
 
+def scalar_lift(det: Detection2D, pose: CameraPose) -> np.ndarray:
+    """World direction of one detection in scalar math (test oracle)."""
+    azimuth = det.center_x / det.image_w * 2.0 * math.pi - math.pi
+    elevation = (1.0 - det.center_y / det.image_h) * math.pi - math.pi / 2.0
+    d_camera = np.array([math.cos(elevation) * math.cos(azimuth),
+                         math.cos(elevation) * math.sin(azimuth), math.sin(elevation)])
+    rz, ry, rx = elementary_rotations(pose.heading, pose.pitch, pose.roll)
+    d = rz @ (ry @ (rx @ d_camera))
+    return d / math.sqrt(float(d @ d))
+
+
+angles = st.floats(-math.pi, math.pi)
+
+
+class TestLiftDetections:
+    @given(
+        poses=st.lists(st.tuples(angles, angles, angles, st.floats(-1e3, 1e3)), min_size=1, max_size=4),
+        pixels=st.lists(st.tuples(st.floats(0, W), st.floats(0, H), st.integers(0, 3)), max_size=12),
+        first_id=st.integers(0, 10**6),
+    )
+    def test_agrees_with_the_scalar_lift(self, poses, pixels, first_id):
+        cameras = [CameraPose(frame_id=10 + k, position=np.array([x, -x, 2.5]), heading=h, pitch=p,
+                              roll=r) for k, (h, p, r, x) in enumerate(poses)]
+        pose_of = [k % len(cameras) for _, _, k in pixels]
+        dets = [det(cx, cy, frame_id=cameras[k].frame_id, category=f"c{k}")
+                for (cx, cy, _), k in zip(pixels, pose_of)]
+        table = lift_detections(DetectionTable.from_detections(dets), cameras, np.array(pose_of, dtype=int),
+                                first_id)
+        assert len(table) == len(dets)
+        assert table.obs_id.tolist() == list(range(first_id, first_id + len(dets)))
+        assert table.frame_id.tolist() == [d.frame_id for d in dets]
+        assert table.category.tolist() == [d.category for d in dets]
+        for row, (d, k) in enumerate(zip(dets, pose_of)):
+            np.testing.assert_allclose(table.direction[row], scalar_lift(d, cameras[k]), rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(table.exposure[row], cameras[k].position)
+            assert (table.box_w_norm[row], table.box_h_norm[row]) == (d.box_w / W, d.box_h / H)
+
+    def test_no_detections(self):
+        table = lift_detections(DetectionTable.from_detections([]), [identity_pose()], np.zeros(0, dtype=int))
+        assert len(table) == 0 and table.direction.shape == (0, 3) and table.exposure.shape == (0, 3)
+
+    def test_build_observation_is_the_one_row_case(self):
+        pose = CameraPose(frame_id=2, position=np.array([1.0, 2.0, 3.0]), heading=0.3, pitch=-0.1, roll=0.05)
+        d = det(1000.0, 700.0, frame_id=2)
+        one = build_observation(d, pose, obs_id=7)
+        row = lift_detections(DetectionTable.from_detections([d]), [pose], np.zeros(1, dtype=int), 7)
+        assert (one.obs_id, one.frame_id, one.category) == (7, 2, "sign")
+        np.testing.assert_array_equal(one.direction, row.direction[0])
+        np.testing.assert_array_equal(one.exposure, row.exposure[0])
+
+
+@st.composite
+def detection_rows(draw):
+    """(cx, cy, w, h, image_w, image_h, confidence): a valid detection with up
+    to two fields set to the edge of a rule, or past it."""
+    image_w, image_h = draw(st.sampled_from([1.0, 4096.0, 1e300])), draw(st.sampled_from([1.0, 2048.0]))
+    row = [draw(st.floats(0, image_w)), draw(st.floats(0, image_h)), draw(st.floats(5e-324, image_w)),
+           draw(st.floats(5e-324, image_h)), image_w, image_h, draw(st.floats(0, 1))]
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1.0, math.nextafter(1.0, 2.0), image_w, image_h,
+             math.nextafter(image_w, math.inf), math.nextafter(image_h, math.inf), math.nan, math.inf, -math.inf]
+    for field in draw(st.sets(st.integers(0, 6), max_size=2)):
+        row[field] = draw(st.sampled_from(edges))
+    return tuple(row)
+
+
+class TestDetectionTableValid:
+    @given(st.lists(detection_rows(), min_size=1, max_size=8))
+    def test_accepts_exactly_what_detection2d_accepts(self, rows):
+        def accepted(cx, cy, w, h, image_w, image_h, confidence):
+            try:
+                Detection2D(frame_id=0, center_x=cx, center_y=cy, box_w=w, box_h=h, image_w=image_w,
+                            image_h=image_h, category="sign", confidence=confidence)
+            except ValueError:
+                return False
+            return True
+
+        columns = np.array(rows, dtype=float).T
+        table = DetectionTable(
+            np.zeros(len(rows), dtype=np.int64), *columns[:6], np.full(len(rows), "sign", dtype=object),
+            columns[6])
+        assert table.valid().tolist() == [accepted(*row) for row in rows]
+
+
 class TestValidation:
     def test_observation_requires_unit_direction(self):
         with pytest.raises(ValueError, match="unit"):
@@ -240,7 +325,7 @@ class TestValidation:
             )
 
     @pytest.mark.parametrize(
-        "box", [(W + 10.0, 60.0), (40.0, H + 1.0), (math.nan, 60.0), (40.0, math.inf)]
+        "box", [(W + 10.0, 60.0), (40.0, H + 1.0), (math.nan, 60.0), (40.0, math.inf), (5e-324, 60.0)]
     )
     def test_detection_box_must_be_finite_and_fit_image(self, box):
         with pytest.raises(ValueError, match="box"):

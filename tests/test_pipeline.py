@@ -114,8 +114,13 @@ class TestObservationTable:
         with pytest.raises(ValueError, match=r"duplicate observation ids: \[1\]"):
             ObservationTable.from_observations(observations)
 
+    def test_length_is_the_number_of_rows(self, scene):
+        observations, _ = scene
+        assert len(ObservationTable.from_observations(observations)) == len(observations) > 0
+
     def test_empty(self):
         table = ObservationTable.from_observations([])
+        assert len(table) == 0
         assert table.obs_id.shape == (0,) and table.exposure.shape == (0, 3)
         assert table.rows([]).tolist() == []
         with pytest.raises(KeyError):
@@ -136,6 +141,14 @@ class TestAssociate:
         assert matches and any(c.size > 1 for c in clusters)
         assert shuffled_matches == matches
         assert [(c.cluster_id, c.members) for c in shuffled_clusters] == [
+            (c.cluster_id, c.members) for c in clusters]
+
+    def test_a_table_gives_what_its_records_give(self, scene):
+        observations, _ = scene
+        matches, clusters = associate(observations, RunConfig())
+        table_matches, table_clusters = associate(ObservationTable.from_observations(observations), RunConfig())
+        assert table_matches == matches
+        assert [(c.cluster_id, c.members) for c in table_clusters] == [
             (c.cluster_id, c.members) for c in clusters]
 
     @pytest.mark.parametrize("frames", [[], [3, 3, 3]])
