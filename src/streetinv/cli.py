@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -267,7 +268,9 @@ def _cmd_run(args, config: dict) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse tree, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="streetinv", description=__doc__)
     parser.add_argument("--config", help="flat key-value config file")
     sub = parser.add_subparsers(dest="command", required=True)

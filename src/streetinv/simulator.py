@@ -7,6 +7,12 @@ noise: the direction is then perturbed by a small random rotation, the
 recorded exposure position by Gaussian noise, and observations may be
 dropped or joined by clutter detections. Everything is a pure function of
 the scene spec, including its seed.
+
+The order of random draws is part of that contract: per pose, the pose
+noise is drawn first, then each object in range is visited in ascending
+object index (its drop draw, then its angle and axis draws), then the
+clutter. A faster candidate search must return the same objects in the
+same order, or every later draw changes.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import CameraPose, Detection2D, Observation, rotation_from_euler
 
@@ -94,8 +101,10 @@ class SceneSpec:
             raise ValueError("drop_prob must lie in [0, 1]")
         if not self.clutter_rate >= 0:
             raise ValueError("clutter_rate must be nonnegative")
-        if self.max_range <= 0:
-            raise ValueError("max_range must be positive")
+        if not 0 < self.max_range < math.inf:
+            raise ValueError(f"max_range must be positive and finite, got {self.max_range}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be 0 or more, got {self.seed}")
 
 
 @dataclass(eq=False)
@@ -163,7 +172,11 @@ def default_scene_spec(
     if n_objects is None:
         n_objects = int(rng.integers(20, 41))
     objects: list[SceneObject] = []
-    placed: list[tuple[str, np.ndarray]] = []
+    # Grid hash of placed objects: (cell x, cell y) -> [(category, center)]. A cell is
+    # a little wider than any separation, so every object close enough to reject a
+    # candidate lies in the 3 x 3 cells around it, whatever the rounding of x / cell.
+    cell = max(max(_CATEGORY_SEPARATION.values()), min_separation) * (1.0 + 1e-9)
+    placed: dict[tuple[int, int], list[tuple[str, np.ndarray]]] = {}
     attempts = 0
     while len(objects) < n_objects:
         attempts += 1
@@ -180,16 +193,17 @@ def default_scene_spec(
         z = z_center + rng.uniform(-0.2, 0.2)
         center = np.array([x, y, z])
         same_cat_sep = _CATEGORY_SEPARATION[category]
-        ok = True
-        for placed_cat, placed_center in placed:
-            needed = same_cat_sep if placed_cat == category else min_separation
-            if np.linalg.norm(center - placed_center) < needed:
-                ok = False
-                break
-        if not ok:
+        cx, cy = math.floor(x / cell), math.floor(y / cell)
+        if any(
+            np.linalg.norm(center - placed_center)
+            < (same_cat_sep if placed_cat == category else min_separation)
+            for i in (-1, 0, 1)
+            for j in (-1, 0, 1)
+            for placed_cat, placed_center in placed.get((cx + i, cy + j), ())
+        ):
             continue
         objects.append(SceneObject(category=category, center=center, height=height))
-        placed.append((category, center))
+        placed.setdefault((cx, cy), []).append((category, center))
     return SceneSpec(
         trajectory=trajectory,
         objects=objects,
@@ -211,7 +225,12 @@ def _perturb_direction(d: np.ndarray, angle_sigma: float, rng: np.random.Generat
         return d
     axis /= norm
     # Rodrigues rotation; axis is perpendicular to d so the formula shortens.
-    return d * math.cos(angle) + np.cross(axis, d) * math.sin(angle)
+    # The cross product axis x d is spelled out on floats: the same IEEE
+    # operations as np.cross, without its overhead on 3-vectors.
+    a0, a1, a2 = axis.tolist()
+    d0, d1, d2 = d.tolist()
+    cross = np.array([a1 * d2 - a2 * d1, a2 * d0 - a0 * d2, a0 * d1 - a1 * d0])
+    return d * math.cos(angle) + cross * math.sin(angle)
 
 
 def generate_scene(spec: SceneSpec) -> tuple[list[Observation], GroundTruth]:
@@ -225,10 +244,19 @@ def generate_scene(spec: SceneSpec) -> tuple[list[Observation], GroundTruth]:
     observations: list[Observation] = []
     object_of: dict[int, int | None] = {}
     obs_id = 0
-    for pose in spec.trajectory:
+    # Candidates per pose from one radius query, padded so the exact depth
+    # test below sees every object in range; visited in index order.
+    tree = cKDTree(np.array([o.center for o in spec.objects]))
+    candidates = tree.query_ball_point(
+        np.array([p.position for p in spec.trajectory]),
+        r=spec.max_range * (1.0 + 1e-9),
+        return_sorted=True,
+    )
+    for pose, near in zip(spec.trajectory, candidates):
         true_position = pose.position
         recorded = true_position + rng.normal(0.0, spec.pose_noise, size=3)
-        for object_id, obj in enumerate(spec.objects):
+        for object_id in near:
+            obj = spec.objects[object_id]
             delta = obj.center - true_position
             depth = float(np.linalg.norm(delta))
             if depth > spec.max_range or depth < 1e-9:

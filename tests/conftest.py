@@ -8,8 +8,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from streetinv import Cluster, DegenerateClusterError, estimate_center
-from streetinv.simulator import GroundTruth
+from streetinv import Cluster, DegenerateClusterError, Observation, estimate_center
+from streetinv.simulator import (
+    _CATEGORY_GEOMETRY,
+    _CATEGORY_SEPARATION,
+    DEFAULT_CATEGORIES,
+    GroundTruth,
+    SceneObject,
+    SceneSpec,
+    straight_trajectory,
+)
 
 
 class Ray(NamedTuple):
@@ -292,6 +300,102 @@ def oracle_split_overmatched(clusters, table, cfg) -> list[Cluster]:
         if kept is not None:
             result.append(kept)
     return result + freed
+
+
+def oracle_default_scene_spec(
+    seed=0,
+    n_objects=None,
+    street_length=200.0,
+    frame_spacing=10.0,
+    direction_noise=math.radians(0.2),
+    pose_noise=0.02,
+    drop_prob=0.0,
+    clutter_rate=0.0,
+    min_separation=2.5,
+) -> SceneSpec:
+    """Object placement checking each attempt against every placed object.
+
+    The reference `simulator.default_scene_spec` is checked against: the
+    same draws per attempt, and a candidate is rejected when any placed
+    object lies closer than its category's separation (same category) or
+    `min_separation` (other categories).
+    """
+    rng = np.random.default_rng(seed)
+    trajectory = straight_trajectory(int(street_length / frame_spacing) + 1, frame_spacing)
+    if n_objects is None:
+        n_objects = int(rng.integers(20, 41))
+    objects = []
+    while len(objects) < n_objects:
+        category = DEFAULT_CATEGORIES[int(rng.integers(0, len(DEFAULT_CATEGORIES)))]
+        z_center, height = _CATEGORY_GEOMETRY[category]
+        x = rng.uniform(0.08 * street_length, 0.92 * street_length)
+        side = 1.0 if rng.random() < 0.5 else -1.0
+        y = side * rng.uniform(3.5, 13.0)
+        z = z_center + rng.uniform(-0.2, 0.2)
+        center = np.array([x, y, z])
+        if all(
+            np.linalg.norm(center - o.center)
+            >= (_CATEGORY_SEPARATION[category] if o.category == category else min_separation)
+            for o in objects
+        ):
+            objects.append(SceneObject(category=category, center=center, height=height))
+    return SceneSpec(
+        trajectory=trajectory,
+        objects=objects,
+        direction_noise=direction_noise,
+        pose_noise=pose_noise,
+        drop_prob=drop_prob,
+        clutter_rate=clutter_rate,
+        seed=seed,
+    )
+
+
+def oracle_generate_scene(spec: SceneSpec) -> tuple[list[Observation], GroundTruth]:
+    """Observations from measuring every pose against every object.
+
+    The reference `simulator.generate_scene` is checked against: per pose,
+    the pose noise, then every object in index order (skipped beyond
+    `max_range` or at the camera; drop draw; angle and axis draws, the
+    axis crossed by `np.cross`), then the clutter.
+    """
+    rng = np.random.default_rng(spec.seed)
+    categories = sorted({o.category for o in spec.objects})
+    observations, object_of = [], {}
+
+    def add(frame_id, category, exposure, direction, w_norm, h_norm, object_id):
+        observations.append(Observation(len(observations), frame_id, category, exposure.copy(),
+                                        direction, w_norm, h_norm))
+        object_of[len(observations) - 1] = object_id
+
+    for pose in spec.trajectory:
+        recorded = pose.position + rng.normal(0.0, spec.pose_noise, size=3)
+        for object_id, obj in enumerate(spec.objects):
+            delta = obj.center - pose.position
+            depth = float(np.linalg.norm(delta))
+            if depth > spec.max_range or depth < 1e-9 or rng.random() < spec.drop_prob:
+                continue
+            direction = delta / depth
+            if spec.direction_noise > 0:
+                angle = rng.normal(0.0, spec.direction_noise)
+                raw = rng.normal(size=3)
+                axis = raw - np.dot(raw, direction) * direction
+                norm = np.linalg.norm(axis)
+                if norm >= 1e-12:
+                    axis /= norm
+                    direction = direction * math.cos(angle) + np.cross(axis, direction) * math.sin(angle)
+                direction = direction / np.linalg.norm(direction)
+            add(pose.frame_id, obj.category, recorded, direction,
+                min(1.0, obj.height / (depth * 2.0 * math.pi)), min(1.0, obj.height / (depth * math.pi)),
+                object_id)
+        for _ in range(int(rng.poisson(spec.clutter_rate)) if spec.clutter_rate > 0 else 0):
+            azimuth = rng.uniform(-math.pi, math.pi)
+            elevation = rng.uniform(-0.3, 0.5)
+            ce = math.cos(elevation)
+            direction = np.array([ce * math.cos(azimuth), ce * math.sin(azimuth), math.sin(elevation)])
+            category = categories[int(rng.integers(0, len(categories)))]
+            h_norm = rng.uniform(0.005, 0.08)
+            add(pose.frame_id, category, recorded, direction, h_norm / 2.0, h_norm, None)
+    return observations, GroundTruth(spec.objects, [o.obs_id for o in observations], object_of)
 
 
 def grid_argmin(rays, center_hint, half_width=1.0, coarse_step=0.02, fine_step=0.001):

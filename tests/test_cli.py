@@ -97,6 +97,28 @@ def _assert_usage_error(code, capsys, message, out):
     assert not os.path.exists(out)
 
 
+class TestRepeatedMain:
+    """`main` parses every call with one parser; no call sees another call's arguments."""
+
+    def test_no_refine_does_not_carry_into_the_next_run(self, tmp_path):
+        scene = str(tmp_path / "scene")
+        assert main(["simulate", "--out", scene, "--seed", "1", "--clutter-rate", "1",
+                     "--drop-prob", "0.1"]) == EXIT_OK
+        inventories = []
+        for flags, name in [([], "plain"), (["--no-refine"], "baseline"), ([], "again")]:
+            out = str(tmp_path / name)
+            assert main(_run_args(scene, out) + flags) == EXIT_OK
+            inventories.append(_read_lines(os.path.join(out, "inventory.jsonl")))
+        plain, baseline, again = inventories
+        assert baseline != plain
+        assert again == plain
+
+    def test_usage_error_does_not_carry_into_the_next_call(self, scene_dir, tmp_path, capsys):
+        assert main(["run", "--no-such-flag"]) == EXIT_USAGE
+        assert main(_run_args(scene_dir, str(tmp_path / "run"))) == EXIT_OK
+        assert build_parser() is build_parser()
+
+
 class TestSettings:
     """Every setting is checked once, where it is built, and comes from one declaration."""
 

@@ -1,0 +1,152 @@
+"""Scene simulator: the same scenes, draw for draw, as the brute-force oracles."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from conftest import oracle_default_scene_spec, oracle_generate_scene
+
+from streetinv import CameraPose, simulator
+from streetinv.simulator import (
+    SceneObject,
+    SceneSpec,
+    default_scene_spec,
+    export_scene,
+    generate_scene,
+    straight_trajectory,
+)
+
+NOISY = dict(frame_spacing=30.0, drop_prob=0.3, direction_noise=math.radians(1.0), pose_noise=0.3)
+
+REGIMES = (
+    [pytest.param(dict(seed=s), id=f"desk-{s}") for s in range(6)]
+    + [pytest.param(dict(seed=s, clutter_rate=1.0, drop_prob=0.1), id=f"clutter-{s}") for s in range(4)]
+    + [pytest.param(dict(seed=s, **NOISY), id=f"noisy-{s}") for s in range(2)]
+)
+
+
+def _object_key(objects):
+    return [(o.category, o.center.tobytes(), o.height) for o in objects]
+
+
+def _observation_key(observations):
+    return [
+        (o.obs_id, o.frame_id, o.category, o.exposure.tobytes(), o.direction.tobytes(),
+         np.float64(o.box_w_norm).tobytes(), np.float64(o.box_h_norm).tobytes())
+        for o in observations
+    ]
+
+
+def _assert_scene_matches_oracle(spec, monkeypatch):
+    """generate_scene and export_scene agree bit for bit with the brute-force scan."""
+    observations, truth = generate_scene(spec)
+    expected, expected_truth = oracle_generate_scene(spec)
+    assert _observation_key(observations) == _observation_key(expected)
+    assert truth.object_of == expected_truth.object_of
+    assert truth.obs_ids == expected_truth.obs_ids
+    poses, detections, _, _ = export_scene(spec)
+    monkeypatch.setattr(simulator, "generate_scene", oracle_generate_scene)
+    expected_poses, expected_detections, _, _ = export_scene(spec)
+    monkeypatch.undo()
+    assert [(p.frame_id, p.position.tobytes()) for p in poses] == [
+        (p.frame_id, p.position.tobytes()) for p in expected_poses
+    ]
+    # repr keeps the sign of a zero and every digit of a float.
+    assert [repr(dataclasses.astuple(d)) for d in detections] == [
+        repr(dataclasses.astuple(d)) for d in expected_detections
+    ]
+    return observations, truth
+
+
+@pytest.mark.parametrize("kwargs", REGIMES)
+def test_default_scenes_match_oracles(kwargs, monkeypatch):
+    spec = default_scene_spec(**kwargs)
+    assert _object_key(spec.objects) == _object_key(oracle_default_scene_spec(**kwargs).objects)
+    _assert_scene_matches_oracle(spec, monkeypatch)
+
+
+def test_district_clutter_scene_matches_oracles(monkeypatch):
+    kwargs = dict(seed=8, n_objects=750, street_length=5000.0, clutter_rate=1.0, drop_prob=0.1)
+    spec = default_scene_spec(**kwargs)
+    assert _object_key(spec.objects) == _object_key(oracle_default_scene_spec(**kwargs).objects)
+    observations, _ = _assert_scene_matches_oracle(spec, monkeypatch)
+    assert len(observations) > 4000
+
+
+def _one_pose_spec(centers, max_range=32.0):
+    pose = CameraPose(frame_id=0, position=np.array([0.0, 0.0, 2.5]), heading=0.0, pitch=0.0, roll=0.0)
+    objects = [SceneObject(category="bollard", center=c, height=0.9) for c in centers]
+    return SceneSpec(trajectory=[pose], objects=objects, max_range=max_range)
+
+
+class TestRangeBoundary:
+    def test_object_at_max_range_is_observed(self, monkeypatch):
+        spec = _one_pose_spec([[32.0, 0.0, 2.5], [0.0, -32.0, 2.5], [0.0, 0.0, 34.5]])
+        _, truth = _assert_scene_matches_oracle(spec, monkeypatch)
+        assert sorted(truth.object_of.values()) == [0, 1, 2]
+
+    def test_object_just_past_max_range_is_not(self, monkeypatch):
+        beyond = np.nextafter(32.0, math.inf)
+        spec = _one_pose_spec([[beyond, 0.0, 2.5], [0.0, 10.0, 2.5]])
+        _, truth = _assert_scene_matches_oracle(spec, monkeypatch)
+        assert list(truth.object_of.values()) == [1]
+
+    def test_object_at_the_camera_is_skipped(self, monkeypatch):
+        spec = _one_pose_spec([[5.0, 5.0, 2.5], [0.0, 0.0, 2.5], [-5.0, 5.0, 2.5]])
+        _, truth = _assert_scene_matches_oracle(spec, monkeypatch)
+        assert list(truth.object_of.values()) == [0, 2]
+
+
+@pytest.mark.parametrize("min_separation", [40.0, 75.0])
+def test_separation_wider_than_any_category_still_holds(min_separation, monkeypatch):
+    kwargs = dict(seed=4, n_objects=30, street_length=2000.0, min_separation=min_separation)
+    spec = default_scene_spec(**kwargs)
+    assert _object_key(spec.objects) == _object_key(oracle_default_scene_spec(**kwargs).objects)
+    same_category = simulator._CATEGORY_SEPARATION
+    for i, a in enumerate(spec.objects):
+        for b in spec.objects[i + 1:]:
+            needed = same_category[a.category] if a.category == b.category else min_separation
+            assert np.linalg.norm(a.center - b.center) >= needed
+    _assert_scene_matches_oracle(spec, monkeypatch)
+
+
+def test_hand_built_curved_scene_matches_oracle(monkeypatch):
+    """A trajectory bending through a quarter circle, objects scattered on both sides."""
+    rng = np.random.default_rng(17)
+    radius = 80.0
+    angles = np.linspace(0.0, math.pi / 2, 25)
+    trajectory = [
+        CameraPose(frame_id=100 - 3 * k, position=[radius * math.sin(a), radius * (1 - math.cos(a)), 2.5],
+                   heading=float(a), pitch=0.01, roll=-0.02)
+        for k, a in enumerate(angles)
+    ]
+    objects = []
+    for a in rng.uniform(0.0, math.pi / 2, 40):
+        r = radius + rng.choice([-1.0, 1.0]) * rng.uniform(3.5, 12.0)
+        objects.append(SceneObject(category=str(rng.choice(["street_light", "trash_bin"])),
+                                   center=[r * math.sin(a), radius - r * math.cos(a), rng.uniform(0.5, 6.0)],
+                                   height=float(rng.uniform(0.8, 8.0))))
+    spec = SceneSpec(trajectory=trajectory, objects=objects, direction_noise=0.01, pose_noise=0.05,
+                     drop_prob=0.2, clutter_rate=0.7, max_range=25.0, seed=9)
+    observations, truth = _assert_scene_matches_oracle(spec, monkeypatch)
+    assert any(v is None for v in truth.object_of.values())
+    assert len({truth.object_of[o.obs_id] for o in observations} - {None}) > 20
+
+
+class TestSceneSpecChecks:
+    @staticmethod
+    def _spec(**kwargs):
+        return SceneSpec(trajectory=straight_trajectory(3, 10.0),
+                         objects=[SceneObject("bollard", [10.0, 4.0, 0.5], 0.9)], **kwargs)
+
+    @pytest.mark.parametrize("max_range", [math.nan, math.inf, 0.0, -1.0])
+    def test_max_range_must_be_positive_and_finite(self, max_range):
+        with pytest.raises(ValueError, match="max_range must be positive and finite"):
+            self._spec(max_range=max_range)
+
+    def test_negative_seed_is_refused_with_the_scene_message(self):
+        with pytest.raises(ValueError, match="seed must be 0 or more, got -1"):
+            self._spec(seed=-1)
+        with pytest.raises(ValueError, match="seed must be 0 or more, got -1"):
+            default_scene_spec(seed=-1)
