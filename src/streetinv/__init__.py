@@ -14,13 +14,16 @@ sorts its table by frame, so each frame is one run of rows, and takes
 from one function, `window_pairs`, the row-slice pairs of frames fewer
 than `window` ranks apart. Its scores, geometric or from a file, are an
 upper-triangular sparse matrix over those rows, and assignment reads one
-dense block of it per frame pair. Localization and each round of
-refinement's splitting fit every cluster's center in one batched solve.
+dense block of it per frame pair, every block a view of one buffer. The
+matches are columns of table rows: chaining runs connected components on
+the rows, and `associate` returns the matches as `ScoreTriplets` columns.
+Localization and each round of refinement's splitting fit every cluster's
+center in one batched solve.
 """
 
 from .association import (
     Cluster,
-    PairMatch,
+    ScoreTriplets,
     assign_pairs,
     build_score_matrix,
     ray_gaps,

@@ -12,8 +12,10 @@ scored pair sits at (earlier row, later row). The geometric scorer scores
 same-category pairs of window frames only, exp(-gap / sigma_g) for the
 gap between the two rays, in array passes. Each frame pair in the window
 reads its dense block of scores and solves an optimal one-to-one
-assignment; matches below the confidence threshold are discarded, and the
-surviving pairs are chained into initial clusters by connected components.
+assignment, kept where the score reaches the confidence threshold. The
+kept matches stay columns of table rows: `transitive_cluster` chains
+them by connected components over the rows, and `ScoreTriplets` holds
+them as columns of observation ids and scores.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from scipy.sparse.csgraph import connected_components
 from .geometry import ObservationTable
 
 __all__ = [
-    "PairMatch",
+    "ScoreTriplets",
     "Cluster",
     "window_pairs",
     "ray_gaps",
@@ -44,13 +46,20 @@ SCORE_BATCH = 128
 PARALLEL_SIN2 = 1e-12
 
 
-@dataclass(frozen=True)
-class PairMatch:
-    """An accepted match between two observations from different frames."""
+@dataclass(frozen=True, eq=False)
+class ScoreTriplets:
+    """Scored observation pairs as three columns, one row per pair.
 
-    obs_a: int
-    obs_b: int
-    score: float
+    Holds an external matcher's scores as read, and association's matches
+    with obs_a < obs_b.
+    """
+
+    obs_a: np.ndarray
+    obs_b: np.ndarray
+    score: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.score)
 
 
 @dataclass(eq=False)
@@ -161,7 +170,7 @@ def build_score_matrix(table: ObservationTable, sigma_g: float, window: int) -> 
     categories or outside the window have no entry.
     """
     n = len(table.obs_id)
-    _, category = np.unique(table.category, return_inverse=True)
+    _, category = table.category_codes
     pairs = window_pairs(table.frame_id, window)
     scored = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
     for start in range(0, len(pairs), SCORE_BATCH):
@@ -174,47 +183,43 @@ def build_score_matrix(table: ObservationTable, sigma_g: float, window: int) -> 
     return csr_array((values, (rows, cols)), shape=(n, n))
 
 
-def assign_pairs(
-    block: np.ndarray, left_ids: list[int], right_ids: list[int], tau: float
-) -> list[PairMatch]:
-    """Optimal one-to-one matches between the observations of two frames.
+def assign_pairs(block: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal one-to-one matches between the rows and columns of `block`.
 
-    `block[r, c]` scores observation `left_ids[r]` against `right_ids[c]`.
-    Solves the maximum-weight bipartite assignment and keeps assignments
-    whose score is at least `tau`.
+    Solves the maximum-weight bipartite assignment on the scores `block`
+    and keeps assignments whose score is at least `tau`, as block-local
+    (rows, cols) index arrays in increasing row order.
     """
     rows, cols = linear_sum_assignment(block, maximize=True)
-    matches: list[PairMatch] = []
-    for r, c in zip(rows, cols):
-        score = float(block[r, c])
-        if score >= tau:
-            a, b = left_ids[r], right_ids[c]
-            matches.append(PairMatch(obs_a=min(a, b), obs_b=max(a, b), score=score))
-    return matches
+    kept = block[rows, cols] >= tau
+    return rows[kept], cols[kept]
 
 
-def transitive_cluster(pairs: list[PairMatch], all_obs: list[int]) -> list[Cluster]:
-    """Chain pair matches into clusters by connected components.
+def transitive_cluster(row_a: np.ndarray, row_b: np.ndarray, obs_id: np.ndarray) -> list[Cluster]:
+    """Chain matched rows into clusters by connected components.
 
-    Every observation in `all_obs` ends up in exactly one cluster;
-    unmatched observations become singletons. Cluster ids are assigned in
-    order of each component's smallest member id.
+    Match i links rows row_a[i] and row_b[i] of a table whose ids are
+    `obs_id`. Every row ends up in exactly one cluster; unmatched rows
+    become singletons. Cluster ids are assigned in order of each
+    component's smallest member id.
+
+    Raises:
+        ValueError: if a match names a row outside the table.
     """
-    ids = sorted(set(all_obs))
-    index = {obs_id: i for i, obs_id in enumerate(ids)}
-    rows, cols = [], []
-    for pair in pairs:
-        if pair.obs_a not in index or pair.obs_b not in index:
-            raise ValueError(f"pair ({pair.obs_a}, {pair.obs_b}) references unknown observation")
-        rows.append(index[pair.obs_a])
-        cols.append(index[pair.obs_b])
-    n = len(ids)
+    n = len(obs_id)
+    for rows in (row_a, row_b):
+        if rows.size and not (0 <= rows.min() and rows.max() < n):
+            raise ValueError(f"match references unknown row of a {n}-row table")
     if n == 0:
         return []
-    graph = coo_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    # Nodes are the sorted ids and components are labelled in order of
-    # their first node, so labels already follow each smallest member id.
+    # Nodes are numbered in id order and components are labelled in order
+    # of their first node, so labels already follow each smallest member id.
+    by_id = np.argsort(obs_id, kind="stable")
+    node = np.empty(n, dtype=np.intp)
+    node[by_id] = np.arange(n)
+    graph = coo_array((np.ones(len(row_a)), (node[row_a], node[row_b])), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
     order = np.argsort(labels, kind="stable")
-    groups = np.split(np.asarray(ids)[order], np.flatnonzero(np.diff(labels[order])) + 1)
-    return [Cluster(cluster_id=k, members=set(g.tolist())) for k, g in enumerate(groups)]
+    ids = obs_id[by_id][order].tolist()
+    bounds = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), n]
+    return [Cluster(cluster_id=k, members=ids[lo:hi]) for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]

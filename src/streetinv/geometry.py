@@ -264,6 +264,11 @@ class ObservationTable:
         order = np.argsort(self.obs_id, kind="stable")
         return order, self.obs_id[order]
 
+    @cached_property
+    def category_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The category names, sorted, and each row's index into them."""
+        return np.unique(self.category, return_inverse=True)
+
     def rows(self, obs_ids) -> np.ndarray:
         """Row index of each id in the sequence `obs_ids`, in its order.
 

@@ -21,12 +21,11 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 from typing import Collection, Iterable
 
 import numpy as np
 
-from .association import Cluster
+from .association import Cluster, ScoreTriplets
 from .geometry import (
     CameraPose,
     Detection2D,
@@ -45,7 +44,6 @@ __all__ = [
     "read_poses",
     "read_detections",
     "ingest",
-    "ScoreTriplets",
     "read_score_triplets",
     "read_text",
     "write_jsonl",
@@ -341,18 +339,6 @@ def ingest(poses_file: str, detections_file: str, coord_mode: str = "local") -> 
     return lift_detections(detections, poses, pose_of)
 
 
-@dataclass(frozen=True, eq=False)
-class ScoreTriplets:
-    """External matcher scores as three columns, one row per scored pair."""
-
-    obs_a: np.ndarray
-    obs_b: np.ndarray
-    score: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.score)
-
-
 def read_score_triplets(path: str, obs_ids: Collection[int]) -> ScoreTriplets:
     """Read external matcher scores of the observations `obs_ids`.
 
@@ -414,8 +400,12 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+# The one encoder of every JSON lines file written: strict JSON, keys sorted.
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
 def write_jsonl(path: str, records: Iterable[dict]) -> None:
-    text = "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in records)
+    text = "".join(_JSONL_ENCODER.encode(r) + "\n" for r in records)
     atomic_write_text(path, text)
 
 

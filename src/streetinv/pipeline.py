@@ -20,7 +20,7 @@ from scipy.sparse import csr_array
 from . import io as sio
 from .association import (
     Cluster,
-    PairMatch,
+    ScoreTriplets,
     assign_pairs,
     build_score_matrix,
     transitive_cluster,
@@ -94,7 +94,7 @@ class RunConfig:
 
 @dataclass
 class PipelineResult:
-    matches: list[PairMatch]
+    matches: ScoreTriplets
     clusters: list[Cluster]
     inventory: list[dict]
     report: EvaluationReport | None = None
@@ -111,36 +111,48 @@ def _score_matrix_from_file(path: str, table: ObservationTable) -> csr_array:
 def _window_blocks(scores: csr_array, pairs: list[tuple[slice, slice]]) -> Iterator[np.ndarray]:
     """The dense block of `scores` of each row-slice pair of `window_pairs`, in order.
 
-    Groups the matrix entries by frame pair once, then scatters each group
-    into a block of zeros. Entries of no pair, such as file scores beyond
-    the window, are left out.
+    Scatters every entry of a pair into one flat buffer of zeros, laid out
+    block after block, and yields each block as a view of it. Entries of
+    no pair, such as file scores within a frame or beyond the window, are
+    left out.
     """
-    # The pairs' slices are the frames' runs of rows; an entry's run is
-    # the last run starting at or before its row.
-    starts = np.array(sorted({s.start for pair in pairs for s in pair}), dtype=np.intp)
+    if not pairs:
+        return
+    a0, a1, b0, b1 = np.array([(a.start, a.stop, b.start, b.stop) for a, b in pairs], dtype=np.intp).T
+    width = b1 - b0
+    size = (a1 - a0) * width
+    ends = np.cumsum(size)
+    offset = ends - size
+    # The pairs' slices are the frames' runs of rows; an entry's run is the
+    # last run starting at or before its row. Pairs come in increasing
+    # order of (earlier run, later run), so their keys are sorted.
+    starts = np.unique(np.concatenate([a0, b0]))
 
-    def run(rows):
-        return np.searchsorted(starts, rows, side="right") - 1
+    def key(rows, cols):
+        return (np.searchsorted(starts, rows, side="right") - 1) * len(starts) + (
+            np.searchsorted(starts, cols, side="right") - 1
+        )
 
     entries = scores.tocoo()
-    key = run(entries.row) * len(starts) + run(entries.col)
-    order = np.argsort(key)
-    pair_starts = np.array([(a.start, b.start) for a, b in pairs], dtype=np.intp).reshape(-1, 2)
-    pair_key = run(pair_starts[:, 0]) * len(starts) + run(pair_starts[:, 1])
-    first, last = (np.searchsorted(key[order], pair_key, side=side) for side in ("left", "right"))
-    for (a, b), lo, hi in zip(pairs, first, last):
-        k = order[lo:hi]
-        block = np.zeros((a.stop - a.start, b.stop - b.start))
-        block[entries.row[k] - a.start, entries.col[k] - b.start] = entries.data[k]
-        yield block
+    entry_key, pair_key = key(entries.row, entries.col), key(a0, b0)
+    k = np.minimum(np.searchsorted(pair_key, entry_key), len(pairs) - 1)
+    hit = pair_key[k] == entry_key
+    k, row, col = k[hit], entries.row[hit], entries.col[hit]
+    flat = np.zeros(ends[-1])
+    flat[offset[k] + (row - a0[k]) * width[k] + (col - b0[k])] = entries.data[hit]
+    for lo, hi, n in zip(offset.tolist(), ends.tolist(), width.tolist()):
+        yield flat[lo:hi].reshape(-1, n)
 
 
 def associate(
     observations: ObservationTable | list[Observation], cfg: RunConfig
-) -> tuple[list[PairMatch], list[Cluster]]:
+) -> tuple[ScoreTriplets, list[Cluster]]:
     """Score, assign per frame pair within the window, and chain clusters.
 
     Works on the observations as table rows sorted by (frame_id, obs_id).
+    The matches are the kept assignments with obs_a < obs_b, frame pair
+    by frame pair in window order, each pair's in order of its earlier
+    frame's rows.
     """
     table = ObservationTable.of(observations)
     table = table.take(np.lexsort((table.obs_id, table.frame_id)))
@@ -148,13 +160,15 @@ def associate(
         scores = _score_matrix_from_file(cfg.scorer[len("file:"):], table)
     else:
         scores = build_score_matrix(table, cfg.sigma_g, cfg.window)
-    ids = table.obs_id.tolist()
     pairs = window_pairs(table.frame_id, cfg.window)
-    matches: list[PairMatch] = []
+    matched = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
     for (a, b), block in zip(pairs, _window_blocks(scores, pairs)):
-        matches.extend(assign_pairs(block, ids[a], ids[b], cfg.tau))
-    clusters = transitive_cluster(matches, ids)
-    return matches, clusters
+        rows, cols = assign_pairs(block, cfg.tau)
+        matched.append((rows + a.start, cols + b.start, block[rows, cols]))
+    row_a, row_b, score = (np.concatenate(column) for column in zip(*matched))
+    id_a, id_b = table.obs_id[row_a], table.obs_id[row_b]
+    matches = ScoreTriplets(np.minimum(id_a, id_b), np.maximum(id_a, id_b), score)
+    return matches, transitive_cluster(row_a, row_b, table.obs_id)
 
 
 def localize_clusters(clusters: list[Cluster], table: ObservationTable) -> list[Cluster]:

@@ -68,8 +68,8 @@ def split_overmatched(
     obs = np.array(list(itertools.chain.from_iterable(members)), dtype=np.int64)
     group = np.repeat(np.arange(len(ordered)), sizes)
     rows = table.rows(obs)
-    categories, category = np.unique(table.category[rows], return_inverse=True)
-    threshold = np.array([cfg.split_threshold(c) for c in categories], dtype=float)[category]
+    names, codes = table.category_codes
+    threshold = np.array([cfg.split_threshold(c) for c in names], dtype=float)[codes[rows]]
 
     freed_in = np.full(len(obs), -1)  # the round a row was freed in
     residuals = np.full(len(obs), np.nan)
@@ -179,30 +179,32 @@ def merge_undermatched(
     ordered = sorted(clusters, key=lambda c: c.cluster_id)
     multis = [c for c in ordered if c.size >= 2]
     # A target has a center and members of one category.
+    names, codes = table.category_codes
     sizes = np.array([c.size for c in multis], dtype=np.intp)
     group = np.repeat(np.arange(len(multis)), sizes)
-    member_categories = table.category[table.rows([m for c in multis for m in c.members])]
-    first = member_categories[np.cumsum(sizes) - sizes]
-    mixed = np.bincount(group[member_categories != first[group]], minlength=len(multis)) > 0
-    targets: dict[str, list[int]] = {}
-    for k, c in enumerate(multis):
+    member_codes = codes[table.rows([m for c in multis for m in c.members])]
+    first = member_codes[np.cumsum(sizes) - sizes]
+    mixed = np.bincount(group[member_codes != first[group]], minlength=len(multis)) > 0
+    targets: dict[int, list[int]] = {}
+    for k, (c, code) in enumerate(zip(multis, first.tolist())):
         if c.center is not None and not mixed[k]:
-            targets.setdefault(first[k], []).append(k)
+            targets.setdefault(code, []).append(k)
     singles = [c for c in ordered if c.size == 1]
-    single_rays = table.take(table.rows([next(iter(s.members)) for s in singles]))
+    single_rows = table.rows([next(iter(s.members)) for s in singles])
+    single_rays, single_codes = table.take(single_rows), codes[single_rows]
     single_ids = np.array([s.cluster_id for s in singles], dtype=np.int64)
 
     # Each category is absorbed and paired on arrays of its own.
     absorbed: dict[int, dict[int, float]] = {}
     left: set[int] = set()
     taken: list[tuple[float, int, int]] = []
-    for category in dict.fromkeys(single_rays.category):
-        in_category = single_rays.category == category
+    for code in dict.fromkeys(single_codes.tolist()):
+        in_category = single_codes == code
         rays, ids = single_rays.take(in_category), single_ids[in_category]
-        threshold = cfg.merge_threshold(category)
+        threshold = cfg.merge_threshold(names[code])
         free = np.ones(len(ids), dtype=bool)
-        if category in targets:
-            near = targets[category]
+        if code in targets:
+            near = targets[code]
             v = np.stack([multis[t].center for t in near])[None, :, :] - rays.exposure[:, None, :]
             dist = np.linalg.norm(np.cross(v, rays.direction[:, None, :]), axis=2)
             nearest = dist.argmin(axis=1)

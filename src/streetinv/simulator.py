@@ -154,9 +154,9 @@ def default_scene_spec(
     Objects land on both sides of the street, keeping the per-category
     cadence of real furniture (same-category spacing from
     _CATEGORY_SEPARATION, `min_separation` across categories) so purely
-    geometric association stays unambiguous. A street length or frame
-    spacing that is not positive and finite, fewer than one object, or a
-    negative seed is a ValueError.
+    geometric association stays unambiguous. A street length, frame
+    spacing or `min_separation` that is not positive and finite, fewer
+    than one object, or a negative seed is a ValueError.
     """
     if not seed >= 0:
         raise ValueError(f"seed must be 0 or more, got {seed}")
@@ -166,6 +166,8 @@ def default_scene_spec(
         raise ValueError(f"frame_spacing must be positive and finite, got {frame_spacing}")
     if n_objects is not None and n_objects < 1:
         raise ValueError(f"n_objects must be at least 1, got {n_objects}")
+    if not 0 < min_separation < math.inf:
+        raise ValueError(f"min_separation must be positive and finite, got {min_separation}")
     rng = np.random.default_rng(seed)
     n_frames = int(street_length / frame_spacing) + 1
     trajectory = straight_trajectory(n_frames, frame_spacing)

@@ -8,7 +8,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from streetinv import Cluster, DegenerateClusterError, Observation, estimate_center
+from scipy.optimize import linear_sum_assignment
+
+from streetinv import (
+    Cluster,
+    DegenerateClusterError,
+    Observation,
+    ObservationTable,
+    build_score_matrix,
+    estimate_center,
+    window_pairs,
+)
+from streetinv.pipeline import _score_matrix_from_file
 from streetinv.simulator import (
     _CATEGORY_GEOMETRY,
     _CATEGORY_SEPARATION,
@@ -162,6 +173,55 @@ def oracle_enumerate_assignment(score_block: np.ndarray) -> tuple[list[tuple[int
     if transposed:
         pairs = sorted((c, r) for r, c in pairs)
     return pairs, float(best_total)
+
+
+class PairMatch(NamedTuple):
+    """One accepted match of `oracle_associate`, obs_a < obs_b."""
+
+    obs_a: int
+    obs_b: int
+    score: float
+
+
+def oracle_associate(observations, cfg) -> tuple[list[PairMatch], list[tuple[int, list[int]]]]:
+    """Association one match record at a time.
+
+    The reference `pipeline.associate` is checked against, from the same
+    score matrix: each frame pair's block is sliced from the matrix, every
+    kept assignment becomes a `PairMatch` of ids, and the matches are
+    chained by union-find over a dict of ids. Returns the matches and each
+    cluster as (cluster id, sorted members), clusters numbered by their
+    smallest member.
+    """
+    table = ObservationTable.of(observations)
+    table = table.take(np.lexsort((table.obs_id, table.frame_id)))
+    if cfg.scorer.startswith("file:"):
+        scores = _score_matrix_from_file(cfg.scorer[len("file:"):], table)
+    else:
+        scores = build_score_matrix(table, cfg.sigma_g, cfg.window)
+    ids = table.obs_id.tolist()
+    matches = []
+    for a, b in window_pairs(table.frame_id, cfg.window):
+        block = scores[a, b].toarray()
+        for r, c in zip(*linear_sum_assignment(block, maximize=True)):
+            score = float(block[r, c])
+            if score >= cfg.tau:
+                x, y = ids[a][r], ids[b][c]
+                matches.append(PairMatch(min(x, y), max(x, y), score))
+
+    parent = {i: i for i in ids}
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for m in matches:
+        parent[root(m.obs_a)] = root(m.obs_b)
+    groups: dict[int, list[int]] = {}
+    for i in sorted(ids):
+        groups.setdefault(root(i), []).append(i)
+    return matches, list(enumerate(sorted(groups.values())))
 
 
 def oracle_pair_counts(true_labels, pred_labels) -> tuple[int, int, int]:

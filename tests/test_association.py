@@ -10,7 +10,6 @@ from streetinv import (
     Cluster,
     Observation,
     ObservationTable,
-    PairMatch,
     assign_pairs,
     build_score_matrix,
     transitive_cluster,
@@ -133,94 +132,90 @@ class TestGeometricScore:
         assert scored == expected and all(i < j for i, j in scored)
 
 
-def two_frames(block: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
-    """`block` with the obs ids of frame 0 (rows) and frame 1 (columns)."""
-    n_a, n_b = block.shape
-    return block, list(range(n_a)), list(range(n_a, n_a + n_b))
+def matched(block: np.ndarray, tau: float) -> list[tuple[int, int, float]]:
+    """`assign_pairs` of `block` as (row, col, score) triples."""
+    rows, cols = assign_pairs(block, tau)
+    return [(r, c, float(block[r, c])) for r, c in zip(rows.tolist(), cols.tolist())]
 
 
 class TestAssignPairs:
     def test_two_by_two_prefers_diagonal(self):
         # Enumerating both assignments: 0.9 + 0.8 beats 0.2 + 0.3.
-        block, left, right = two_frames(np.array([[0.9, 0.2], [0.3, 0.8]]))
-        matches = assign_pairs(block, left, right, tau=0.5)
-        assert {(p.obs_a, p.obs_b) for p in matches} == {(0, 2), (1, 3)}
+        assert matched(np.array([[0.9, 0.2], [0.3, 0.8]]), tau=0.5) == [(0, 0, 0.9), (1, 1, 0.8)]
 
     def test_below_threshold_dropped(self):
-        block, left, right = two_frames(np.array([[0.4]]))
-        assert assign_pairs(block, left, right, tau=0.5) == []
+        assert matched(np.array([[0.4]]), tau=0.5) == []
 
     def test_threshold_above_one_empty(self):
-        block, left, right = two_frames(np.array([[0.9, 0.2], [0.3, 0.8]]))
-        assert assign_pairs(block, left, right, tau=1.01) == []
+        assert matched(np.array([[0.9, 0.2], [0.3, 0.8]]), tau=1.01) == []
 
     def test_never_matches_within_a_frame(self):
+        # Rows are the earlier frame's rays and columns the later one's.
         rng = np.random.default_rng(2)
-        block, left, right = two_frames(rng.uniform(0, 1, size=(4, 3)))
-        for p in assign_pairs(block, left, right, tau=0.0):
-            assert (p.obs_a in left) != (p.obs_b in left)
+        rows, cols = assign_pairs(rng.uniform(0, 1, size=(4, 3)), tau=0.0)
+        assert len(rows) == 3 and set(rows.tolist()) <= set(range(4)) and sorted(cols.tolist()) == [0, 1, 2]
 
     def test_one_to_one_per_frame_pair(self):
         rng = np.random.default_rng(3)
-        block, left, right = two_frames(rng.uniform(0, 1, size=(5, 5)))
-        matches = assign_pairs(block, left, right, tau=0.0)
-        seen = [p.obs_a for p in matches] + [p.obs_b for p in matches]
-        assert len(seen) == len(set(seen))
+        rows, cols = assign_pairs(rng.uniform(0, 1, size=(5, 5)), tau=0.0)
+        assert sorted(rows.tolist()) == sorted(cols.tolist()) == list(range(5))
 
     def test_total_score_matches_enumeration_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
             n_a = int(rng.integers(1, 8))
             n_b = int(rng.integers(1, 8))
-            block, left, right = two_frames(np.round(rng.uniform(0, 1, size=(n_a, n_b)), 6))
-            matches = assign_pairs(block, left, right, tau=0.0)
-            total = sum(p.score for p in matches)
+            block = np.round(rng.uniform(0, 1, size=(n_a, n_b)), 6)
+            total = sum(score for _, _, score in matched(block, tau=0.0))
             _, oracle_total = oracle_enumerate_assignment(block)
             assert total == pytest.approx(oracle_total, abs=1e-9)
 
 
+def chained(edges, obs_id) -> list[tuple[int, list[int]]]:
+    """`transitive_cluster` over (row, row) edges of a table with ids `obs_id`."""
+    edges = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    clusters = transitive_cluster(edges[:, 0], edges[:, 1], np.array(obs_id, dtype=np.int64))
+    return [(c.cluster_id, sorted(c.members)) for c in clusters]
+
+
 class TestTransitiveCluster:
     def test_chain_links_transitively(self):
-        pairs = [PairMatch(1, 2, 0.9), PairMatch(2, 3, 0.9)]
-        clusters = transitive_cluster(pairs, [1, 2, 3, 4])
-        assert sorted(sorted(c.members) for c in clusters) == [[1, 2, 3], [4]]
+        assert chained([(0, 1), (1, 2)], [1, 2, 3, 4]) == [(0, [1, 2, 3]), (1, [4])]
 
     def test_no_pairs_all_singletons(self):
-        clusters = transitive_cluster([], [1, 2])
-        assert sorted(sorted(c.members) for c in clusters) == [[1], [2]]
+        assert chained([], [1, 2]) == [(0, [1]), (1, [2])]
 
     def test_two_disjoint_chains(self):
-        pairs = [PairMatch(0, 1, 0.9), PairMatch(1, 2, 0.9),
-                 PairMatch(3, 4, 0.9), PairMatch(4, 5, 0.9)]
-        clusters = transitive_cluster(pairs, list(range(6)))
-        assert sorted(sorted(c.members) for c in clusters) == [[0, 1, 2], [3, 4, 5]]
+        assert chained([(0, 1), (1, 2), (3, 4), (4, 5)], list(range(6))) == [(0, [0, 1, 2]), (1, [3, 4, 5])]
+
+    def test_empty_table(self):
+        assert chained([], []) == []
 
     def test_unknown_observation_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            transitive_cluster([PairMatch(1, 99, 0.9)], [1, 2])
+        for edge in [(1, 2), (-1, 0), (2, 0)]:
+            with pytest.raises(ValueError, match="unknown row"):
+                chained([edge], [1, 2])
 
     @settings(max_examples=50, deadline=None)
     @given(
         n=st.integers(1, 40),
         edges=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=60),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_output_is_partition(self, n, edges):
-        all_obs = list(range(n))
-        pairs = [PairMatch(min(a, b), max(a, b), 0.9) for a, b in edges if a != b and a < n and b < n]
-        clusters = transitive_cluster(pairs, all_obs)
-        union = sorted(m for c in clusters for m in c.members)
-        assert union == all_obs  # disjoint cover
-        smallest = [min(c.members) for c in clusters]
+    def test_output_is_partition(self, n, edges, seed):
+        # Rows hold the ids in a shuffled order, as a frame-sorted table does.
+        obs_id = np.random.default_rng(seed).permutation(n) * 3
+        edges = [(a, b) for a, b in edges if a != b and a < n and b < n]
+        clusters = chained(edges, obs_id)
+        union = sorted(m for _, members in clusters for m in members)
+        assert union == sorted(obs_id.tolist())  # disjoint cover
+        smallest = [members[0] for _, members in clusters]
         assert smallest == sorted(smallest)  # ids follow each smallest member
-        assert [c.cluster_id for c in clusters] == list(range(len(clusters)))
+        assert [k for k, _ in clusters] == list(range(len(clusters)))
 
     def test_cluster_ids_deterministic(self):
-        pairs = [PairMatch(5, 9, 0.9)]
-        a = transitive_cluster(pairs, [9, 5, 1])
-        b = transitive_cluster(pairs, [1, 5, 9])
-        assert [(c.cluster_id, sorted(c.members)) for c in a] == [
-            (c.cluster_id, sorted(c.members)) for c in b
-        ]
+        # The rows holding ids 5 and 9 are matched, in two row orders.
+        assert chained([(0, 1)], [9, 5, 1]) == chained([(1, 2)], [1, 5, 9]) == [(0, [1]), (1, [5, 9])]
 
 
 class TestClusterValidation:

@@ -438,6 +438,24 @@ class TestReaders:
             sio.write_jsonl(str(path), [{"center": [np.nan, 0.0, 0.0]}])
         assert not path.exists()
 
+    def test_write_jsonl_bytes_are_json_dumps(self, tmp_path):
+        records = [
+            {"object_id": 0, "category": "bollard", "center": [1.5, -2.0, 1e-300], "n_observations": 2,
+             "max_residual": 0.1 + 0.2, "members": [3, 7]},
+            {"object_id": 1, "category": "street_light", "center": None, "n_observations": 1,
+             "max_residual": None, "members": [2**62]},
+            {"obs_id": 5, "frame_id": 1, "category": "trash_bin", "px": 0.0, "py": -0.0, "pz": 2.5,
+             "dx": 0.6, "dy": 0.8, "dz": 0.0, "w_norm": 0.01, "h_norm": 0.02},
+            {"b": [[1, [2.0, []]], {"z": "é", "a": {}}], "a": "\u2028\n\"q\""},
+        ]
+        path = tmp_path / "out.jsonl"
+        sio.write_jsonl(str(path), records)
+        expected = "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in records)
+        assert path.read_bytes() == expected.encode("utf-8")
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                sio.write_jsonl(str(tmp_path / "bad.jsonl"), [{"b": [[0.0, bad]]}])
+
 
 class TestEncoding:
     """A file that is not UTF-8 is a data error naming it, never a traceback."""

@@ -1,5 +1,6 @@
 """Pipeline: the observation table, localization, inventory records, whole runs."""
 
+import dataclasses
 import json
 import random
 
@@ -10,7 +11,6 @@ from streetinv import (
     Cluster,
     Observation,
     ObservationTable,
-    PairMatch,
     RunConfig,
     default_scene_spec,
     estimate_center,
@@ -22,6 +22,8 @@ from scipy.sparse import csr_array
 from streetinv import window_pairs
 from streetinv.pipeline import _window_blocks, associate, inventory_records, localize_clusters
 from streetinv.simulator import GroundTruth
+
+from conftest import oracle_associate
 
 
 def mkobs(obs_id, frame_id, origin, target, category="bollard"):
@@ -77,6 +79,18 @@ class TestRunConfig:
 
 
 class TestObservationTable:
+    def test_category_codes_are_computed_once(self, scene):
+        observations, _ = scene
+        table = ObservationTable.from_observations(observations)
+        names, codes = table.category_codes
+        expected_names, expected_codes = np.unique(table.category, return_inverse=True)
+        assert names.tolist() == expected_names.tolist() == sorted(set(table.category))
+        assert codes.tolist() == expected_codes.tolist()
+        assert names[codes].tolist() == table.category.tolist()
+        assert table.category_codes is table.category_codes
+        empty = ObservationTable.from_observations([]).category_codes
+        assert (len(empty[0]), len(empty[1])) == (0, 0)
+
     def test_rows_and_take_agree_with_the_records(self, scene):
         observations, _ = scene
         table = ObservationTable.from_observations(observations)
@@ -131,6 +145,11 @@ def _members(clusters):
     return sorted(sorted(c.members) for c in clusters)
 
 
+def _columns(matches):
+    """The matches as a list of (obs_a, obs_b, score)."""
+    return list(zip(matches.obs_a.tolist(), matches.obs_b.tolist(), matches.score.tolist()))
+
+
 class TestAssociate:
     def test_shuffled_input_gives_the_same_matches_and_clusters(self, scene):
         observations, _ = scene
@@ -139,7 +158,7 @@ class TestAssociate:
         matches, clusters = associate(observations, RunConfig())
         shuffled_matches, shuffled_clusters = associate(shuffled, RunConfig())
         assert matches and any(c.size > 1 for c in clusters)
-        assert shuffled_matches == matches
+        assert _columns(shuffled_matches) == _columns(matches)
         assert [(c.cluster_id, c.members) for c in shuffled_clusters] == [
             (c.cluster_id, c.members) for c in clusters]
 
@@ -147,15 +166,15 @@ class TestAssociate:
         observations, _ = scene
         matches, clusters = associate(observations, RunConfig())
         table_matches, table_clusters = associate(ObservationTable.from_observations(observations), RunConfig())
-        assert table_matches == matches
+        assert _columns(table_matches) == _columns(matches)
         assert [(c.cluster_id, c.members) for c in table_clusters] == [
             (c.cluster_id, c.members) for c in clusters]
 
-    @pytest.mark.parametrize("frames", [[], [3, 3, 3]])
+    @pytest.mark.parametrize("frames", [[], [3, 3, 3], [3]])
     def test_empty_or_single_frame_matches_nothing(self, frames):
         observations = [mkobs(i, f, [0, 0, 0], [10, i, 0]) for i, f in enumerate(frames)]
-        matches, clusters = associate(observations, RunConfig())
-        assert matches == [] and _members(clusters) == [[i] for i in range(len(frames))]
+        matches, clusters = _assert_associate_matches_oracle(observations, RunConfig())
+        assert _columns(matches) == [] and _members(clusters) == [[i] for i in range(len(frames))]
 
     def test_file_scores_outside_the_window_are_ignored(self, tmp_path):
         observations = [mkobs(i, f, [10.0 * i, 0, 0], [5, 5, 0]) for i, f in enumerate([0, 4, 9])]
@@ -163,9 +182,9 @@ class TestAssociate:
         path.write_text('{"obs_a": 2, "obs_b": 0, "score": 0.9}\n'
                         '{"obs_a": 1, "obs_b": 2, "score": 0.8}\n')
         cfg = RunConfig(window=2, scorer=f"file:{path}")
-        assert associate(observations, cfg)[0] == [PairMatch(1, 2, 0.8)]
+        assert _columns(associate(observations, cfg)[0]) == [(1, 2, 0.8)]
         cfg.window = 3
-        assert associate(observations, cfg)[0] == [PairMatch(0, 2, 0.9), PairMatch(1, 2, 0.8)]
+        assert _columns(associate(observations, cfg)[0]) == [(0, 2, 0.9), (1, 2, 0.8)]
 
 
     @pytest.mark.parametrize("window", [2, 3, 5])
@@ -181,6 +200,100 @@ class TestAssociate:
         assert len(blocks) == len(pairs) > 0
         for (a, b), block in zip(pairs, blocks):
             assert np.array_equal(block, scores[a, b].toarray())
+
+
+def _assert_associate_matches_oracle(observations, cfg):
+    """`associate` gives `oracle_associate`'s matches bit for bit, and its clusters."""
+    matches, clusters = associate(observations, cfg)
+    expected, expected_clusters = oracle_associate(observations, cfg)
+    assert matches.obs_a.dtype == matches.obs_b.dtype == np.int64
+    assert matches.obs_a.tolist() == [m.obs_a for m in expected]
+    assert matches.obs_b.tolist() == [m.obs_b for m in expected]
+    assert matches.score.tobytes() == np.array([m.score for m in expected], dtype=float).tobytes()
+    assert [(c.cluster_id, sorted(c.members)) for c in clusters] == expected_clusters
+    return matches, clusters
+
+
+def _write_scores(path, triplets):
+    with open(path, "w") as handle:
+        for a, b, score in triplets:
+            handle.write(json.dumps({"obs_a": a, "obs_b": b, "score": score}) + "\n")
+
+
+class TestAssociateOracle:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_desk_scenes(self, seed):
+        observations, _ = generate_scene(default_scene_spec(seed=seed))
+        matches, _ = _assert_associate_matches_oracle(observations, RunConfig())
+        assert len(matches) > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("regime", [
+        {"clutter_rate": 1.0, "drop_prob": 0.1},
+        {"frame_spacing": 30.0, "drop_prob": 0.3},
+    ])
+    def test_noisy_scenes(self, seed, regime):
+        observations, _ = generate_scene(default_scene_spec(seed=seed, **regime))
+        _assert_associate_matches_oracle(observations, RunConfig())
+
+    def test_ids_out_of_frame_order(self):
+        # Later frames hold smaller ids, so a match's earlier-frame row
+        # often has the larger id.
+        observations, _ = generate_scene(default_scene_spec(seed=6, clutter_rate=1.0))
+        ids = np.random.default_rng(6).permutation(len(observations)) * 7
+        relabelled = [dataclasses.replace(o, obs_id=int(i)) for o, i in zip(observations, ids)]
+        matches, _ = _assert_associate_matches_oracle(relabelled, RunConfig())
+        assert (matches.obs_a < matches.obs_b).all()
+
+    def test_5km_scene(self):
+        spec = default_scene_spec(seed=8, n_objects=750, street_length=5000.0, clutter_rate=1.0)
+        matches, clusters = _assert_associate_matches_oracle(generate_scene(spec)[0], RunConfig())
+        assert len(matches) > 5000 and len(clusters) > 500
+
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_file_scores_anywhere(self, tmp_path, window):
+        # Random scores on pairs within a frame, in the window, beyond it
+        # and across categories, a tenth of them exactly tau.
+        observations, _ = generate_scene(default_scene_spec(seed=3, clutter_rate=1.0, drop_prob=0.1))
+        table = ObservationTable.from_observations(observations)
+        rank = np.unique(table.frame_id, return_inverse=True)[1]
+        rng = np.random.default_rng(window)
+        i, j = np.triu_indices(len(table), 1)
+        near = np.abs(rank[i] - rank[j]) <= window + 1
+        i, j = i[near], j[near]
+        picked = rng.random(len(i)) < 0.5
+        i, j = i[picked], j[picked]
+        score = np.where(rng.random(len(i)) < 0.1, 0.5, rng.random(len(i)))
+        swap = rng.random(len(i)) < 0.5
+        ids = table.obs_id
+        triplets = zip(np.where(swap, ids[j], ids[i]).tolist(), np.where(swap, ids[i], ids[j]).tolist(),
+                       score.tolist())
+        path = tmp_path / "scores.jsonl"
+        _write_scores(path, triplets)
+        same_frame = table.frame_id[i] == table.frame_id[j]
+        assert same_frame.any() and (np.abs(rank[i] - rank[j]) >= window).any()
+        assert (table.category[i] != table.category[j]).any()
+        cfg = RunConfig(window=window, scorer=f"file:{path}")
+        matches, _ = _assert_associate_matches_oracle(observations, cfg)
+        assert (matches.score == 0.5).any()
+        pairs = set(zip(matches.obs_a.tolist(), matches.obs_b.tolist()))
+        category = dict(zip(ids.tolist(), table.category.tolist()))
+        assert any(category[a] != category[b] for a, b in pairs)
+
+    def test_window_pair_without_scores(self, tmp_path):
+        observations = [mkobs(i, f, [10.0 * i, 0, 0], [5, 5, 0]) for i, f in enumerate([0, 0, 1, 2])]
+        path = tmp_path / "scores.jsonl"
+        _write_scores(path, [(3, 1, 0.9)])
+        matches, clusters = _assert_associate_matches_oracle(observations, RunConfig(scorer=f"file:{path}"))
+        assert _columns(matches) == [(1, 3, 0.9)]
+        assert [(c.cluster_id, sorted(c.members)) for c in clusters] == [(0, [0]), (1, [1, 3]), (2, [2])]
+
+    def test_score_equal_to_tau_is_kept(self, tmp_path):
+        observations = [mkobs(i, i, [10.0 * i, 0, 0], [5, 5, 0]) for i in range(3)]
+        path = tmp_path / "scores.jsonl"
+        _write_scores(path, [(0, 1, 0.5), (1, 2, float(np.nextafter(0.5, 0.0)))])
+        matches, _ = _assert_associate_matches_oracle(observations, RunConfig(tau=0.5, scorer=f"file:{path}"))
+        assert _columns(matches) == [(0, 1, 0.5)]
 
 
 class TestLocalizeClusters:
@@ -240,7 +353,7 @@ class TestRunPipeline:
     def test_empty_input_with_truth(self):
         truth = GroundTruth(objects=[], obs_ids=[], object_of={})
         result = run_pipeline(RunConfig(), [], truth)
-        assert (result.matches, result.clusters, result.inventory) == ([], [], [])
+        assert (len(result.matches), result.clusters, result.inventory) == (0, [], [])
         assert result.report is not None and result.report.per_category == {}
 
     def test_duplicate_observation_ids_refused(self, scene):

@@ -292,6 +292,23 @@ class TestMergeUndermatched:
         out = merge_undermatched(clusters, obs, RunConfig())
         assert sorted(len(c.members) for c in out) == [1, 3]
 
+    @pytest.mark.parametrize("odd_one", [0, 2])
+    def test_mixed_category_cluster_absorbs_nothing(self, odd_one):
+        # A localized cluster with one member of another category is no
+        # target, even for a ray through its center of the majority's category.
+        categories = ["street_light"] * 3
+        categories[odd_one] = "traffic_sign"
+        members = [mkobs(i, i, FRAMES[i], T1, category=c) for i, c in enumerate(categories)]
+        stray = mkobs(3, 3, FRAMES[3], T1, category="street_light")
+        obs = ObservationTable.from_observations(members + [stray])
+        clusters = split_overmatched(
+            [Cluster(cluster_id=0, members={0, 1, 2})], obs, RunConfig()
+        ) + [Cluster(cluster_id=1, members={3})]
+        assert clusters[0].center is not None
+        for merge in (merge_undermatched, oracle_merge_undermatched):
+            out = merge(clusters, obs, RunConfig())
+            assert sorted(tuple(sorted(c.members)) for c in out) == [(0, 1, 2), (3,)]
+
     def test_parallel_rays_never_pair(self):
         a = mkobs(0, 0, [0, 0, 0], [10, 0, 0], category="bollard")
         b = mkobs(1, 1, [0, 0.1, 0], [10, 0.1, 0], category="bollard")

@@ -145,6 +145,11 @@ class TestSceneSpecChecks:
         with pytest.raises(ValueError, match="max_range must be positive and finite"):
             self._spec(max_range=max_range)
 
+    @pytest.mark.parametrize("min_separation", [math.nan, -5.0, 0.0, math.inf])
+    def test_min_separation_must_be_positive_and_finite(self, min_separation):
+        with pytest.raises(ValueError, match="min_separation must be positive and finite"):
+            default_scene_spec(seed=2, min_separation=min_separation)
+
     def test_negative_seed_is_refused_with_the_scene_message(self):
         with pytest.raises(ValueError, match="seed must be 0 or more, got -1"):
             self._spec(seed=-1)
