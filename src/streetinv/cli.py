@@ -159,38 +159,8 @@ def _cmd_simulate(args, config: dict) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
-    sio.write_jsonl(
-        os.path.join(args.out, "poses.jsonl"),
-        (
-            {
-                "frame_id": p.frame_id,
-                "x": p.position[0],
-                "y": p.position[1],
-                "z": p.position[2],
-                "heading": p.heading,
-                "pitch": p.pitch,
-                "roll": p.roll,
-            }
-            for p in poses
-        ),
-    )
-    sio.write_jsonl(
-        os.path.join(args.out, "detections.jsonl"),
-        (
-            {
-                "frame_id": d.frame_id,
-                "cx": d.center_x,
-                "cy": d.center_y,
-                "w": d.box_w,
-                "h": d.box_h,
-                "img_w": d.image_w,
-                "img_h": d.image_h,
-                "category": d.category,
-                "confidence": d.confidence,
-            }
-            for d in detections
-        ),
-    )
+    sio.write_poses(os.path.join(args.out, "poses.jsonl"), poses)
+    sio.write_detections(os.path.join(args.out, "detections.jsonl"), detections)
     sio.write_observations(
         os.path.join(args.out, "observations.jsonl"), ObservationTable.from_observations(observations)
     )

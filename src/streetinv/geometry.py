@@ -19,8 +19,11 @@ composed as Rz(heading) @ Ry(pitch) @ Rx(roll), counterclockwise-positive.
 A `Detection2D` and an `Observation` are one detection and one lifted
 ray as records, the form the simulator deals in. Files are read into, and
 the pipeline reads, columns: a `DetectionTable` and an `ObservationTable`,
-one row per record. `lift_detections` lifts a whole detection table in one
-array pass; `build_observation` is its one-detection case.
+one row per record. Each kind's rules are written once, in
+`DETECTION_RULES` and `OBSERVATION_RULES`: a record raises the first one
+it fails, and a reader tests each one on every row of a table at once.
+`lift_detections` lifts a whole detection table in one array pass;
+`build_observation` is its one-detection case.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ __all__ = [
     "Observation",
     "DetectionTable",
     "ObservationTable",
+    "DETECTION_RULES",
+    "OBSERVATION_RULES",
     "pixel_to_angles",
     "angles_to_camera_dir",
     "rotation_from_euler",
@@ -89,30 +94,7 @@ class Detection2D:
     confidence: float = 1.0
 
     def __post_init__(self):
-        # Written as `not (inside)` so that NaN, which fails every
-        # comparison, is rejected along with out-of-range values.
-        if not (0.0 < self.image_w < math.inf and 0.0 < self.image_h < math.inf):
-            raise ValueError(
-                f"image dimensions must be positive and finite, got {self.image_w}x{self.image_h}"
-            )
-        if not (0.0 <= self.center_x <= self.image_w):
-            raise ValueError(f"center_x={self.center_x} outside [0, {self.image_w}]")
-        if not (0.0 <= self.center_y <= self.image_h):
-            raise ValueError(f"center_y={self.center_y} outside [0, {self.image_h}]")
-        # Positive as a fraction of the image: a subnormal width such as
-        # 5e-324 px divided by 4096 is 0.
-        if not (
-            0.0 < self.box_w / self.image_w
-            and self.box_w <= self.image_w
-            and 0.0 < self.box_h / self.image_h
-            and self.box_h <= self.image_h
-        ):
-            raise ValueError(
-                f"box {self.box_w}x{self.box_h} must be positive and fit its "
-                f"{self.image_w}x{self.image_h} image"
-            )
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ValueError(f"confidence={self.confidence} outside [0, 1]")
+        _check_record(self, DETECTION_RULES)
 
 
 @dataclass(eq=False)
@@ -142,14 +124,45 @@ class Observation:
         self.direction = np.asarray(self.direction, dtype=float)
         if self.exposure.shape != (3,) or self.direction.shape != (3,):
             raise ValueError("exposure and direction must be 3-vectors")
-        if not np.isfinite(self.exposure).all():
-            raise ValueError("exposure must be finite")
-        norm = float(np.linalg.norm(self.direction))
-        if not abs(norm - 1.0) <= 1e-9:  # a NaN or infinite norm fails too
-            raise ValueError(f"direction must be a unit vector, |d|={norm}")
-        # Chained comparisons are False for NaN, so non-finite sizes fail.
-        if not (0.0 < self.box_w_norm <= 1.0) or not (0.0 < self.box_h_norm <= 1.0):
-            raise ValueError("normalized box sizes must lie in (0, 1]")
+        _check_record(self, OBSERVATION_RULES)
+
+
+# Each record kind's rules, in the order a record is checked: (holds,
+# message). `holds` takes a record, or a table of them, and says whether
+# the rule holds: one bool for a record, one per row for a table. Each test
+# states what lies inside its range, so NaN, which fails every comparison,
+# fails it. `message` describes a record that fails the rule.
+DETECTION_RULES = (
+    (lambda d: (0.0 < d.image_w) & (d.image_w < math.inf) & (0.0 < d.image_h) & (d.image_h < math.inf),
+     lambda d: f"image dimensions must be positive and finite, got {d.image_w}x{d.image_h}"),
+    (lambda d: (0.0 <= d.center_x) & (d.center_x <= d.image_w),
+     lambda d: f"center_x={d.center_x} outside [0, {d.image_w}]"),
+    (lambda d: (0.0 <= d.center_y) & (d.center_y <= d.image_h),
+     lambda d: f"center_y={d.center_y} outside [0, {d.image_h}]"),
+    # Positive as a fraction of the image: a subnormal width such as
+    # 5e-324 px divided by 4096 is 0.
+    (lambda d: (0.0 < d.box_w / d.image_w) & (d.box_w <= d.image_w)
+     & (0.0 < d.box_h / d.image_h) & (d.box_h <= d.image_h),
+     lambda d: f"box {d.box_w}x{d.box_h} must be positive and fit its {d.image_w}x{d.image_h} image"),
+    (lambda d: (0.0 <= d.confidence) & (d.confidence <= 1.0),
+     lambda d: f"confidence={d.confidence} outside [0, 1]"),
+)
+
+OBSERVATION_RULES = (
+    (lambda o: np.isfinite(o.exposure).all(axis=-1), lambda o: "exposure must be finite"),
+    # hypot does not overflow; a NaN or infinite norm fails.
+    (lambda o: abs(np.hypot.reduce(o.direction, axis=-1) - 1.0) <= 1e-9,
+     lambda o: f"direction must be a unit vector, |d|={float(np.hypot.reduce(o.direction, axis=-1))}"),
+    (lambda o: (0.0 < o.box_w_norm) & (o.box_w_norm <= 1.0) & (0.0 < o.box_h_norm) & (o.box_h_norm <= 1.0),
+     lambda o: "normalized box sizes must lie in (0, 1]"),
+)
+
+
+def _check_record(record, rules) -> None:
+    """Raise the ValueError of the first of `rules` that `record` fails."""
+    for holds, message in rules:
+        if not holds(record):
+            raise ValueError(message(record))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,18 +199,10 @@ class DetectionTable:
         return len(self.frame_id)
 
     def valid(self) -> np.ndarray:
-        """Row mask of the detections `Detection2D` accepts: its rules, as array tests."""
-        image_w, image_h = self.image_w, self.image_h
+        """Row mask of the detections `Detection2D` accepts: all of `DETECTION_RULES`."""
         # A row whose image size fails divides by 0, inf or NaN; quietly.
         with np.errstate(all="ignore"):
-            return (
-                (0.0 < image_w) & (image_w < math.inf) & (0.0 < image_h) & (image_h < math.inf)
-                & (0.0 <= self.center_x) & (self.center_x <= image_w)
-                & (0.0 <= self.center_y) & (self.center_y <= image_h)
-                & (0.0 < self.box_w / image_w) & (self.box_w <= image_w)
-                & (0.0 < self.box_h / image_h) & (self.box_h <= image_h)
-                & (0.0 <= self.confidence) & (self.confidence <= 1.0)
-            )
+            return np.logical_and.reduce([holds(self) for holds, _ in DETECTION_RULES])
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,7 +271,11 @@ class ObservationTable:
 
     @cached_property
     def category_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The category names, sorted, and each row's index into them."""
+        """The category names, sorted, and each row's index into them.
+
+        A table made by `take` has the names of the table it was taken
+        from, which may include categories none of its rows has.
+        """
         return np.unique(self.category, return_inverse=True)
 
     def rows(self, obs_ids) -> np.ndarray:
@@ -285,8 +294,15 @@ class ObservationTable:
         return order[at]
 
     def take(self, rows) -> "ObservationTable":
-        """The sub-table of `rows` (an index array or boolean mask), in their order."""
-        return ObservationTable(*(getattr(self, f.name)[rows] for f in fields(self)))
+        """The sub-table of `rows` (an index array or boolean mask), in their order.
+
+        It takes this table's category codes with the rows, so the codes
+        are computed once for a table and all the tables taken from it.
+        """
+        taken = ObservationTable(*(getattr(self, f.name)[rows] for f in fields(self)))
+        names, codes = self.category_codes
+        taken.__dict__["category_codes"] = (names, codes[rows])  # what cached_property stores
+        return taken
 
 
 def pixel_to_angles(det: Detection2D | DetectionTable) -> tuple:

@@ -4,9 +4,10 @@ All record streams are JSON lines: one object per line, diffable and
 streamable. Every file is UTF-8 text; a file that is not, or a non-blank
 line that is not exactly one JSON object, is a DataError naming the file
 and the line. A file is decoded once into its records. Detections, scores
-and observations are then checked as columns, each rule one array test
-over a field; only when a test fails do the per-record checks run, to
-name the first bad line. `ingest` lifts every detection in one array pass.
+and observations are then read as columns, and each rule a record must
+pass is one array test over the whole file; the error names the first bad
+line and the first rule it fails. `ingest` lifts every detection in one
+array pass.
 
 Poses may carry either local metric coordinates (x, y, z) or geodetic ones
 (lat, lon, alt in degrees/meters); geodetic input is converted to a local
@@ -17,20 +18,23 @@ name.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import tempfile
-from typing import Collection, Iterable
+from types import SimpleNamespace
+from typing import Callable, Collection, Iterable
 
 import numpy as np
 
 from .association import Cluster, ScoreTriplets
 from .geometry import (
+    DETECTION_RULES,
+    OBSERVATION_RULES,
     CameraPose,
     Detection2D,
     DetectionTable,
-    Observation,
     ObservationTable,
     lift_detections,
 )
@@ -42,13 +46,14 @@ __all__ = [
     "DataError",
     "geodetic_to_enu",
     "read_poses",
+    "write_poses",
     "read_detections",
+    "write_detections",
     "ingest",
     "read_score_triplets",
     "read_text",
     "write_jsonl",
     "atomic_write_text",
-    "observation_from_record",
     "write_observations",
     "read_observations",
     "cluster_to_record",
@@ -86,7 +91,13 @@ def geodetic_to_enu(lat: float, lon: float, alt: float, lat0: float, lon0: float
     """East-North-Up offset of (lat, lon, alt) from the anchor point.
 
     Latitudes and longitudes are degrees, altitudes meters.
+
+    Raises:
+        ValueError: if a latitude lies outside [-90, 90].
     """
+    for value in (lat, lat0):
+        if not -90.0 <= value <= 90.0:
+            raise ValueError(f"latitude {value} outside [-90, 90]")
     lat_rad, lon_rad = math.radians(lat), math.radians(lon)
     lat0_rad, lon0_rad = math.radians(lat0), math.radians(lon0)
     delta = _geodetic_to_ecef(lat_rad, lon_rad, alt) - _geodetic_to_ecef(lat0_rad, lon0_rad, alt0)
@@ -180,61 +191,117 @@ def _require(record: dict, keys: tuple[str, ...], path: str, line_no: int) -> No
         raise DataError(f"{path}:{line_no}: missing fields {missing}")
 
 
-# --- Array checks -----------------------------------------------------------
+# --- Rules over columns ------------------------------------------------------
 #
-# A reader first checks a file's records as columns, every rule one array
-# test over a field. If a test fails, it reads the records one at a time
-# instead, checking each in file order, so the first bad record raises the
-# DataError naming its line.
+# Detections, observations and scores are read as columns, and every rule is
+# one row mask over a whole file, added in the order a record is checked:
+# its fields are present, its ids are integers, its numbers finite numbers
+# and its category a string; then the range rules, then the rules across
+# rows. A row that fails a rule holds a stand-in value (0 or NaN), so the
+# later tests run on every row; the error is the first rule of the first
+# bad line. A column test first tries the whole column at once, so a file
+# that passes pays one array test per rule.
+
+_MISSING = object()
 
 
-class _Refused(Exception):
-    """An array check failed; the per-record checks name the first bad line."""
+class _Rules:
+    """The rules the records of one file fail, in the order they are checked."""
 
+    def __init__(self, path: str, records: list[tuple[int, dict]]):
+        self.path = path
+        self.records = records  # (line number, record) pairs
+        self.broken: list[tuple[np.ndarray, Callable[[int], str]]] = []
 
-_REQUIRED = object()
+    def check(self, holds: np.ndarray, message: Callable[[int], str]) -> None:
+        """Add a rule: `holds` is its row mask, `message(row)` the error of a row it fails."""
+        if not holds.all():
+            self.broken.append((~holds, message))
 
+    def raise_first(self) -> None:
+        """Raise the DataError of the first line that fails a rule, naming the first rule it fails."""
+        if self.broken:
+            row = min(int(bad.argmax()) for bad, _ in self.broken)
+            message = next(message for bad, message in self.broken if bad[row])
+            raise DataError(f"{self.path}:{self.records[row][0]}: {message(row)}")
 
-def _column(records: list[tuple[int, dict]], key: str, default=_REQUIRED) -> list:
-    if default is not _REQUIRED:
-        return [r.get(key, default) for _, r in records]
-    try:
-        return [r[key] for _, r in records]
-    except KeyError:
-        raise _Refused from None
+    def fields(self, keys: tuple[str, ...]) -> dict[str, list]:
+        """Each field of `keys` as the list of its values, one per record; a record missing any is refused."""
+        values, present = {}, np.ones(len(self.records), dtype=bool)
+        for key in keys:
+            try:
+                values[key] = [r[key] for _, r in self.records]
+            except KeyError:
+                values[key] = [r.get(key, _MISSING) for _, r in self.records]
+                present &= np.array([v is not _MISSING for v in values[key]], dtype=bool)
+        self.check(present, lambda k: f"missing fields {[key for key in keys if key not in self.records[k][1]]}")
+        return values
 
+    def ids(self, values: list, key: str, any_size: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Field `key` as int64 ids, and the mask of the rows whose id fits 64 bits.
 
-def _ids(records: list[tuple[int, dict]], key: str) -> np.ndarray:
-    """Field `key` as int64 ids: JSON integers, never booleans, within 64 bits."""
-    values = _column(records, key)
-    if not set(map(type, values)) <= {int}:
-        raise _Refused
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise _Refused from None
+        An id is a JSON integer, never a boolean. It must fit 64 bits too,
+        unless `any_size`; the caller then refuses the rows that do not.
+        """
+        if set(map(type, values)) <= {int}:
+            try:
+                column = np.array(values, dtype=np.int64)
+                return column, np.ones(len(column), dtype=bool)
+            except OverflowError:
+                pass
+        is_int = list(map(_is_int, values))
+        self.check(np.array(is_int, dtype=bool), lambda k: f"{key} must be an integer, got {values[k]!r}")
+        fits = np.array([i and _INT64.min <= v <= _INT64.max for i, v in zip(is_int, values)], dtype=bool)
+        if not any_size:
+            self.check(fits, lambda k: f"{key} {values[k]} is outside the 64-bit integer range")
+        return np.array([v if ok else 0 for v, ok in zip(values, fits)], dtype=np.int64), fits
 
+    def numbers(self, values: list, key: str) -> np.ndarray:
+        """Field `key` as floats: finite JSON numbers, never booleans or strings."""
+        if set(map(type, values)) <= {int, float}:
+            try:
+                column = np.array(values, dtype=float)
+                if np.isfinite(column).all():
+                    return column
+            except OverflowError:  # an integer too large for a float
+                pass
+        ok = list(map(_is_number, values))
+        self.check(np.array(ok, dtype=bool), lambda k: f"{key} must be a finite number, got {values[k]!r}")
+        return np.array([v if good else math.nan for v, good in zip(values, ok)], dtype=float)
 
-def _numbers(records: list[tuple[int, dict]], key: str, default=_REQUIRED) -> np.ndarray:
-    """Field `key` as floats: finite JSON numbers, never booleans or strings."""
-    values = _column(records, key, default)
-    if not set(map(type, values)) <= {int, float}:
-        raise _Refused
-    try:
-        column = np.array(values, dtype=float)
-    except OverflowError:  # an integer too large for a float
-        raise _Refused from None
-    if not np.isfinite(column).all():
-        raise _Refused
-    return column
+    def strings(self, values: list, key: str) -> np.ndarray:
+        """Field `key` as an object array of JSON strings."""
+        if set(map(type, values)) <= {str}:
+            return np.array(values, dtype=object)
+        ok = [isinstance(v, str) for v in values]
+        self.check(np.array(ok, dtype=bool), lambda k: f"{key} must be a string, got {values[k]!r}")
+        return np.array([v if good else "" for v, good in zip(values, ok)], dtype=object)
 
+    def record_rules(self, rules, table) -> None:
+        """Add a record kind's rules (see `geometry`), each tested on every row of `table`."""
 
-def _strings(records: list[tuple[int, dict]], key: str) -> np.ndarray:
-    """Field `key` as an object array of JSON strings."""
-    values = _column(records, key)
-    if not set(map(type, values)) <= {str}:
-        raise _Refused
-    return np.array(values, dtype=object)
+        def row(k):
+            return SimpleNamespace(**{f.name: getattr(table, f.name)[k] for f in dataclasses.fields(table)})
+
+        # Rows holding stand-in values divide by 0 or NaN; quietly.
+        with np.errstate(all="ignore"):
+            for holds, message in rules:
+                self.check(holds(table), lambda k, message=message: message(row(k)))
+
+    def unique(self, keys: list[np.ndarray], claim: Callable[[int], str]) -> None:
+        """Refuse each row whose key, its values of `keys`, an earlier row holds.
+
+        `claim(row)` names the key; the error adds the line of its first row.
+        """
+        order = np.lexsort(keys[::-1])  # stable: a key's rows stay in file order
+        repeated = np.zeros(len(order), dtype=bool)
+        repeated[order[1:][np.logical_and.reduce([np.diff(key[order]) == 0 for key in keys])]] = True
+
+        def message(k):
+            first = np.flatnonzero(np.logical_and.reduce([key == key[k] for key in keys]))[0]
+            return f"{claim(k)} on line {self.records[first][0]}"
+
+        self.check(~repeated, message)
 
 
 def read_poses(path: str, coord_mode: str = "local") -> list[CameraPose]:
@@ -276,6 +343,15 @@ def read_poses(path: str, coord_mode: str = "local") -> list[CameraPose]:
     return poses
 
 
+def write_poses(path: str, poses: Iterable[CameraPose]) -> None:
+    """Write poses in local coordinates (x/y/z), as `read_poses` reads them."""
+    write_jsonl(path, (
+        {"frame_id": p.frame_id, **dict(zip("xyz", p.position.tolist())), "heading": p.heading,
+         "pitch": p.pitch, "roll": p.roll}
+        for p in poses
+    ))
+
+
 # Detection file field -> DetectionTable column.
 _DETECTION_FIELDS = {
     "cx": "center_x", "cy": "center_y", "w": "box_w", "h": "box_h", "img_w": "image_w", "img_h": "image_h",
@@ -287,34 +363,22 @@ def read_detections(path: str) -> DetectionTable:
 
     Every record must be a detection `Detection2D` accepts.
     """
-    records = _read_jsonl(path)
-    try:
-        table = DetectionTable(
-            frame_id=_ids(records, "frame_id"),
-            category=_strings(records, "category"),
-            confidence=_numbers(records, "confidence", 1.0),
-            **{column: _numbers(records, key) for key, column in _DETECTION_FIELDS.items()},
-        )
-        if table.valid().all():
-            return table
-    except _Refused:
-        pass
+    rules = _Rules(path, _read_jsonl(path))
+    values = rules.fields(("frame_id", *_DETECTION_FIELDS, "category"))
+    frame_id, _ = rules.ids(values["frame_id"], "frame_id")
+    numbers = {column: rules.numbers(values[key], key) for key, column in _DETECTION_FIELDS.items()}
+    category = rules.strings(values["category"], "category")
+    confidence = rules.numbers([r.get("confidence", 1.0) for _, r in rules.records], "confidence")
+    table = DetectionTable(frame_id=frame_id, category=category, confidence=confidence, **numbers)
+    rules.record_rules(DETECTION_RULES, table)
+    rules.raise_first()
+    return table
 
-    detections = []
-    for line_no, record in records:
-        _require(record, ("frame_id", *_DETECTION_FIELDS, "category"), path, line_no)
-        try:
-            detections.append(
-                Detection2D(
-                    frame_id=_id64(record, "frame_id"),
-                    **{column: _number(record, key) for key, column in _DETECTION_FIELDS.items()},
-                    category=_category(record),
-                    confidence=_number(record, "confidence") if "confidence" in record else 1.0,
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{line_no}: {exc}") from exc
-    return DetectionTable.from_detections(detections)
+
+def write_detections(path: str, detections: Iterable[Detection2D]) -> None:
+    """Write detections with the fields `read_detections` reads."""
+    fields = {"frame_id": "frame_id", **_DETECTION_FIELDS, "category": "category", "confidence": "confidence"}
+    write_jsonl(path, ({key: getattr(d, name) for key, name in fields.items()} for d in detections))
 
 
 def ingest(poses_file: str, detections_file: str, coord_mode: str = "local") -> ObservationTable:
@@ -345,44 +409,22 @@ def read_score_triplets(path: str, obs_ids: Collection[int]) -> ScoreTriplets:
     Both ids of a score must be in `obs_ids` and differ, the score must lie
     in [0, 1], and no unordered pair may be scored twice, in either order.
     """
-    records = _read_jsonl(path)
+    rules = _Rules(path, _read_jsonl(path))
+    values = rules.fields(("obs_a", "obs_b", "score"))
+    (a, a_fits), (b, b_fits) = (rules.ids(values[key], key, any_size=True) for key in ("obs_a", "obs_b"))
+    score = rules.numbers(values["score"], "score")
+    rules.check((0.0 <= score) & (score <= 1.0), lambda k: f"score {score[k]} outside [0, 1]")
+    # An id beyond 64 bits holds 0 in its column, so compare it as read.
+    same = a == b if (a_fits & b_fits).all() else np.array(
+        [x == y for x, y in zip(values["obs_a"], values["obs_b"])], dtype=bool)
+    rules.check(~same, lambda k: f"self-pair ({values['obs_a'][k]}, {values['obs_b'][k]})")
     known = np.fromiter(obs_ids, dtype=np.int64, count=len(obs_ids))
-    try:
-        a, b, score = _ids(records, "obs_a"), _ids(records, "obs_b"), _numbers(records, "score")
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        order = np.lexsort((hi, lo))
-        repeated = (np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)
-        if (
-            ((0.0 <= score) & (score <= 1.0)).all()
-            and (a != b).all()
-            and np.isin(a, known).all()
-            and np.isin(b, known).all()
-            and not repeated.any()
-        ):
-            return ScoreTriplets(a, b, score)
-    except _Refused:
-        pass
-
-    known_set = set(known.tolist())
-    triplets = []
-    lines: dict[tuple[int, int], int] = {}
-    for line_no, record in records:
-        _require(record, ("obs_a", "obs_b", "score"), path, line_no)
-        try:
-            a, b, s = _id(record, "obs_a"), _id(record, "obs_b"), _number(record, "score")
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{line_no}: {exc}") from exc
-        if not (0.0 <= s <= 1.0):
-            raise DataError(f"{path}:{line_no}: score {s} outside [0, 1]")
-        if a == b:
-            raise DataError(f"{path}:{line_no}: self-pair ({a}, {b})")
-        for obs_id in (a, b):
-            if obs_id not in known_set:
-                raise DataError(f"{path}:{line_no}: unknown observation {obs_id}")
-        _claim(lines, (min(a, b), max(a, b)), "pair {} is already scored", path, line_no)
-        triplets.append((a, b, s))
-    a, b, score = zip(*triplets) if triplets else ((), (), ())
-    return ScoreTriplets(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), np.array(score, dtype=float))
+    for key, column, fits in (("obs_a", a, a_fits), ("obs_b", b, b_fits)):
+        rules.check(fits & np.isin(column, known), lambda k, key=key: f"unknown observation {values[key][k]}")
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    rules.unique([lo, hi], lambda k: f"pair {(int(lo[k]), int(hi[k]))} is already scored")
+    rules.raise_first()
+    return ScoreTriplets(a, b, score)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -409,77 +451,49 @@ def write_jsonl(path: str, records: Iterable[dict]) -> None:
     atomic_write_text(path, text)
 
 
-def observation_from_record(record: dict) -> Observation:
-    direction = np.array([_number(record, key) for key in ("dx", "dy", "dz")])
-    norm = np.linalg.norm(direction)
-    if norm == 0:
-        raise ValueError("zero direction vector")
-    return Observation(
-        obs_id=_id64(record, "obs_id"),
-        frame_id=_id64(record, "frame_id"),
-        category=_category(record),
-        exposure=np.array([_number(record, key) for key in ("px", "py", "pz")]),
-        direction=direction / norm,
-        box_w_norm=_number(record, "w_norm"),
-        box_h_norm=_number(record, "h_norm"),
-    )
+# The fields of an observation record: the columns of an `ObservationTable`,
+# exposure and direction one field per coordinate.
+_OBSERVATION_FIELDS = ("obs_id", "frame_id", "category", "px", "py", "pz", "dx", "dy", "dz", "w_norm", "h_norm")
 
 
 def write_observations(path: str, table: ObservationTable) -> None:
-    (px, py, pz), (dx, dy, dz) = table.exposure.T.tolist(), table.direction.T.tolist()
-    columns = {
-        "obs_id": table.obs_id.tolist(),
-        "frame_id": table.frame_id.tolist(),
-        "category": table.category.tolist(),
-        "px": px, "py": py, "pz": pz,
-        "dx": dx, "dy": dy, "dz": dz,
-        "w_norm": table.box_w_norm.tolist(),
-        "h_norm": table.box_h_norm.tolist(),
-    }
-    write_jsonl(path, (dict(zip(columns, row)) for row in zip(*columns.values())))
+    columns = [
+        table.obs_id.tolist(), table.frame_id.tolist(), table.category.tolist(), *table.exposure.T.tolist(),
+        *table.direction.T.tolist(), table.box_w_norm.tolist(), table.box_h_norm.tolist(),
+    ]
+    write_jsonl(path, (dict(zip(_OBSERVATION_FIELDS, row)) for row in zip(*columns)))
 
 
 def read_observations(path: str) -> ObservationTable:
     """Read observation records as one table; no two may share an obs_id.
 
-    Each record must be an observation `observation_from_record` accepts:
-    its direction is normalized, and must then be a unit vector.
+    A record's direction is normalized, and must then be a unit vector;
+    every record must be an observation `Observation` accepts.
     """
-    records = _read_jsonl(path)
-    try:
-        direction = np.stack([_numbers(records, key) for key in ("dx", "dy", "dz")], axis=-1)
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(direction, axis=1)
-        if not (norm > 0).all():
-            raise _Refused
-        table = ObservationTable(
-            obs_id=_ids(records, "obs_id"),
-            frame_id=_ids(records, "frame_id"),
-            category=_strings(records, "category"),
-            exposure=np.stack([_numbers(records, key) for key in ("px", "py", "pz")], axis=-1),
-            direction=direction / norm[:, None],
-            box_w_norm=_numbers(records, "w_norm"),
-            box_h_norm=_numbers(records, "h_norm"),
-        )
-        w, h = table.box_w_norm, table.box_h_norm
-        if (
-            (np.abs(np.linalg.norm(table.direction, axis=1) - 1.0) <= 1e-9).all()
-            and ((0.0 < w) & (w <= 1.0) & (0.0 < h) & (h <= 1.0)).all()
-            and not table.repeated_ids().size
-        ):
-            return table
-    except _Refused:
-        pass
-
-    observations = []
-    lines: dict[int, int] = {}
-    for line_no, record in records:
-        try:
-            observations.append(observation_from_record(record))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{line_no}: {exc}") from exc
-        _claim(lines, observations[-1].obs_id, "obs_id {} is already used", path, line_no)
-    return ObservationTable.from_observations(observations)
+    rules = _Rules(path, _read_jsonl(path))
+    values = rules.fields(_OBSERVATION_FIELDS)
+    direction = np.stack([rules.numbers(values[key], key) for key in ("dx", "dy", "dz")], axis=-1)
+    # A huge direction's norm overflows to inf, and it normalizes to zero;
+    # `OBSERVATION_RULES` refuses it. A zero norm is refused below.
+    with np.errstate(all="ignore"):
+        norm = np.linalg.norm(direction, axis=1)
+        direction = direction / norm[:, None]
+    rules.check(norm != 0, lambda k: "zero direction vector")
+    obs_id, _ = rules.ids(values["obs_id"], "obs_id")
+    frame_id, _ = rules.ids(values["frame_id"], "frame_id")
+    table = ObservationTable(
+        obs_id=obs_id,
+        frame_id=frame_id,
+        category=rules.strings(values["category"], "category"),
+        exposure=np.stack([rules.numbers(values[key], key) for key in ("px", "py", "pz")], axis=-1),
+        direction=direction,
+        box_w_norm=rules.numbers(values["w_norm"], "w_norm"),
+        box_h_norm=rules.numbers(values["h_norm"], "h_norm"),
+    )
+    rules.record_rules(OBSERVATION_RULES, table)
+    rules.unique([obs_id], lambda k: f"obs_id {values['obs_id'][k]} is already used")
+    rules.raise_first()
+    return table
 
 
 def cluster_to_record(c: Cluster) -> dict:
@@ -572,14 +586,6 @@ def _id(record: dict, key: str) -> int:
     value = record[key]
     if not _is_int(value):
         raise TypeError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _id64(record: dict, key: str) -> int:
-    """`_id(record, key)`, which must also fit the 64-bit column it is read into."""
-    value = _id(record, key)
-    if not _INT64.min <= value <= _INT64.max:
-        raise ValueError(f"{key} {value} is outside the 64-bit integer range")
     return value
 
 

@@ -10,9 +10,11 @@ import numpy as np
 
 from scipy.optimize import linear_sum_assignment
 
+from streetinv import io as sio
 from streetinv import (
     Cluster,
     DegenerateClusterError,
+    DetectionTable,
     Observation,
     ObservationTable,
     build_score_matrix,
@@ -591,3 +593,170 @@ def corrupt_links(observations, truth: GroundTruth, frac: float, rng: np.random.
         Cluster(cluster_id=i, members=ms) for i, ms in enumerate(sorted(parts, key=min))
     ]
     return clusters, len(ghosts), len(detached)
+
+
+# --- Per-record readers: the oracle of the detection, observation and score
+# readers of `io`, which test each rule on every row at once. These check
+# each record on its own, in file order, with every rule hand-written, so
+# the first bad record raises naming its line. An observation record missing
+# fields is reported as `missing fields [...]`, as the other readers report
+# it. An accepted observation file's directions are normalized by one
+# `np.linalg.norm(..., axis=1)` over the file, as `io` normalizes them; a
+# per-record norm can differ from it in the last bit.
+
+_INT64 = np.iinfo(np.int64)
+_DETECTION_FIELDS = {
+    "cx": "center_x", "cy": "center_y", "w": "box_w", "h": "box_h", "img_w": "image_w", "img_h": "image_h",
+}
+_OBSERVATION_FIELDS = ("obs_id", "frame_id", "category", "px", "py", "pz", "dx", "dy", "dz", "w_norm", "h_norm")
+
+
+def _require(record, keys, path, line_no):
+    missing = [k for k in keys if k not in record]
+    if missing:
+        raise sio.DataError(f"{path}:{line_no}: missing fields {missing}")
+
+
+def _claim(lines, key, claim, path, line_no):
+    if key in lines:
+        raise sio.DataError(f"{path}:{line_no}: {claim.format(key)} on line {lines[key]}")
+    lines[key] = line_no
+
+
+def _id(record, key):
+    value = record[key]
+    if not (isinstance(value, int) and not isinstance(value, bool)):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _id64(record, key):
+    value = _id(record, key)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"{key} {value} is outside the 64-bit integer range")
+    return value
+
+
+def _number(record, key):
+    value = record[key]
+    try:
+        finite = type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise TypeError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _category(record):
+    value = record["category"]
+    if not isinstance(value, str):
+        raise TypeError(f"category must be a string, got {value!r}")
+    return value
+
+
+def _check_detection(center_x, center_y, box_w, box_h, image_w, image_h, confidence):
+    if not (0.0 < image_w < math.inf and 0.0 < image_h < math.inf):
+        raise ValueError(f"image dimensions must be positive and finite, got {image_w}x{image_h}")
+    if not (0.0 <= center_x <= image_w):
+        raise ValueError(f"center_x={center_x} outside [0, {image_w}]")
+    if not (0.0 <= center_y <= image_h):
+        raise ValueError(f"center_y={center_y} outside [0, {image_h}]")
+    if not (0.0 < box_w / image_w and box_w <= image_w and 0.0 < box_h / image_h and box_h <= image_h):
+        raise ValueError(f"box {box_w}x{box_h} must be positive and fit its {image_w}x{image_h} image")
+    if not (0.0 <= confidence <= 1.0):
+        raise ValueError(f"confidence={confidence} outside [0, 1]")
+
+
+def oracle_read_detections(path):
+    rows = []
+    for line_no, record in sio._read_jsonl(path):
+        _require(record, ("frame_id", *_DETECTION_FIELDS, "category"), path, line_no)
+        try:
+            row = dict(
+                frame_id=_id64(record, "frame_id"),
+                **{column: _number(record, key) for key, column in _DETECTION_FIELDS.items()},
+                category=_category(record),
+                confidence=_number(record, "confidence") if "confidence" in record else 1.0,
+            )
+            _check_detection(**{k: v for k, v in row.items() if k not in ("frame_id", "category")})
+        except (TypeError, ValueError) as exc:
+            raise sio.DataError(f"{path}:{line_no}: {exc}") from exc
+        rows.append(row)
+    dtypes = {"frame_id": np.int64, "category": object}
+    return DetectionTable(**{
+        name: np.array([row[name] for row in rows], dtype=dtypes.get(name, float))
+        for name in ("frame_id", *_DETECTION_FIELDS.values(), "category", "confidence")
+    })
+
+
+def _observation(record):
+    """The record's fields, checked as `observation_from_record` and
+    `Observation` checked them; its direction as read."""
+    raw = np.array([_number(record, key) for key in ("dx", "dy", "dz")])
+    norm = np.linalg.norm(raw)
+    if norm == 0:
+        raise ValueError("zero direction vector")
+    row = dict(
+        obs_id=_id64(record, "obs_id"),
+        frame_id=_id64(record, "frame_id"),
+        category=_category(record),
+        exposure=np.array([_number(record, key) for key in ("px", "py", "pz")]),
+        direction=raw / norm,
+        box_w_norm=_number(record, "w_norm"),
+        box_h_norm=_number(record, "h_norm"),
+    )
+    if not np.isfinite(row["exposure"]).all():
+        raise ValueError("exposure must be finite")
+    unit = float(np.linalg.norm(row["direction"]))
+    if not abs(unit - 1.0) <= 1e-9:
+        raise ValueError(f"direction must be a unit vector, |d|={unit}")
+    if not (0.0 < row["box_w_norm"] <= 1.0) or not (0.0 < row["box_h_norm"] <= 1.0):
+        raise ValueError("normalized box sizes must lie in (0, 1]")
+    row["direction"] = raw
+    return row
+
+
+def oracle_read_observations(path):
+    rows = []
+    lines = {}
+    for line_no, record in sio._read_jsonl(path):
+        _require(record, _OBSERVATION_FIELDS, path, line_no)
+        try:
+            rows.append(_observation(record))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise sio.DataError(f"{path}:{line_no}: {exc}") from exc
+        _claim(lines, rows[-1]["obs_id"], "obs_id {} is already used", path, line_no)
+    direction = np.array([row["direction"] for row in rows], dtype=float).reshape(-1, 3)
+    return ObservationTable(
+        obs_id=np.array([row["obs_id"] for row in rows], dtype=np.int64),
+        frame_id=np.array([row["frame_id"] for row in rows], dtype=np.int64),
+        category=np.array([row["category"] for row in rows], dtype=object),
+        exposure=np.array([row["exposure"] for row in rows], dtype=float).reshape(-1, 3),
+        direction=direction / np.linalg.norm(direction, axis=1)[:, None],
+        box_w_norm=np.array([row["box_w_norm"] for row in rows], dtype=float),
+        box_h_norm=np.array([row["box_h_norm"] for row in rows], dtype=float),
+    )
+
+
+def oracle_read_score_triplets(path, obs_ids):
+    known_set = set(np.asarray(obs_ids).tolist())
+    triplets = []
+    lines = {}
+    for line_no, record in sio._read_jsonl(path):
+        _require(record, ("obs_a", "obs_b", "score"), path, line_no)
+        try:
+            a, b, s = _id(record, "obs_a"), _id(record, "obs_b"), _number(record, "score")
+        except (TypeError, ValueError) as exc:
+            raise sio.DataError(f"{path}:{line_no}: {exc}") from exc
+        if not (0.0 <= s <= 1.0):
+            raise sio.DataError(f"{path}:{line_no}: score {s} outside [0, 1]")
+        if a == b:
+            raise sio.DataError(f"{path}:{line_no}: self-pair ({a}, {b})")
+        for obs_id in (a, b):
+            if obs_id not in known_set:
+                raise sio.DataError(f"{path}:{line_no}: unknown observation {obs_id}")
+        _claim(lines, (min(a, b), max(a, b)), "pair {} is already scored", path, line_no)
+        triplets.append((a, b, s))
+    a, b, score = zip(*triplets) if triplets else ((), (), ())
+    return np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), np.array(score, dtype=float)

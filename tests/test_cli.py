@@ -281,6 +281,22 @@ class TestLocalize:
         assert f"{observations}:1:" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r.pop("dx"), "missing fields ['dx']"),
+        # The norm of (1e200, 1e200, 0) overflows: a data error, with no numpy warning.
+        (lambda r: r.update(dx=1e200, dy=1e200, dz=0.0), "direction must be a unit vector, |d|=0.0"),
+    ], ids=["missing-dx", "overflowing-direction"])
+    def test_bad_observation_is_a_data_error(self, scene_dir, tmp_path, capsys, edit, message):
+        def edit_second(records):
+            edit(records[1])
+            return records
+
+        observations = _copy_records(scene_dir, tmp_path, "observations.jsonl", edit_second)
+        out = str(tmp_path / "clusters.jsonl")
+        assert main(["associate", "--observations", observations, "--out", out]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [f"data error: {observations}:2: {message}"]
+        assert not os.path.exists(out)
+
 
 class TestClusterFiles:
     def _run(self, scene_dir, tmp_path, command, second, fit=None):

@@ -1,0 +1,215 @@
+"""File boundary: each reader's one rule path against the per-record oracle, and geodetic poses."""
+
+import dataclasses
+import json
+import os
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from streetinv import io as sio
+from streetinv.cli import EXIT_DATA, main
+
+from conftest import (
+    oracle_geodetic_to_enu,
+    oracle_read_detections,
+    oracle_read_observations,
+    oracle_read_score_triplets,
+)
+
+# Written as the JSON number 1e999, which reads as infinity.
+_OVERFLOW = "__1e999__"
+# Values a mutation may set a field to, besides those of the other fields.
+_ODD = [_OVERFLOW, "1.5", "x", True, False, None, 2**63, -(2**63) - 1, 10**400, -1, 0, -0.0,
+        5e-324, 0.5, 1.0, 1.5, 1e200, 1e300, [1], {}]
+
+_numbers = st.one_of(st.integers(0, 1000), st.floats(0, 1000))
+_detections = st.lists(st.fixed_dictionaries(
+    {"frame_id": st.integers(0, 3), "cx": _numbers, "cy": _numbers, "w": st.floats(1, 50),
+     "h": st.integers(1, 50), "img_w": st.sampled_from([1000, 4096.0]), "img_h": st.just(1000.0),
+     "category": st.sampled_from(["bollard", "sign"])},
+    optional={"confidence": st.floats(0, 1)},
+), max_size=5)
+_observations = st.lists(st.fixed_dictionaries(
+    {"frame_id": st.integers(0, 3), "category": st.sampled_from(["bollard", "sign"]),
+     "px": st.floats(-100, 100), "py": st.floats(-100, 100), "pz": st.integers(0, 3),
+     "direction": st.sampled_from([(1, 0, 0), (0, 0, 1.0), (0.6, 0.8, 0.0), (3, 4, 0), (-0.2, 0.9, 0.1)]),
+     "w_norm": st.floats(0.001, 1), "h_norm": st.sampled_from([0.5, 1, 1.0])},
+), max_size=5).map(lambda records: [
+    {"obs_id": k, **{key: v for key, v in r.items() if key != "direction"},
+     **dict(zip(("dx", "dy", "dz"), r["direction"]))}
+    for k, r in enumerate(records)
+])
+_KNOWN = np.arange(6)
+_scores = st.lists(st.fixed_dictionaries(
+    {"obs_a": st.integers(0, 5), "obs_b": st.integers(0, 5), "score": st.one_of(st.floats(0, 1), st.just(1))}
+).filter(lambda r: r["obs_a"] != r["obs_b"]), max_size=5, unique_by=lambda r: frozenset((r["obs_a"], r["obs_b"])))
+
+
+@st.composite
+def _file(draw, records):
+    """The text of a JSON lines file of valid `records`, some mutated, with blank lines among them.
+
+    A mutated record has each field dropped, set to an odd value or set to a
+    value of any field of any record (another id, so a repeat or self-pair),
+    each with some chance, so one record often breaks several rules.
+    """
+    records = draw(records)
+    taken = [v for r in records for v in r.values()]
+    keys = sorted({k for r in records for k in r})
+    for record in records:
+        if draw(st.integers(0, 2)) == 0:
+            for key in keys:
+                kind = draw(st.integers(0, 29))
+                if kind == 0:
+                    record.pop(key, None)
+                elif kind <= 6:
+                    record[key] = draw(st.sampled_from(_ODD if kind <= 4 else taken))
+    lines = [json.dumps(r) for r in records]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "   "])))
+    return "\n".join(lines).replace(json.dumps(_OVERFLOW), "1e999") + "\n"
+
+
+def _text(*records):
+    """A JSON lines file of `records`, one per line."""
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+# Records that break several rules at once: the first rule must win.
+_DETECTION = {"frame_id": 0, "cx": 5, "cy": 5.0, "w": 2, "h": 2, "img_w": 10, "img_h": 10.0, "category": "a"}
+_OBSERVATION = {"obs_id": 0, "frame_id": 0, "category": "a", "px": 0, "py": 0.0, "pz": 0, "dx": 0, "dy": 0,
+                "dz": 1, "w_norm": 0.5, "h_norm": 0.5}
+_SCORE = {"obs_a": 0, "obs_b": 1, "score": 0.5}
+
+
+def _outcome(read, *args):
+    """What a reader returns, or its DataError's text."""
+    try:
+        return read(*args)
+    except sio.DataError as exc:
+        return str(exc)
+
+
+def _table_columns(table):
+    return [getattr(table, f.name) for f in dataclasses.fields(table)]
+
+
+class TestReadersMatchPerRecordOracle:
+    """Each reader refuses exactly what the per-record checks refused, with the same
+    message, and reads what they accepted into the same columns, byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return str(tmp_path_factory.mktemp("files") / "records.jsonl")
+
+    def _assert_same(self, path, text, read, oracle, columns, *args):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        new = _outcome(read, path, *args)
+        # The per-record norm of a huge direction overflows, with a warning.
+        with np.errstate(all="ignore"):
+            old = _outcome(oracle, path, *args)
+        if type(new) is str or type(old) is str:
+            assert new == old
+            return
+        for column, expected in zip(columns(new), old if type(old) is tuple else columns(old), strict=True):
+            assert column.dtype == expected.dtype and column.shape == expected.shape
+            if column.dtype == object:
+                assert column.tolist() == expected.tolist()
+            else:
+                assert column.tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_file(_detections))
+    @example(text=_text(dict(_DETECTION, cx=-1, cy=-1)))
+    @example(text=_text(dict(_DETECTION, img_w=0, cx=20)))
+    @example(text=_text(dict(_DETECTION, w=20, confidence=2)))
+    @example(text=_text(dict(_DETECTION, frame_id=2**63, cx="5")))
+    @example(text=_text(_DETECTION, dict(_DETECTION, category=None, cy=20)))
+    def test_detections(self, path, text):
+        self._assert_same(path, text, sio.read_detections, oracle_read_detections, _table_columns)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_file(_observations))
+    @example(text=_text(dict(_OBSERVATION, dz=0, obs_id="x")))
+    @example(text=_text(dict(_OBSERVATION, dx=1e200, dy=1e200, w_norm=1.5)))
+    @example(text=_text(dict(_OBSERVATION, obs_id=2**63, frame_id="x")))
+    @example(text=_text(_OBSERVATION, dict(_OBSERVATION, h_norm=0)))
+    @example(text=_text(_OBSERVATION, dict(_OBSERVATION, obs_id=1), _OBSERVATION))
+    @example(text=_text(dict(_OBSERVATION, category=7, px="x")))
+    def test_observations(self, path, text):
+        self._assert_same(path, text, sio.read_observations, oracle_read_observations, _table_columns)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_file(_scores))
+    @example(text=_text(dict(_SCORE, obs_b=0, score=1.5)))
+    @example(text=_text(dict(_SCORE, obs_a=9, obs_b=9)))
+    @example(text=_text(dict(_SCORE, obs_a=2**63, obs_b=2**63)))
+    @example(text=_text(dict(_SCORE, obs_a=2**64, obs_b=2**63)))
+    @example(text=_text(dict(_SCORE, obs_a=7, score=-1)))
+    @example(text=_text(_SCORE, dict(_SCORE, obs_a=1, obs_b=0, score="x")))
+    @example(text=_text(_SCORE, dict(_SCORE, obs_b=2), dict(_SCORE, obs_a=1, obs_b=0)))
+    def test_scores(self, path, text):
+        self._assert_same(path, text, sio.read_score_triplets, oracle_read_score_triplets,
+                          lambda scores: [scores.obs_a, scores.obs_b, scores.score], _KNOWN)
+
+
+def _write_poses(path, records):
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps({"heading": 0.1, "pitch": 0.0, "roll": 0.0, **record}) + "\n")
+
+
+class TestGeodetic:
+    @given(lat0=st.floats(-89.0, 89.0), lon0=st.floats(-180.0, 180.0), alt0=st.floats(-100.0, 3000.0),
+           dlat=st.floats(-0.01, 0.01), dlon=st.floats(-0.01, 0.01), dalt=st.floats(-50.0, 50.0))
+    def test_enu_matches_oracle(self, lat0, lon0, alt0, dlat, dlon, dalt):
+        point = (lat0 + dlat, lon0 + dlon, alt0 + dalt)
+        np.testing.assert_allclose(sio.geodetic_to_enu(*point, lat0, lon0, alt0),
+                                   oracle_geodetic_to_enu(*point, lat0, lon0, alt0), rtol=0, atol=1e-6)
+
+    def test_read_poses_is_enu_about_the_first_pose(self, tmp_path):
+        points = [(48.137, 11.575, 520.0), (48.1371, 11.5752, 521.5), (48.1365, 11.5749, 519.0)]
+        path = str(tmp_path / "poses.jsonl")
+        _write_poses(path, [{"frame_id": k, "lat": lat, "lon": lon, "alt": alt}
+                            for k, (lat, lon, alt) in enumerate(points)])
+        poses = sio.read_poses(path, "geodetic")
+        assert [p.frame_id for p in poses] == [0, 1, 2]
+        np.testing.assert_array_equal(poses[0].position, np.zeros(3))
+        for pose, point in zip(poses[1:], points[1:]):
+            np.testing.assert_allclose(pose.position, oracle_geodetic_to_enu(*point, *points[0]),
+                                       rtol=0, atol=1e-6)
+            assert 1.0 < np.linalg.norm(pose.position) < 100.0
+
+    @pytest.mark.parametrize("lat", [90, -90.0])
+    def test_poles_accepted(self, tmp_path, lat):
+        path = str(tmp_path / "poses.jsonl")
+        _write_poses(path, [{"frame_id": 0, "lat": lat, "lon": 0, "alt": 0},
+                            {"frame_id": 1, "lat": lat, "lon": 1.0, "alt": 0}])
+        assert len(sio.read_poses(path, "geodetic")) == 2
+
+    @pytest.mark.parametrize("line, lat", [(1, 91), (2, 91), (2, -90.5), (2, 1e300)])
+    def test_latitude_outside_range_is_a_data_error(self, tmp_path, line, lat):
+        path = str(tmp_path / "poses.jsonl")
+        records = [{"frame_id": k, "lat": 48.0, "lon": 11.0, "alt": 500.0} for k in range(3)]
+        records[line - 1]["lat"] = lat
+        _write_poses(path, records)
+        with pytest.raises(sio.DataError) as refused:
+            sio.read_poses(path, "geodetic")
+        assert str(refused.value) == f"{path}:{line}: latitude {float(lat)} outside [-90, 90]"
+
+    def test_run_refuses_latitude_91_with_exit_2(self, tmp_path, capsys):
+        poses, detections, out = (str(tmp_path / name) for name in ("poses.jsonl", "detections.jsonl", "out"))
+        _write_poses(poses, [{"frame_id": 0, "lat": 48.0, "lon": 11.0, "alt": 500.0},
+                             {"frame_id": 1, "lat": 91, "lon": 11.0, "alt": 500.0}])
+        with open(detections, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps({"frame_id": 0, "cx": 10, "cy": 10, "w": 5, "h": 5, "img_w": 100,
+                                     "img_h": 50, "category": "sign"}) + "\n")
+        code = main(["run", "--poses", poses, "--detections", detections, "--out", out,
+                     "--coord-mode", "geodetic"])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {poses}:2: latitude 91.0 outside [-90, 90]"]
+        assert not os.path.exists(out)

@@ -1,6 +1,7 @@
 """Pipeline: the observation table, localization, inventory records, whole runs."""
 
 import dataclasses
+import functools
 import json
 import random
 
@@ -90,6 +91,33 @@ class TestObservationTable:
         assert table.category_codes is table.category_codes
         empty = ObservationTable.from_observations([]).category_codes
         assert (len(empty[0]), len(empty[1])) == (0, 0)
+
+    @pytest.mark.parametrize("no_refine", [False, True])
+    def test_category_codes_are_computed_once_per_run(self, monkeypatch, no_refine):
+        # Association sorts its table with `take`, which takes the codes along,
+        # so refinement, on the table as given, finds them computed.
+        computed = []
+        codes = ObservationTable.__dict__["category_codes"]
+
+        def counted(table):
+            computed.append(len(table))
+            return codes.func(table)
+
+        counting = functools.cached_property(counted)
+        counting.__set_name__(ObservationTable, "category_codes")
+        monkeypatch.setattr(ObservationTable, "category_codes", counting)
+        observations, _ = generate_scene(default_scene_spec(seed=3, clutter_rate=1.0))
+        run_pipeline(RunConfig(no_refine=no_refine), observations)
+        assert computed == [len(observations)]
+
+    def test_take_carries_category_codes(self, scene):
+        observations, _ = scene
+        table = ObservationTable.from_observations(observations)
+        rows = np.flatnonzero(table.frame_id % 3 == 0)[::-1]
+        part = table.take(rows)
+        names, codes = part.category_codes
+        assert names is table.category_codes[0]
+        assert names[codes].tolist() == part.category.tolist()
 
     def test_rows_and_take_agree_with_the_records(self, scene):
         observations, _ = scene
