@@ -319,6 +319,8 @@ def read_poses(path: str, coord_mode: str = "local") -> list[CameraPose]:
         _require(record, ("frame_id", "heading", "pitch", "roll"), path, line_no)
         try:
             frame_id = _id(record, "frame_id")
+            if not _INT64.min <= frame_id <= _INT64.max:
+                raise ValueError(f"frame_id {frame_id} is outside the 64-bit integer range")
             if coord_mode == "geodetic":
                 _require(record, ("lat", "lon", "alt"), path, line_no)
                 lat, lon, alt = (_number(record, key) for key in ("lat", "lon", "alt"))
@@ -662,8 +664,10 @@ def read_inventory(path: str) -> list[dict]:
     fields = ("object_id", "category", "center", "n_observations", "max_residual", "members")
     for line_no, record in _read_jsonl(path):
         _require(record, fields, path, line_no)
-        if not isinstance(record["category"], str):
-            raise DataError(f"{path}:{line_no}: category must be a string")
+        try:
+            _category(record)
+        except TypeError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from exc
         _check_center(record["center"], path, line_no)
         _claim_members(owner, record["members"], path, line_no)
         records.append(record)

@@ -156,11 +156,11 @@ def associate(
     """
     table = ObservationTable.of(observations)
     table = table.take(np.lexsort((table.obs_id, table.frame_id)))
+    pairs = window_pairs(table.frame_id, cfg.window)
     if cfg.scorer.startswith("file:"):
         scores = _score_matrix_from_file(cfg.scorer[len("file:"):], table)
     else:
-        scores = build_score_matrix(table, cfg.sigma_g, cfg.window)
-    pairs = window_pairs(table.frame_id, cfg.window)
+        scores = build_score_matrix(table, cfg.sigma_g, cfg.window, pairs)
     matched = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
     for (a, b), block in zip(pairs, _window_blocks(scores, pairs)):
         rows, cols = assign_pairs(block, cfg.tau)

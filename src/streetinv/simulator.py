@@ -13,10 +13,22 @@ noise is drawn first, then each object in range is visited in ascending
 object index (its drop draw, then its angle and axis draws), then the
 clutter. A faster candidate search must return the same objects in the
 same order, or every later draw changes.
+
+`generate_scene` runs the draw loop first and the array passes after. The
+loop over poses only draws, in that order, and collects the draws; the
+depths, perturbed directions, box sizes and clutter rays are computed over
+all rows at once, and the records are built last. The array passes
+repeat the per-record arithmetic operation for operation, so every float
+is unchanged. A norm is `np.sqrt(np.vecdot(v, v))`: `vecdot` calls the
+same BLAS `ddot` per row as `np.linalg.norm` on one vector, while a
+spelled-out `x*x + y*y + z*z`, `norm(axis=1)` or `einsum` can round
+differently where `ddot` fuses multiply-adds. Cosines, sines and pixel
+angles stay `math` calls.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -174,11 +186,16 @@ def default_scene_spec(
     if n_objects is None:
         n_objects = int(rng.integers(20, 41))
     objects: list[SceneObject] = []
-    # Grid hash of placed objects: (cell x, cell y) -> [(category, center)]. A cell is
-    # a little wider than any separation, so every object close enough to reject a
+    # Grid hash of placed objects: (cell x, cell y) -> [object index]. A cell is a
+    # little wider than any separation, so every object close enough to reject a
     # candidate lies in the 3 x 3 cells around it, whatever the rounding of x / cell.
     cell = max(max(_CATEGORY_SEPARATION.values()), min_separation) * (1.0 + 1e-9)
-    placed: dict[tuple[int, int], list[tuple[str, np.ndarray]]] = {}
+    placed: dict[tuple[int, int], list[int]] = {}
+    centers = np.empty((n_objects, 3))
+    codes = np.empty(n_objects, dtype=np.intp)
+    # limit[a, b]: how close an object of category a may come to one of category b.
+    same = [_CATEGORY_SEPARATION[c] for c in DEFAULT_CATEGORIES]
+    limit = np.where(np.eye(len(same), dtype=bool), same, min_separation)
     attempts = 0
     while len(objects) < n_objects:
         attempts += 1
@@ -187,25 +204,23 @@ def default_scene_spec(
                 f"could not place {n_objects} objects on a {street_length} m street "
                 "with the requested separation"
             )
-        category = DEFAULT_CATEGORIES[int(rng.integers(0, len(DEFAULT_CATEGORIES)))]
+        code = int(rng.integers(0, len(DEFAULT_CATEGORIES)))
+        category = DEFAULT_CATEGORIES[code]
         z_center, height = _CATEGORY_GEOMETRY[category]
         x = rng.uniform(0.08 * street_length, 0.92 * street_length)
         side = 1.0 if rng.random() < 0.5 else -1.0
         y = side * rng.uniform(3.5, 13.0)
         z = z_center + rng.uniform(-0.2, 0.2)
         center = np.array([x, y, z])
-        same_cat_sep = _CATEGORY_SEPARATION[category]
         cx, cy = math.floor(x / cell), math.floor(y / cell)
-        if any(
-            np.linalg.norm(center - placed_center)
-            < (same_cat_sep if placed_cat == category else min_separation)
-            for i in (-1, 0, 1)
-            for j in (-1, 0, 1)
-            for placed_cat, placed_center in placed.get((cx + i, cy + j), ())
-        ):
-            continue
+        near = [k for i in (-1, 0, 1) for j in (-1, 0, 1) for k in placed.get((cx + i, cy + j), ())]
+        if near:
+            gap = center - centers[near]
+            if (np.sqrt(np.vecdot(gap, gap)) < limit[codes[near], code]).any():
+                continue
+        centers[len(objects)], codes[len(objects)] = center, code
+        placed.setdefault((cx, cy), []).append(len(objects))
         objects.append(SceneObject(category=category, center=center, height=height))
-        placed.setdefault((cx, cy), []).append((category, center))
     return SceneSpec(
         trajectory=trajectory,
         objects=objects,
@@ -217,22 +232,27 @@ def default_scene_spec(
     )
 
 
-def _perturb_direction(d: np.ndarray, angle_sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Rotate `d` by a Gaussian angle about a random perpendicular axis."""
-    angle = rng.normal(0.0, angle_sigma)
-    raw = rng.normal(size=3)
-    axis = raw - np.dot(raw, d) * d
-    norm = np.linalg.norm(axis)
-    if norm < 1e-12:
-        return d
-    axis /= norm
+def _perturb_directions(d: np.ndarray, angle: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Rotate each row of `d` by its `angle` about the part of its `raw` perpendicular to it.
+
+    `angle` and `raw` are the row's angle and axis draws. A row whose
+    perpendicular part has a norm below 1e-12 keeps its direction.
+    """
+    axis = raw - np.vecdot(raw, d)[:, None] * d
+    norm = np.sqrt(np.vecdot(axis, axis))
+    turned = np.flatnonzero(norm >= 1e-12)
+    a, d_turned = axis[turned] / norm[turned, None], d[turned]
     # Rodrigues rotation; axis is perpendicular to d so the formula shortens.
-    # The cross product axis x d is spelled out on floats: the same IEEE
-    # operations as np.cross, without its overhead on 3-vectors.
-    a0, a1, a2 = axis.tolist()
-    d0, d1, d2 = d.tolist()
-    cross = np.array([a1 * d2 - a2 * d1, a2 * d0 - a0 * d2, a0 * d1 - a1 * d0])
-    return d * math.cos(angle) + cross * math.sin(angle)
+    # The cross product axis x d is spelled out column by column: the same
+    # IEEE operations as np.cross.
+    (a0, a1, a2), (d0, d1, d2) = a.T, d_turned.T
+    cross = np.stack([a1 * d2 - a2 * d1, a2 * d0 - a0 * d2, a0 * d1 - a1 * d0], axis=-1)
+    theta = angle[turned].tolist()
+    cos = np.fromiter(map(math.cos, theta), dtype=float, count=len(theta))
+    sin = np.fromiter(map(math.sin, theta), dtype=float, count=len(theta))
+    out = d.copy()
+    out[turned] = d_turned * cos[:, None] + cross * sin[:, None]
+    return out
 
 
 def generate_scene(spec: SceneSpec) -> tuple[list[Observation], GroundTruth]:
@@ -243,88 +263,82 @@ def generate_scene(spec: SceneSpec) -> tuple[list[Observation], GroundTruth]:
         raise ValueError("object list must not be empty")
     rng = np.random.default_rng(spec.seed)
     categories = sorted({o.category for o in spec.objects})
-    observations: list[Observation] = []
-    object_of: dict[int, int | None] = {}
-    obs_id = 0
+    centers = np.array([o.center for o in spec.objects])
+    positions = np.array([p.position for p in spec.trajectory])
+    n_poses, n_objects = len(positions), len(centers)
     # Candidates per pose from one radius query, padded so the exact depth
-    # test below sees every object in range; visited in index order.
-    tree = cKDTree(np.array([o.center for o in spec.objects]))
-    candidates = tree.query_ball_point(
-        np.array([p.position for p in spec.trajectory]),
-        r=spec.max_range * (1.0 + 1e-9),
-        return_sorted=True,
+    # test below sees every object in range, as (pose, object) rows in pose
+    # order and, within a pose, in object order: the order of the draws.
+    near = cKDTree(centers).query_ball_point(positions, r=spec.max_range * (1.0 + 1e-9), return_sorted=True)
+    counts = np.fromiter(map(len, near), dtype=np.intp, count=n_poses)
+    pose = np.repeat(np.arange(n_poses), counts)
+    obj = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp, count=int(counts.sum()))
+    delta = centers[obj] - positions[pose]
+    depth = np.sqrt(np.vecdot(delta, delta))
+    seen = ~((depth > spec.max_range) | (depth < 1e-9))
+    pose, obj, delta, depth = pose[seen], obj[seen], delta[seen], depth[seen]
+
+    # The draw loop: nothing but the draws, in the contract's order.
+    random, normal = rng.random, rng.normal
+    noise, kept, angle, raw = [], [], [], []
+    perturb = spec.direction_noise > 0
+    clutter = []  # (pose, azimuth, elevation, category index, h_norm) per clutter detection
+    start = 0
+    for k, end in enumerate(np.searchsorted(pose, np.arange(1, n_poses + 1)).tolist()):
+        noise.append(normal(0.0, spec.pose_noise, size=3))
+        for row in range(start, end):
+            if random() < spec.drop_prob:
+                continue
+            kept.append(row)
+            if perturb:
+                angle.append(normal(0.0, spec.direction_noise))
+                raw.append(normal(size=3))
+        start = end
+        for _ in range(int(rng.poisson(spec.clutter_rate)) if spec.clutter_rate > 0 else 0):
+            clutter.append((k, rng.uniform(-math.pi, math.pi), rng.uniform(-0.3, 0.5),
+                            int(rng.integers(0, len(categories))), rng.uniform(0.005, 0.08)))
+
+    recorded = positions + np.array(noise)
+    kept = np.array(kept, dtype=np.intp)
+    pose, obj, delta, depth = pose[kept], obj[kept], delta[kept], depth[kept]
+    direction = delta / depth[:, None]
+    if perturb:
+        direction = _perturb_directions(direction, np.array(angle), np.array(raw).reshape(-1, 3))
+        direction = direction / np.sqrt(np.vecdot(direction, direction))[:, None]
+    height = np.array([o.height for o in spec.objects], dtype=float)[obj]
+    h_norm = np.minimum(1.0, height / (depth * math.pi))
+    w_norm = np.minimum(1.0, height / (depth * 2.0 * math.pi))
+    clutter_pose, azimuth, elevation, clutter_category, clutter_h = (
+        map(np.array, zip(*clutter)) if clutter else (np.empty(0, dtype=np.intp),) * 5
     )
-    for pose, near in zip(spec.trajectory, candidates):
-        true_position = pose.position
-        recorded = true_position + rng.normal(0.0, spec.pose_noise, size=3)
-        for object_id in near:
-            obj = spec.objects[object_id]
-            delta = obj.center - true_position
-            depth = float(np.linalg.norm(delta))
-            if depth > spec.max_range or depth < 1e-9:
-                continue
-            if rng.random() < spec.drop_prob:
-                continue
-            direction = delta / depth
-            if spec.direction_noise > 0:
-                direction = _perturb_direction(direction, spec.direction_noise, rng)
-                direction = direction / np.linalg.norm(direction)
-            h_norm = min(1.0, obj.height / (depth * math.pi))
-            w_norm = min(1.0, obj.height / (depth * 2.0 * math.pi))
-            observations.append(
-                Observation(
-                    obs_id=obs_id,
-                    frame_id=pose.frame_id,
-                    category=obj.category,
-                    exposure=recorded.copy(),
-                    direction=direction,
-                    box_w_norm=w_norm,
-                    box_h_norm=h_norm,
-                )
-            )
-            object_of[obs_id] = object_id
-            obs_id += 1
-        n_clutter = int(rng.poisson(spec.clutter_rate)) if spec.clutter_rate > 0 else 0
-        for _ in range(n_clutter):
-            azimuth = rng.uniform(-math.pi, math.pi)
-            elevation = rng.uniform(-0.3, 0.5)
-            ce = math.cos(elevation)
-            direction = np.array(
-                [ce * math.cos(azimuth), ce * math.sin(azimuth), math.sin(elevation)]
-            )
-            category = categories[int(rng.integers(0, len(categories)))]
-            h_norm = rng.uniform(0.005, 0.08)
-            observations.append(
-                Observation(
-                    obs_id=obs_id,
-                    frame_id=pose.frame_id,
-                    category=category,
-                    exposure=recorded.copy(),
-                    direction=direction,
-                    box_w_norm=h_norm / 2.0,
-                    box_h_norm=h_norm,
-                )
-            )
-            object_of[obs_id] = None
-            obs_id += 1
+    clutter_direction = np.array([
+        [ce * math.cos(a), ce * math.sin(a), math.sin(e)]
+        for a, e, ce in zip(azimuth.tolist(), elevation.tolist(), map(math.cos, elevation.tolist()))
+    ]).reshape(-1, 3)
+
+    # Each pose's objects, then its clutter: the order ids are issued in. A
+    # row's label is its object index, or n_objects + its clutter category.
+    row_pose = np.concatenate([pose, clutter_pose])
+    order = np.argsort(row_pose, kind="stable")
+    row_pose = row_pose[order]
+    label = np.concatenate([obj, n_objects + clutter_category])[order].tolist()
+    exposure = recorded[row_pose]
+    direction = np.concatenate([direction, clutter_direction])[order]
+    w_norm = np.concatenate([w_norm, clutter_h / 2.0])[order].tolist()
+    h_norm = np.concatenate([h_norm, clutter_h])[order].tolist()
+    frame_of = [p.frame_id for p in spec.trajectory]
+    names = [o.category for o in spec.objects] + categories
+    observations = [
+        Observation(obs_id=i, frame_id=frame_of[k], category=names[j], exposure=exposure[i],
+                    direction=direction[i], box_w_norm=w_norm[i], box_h_norm=h_norm[i])
+        for i, (k, j) in enumerate(zip(row_pose.tolist(), label))
+    ]
     truth = GroundTruth(
         objects=spec.objects,
-        obs_ids=[o.obs_id for o in observations],
-        object_of=object_of,
+        obs_ids=list(range(len(observations))),
+        object_of={i: j if j < n_objects else None for i, j in enumerate(label)},
     )
     return observations, truth
-
-
-def _direction_to_pixels(
-    d_world: np.ndarray, rotation: np.ndarray, image_w: float, image_h: float
-) -> tuple[float, float]:
-    """Pixel center whose ray, lifted through the camera-to-world `rotation`, is `d_world`."""
-    d_cam = rotation.T @ d_world
-    azimuth = math.atan2(d_cam[1], d_cam[0])
-    elevation = math.asin(max(-1.0, min(1.0, d_cam[2])))
-    cx = (azimuth + math.pi) / (2.0 * math.pi) * image_w
-    cy = (1.0 - (elevation + math.pi / 2.0) / math.pi) * image_h
-    return cx, cy
 
 
 def export_scene(
@@ -343,15 +357,21 @@ def export_scene(
         replace(p, position=recorded.get(p.frame_id, p.position).copy())
         for p in sorted(spec.trajectory, key=lambda p: p.frame_id)
     ]
-    rotation_of = {p.frame_id: rotation_from_euler(p.heading, p.pitch, p.roll) for p in poses}
+    # Each observation's world ray in its camera's frame: rotation.T @ d, one stacked matmul.
+    rotation = rotation_from_euler(*np.array([(p.heading, p.pitch, p.roll) for p in poses]).T)
+    row_of = {p.frame_id: k for k, p in enumerate(poses)}
+    rows = [row_of[o.frame_id] for o in observations]
+    d_world = np.array([o.direction for o in observations]).reshape(-1, 3, 1)
+    d_cam = np.matmul(rotation[rows].transpose(0, 2, 1), d_world)[:, :, 0]
     detections = []
-    for o in observations:
-        cx, cy = _direction_to_pixels(o.direction, rotation_of[o.frame_id], EXPORT_IMAGE_W, EXPORT_IMAGE_H)
+    for o, (x, y, z) in zip(observations, d_cam.tolist()):
+        azimuth = math.atan2(y, x)
+        elevation = math.asin(max(-1.0, min(1.0, z)))
         detections.append(
             Detection2D(
                 frame_id=o.frame_id,
-                center_x=cx,
-                center_y=cy,
+                center_x=(azimuth + math.pi) / (2.0 * math.pi) * EXPORT_IMAGE_W,
+                center_y=(1.0 - (elevation + math.pi / 2.0) / math.pi) * EXPORT_IMAGE_H,
                 box_w=o.box_w_norm * EXPORT_IMAGE_W,
                 box_h=o.box_h_norm * EXPORT_IMAGE_H,
                 image_w=EXPORT_IMAGE_W,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -14,11 +15,13 @@ from streetinv import io as sio
 from streetinv import (
     Cluster,
     DegenerateClusterError,
+    Detection2D,
     DetectionTable,
     Observation,
     ObservationTable,
     build_score_matrix,
     estimate_center,
+    rotation_from_euler,
     window_pairs,
 )
 from streetinv.pipeline import _score_matrix_from_file
@@ -26,6 +29,8 @@ from streetinv.simulator import (
     _CATEGORY_GEOMETRY,
     _CATEGORY_SEPARATION,
     DEFAULT_CATEGORIES,
+    EXPORT_IMAGE_H,
+    EXPORT_IMAGE_W,
     GroundTruth,
     SceneObject,
     SceneSpec,
@@ -458,6 +463,39 @@ def oracle_generate_scene(spec: SceneSpec) -> tuple[list[Observation], GroundTru
             h_norm = rng.uniform(0.005, 0.08)
             add(pose.frame_id, category, recorded, direction, h_norm / 2.0, h_norm, None)
     return observations, GroundTruth(spec.objects, [o.obs_id for o in observations], object_of)
+
+
+def oracle_export_scene(spec: SceneSpec):
+    """Poses and detections of `oracle_generate_scene`'s observations, record by record.
+
+    The reference `simulator.export_scene` is checked against: each frame's
+    pose at its recorded exposure (its true one if it has no observation),
+    and each detection's pixel center from its own rotation of its frame,
+    `rotation.T @ direction`, then `math.atan2` and `math.asin`.
+    """
+    observations, truth = oracle_generate_scene(spec)
+    recorded = {o.frame_id: o.exposure for o in observations}
+    poses = [replace(p, position=recorded.get(p.frame_id, p.position).copy())
+             for p in sorted(spec.trajectory, key=lambda p: p.frame_id)]
+    pose_of = {p.frame_id: p for p in poses}
+    detections = []
+    for o in observations:
+        pose = pose_of[o.frame_id]
+        d_cam = rotation_from_euler(pose.heading, pose.pitch, pose.roll).T @ o.direction
+        azimuth = math.atan2(d_cam[1], d_cam[0])
+        elevation = math.asin(max(-1.0, min(1.0, d_cam[2])))
+        detections.append(Detection2D(
+            frame_id=o.frame_id,
+            center_x=(azimuth + math.pi) / (2.0 * math.pi) * EXPORT_IMAGE_W,
+            center_y=(1.0 - (elevation + math.pi / 2.0) / math.pi) * EXPORT_IMAGE_H,
+            box_w=o.box_w_norm * EXPORT_IMAGE_W,
+            box_h=o.box_h_norm * EXPORT_IMAGE_H,
+            image_w=EXPORT_IMAGE_W,
+            image_h=EXPORT_IMAGE_H,
+            category=o.category,
+            confidence=1.0,
+        ))
+    return poses, detections, observations, truth
 
 
 def grid_argmin(rays, center_hint, half_width=1.0, coarse_step=0.02, fine_step=0.001):

@@ -232,6 +232,17 @@ class TestEvaluate:
         assert self._evaluate(scene_dir, tmp_path, records) == EXIT_DATA
         assert "inventory.jsonl:1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [None, 7])
+    def test_non_string_category_is_worded_as_by_every_reader(self, scene_dir, inventory, tmp_path,
+                                                              capsys, value):
+        records = [dict(r) for r in inventory]
+        records[0]["category"] = value
+        assert self._evaluate(scene_dir, tmp_path, records) == EXIT_DATA
+        err = capsys.readouterr().err
+        path = tmp_path / "inventory.jsonl"
+        assert err.splitlines() == [f"data error: {path}:1: category must be a string, got {value!r}"]
+        assert "Traceback" not in err
+
     def test_observation_in_two_records_is_a_data_error(self, scene_dir, inventory, tmp_path):
         records = [dict(r) for r in inventory]
         records[1]["members"] = records[1]["members"] + records[0]["members"][:1]
@@ -591,6 +602,19 @@ class TestIds:
         assert main(args) == EXIT_DATA
         err = capsys.readouterr().err
         assert where in err and f"{field} must be an integer" in err
+
+
+    def test_pose_frame_id_beyond_64_bits_is_a_data_error(self, scene_dir, tmp_path, capsys):
+        path = _copy_records(scene_dir, tmp_path, "poses.jsonl", lambda records: records[:1] + [
+            dict(records[1], frame_id=2**63)] + records[2:])
+        out = str(tmp_path / "out")
+        args = _run_args(scene_dir, out)
+        args[args.index("--poses") + 1] = path
+        assert main(args) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"data error: {path}:2: frame_id {2**63} is outside the 64-bit integer range"]
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
 
 
 class TestUniqueKeys:

@@ -20,7 +20,7 @@ from streetinv import (
 )
 from scipy.sparse import csr_array
 
-from streetinv import window_pairs
+from streetinv import association, pipeline, window_pairs
 from streetinv.pipeline import _window_blocks, associate, inventory_records, localize_clusters
 from streetinv.simulator import GroundTruth
 
@@ -228,6 +228,18 @@ class TestAssociate:
         assert len(blocks) == len(pairs) > 0
         for (a, b), block in zip(pairs, blocks):
             assert np.array_equal(block, scores[a, b].toarray())
+
+    def test_the_frame_window_is_enumerated_once_per_run(self, scene, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return window_pairs(*args)
+
+        monkeypatch.setattr(pipeline, "window_pairs", counted)
+        monkeypatch.setattr(association, "window_pairs", counted)
+        run_pipeline(RunConfig(), *scene)
+        assert len(calls) == 1
 
 
 def _assert_associate_matches_oracle(observations, cfg):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import oracle_default_scene_spec, oracle_generate_scene
+from conftest import oracle_default_scene_spec, oracle_export_scene, oracle_generate_scene
 
 from streetinv import CameraPose, simulator
 from streetinv.simulator import (
@@ -38,6 +38,15 @@ def _observation_key(observations):
     ]
 
 
+def _pose_key(poses):
+    return [(p.frame_id, p.position.tobytes()) for p in poses]
+
+
+def _detection_key(detections):
+    # repr keeps the sign of a zero and every digit of a float.
+    return [repr(dataclasses.astuple(d)) for d in detections]
+
+
 def _assert_scene_matches_oracle(spec, monkeypatch):
     """generate_scene and export_scene agree bit for bit with the brute-force scan."""
     observations, truth = generate_scene(spec)
@@ -49,13 +58,12 @@ def _assert_scene_matches_oracle(spec, monkeypatch):
     monkeypatch.setattr(simulator, "generate_scene", oracle_generate_scene)
     expected_poses, expected_detections, _, _ = export_scene(spec)
     monkeypatch.undo()
-    assert [(p.frame_id, p.position.tobytes()) for p in poses] == [
-        (p.frame_id, p.position.tobytes()) for p in expected_poses
-    ]
-    # repr keeps the sign of a zero and every digit of a float.
-    assert [repr(dataclasses.astuple(d)) for d in detections] == [
-        repr(dataclasses.astuple(d)) for d in expected_detections
-    ]
+    assert _pose_key(poses) == _pose_key(expected_poses)
+    assert _detection_key(detections) == _detection_key(expected_detections)
+    # The pixel step too: the record-by-record oracle rotates each ray on its own.
+    oracle_poses, oracle_detections, _, _ = oracle_export_scene(spec)
+    assert _pose_key(poses) == _pose_key(oracle_poses)
+    assert _detection_key(detections) == _detection_key(oracle_detections)
     return observations, truth
 
 
@@ -132,6 +140,57 @@ def test_hand_built_curved_scene_matches_oracle(monkeypatch):
     observations, truth = _assert_scene_matches_oracle(spec, monkeypatch)
     assert any(v is None for v in truth.object_of.values())
     assert len({truth.object_of[o.obs_id] for o in observations} - {None}) > 20
+
+
+class TestEdgeCases:
+    """Settings and layouts the default regimes never reach, each against the oracle."""
+
+    def test_no_direction_noise_points_each_ray_at_its_object(self, monkeypatch):
+        spec = default_scene_spec(seed=3, direction_noise=0.0, clutter_rate=0.5)
+        observations, truth = _assert_scene_matches_oracle(spec, monkeypatch)
+        positions = {p.frame_id: p.position for p in spec.trajectory}
+        for o in observations:
+            if truth.object_of[o.obs_id] is not None:
+                delta = spec.objects[truth.object_of[o.obs_id]].center - positions[o.frame_id]
+                assert o.direction.tobytes() == (delta / np.linalg.norm(delta)).tobytes()
+
+    def test_no_pose_noise_records_the_true_positions(self, monkeypatch):
+        spec = default_scene_spec(seed=3, pose_noise=0.0, clutter_rate=0.5)
+        observations, _ = _assert_scene_matches_oracle(spec, monkeypatch)
+        positions = {p.frame_id: p.position.tobytes() for p in spec.trajectory}
+        assert observations
+        assert all(o.exposure.tobytes() == positions[o.frame_id] for o in observations)
+
+    def test_every_object_dropped_leaves_only_clutter(self, monkeypatch):
+        spec = default_scene_spec(seed=3, drop_prob=1.0, clutter_rate=1.0)
+        observations, truth = _assert_scene_matches_oracle(spec, monkeypatch)
+        assert observations
+        assert set(truth.object_of.values()) == {None}
+
+    def test_a_pose_with_nothing_in_range(self, monkeypatch):
+        # Frame 1 lies 100 m from every object; the poses around it see two each.
+        objects = [SceneObject("bollard", [x, 4.0, 0.5], 0.9) for x in (-5.0, 5.0, 195.0, 205.0)]
+        spec = SceneSpec(trajectory=straight_trajectory(3, 100.0), objects=objects,
+                         direction_noise=0.01, pose_noise=0.1, seed=5)
+        observations, _ = _assert_scene_matches_oracle(spec, monkeypatch)
+        assert [o.frame_id for o in observations] == [0, 0, 2, 2]
+
+    def test_no_pose_sees_anything(self, monkeypatch):
+        objects = [SceneObject("bollard", [500.0, 4.0, 0.5], 0.9)]
+        spec = SceneSpec(trajectory=straight_trajectory(4, 10.0), objects=objects,
+                         direction_noise=0.01, pose_noise=0.1, seed=5)
+        observations, truth = _assert_scene_matches_oracle(spec, monkeypatch)
+        assert observations == [] and truth.obs_ids == [] and truth.object_of == {}
+        poses, detections, _, _ = export_scene(spec)
+        assert detections == []
+        assert _pose_key(poses) == _pose_key(spec.trajectory)
+
+    def test_axis_draw_parallel_to_the_ray_leaves_the_direction_unchanged(self):
+        d = np.array([[0.6, 0.0, 0.8], [0.0, 1.0, 0.0]])
+        raw = np.array([[1.2, 0.0, 1.6], [0.3, -0.2, 0.9]])  # the first row's draw is parallel to its ray
+        turned = simulator._perturb_directions(d, np.array([0.3, 0.3]), raw)
+        assert turned[0].tobytes() == d[0].tobytes()
+        assert turned[1] @ d[1] == pytest.approx(math.cos(0.3), abs=1e-12)
 
 
 class TestSceneSpecChecks:
