@@ -161,21 +161,17 @@ def _pair_rows(pairs: list[tuple[slice, slice]]) -> tuple[np.ndarray, np.ndarray
     return a0[which] + k // nb[which], b0[which] + k % nb[which]
 
 
-def build_score_matrix(
-    table: ObservationTable, sigma_g: float, window: int, pairs: list[tuple[slice, slice]] | None = None
-) -> csr_array:
+def build_score_matrix(table: ObservationTable, sigma_g: float, pairs: list[tuple[slice, slice]]) -> csr_array:
     """Geometric scores of the same-category row pairs in the frame window.
 
-    `table` is sorted by frame (see `window_pairs`). A pair's score is
+    `table` is sorted by frame and `pairs` is its frame window,
+    `window_pairs(table.frame_id, window)`. A pair's score is
     exp(-gap / sigma_g) for the gap between its rays. The result is an
     upper-triangular n x n matrix over the rows of `table`; pairs of other
-    categories or outside the window have no entry. `pairs` is
-    `window_pairs(table.frame_id, window)`, for a caller that has it already.
+    categories or outside the window have no entry.
     """
     n = len(table.obs_id)
     _, category = table.category_codes
-    if pairs is None:
-        pairs = window_pairs(table.frame_id, window)
     scored = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
     for start in range(0, len(pairs), SCORE_BATCH):
         i, j = _pair_rows(pairs[start : start + SCORE_BATCH])

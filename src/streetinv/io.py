@@ -251,9 +251,9 @@ class _Rules:
                 pass
         is_int = list(map(_is_int, values))
         self.check(np.array(is_int, dtype=bool), lambda k: f"{key} must be an integer, got {values[k]!r}")
-        fits = np.array([i and _INT64.min <= v <= _INT64.max for i, v in zip(is_int, values)], dtype=bool)
+        fits = np.array([i and _int64_error(key, v) is None for i, v in zip(is_int, values)], dtype=bool)
         if not any_size:
-            self.check(fits, lambda k: f"{key} {values[k]} is outside the 64-bit integer range")
+            self.check(fits, lambda k: _int64_error(key, values[k]))
         return np.array([v if ok else 0 for v, ok in zip(values, fits)], dtype=np.int64), fits
 
     def numbers(self, values: list, key: str) -> np.ndarray:
@@ -319,8 +319,8 @@ def read_poses(path: str, coord_mode: str = "local") -> list[CameraPose]:
         _require(record, ("frame_id", "heading", "pitch", "roll"), path, line_no)
         try:
             frame_id = _id(record, "frame_id")
-            if not _INT64.min <= frame_id <= _INT64.max:
-                raise ValueError(f"frame_id {frame_id} is outside the 64-bit integer range")
+            if (error := _int64_error("frame_id", frame_id)) is not None:
+                raise ValueError(error)
             if coord_mode == "geodetic":
                 _require(record, ("lat", "lon", "alt"), path, line_no)
                 lat, lon, alt = (_number(record, key) for key in ("lat", "lon", "alt"))
@@ -589,6 +589,13 @@ def _id(record: dict, key: str) -> int:
     if not _is_int(value):
         raise TypeError(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def _int64_error(key: str, value: int) -> str | None:
+    """The error of an integer id `value` of field `key` outside the 64-bit range, or None if it fits."""
+    if _INT64.min <= value <= _INT64.max:
+        return None
+    return f"{key} {value} is outside the 64-bit integer range"
 
 
 def _category(record: dict) -> str:

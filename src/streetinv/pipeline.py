@@ -160,7 +160,7 @@ def associate(
     if cfg.scorer.startswith("file:"):
         scores = _score_matrix_from_file(cfg.scorer[len("file:"):], table)
     else:
-        scores = build_score_matrix(table, cfg.sigma_g, cfg.window, pairs)
+        scores = build_score_matrix(table, cfg.sigma_g, pairs)
     matched = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
     for (a, b), block in zip(pairs, _window_blocks(scores, pairs)):
         rows, cols = assign_pairs(block, cfg.tau)

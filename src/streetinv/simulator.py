@@ -22,7 +22,8 @@ repeat the per-record arithmetic operation for operation, so every float
 is unchanged. A norm is `np.sqrt(np.vecdot(v, v))`: `vecdot` calls the
 same BLAS `ddot` per row as `np.linalg.norm` on one vector, while a
 spelled-out `x*x + y*y + z*z`, `norm(axis=1)` or `einsum` can round
-differently where `ddot` fuses multiply-adds. Cosines, sines and pixel
+differently where `ddot` fuses multiply-adds. `vecdot` is new in NumPy
+2.0, which is why the package requires it. Cosines, sines and pixel
 angles stay `math` calls.
 """
 

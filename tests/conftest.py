@@ -202,13 +202,14 @@ def oracle_associate(observations, cfg) -> tuple[list[PairMatch], list[tuple[int
     """
     table = ObservationTable.of(observations)
     table = table.take(np.lexsort((table.obs_id, table.frame_id)))
+    pairs = window_pairs(table.frame_id, cfg.window)
     if cfg.scorer.startswith("file:"):
         scores = _score_matrix_from_file(cfg.scorer[len("file:"):], table)
     else:
-        scores = build_score_matrix(table, cfg.sigma_g, cfg.window)
+        scores = build_score_matrix(table, cfg.sigma_g, pairs)
     ids = table.obs_id.tolist()
     matches = []
-    for a, b in window_pairs(table.frame_id, cfg.window):
+    for a, b in pairs:
         block = scores[a, b].toarray()
         for r, c in zip(*linear_sum_assignment(block, maximize=True)):
             score = float(block[r, c])

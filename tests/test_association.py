@@ -38,7 +38,7 @@ def pair_score(a, b, sigma_g=0.5) -> float:
     """The geometric score of observations a and b, read from build_score_matrix."""
     table = frame_sorted([a, b])
     first, second = sorted(table.rows([a.obs_id, b.obs_id]))
-    return float(build_score_matrix(table, sigma_g, window=2)[first, second])
+    return float(build_score_matrix(table, sigma_g, window_pairs(table.frame_id, 2))[first, second])
 
 
 class TestWindowPairs:
@@ -106,11 +106,11 @@ class TestGeometricScore:
             obs(1, 1, [10, 0, 0], target),
             obs(2, 2, [20, 0, 0], target),
         ])
-        m = build_score_matrix(table, 0.5, window=2)
+        m = build_score_matrix(table, 0.5, window_pairs(table.frame_id, 2))
         assert m[0, 1] == pytest.approx(1.0)
         assert m[1, 2] == pytest.approx(1.0)
         assert m.nnz == 2  # frames 0 and 2 are two ranks apart
-        assert build_score_matrix(table, 0.5, window=3)[0, 2] == pytest.approx(1.0)
+        assert build_score_matrix(table, 0.5, window_pairs(table.frame_id, 3))[0, 2] == pytest.approx(1.0)
 
     def test_upper_triangular_over_window_pairs_in_batches(self):
         rng = np.random.default_rng(5)
@@ -119,7 +119,7 @@ class TestGeometricScore:
             for k, (f, c) in enumerate(zip(rng.integers(0, 400, 900), rng.choice(["a", "b"], 900)))
         ]
         table = frame_sorted(observations)
-        coo = build_score_matrix(table, 0.5, window=3).tocoo()
+        coo = build_score_matrix(table, 0.5, window_pairs(table.frame_id, 3)).tocoo()
         scored = set(zip(coo.row.tolist(), coo.col.tolist()))
         expected = {
             (i, j)
