@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import sys
@@ -141,10 +140,7 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _write_report(out_dir: str, report: EvaluationReport) -> None:
-    sio.atomic_write_text(
-        os.path.join(out_dir, "report.json"),
-        json.dumps(report.to_dict(), sort_keys=True, indent=1, allow_nan=False) + "\n",
-    )
+    sio.write_jsonl(os.path.join(out_dir, "report.json"), [report.to_dict()])
     sio.atomic_write_text(os.path.join(out_dir, "report.txt"), report.to_text())
 
 

@@ -198,12 +198,6 @@ class DetectionTable:
     def __len__(self) -> int:
         return len(self.frame_id)
 
-    def valid(self) -> np.ndarray:
-        """Row mask of the detections `Detection2D` accepts: all of `DETECTION_RULES`."""
-        # A row whose image size fails divides by 0, inf or NaN; quietly.
-        with np.errstate(all="ignore"):
-            return np.logical_and.reduce([holds(self) for holds, _ in DETECTION_RULES])
-
 
 @dataclass(frozen=True, eq=False)
 class ObservationTable:

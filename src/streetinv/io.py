@@ -3,11 +3,13 @@
 All record streams are JSON lines: one object per line, diffable and
 streamable. Every file is UTF-8 text; a file that is not, or a non-blank
 line that is not exactly one JSON object, is a DataError naming the file
-and the line. A file is decoded once into its records. Detections, scores
-and observations are then read as columns, and each rule a record must
-pass is one array test over the whole file; the error names the first bad
-line and the first rule it fails. `ingest` lifts every detection in one
-array pass.
+and the line. A file is decoded once into its records, and every reader,
+of poses, detections, scores, observations, clusters, inventory and truth,
+then reads them as columns: each rule a record must pass is one array test
+over the whole file (see `_Rules`), and the error names the first bad line
+and the first rule it fails. `truth.json` is one JSON object, and its
+errors name the file alone. `ingest` lifts every detection in one array
+pass.
 
 Poses may carry either local metric coordinates (x, y, z) or geodetic ones
 (lat, lon, alt in degrees/meters); geodetic input is converted to a local
@@ -57,7 +59,6 @@ __all__ = [
     "write_observations",
     "read_observations",
     "cluster_to_record",
-    "cluster_from_record",
     "write_clusters",
     "read_clusters",
     "parse_config_text",
@@ -151,16 +152,16 @@ def read_text(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _decode_line(line: str, path: str, line_no: int) -> dict:
-    """One stripped line as a JSON object, or the DataError naming what it is instead."""
+def _decode(text: str, where: str) -> dict:
+    """`text` as one JSON object, or the DataError, prefixed by `where`, naming what it is instead."""
     try:
-        record = _DECODER.decode(line)
+        record = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
-        raise DataError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from exc
+        raise DataError(f"{where}: malformed JSON: {exc.msg}") from exc
     except DataError as exc:
-        raise DataError(f"{path}:{line_no}: {exc}") from exc
+        raise DataError(f"{where}: {exc}") from exc
     if not isinstance(record, dict):
-        raise DataError(f"{path}:{line_no}: expected a JSON object")
+        raise DataError(f"{where}: expected a JSON object")
     return record
 
 
@@ -180,37 +181,37 @@ def _read_jsonl(path: str) -> list[tuple[int, dict]]:
         except (StopIteration, ValueError, DataError):
             end = None
         if end != len(line) or type(record) is not dict:
-            record = _decode_line(line, path, line_no)
+            record = _decode(line, f"{path}:{line_no}")
         records.append((line_no, record))
     return records
 
 
-def _require(record: dict, keys: tuple[str, ...], path: str, line_no: int) -> None:
-    missing = [k for k in keys if k not in record]
-    if missing:
-        raise DataError(f"{path}:{line_no}: missing fields {missing}")
-
-
 # --- Rules over columns ------------------------------------------------------
 #
-# Detections, observations and scores are read as columns, and every rule is
-# one row mask over a whole file, added in the order a record is checked:
-# its fields are present, its ids are integers, its numbers finite numbers
-# and its category a string; then the range rules, then the rules across
-# rows. A row that fails a rule holds a stand-in value (0 or NaN), so the
-# later tests run on every row; the error is the first rule of the first
-# bad line. A column test first tries the whole column at once, so a file
-# that passes pays one array test per rule.
+# Every reader reads its records as columns, and every rule is one row mask
+# over a whole file, added in the order a record is checked: its fields are
+# present, its ids are integers, its numbers finite numbers and its category
+# a string; then the range rules, then the rules across rows. A row that
+# fails a rule holds a stand-in value (0 or NaN), so the later tests run on
+# every row; the error is the first rule of the first bad line. A column test
+# first tries the whole column at once, so a file that passes pays one array
+# test per rule. The member lists of clusters and inventory records are one
+# column of their entries, each with its row, so one `unique` test finds an
+# observation that is a member twice.
 
 _MISSING = object()
 
 
 class _Rules:
-    """The rules the records of one file fail, in the order they are checked."""
+    """The rules the records of one file fail, in the order they are checked.
 
-    def __init__(self, path: str, records: list[tuple[int, dict]]):
+    Records are (line number, record) pairs. The entries of `truth.json`
+    have no line (None), and their errors name the file alone.
+    """
+
+    def __init__(self, path: str, records: list[tuple[int | None, dict]]):
         self.path = path
-        self.records = records  # (line number, record) pairs
+        self.records = records
         self.broken: list[tuple[np.ndarray, Callable[[int], str]]] = []
 
     def check(self, holds: np.ndarray, message: Callable[[int], str]) -> None:
@@ -223,7 +224,9 @@ class _Rules:
         if self.broken:
             row = min(int(bad.argmax()) for bad, _ in self.broken)
             message = next(message for bad, message in self.broken if bad[row])
-            raise DataError(f"{self.path}:{self.records[row][0]}: {message(row)}")
+            line = self.records[row][0]
+            where = self.path if line is None else f"{self.path}:{line}"
+            raise DataError(f"{where}: {message(row)}")
 
     def fields(self, keys: tuple[str, ...]) -> dict[str, list]:
         """Each field of `keys` as the list of its values, one per record; a record missing any is refused."""
@@ -251,9 +254,9 @@ class _Rules:
                 pass
         is_int = list(map(_is_int, values))
         self.check(np.array(is_int, dtype=bool), lambda k: f"{key} must be an integer, got {values[k]!r}")
-        fits = np.array([i and _int64_error(key, v) is None for i, v in zip(is_int, values)], dtype=bool)
+        fits = np.array([i and _INT64.min <= v <= _INT64.max for i, v in zip(is_int, values)], dtype=bool)
         if not any_size:
-            self.check(fits, lambda k: _int64_error(key, values[k]))
+            self.check(fits, lambda k: f"{key} {values[k]} is outside the 64-bit integer range")
         return np.array([v if ok else 0 for v, ok in zip(values, fits)], dtype=np.int64), fits
 
     def numbers(self, values: list, key: str) -> np.ndarray:
@@ -277,6 +280,31 @@ class _Rules:
         self.check(np.array(ok, dtype=bool), lambda k: f"{key} must be a string, got {values[k]!r}")
         return np.array([v if good else "" for v, good in zip(values, ok)], dtype=object)
 
+    def points(self, values: list, key: str) -> np.ndarray:
+        """Field `key` as (n, 3) floats: each value 3 finite JSON numbers, or null (a row of NaN)."""
+        ok = [v is None or _is_point(v) for v in values]
+        self.check(np.array(ok, dtype=bool), lambda k: f"{key} must be null or 3 finite numbers")
+        nan = [math.nan] * 3
+        return np.array([v if good and v is not None else nan for v, good in zip(values, ok)],
+                        dtype=float).reshape(-1, 3)
+
+    def members(self, values: list, key: str) -> list[list[int]]:
+        """Field `key`: each value a non-empty list of integer observation ids, [] in a row that is not.
+
+        No observation may be an entry twice, in one row or in two.
+        """
+        ok = [isinstance(v, list) and len(v) > 0 and all(map(_is_int, v)) for v in values]
+        self.check(np.array(ok, dtype=bool), lambda k: f"{key} must be a non-empty list of integers")
+        lists = [v if good else [] for v, good in zip(values, ok)]
+        entries = [m for v in lists for m in v]
+        try:
+            column = np.array(entries, dtype=np.int64)
+        except OverflowError:  # an entry beyond 64 bits: compare the entries as read
+            column = np.unique(np.array(entries, dtype=object), return_inverse=True)[1]
+        rows = np.repeat(np.arange(len(lists)), [len(v) for v in lists])
+        self.unique([column], lambda i: f"observation {entries[i]} is already a member", rows)
+        return lists
+
     def record_rules(self, rules, table) -> None:
         """Add a record kind's rules (see `geometry`), each tested on every row of `table`."""
 
@@ -288,61 +316,63 @@ class _Rules:
             for holds, message in rules:
                 self.check(holds(table), lambda k, message=message: message(row(k)))
 
-    def unique(self, keys: list[np.ndarray], claim: Callable[[int], str]) -> None:
+    def unique(self, keys: list[np.ndarray], claim: Callable[[int], str], rows: np.ndarray | None = None) -> None:
         """Refuse each row whose key, its values of `keys`, an earlier row holds.
 
-        `claim(row)` names the key; the error adds the line of its first row.
+        With `rows`, the keys are those of list entries, entry i in row
+        `rows[i]`, and a row is refused if one of its entries repeats an
+        earlier entry. `claim(i)` names the key of row or entry i; the error
+        adds the line of its first holder.
         """
-        order = np.lexsort(keys[::-1])  # stable: a key's rows stay in file order
+        order = np.lexsort(keys[::-1])  # stable: a key's entries stay in file order
         repeated = np.zeros(len(order), dtype=bool)
         repeated[order[1:][np.logical_and.reduce([np.diff(key[order]) == 0 for key in keys])]] = True
+        rows = np.arange(len(order)) if rows is None else rows
+        held = np.ones(len(self.records), dtype=bool)
+        held[rows[repeated]] = False
 
         def message(k):
-            first = np.flatnonzero(np.logical_and.reduce([key == key[k] for key in keys]))[0]
-            return f"{claim(k)} on line {self.records[first][0]}"
+            i = np.flatnonzero(repeated & (rows == k))[0]
+            first = np.flatnonzero(np.logical_and.reduce([key == key[i] for key in keys]))[0]
+            line = self.records[rows[first]][0]
+            return claim(i) if line is None else f"{claim(i)} on line {line}"
 
-        self.check(~repeated, message)
+        self.check(held, message)
 
 
 def read_poses(path: str, coord_mode: str = "local") -> list[CameraPose]:
     """Read camera poses; geodetic mode converts to ENU about the first pose.
 
     Local records carry x/y/z; geodetic ones carry lat/lon/alt (degrees,
-    meters). Both carry frame_id and heading/pitch/roll in radians.
+    meters). Both carry frame_id and heading/pitch/roll in radians. No two
+    poses may share a frame_id.
     """
     if coord_mode not in ("local", "geodetic"):
         raise DataError(f"unknown coordinate mode {coord_mode!r}")
-    poses: list[CameraPose] = []
-    anchor: tuple[float, float, float] | None = None
-    frames: dict[int, int] = {}
-    for line_no, record in _read_jsonl(path):
-        _require(record, ("frame_id", "heading", "pitch", "roll"), path, line_no)
-        try:
-            frame_id = _id(record, "frame_id")
-            if (error := _int64_error("frame_id", frame_id)) is not None:
-                raise ValueError(error)
-            if coord_mode == "geodetic":
-                _require(record, ("lat", "lon", "alt"), path, line_no)
-                lat, lon, alt = (_number(record, key) for key in ("lat", "lon", "alt"))
-                if anchor is None:
-                    anchor = (lat, lon, alt)
-                position = geodetic_to_enu(lat, lon, alt, *anchor)
-            else:
-                _require(record, ("x", "y", "z"), path, line_no)
-                position = np.array([_number(record, key) for key in ("x", "y", "z")])
-            poses.append(
-                CameraPose(
-                    frame_id=frame_id,
-                    position=position,
-                    heading=_number(record, "heading"),
-                    pitch=_number(record, "pitch"),
-                    roll=_number(record, "roll"),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{line_no}: {exc}") from exc
-        _claim(frames, frame_id, "frame {} already has a pose", path, line_no)
-    return poses
+    rules = _Rules(path, _read_jsonl(path))
+    values = rules.fields(("frame_id", "heading", "pitch", "roll"))
+    frame_id, _ = rules.ids(values["frame_id"], "frame_id")
+    if coord_mode == "geodetic":
+        coords = rules.fields(("lat", "lon", "alt"))
+        lat, lon, alt = (rules.numbers(coords[key], key) for key in ("lat", "lon", "alt"))
+        inside = (-90.0 <= lat) & (lat <= 90.0)
+        rules.check(inside, lambda k: f"latitude {lat[k]} outside [-90, 90]")
+        position = np.full((len(lat), 3), math.nan)
+        # One pose at a time, as `geodetic_to_enu` converts a point; finite
+        # altitudes far apart overflow, quietly, and are refused below. A
+        # first pose outside the latitude range is itself the first error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in np.flatnonzero(inside) if inside[:1].all() else ():
+                position[k] = geodetic_to_enu(lat[k], lon[k], alt[k], lat[0], lon[0], alt[0])
+    else:
+        coords = rules.fields(("x", "y", "z"))
+        position = np.stack([rules.numbers(coords[key], key) for key in ("x", "y", "z")], axis=-1)
+    angles = [rules.numbers(values[key], key) for key in ("heading", "pitch", "roll")]
+    rules.check(np.isfinite(position).all(axis=1), lambda k: "position contains non-finite values")
+    rules.unique([frame_id], lambda k: f"frame {frame_id[k]} already has a pose")
+    rules.raise_first()
+    return [CameraPose(frame_id=f, position=p, heading=h, pitch=t, roll=r)
+            for f, p, h, t, r in zip(frame_id.tolist(), position, *(a.tolist() for a in angles))]
 
 
 def write_poses(path: str, poses: Iterable[CameraPose]) -> None:
@@ -444,12 +474,14 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-# The one encoder of every JSON lines file written: strict JSON, keys sorted.
-_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+# The one encoder of every file written: strict JSON, keys sorted.
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
 def write_jsonl(path: str, records: Iterable[dict]) -> None:
-    text = "".join(_JSONL_ENCODER.encode(r) + "\n" for r in records)
+    """Write one JSON object per line. A file of one record is one JSON
+    document, as `truth.json` and `report.json` are written."""
+    text = "".join(_ENCODER.encode(r) + "\n" for r in records)
     atomic_write_text(path, text)
 
 
@@ -499,30 +531,10 @@ def read_observations(path: str) -> ObservationTable:
 
 
 def cluster_to_record(c: Cluster) -> dict:
-    members = sorted(c.members)
-    record: dict = {"cluster_id": c.cluster_id, "members": members}
-    if c.center is not None:
-        record["center"] = [c.center[0], c.center[1], c.center[2]]
-        record["residuals"] = [c.residuals[m] for m in members]
-    else:
-        record["center"] = None
-        record["residuals"] = None
-    return record
-
-
-def cluster_from_record(record: dict) -> Cluster:
-    members = record["members"]
-    center = record.get("center")
-    residuals = record.get("residuals")
-    if center is not None:
-        residual_map = {m: float(r) for m, r in zip(members, residuals)}
-        return Cluster(
-            cluster_id=_id(record, "cluster_id"),
-            members=set(members),
-            center=np.asarray(center, dtype=float),
-            residuals=residual_map,
-        )
-    return Cluster(cluster_id=_id(record, "cluster_id"), members=set(members))
+    """The record `read_clusters` reads: center and residuals are null together."""
+    members, fitted = sorted(c.members), c.center is not None
+    return {"cluster_id": c.cluster_id, "members": members, "center": c.center.tolist() if fitted else None,
+            "residuals": [c.residuals[m] for m in members] if fitted else None}
 
 
 def write_clusters(path: str, clusters: list[Cluster]) -> None:
@@ -533,78 +545,37 @@ def write_clusters(path: str, clusters: list[Cluster]) -> None:
 def read_clusters(path: str, obs_ids: Collection[int]) -> list[Cluster]:
     """Read clusters of the observations `obs_ids`.
 
-    Cluster ids must be unique integers. Members must be a non-empty list
-    of integers from `obs_ids`, and no observation may be a member of two
-    clusters. A center is null or 3 finite numbers; residuals are null
-    with it and otherwise one finite number per member, in member order.
+    Cluster ids must be unique integers that fit 64 bits. Members must be a
+    non-empty list of integers from `obs_ids`, and no observation may be a
+    member of two clusters. A center is null or 3 finite numbers; residuals
+    are null with it and otherwise one finite number per member, in member
+    order.
     """
-    clusters = []
-    owner: dict[int, int] = {}
-    lines: dict[int, int] = {}
-    for line_no, record in _read_jsonl(path):
-        _require(record, ("cluster_id", "members"), path, line_no)
-        _claim_members(owner, record["members"], path, line_no)
-        unknown = [m for m in record["members"] if m not in obs_ids]
-        if unknown:
-            raise DataError(f"{path}:{line_no}: unknown observation {unknown[0]}")
-        _check_fit(record, path, line_no)
-        try:
-            clusters.append(cluster_from_record(record))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{line_no}: {exc}") from exc
-        _claim(lines, clusters[-1].cluster_id, "cluster_id {} is already used", path, line_no)
-    return clusters
-
-
-def _claim(lines: dict, key, claim: str, path: str, line_no: int) -> None:
-    """Record that `key` is claimed on `line_no`.
-
-    A key claimed before is a DataError naming both lines; `claim` is its
-    message, with `{}` standing for the key.
-    """
-    if key in lines:
-        raise DataError(f"{path}:{line_no}: {claim.format(key)} on line {lines[key]}")
-    lines[key] = line_no
-
-
-def _claim_members(owner: dict[int, int], members, path: str, line_no: int) -> None:
-    """Check that members are a non-empty list of integers and claim each one for `line_no`."""
-    if not (isinstance(members, list) and members and all(map(_is_int, members))):
-        raise DataError(f"{path}:{line_no}: members must be a non-empty list of integers")
-    for obs_id in members:
-        _claim(owner, obs_id, "observation {} is already a member", path, line_no)
+    rules = _Rules(path, _read_jsonl(path))
+    values = rules.fields(("cluster_id", "members"))
+    members = rules.members(values["members"], "members")
+    rules.check(np.array([all(m in obs_ids for m in v) for v in members], dtype=bool),
+                lambda k: f"unknown observation {next(m for m in members[k] if m not in obs_ids)}")
+    centers = [r.get("center") for _, r in rules.records]
+    residuals = [r.get("residuals") for _, r in rules.records]
+    null = np.isnan(rules.points(centers, "center")[:, 0])
+    rules.check(~null | np.array([r is None for r in residuals], dtype=bool),
+                lambda k: "residuals must be null when center is null")
+    rules.check(null | np.array([isinstance(r, list) and len(r) == len(v) and all(map(_is_number, r))
+                                 for r, v in zip(residuals, members)], dtype=bool),
+                lambda k: "residuals must be one finite number per member")
+    cluster_id, _ = rules.ids(values["cluster_id"], "cluster_id")
+    rules.unique([cluster_id], lambda k: f"cluster_id {cluster_id[k]} is already used")
+    rules.raise_first()
+    return [
+        Cluster(cluster_id=c, members=m) if center is None else
+        Cluster(cluster_id=c, members=m, center=np.array(center, dtype=float), residuals=dict(zip(m, map(float, fit))))
+        for c, m, center, fit in zip(cluster_id.tolist(), members, centers, residuals)
+    ]
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _id(record: dict, key: str) -> int:
-    """`record[key]` as an id, which must be a JSON integer.
-
-    A float such as 3.7, or a string, is a TypeError: never truncated or
-    parsed into some other record's id.
-    """
-    value = record[key]
-    if not _is_int(value):
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _int64_error(key: str, value: int) -> str | None:
-    """The error of an integer id `value` of field `key` outside the 64-bit range, or None if it fits."""
-    if _INT64.min <= value <= _INT64.max:
-        return None
-    return f"{key} {value} is outside the 64-bit integer range"
-
-
-def _category(record: dict) -> str:
-    """`record["category"]`, which must be a JSON string: null or 7 is a
-    TypeError, never the category "None" or "7"."""
-    value = record["category"]
-    if not isinstance(value, str):
-        raise TypeError(f"category must be a string, got {value!r}")
-    return value
 
 
 def _is_number(value) -> bool:
@@ -619,46 +590,6 @@ def _is_point(value) -> bool:
     return isinstance(value, list) and len(value) == 3 and all(map(_is_number, value))
 
 
-def _number(record: dict, key: str) -> float:
-    """`record[key]` as a float, which must be a finite JSON number.
-
-    A string such as "1.5", or a boolean, is a TypeError: never parsed or
-    read as 1.
-    """
-    value = record[key]
-    if not _is_number(value):
-        raise TypeError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _point(record: dict, key: str) -> np.ndarray:
-    """`record[key]`, which must be a list of 3 finite JSON numbers, as an array."""
-    value = record[key]
-    if not _is_point(value):
-        raise TypeError(f"{key} must be 3 finite numbers, got {value!r}")
-    return np.array(value, dtype=float)
-
-
-def _check_center(center, path: str, line_no: int) -> None:
-    if center is not None and not _is_point(center):
-        raise DataError(f"{path}:{line_no}: center must be null or 3 finite numbers")
-
-
-def _check_fit(record: dict, path: str, line_no: int) -> None:
-    """A cluster's center is null or 3 finite numbers; its residuals are
-    null with it and otherwise one finite number per member."""
-    center, residuals = record.get("center"), record.get("residuals")
-    _check_center(center, path, line_no)
-    if center is None and residuals is not None:
-        raise DataError(f"{path}:{line_no}: residuals must be null when center is null")
-    if center is not None and not (
-        isinstance(residuals, list)
-        and len(residuals) == len(record["members"])
-        and all(map(_is_number, residuals))
-    ):
-        raise DataError(f"{path}:{line_no}: residuals must be one finite number per member")
-
-
 def read_inventory(path: str) -> list[dict]:
     """Read inventory records written by the run/evaluate pipeline.
 
@@ -666,19 +597,13 @@ def read_inventory(path: str) -> list[dict]:
     finite numbers, and a non-empty list of integer members; no
     observation may be a member of two records.
     """
-    records = []
-    owner: dict[int, int] = {}
-    fields = ("object_id", "category", "center", "n_observations", "max_residual", "members")
-    for line_no, record in _read_jsonl(path):
-        _require(record, fields, path, line_no)
-        try:
-            _category(record)
-        except TypeError as exc:
-            raise DataError(f"{path}:{line_no}: {exc}") from exc
-        _check_center(record["center"], path, line_no)
-        _claim_members(owner, record["members"], path, line_no)
-        records.append(record)
-    return records
+    rules = _Rules(path, _read_jsonl(path))
+    values = rules.fields(("object_id", "category", "center", "n_observations", "max_residual", "members"))
+    rules.strings(values["category"], "category")
+    rules.points(values["center"], "center")
+    rules.members(values["members"], "members")
+    rules.raise_first()
+    return [record for _, record in rules.records]
 
 
 def write_truth(path: str, truth) -> None:
@@ -698,48 +623,57 @@ def write_truth(path: str, truth) -> None:
             for obs_id in truth.obs_ids
         ],
     }
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n")
+    write_jsonl(path, [payload])
 
 
 def read_truth(path: str):
+    """Read scene ground truth: one JSON object holding `objects`, whose
+    `object_id`s are 0..n-1, and `observations`, each naming its object's
+    id, or null for clutter. No two observations may share an `obs_id`.
+
+    The objects are checked in id order. Entries have no line, so an error
+    names the file alone.
+    """
     from .simulator import GroundTruth, SceneObject
 
-    text = read_text(path)
-    try:
-        payload = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: malformed JSON: {exc.msg}") from exc
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    try:
-        entries = sorted(payload["objects"], key=lambda r: _id(r, "object_id"))
-        if [r["object_id"] for r in entries] != list(range(len(entries))):
-            raise DataError(f"{path}: object ids must be 0..n-1")
-        objects = [
-            SceneObject(
-                category=_category(r),
-                center=_point(r, "center"),
-                height=_number(r, "height"),
-            )
-            for r in entries
-        ]
-        obs_ids = []
-        object_of = {}
-        for r in payload["observations"]:
-            obs_id = _id(r, "obs_id")
-            if obs_id in object_of:
-                raise DataError(f"{path}: duplicate observation id {obs_id}")
-            object_id = None if r["object_id"] is None else _id(r, "object_id")
-            if object_id is not None and not 0 <= object_id < len(objects):
-                raise DataError(
-                    f"{path}: observation {obs_id} names object {object_id}, "
-                    f"outside 0..{len(objects) - 1}"
-                )
-            obs_ids.append(obs_id)
-            object_of[obs_id] = object_id
-        return GroundTruth(objects=objects, obs_ids=obs_ids, object_of=object_of)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    payload = _Rules(path, [(None, _decode(read_text(path), path))])
+    lists = payload.fields(("objects", "observations"))
+    for key, (value,) in lists.items():
+        payload.check(np.array([isinstance(value, list) and all(isinstance(r, dict) for r in value)]),
+                      lambda k, key=key: f"{key} must be a list of JSON objects")
+    payload.raise_first()
+
+    numbered = _Rules(path, [(None, r) for r in lists["objects"][0]])
+    object_id, fits = numbered.ids(numbered.fields(("object_id",))["object_id"], "object_id", any_size=True)
+    numbered.raise_first()
+    if not (fits.all() and np.array_equal(np.sort(object_id), np.arange(len(object_id)))):
+        raise DataError(f"{path}: object ids must be 0..n-1")
+    objects = _Rules(path, [numbered.records[k] for k in np.argsort(object_id)])
+    values = objects.fields(("category", "center", "height"))
+    category = objects.strings(values["category"], "category")
+    objects.check(np.array(list(map(_is_point, values["center"])), dtype=bool),
+                  lambda k: f"center must be 3 finite numbers, got {values['center'][k]!r}")
+    center = objects.points(values["center"], "center")
+    height = objects.numbers(values["height"], "height")
+    objects.check((0.0 < height) & (height < math.inf), lambda k: "height must be positive and finite")
+    objects.raise_first()
+
+    observations = _Rules(path, [(None, r) for r in lists["observations"][0]])
+    obs_id, _ = observations.ids(observations.fields(("obs_id",))["obs_id"], "obs_id")
+    observations.unique([obs_id], lambda k: f"duplicate observation id {obs_id[k]}")
+    named = observations.fields(("object_id",))["object_id"]
+    clutter = np.array([v is None for v in named], dtype=bool)
+    object_of, fits = observations.ids([0 if v is None else v for v in named], "object_id", any_size=True)
+    n = len(object_id)
+    observations.check(clutter | (fits & (0 <= object_of) & (object_of < n)),
+                       lambda k: f"observation {obs_id[k]} names object {named[k]}, outside 0..{n - 1}")
+    observations.raise_first()
+    return GroundTruth(
+        objects=[SceneObject(category=c, center=x, height=h)
+                 for c, x, h in zip(category.tolist(), center, height.tolist())],
+        obs_ids=obs_id.tolist(),
+        object_of=dict(zip(obs_id.tolist(), named)),
+    )
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:

@@ -13,6 +13,7 @@ from scipy.optimize import linear_sum_assignment
 
 from streetinv import io as sio
 from streetinv import (
+    CameraPose,
     Cluster,
     DegenerateClusterError,
     Detection2D,
@@ -634,14 +635,14 @@ def corrupt_links(observations, truth: GroundTruth, frac: float, rng: np.random.
     return clusters, len(ghosts), len(detached)
 
 
-# --- Per-record readers: the oracle of the detection, observation and score
-# readers of `io`, which test each rule on every row at once. These check
-# each record on its own, in file order, with every rule hand-written, so
-# the first bad record raises naming its line. An observation record missing
-# fields is reported as `missing fields [...]`, as the other readers report
-# it. An accepted observation file's directions are normalized by one
-# `np.linalg.norm(..., axis=1)` over the file, as `io` normalizes them; a
-# per-record norm can differ from it in the last bit.
+# --- Per-record readers: the oracle of the readers of `io`, which test each
+# rule on every row at once. These check each record on its own, in file
+# order, with every rule hand-written, so the first bad record raises naming
+# its line. An observation record missing fields is reported as `missing
+# fields [...]`, as the other readers report it. An accepted observation
+# file's directions are normalized by one `np.linalg.norm(..., axis=1)` over
+# the file, as `io` normalizes them; a per-record norm can differ from it in
+# the last bit. A cluster_id must fit 64 bits, as every other id must.
 
 _INT64 = np.iinfo(np.int64)
 _DETECTION_FIELDS = {
@@ -676,13 +677,20 @@ def _id64(record, key):
     return value
 
 
+def _is_number(value):
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _is_point(value):
+    return isinstance(value, list) and len(value) == 3 and all(map(_is_number, value))
+
+
 def _number(record, key):
     value = record[key]
-    try:
-        finite = type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:
-        finite = False
-    if not finite:
+    if not _is_number(value):
         raise TypeError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
@@ -799,3 +807,89 @@ def oracle_read_score_triplets(path, obs_ids):
         triplets.append((a, b, s))
     a, b, score = zip(*triplets) if triplets else ((), (), ())
     return np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), np.array(score, dtype=float)
+
+
+def oracle_read_poses(path, coord_mode="local"):
+    poses = []
+    anchor = None
+    frames = {}
+    for line_no, record in sio._read_jsonl(path):
+        _require(record, ("frame_id", "heading", "pitch", "roll"), path, line_no)
+        try:
+            frame_id = _id64(record, "frame_id")
+            if coord_mode == "geodetic":
+                _require(record, ("lat", "lon", "alt"), path, line_no)
+                lat, lon, alt = (_number(record, key) for key in ("lat", "lon", "alt"))
+                if anchor is None:
+                    anchor = (lat, lon, alt)
+                position = sio.geodetic_to_enu(lat, lon, alt, *anchor)
+            else:
+                _require(record, ("x", "y", "z"), path, line_no)
+                position = np.array([_number(record, key) for key in ("x", "y", "z")])
+            poses.append(CameraPose(frame_id=frame_id, position=position, heading=_number(record, "heading"),
+                                    pitch=_number(record, "pitch"), roll=_number(record, "roll")))
+        except (TypeError, ValueError) as exc:
+            raise sio.DataError(f"{path}:{line_no}: {exc}") from exc
+        _claim(frames, frame_id, "frame {} already has a pose", path, line_no)
+    return poses
+
+
+def _claim_members(owner, members, path, line_no):
+    if not (isinstance(members, list) and members
+            and all(isinstance(m, int) and not isinstance(m, bool) for m in members)):
+        raise sio.DataError(f"{path}:{line_no}: members must be a non-empty list of integers")
+    for obs_id in members:
+        _claim(owner, obs_id, "observation {} is already a member", path, line_no)
+
+
+def _check_center(center, path, line_no):
+    if center is not None and not _is_point(center):
+        raise sio.DataError(f"{path}:{line_no}: center must be null or 3 finite numbers")
+
+
+def oracle_read_clusters(path, obs_ids):
+    clusters = []
+    owner = {}
+    lines = {}
+    for line_no, record in sio._read_jsonl(path):
+        _require(record, ("cluster_id", "members"), path, line_no)
+        members = record["members"]
+        _claim_members(owner, members, path, line_no)
+        unknown = [m for m in members if m not in obs_ids]
+        if unknown:
+            raise sio.DataError(f"{path}:{line_no}: unknown observation {unknown[0]}")
+        center, residuals = record.get("center"), record.get("residuals")
+        _check_center(center, path, line_no)
+        if center is None and residuals is not None:
+            raise sio.DataError(f"{path}:{line_no}: residuals must be null when center is null")
+        if center is not None and not (isinstance(residuals, list) and len(residuals) == len(members)
+                                       and all(map(_is_number, residuals))):
+            raise sio.DataError(f"{path}:{line_no}: residuals must be one finite number per member")
+        try:
+            cluster_id = _id64(record, "cluster_id")
+        except (TypeError, ValueError) as exc:
+            raise sio.DataError(f"{path}:{line_no}: {exc}") from exc
+        if center is None:
+            clusters.append(Cluster(cluster_id=cluster_id, members=set(members)))
+        else:
+            clusters.append(Cluster(cluster_id=cluster_id, members=set(members),
+                                    center=np.asarray(center, dtype=float),
+                                    residuals={m: float(r) for m, r in zip(members, residuals)}))
+        _claim(lines, cluster_id, "cluster_id {} is already used", path, line_no)
+    return clusters
+
+
+def oracle_read_inventory(path):
+    records = []
+    owner = {}
+    fields = ("object_id", "category", "center", "n_observations", "max_residual", "members")
+    for line_no, record in sio._read_jsonl(path):
+        _require(record, fields, path, line_no)
+        try:
+            _category(record)
+        except TypeError as exc:
+            raise sio.DataError(f"{path}:{line_no}: {exc}") from exc
+        _check_center(record["center"], path, line_no)
+        _claim_members(owner, record["members"], path, line_no)
+        records.append(record)
+    return records

@@ -173,6 +173,11 @@ def _cross_category_scores(scene_dir, path):
     return dict(zip(ids, categories))
 
 
+def _without_first_object_id(truth):
+    del truth["observations"][0]["object_id"]
+    return truth
+
+
 class TestEvaluate:
     @pytest.fixture(scope="class")
     def mixed_scene(self, tmp_path_factory):
@@ -262,6 +267,18 @@ class TestEvaluate:
         truth["observations"][0]["object_id"] = len(truth["objects"])
         assert self._evaluate(scene_dir, tmp_path, inventory, truth) == EXIT_DATA
 
+    @pytest.mark.parametrize("edit, message", [
+        (_without_first_object_id, "missing fields ['object_id']"),
+        (lambda truth: dict(truth, objects=truth["objects"] + [7]), "objects must be a list of JSON objects"),
+        (lambda truth: [truth], "expected a JSON object"),
+        (lambda truth: dict(truth, observations=truth["observations"] + [{"obs_id": 2**64, "object_id": None}]),
+         f"obs_id {2**64} is outside the 64-bit integer range"),
+    ], ids=["missing-field", "non-object-entry", "non-object-payload", "obs-id-beyond-64-bits"])
+    def test_bad_truth_is_worded_by_the_reader(self, scene_dir, inventory, tmp_path, capsys, edit, message):
+        assert self._evaluate(scene_dir, tmp_path, inventory, edit(self._truth(scene_dir))) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"data error: {tmp_path / 'truth.json'}: {message}"]
+
 
 class TestSeed:
     def test_simulate_reads_scene_seed_from_config(self, tmp_path):
@@ -340,6 +357,14 @@ class TestClusterFiles:
         assert f"{clusters}:2:" in err and message in err
         assert not os.path.exists(out)
 
+
+    @pytest.mark.parametrize("command", ["localize", "refine"])
+    def test_cluster_id_beyond_64_bits_is_a_data_error(self, scene_dir, tmp_path, capsys, command):
+        code, clusters, out = self._run(scene_dir, tmp_path, command, lambda ids: ids[2:4], {"cluster_id": 2**63})
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {clusters}:2: cluster_id {2**63} is outside the 64-bit integer range"]
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("command", ["localize", "refine"])
     @pytest.mark.parametrize("fit", [
@@ -492,6 +517,12 @@ class TestEncoding:
     def test_non_utf8_file_is_a_data_error(self, scene_dir, tmp_path, capsys, kind):
         observations = os.path.join(scene_dir, "observations.jsonl")
         truth = os.path.join(scene_dir, "truth.json")
+        # The scene's truth.json is one line; spread over lines, it has a line 2.
+        with open(truth, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        truth_lines = str(tmp_path / "truth.json")
+        with open(truth_lines, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=1)
         scores, clusters, inventory = (str(tmp_path / f"{k}.jsonl") for k in ("scores", "clusters", "inventory"))
         _write_lines(scores, [{"obs_a": 0, "obs_b": 1, "score": 0.5}, {"obs_a": 0, "obs_b": 2, "score": 0.5}])
         _write_lines(clusters, [{"cluster_id": 0, "members": [0, 1]}, {"cluster_id": 1, "members": [2]}])
@@ -514,7 +545,7 @@ class TestEncoding:
             "clusters": (clusters, ["localize", "--observations", observations, "--clusters", bad,
                                     "--out", out]),
             "inventory": (inventory, ["evaluate", "--inventory", bad, "--truth", truth, "--out", out]),
-            "truth": (truth, run(truth=bad)),
+            "truth": (truth_lines, run(truth=bad)),
             "config": (None, ["--config", bad] + run()),
         }[kind]
         if source is None:

@@ -13,8 +13,11 @@ from streetinv.cli import EXIT_DATA, main
 
 from conftest import (
     oracle_geodetic_to_enu,
+    oracle_read_clusters,
     oracle_read_detections,
+    oracle_read_inventory,
     oracle_read_observations,
+    oracle_read_poses,
     oracle_read_score_triplets,
 )
 
@@ -45,6 +48,55 @@ _KNOWN = np.arange(6)
 _scores = st.lists(st.fixed_dictionaries(
     {"obs_a": st.integers(0, 5), "obs_b": st.integers(0, 5), "score": st.one_of(st.floats(0, 1), st.just(1))}
 ).filter(lambda r: r["obs_a"] != r["obs_b"]), max_size=5, unique_by=lambda r: frozenset((r["obs_a"], r["obs_b"])))
+_angles = {"heading": st.floats(-3.2, 3.2), "pitch": st.sampled_from([0, 0.0, -0.1]), "roll": st.floats(-0.1, 0.1)}
+_local_poses = st.lists(st.fixed_dictionaries(
+    {"x": st.floats(-1e3, 1e3), "y": _numbers, "z": st.integers(0, 3), **_angles}
+), max_size=5).map(lambda records: [{"frame_id": k, **r} for k, r in enumerate(records)])
+_geodetic_poses = st.lists(st.fixed_dictionaries(
+    {"lat": st.one_of(st.floats(-90, 90), st.sampled_from([90, -90.0, 48.1])), "lon": st.floats(-180, 180),
+     "alt": st.one_of(st.floats(-100, 3000), st.integers(0, 600)), **_angles}
+), max_size=5).map(lambda records: [{"frame_id": k, **r} for k, r in enumerate(records)])
+# An observation outside `_KNOWN`, or beyond 64 bits, that a member list sometimes holds.
+_STRAY = st.sampled_from([6, 2**63, 2**64, -(2**63) - 1])
+
+
+@st.composite
+def _groups(draw):
+    """Disjoint member lists of `_KNOWN` ids, now and then with a stray or repeated entry."""
+    ids = draw(st.permutations(_KNOWN.tolist()))
+    cuts = sorted(draw(st.sets(st.integers(1, len(ids) - 1), max_size=3)))
+    groups = [ids[a:b] for a, b in zip([0, *cuts], [*cuts, len(ids)])]
+    groups = groups[draw(st.integers(0, len(groups))):]
+    for members in groups:
+        if draw(st.integers(0, 5)) == 0:
+            members.insert(draw(st.integers(0, len(members))), draw(st.one_of(_STRAY, st.sampled_from(members))))
+    return groups
+
+
+@st.composite
+def _clusters(draw):
+    records = []
+    for k, members in enumerate(draw(_groups())):
+        record = {"cluster_id": k, "members": members}
+        fit = draw(st.sampled_from(["none", "null", "center"]))
+        if fit == "null":
+            record.update(center=None, residuals=None)
+        elif fit == "center":
+            record["center"] = draw(st.lists(_numbers, min_size=3, max_size=3))
+            record["residuals"] = draw(st.lists(st.floats(0, 1), min_size=len(members), max_size=len(members)))
+        records.append(record)
+    return records
+
+
+@st.composite
+def _inventory(draw):
+    return [
+        {"object_id": k, "category": draw(st.sampled_from(["bollard", "sign"])),
+         "center": draw(st.one_of(st.none(), st.lists(st.floats(-50, 50), min_size=3, max_size=3))),
+         "n_observations": len(members), "max_residual": draw(st.one_of(st.none(), st.floats(0, 1))),
+         "members": members}
+        for k, members in enumerate(draw(_groups()))
+    ]
 
 
 @st.composite
@@ -82,6 +134,11 @@ _DETECTION = {"frame_id": 0, "cx": 5, "cy": 5.0, "w": 2, "h": 2, "img_w": 10, "i
 _OBSERVATION = {"obs_id": 0, "frame_id": 0, "category": "a", "px": 0, "py": 0.0, "pz": 0, "dx": 0, "dy": 0,
                 "dz": 1, "w_norm": 0.5, "h_norm": 0.5}
 _SCORE = {"obs_a": 0, "obs_b": 1, "score": 0.5}
+_POSE = {"frame_id": 0, "x": 1.5, "y": 0, "z": 2.5, "heading": 0.1, "pitch": 0, "roll": 0.0}
+_GEODETIC = {"frame_id": 0, "lat": 48.1, "lon": 11.5, "alt": 500, "heading": 0.1, "pitch": 0, "roll": 0.0}
+_CLUSTER = {"cluster_id": 0, "members": [0, 1], "center": [1.0, 2, -3.5], "residuals": [0.5, 0]}
+_RECORD = {"object_id": 0, "category": "a", "center": None, "n_observations": 2, "max_residual": None,
+           "members": [0, 1]}
 
 
 def _outcome(read, *args):
@@ -94,6 +151,23 @@ def _outcome(read, *args):
 
 def _table_columns(table):
     return [getattr(table, f.name) for f in dataclasses.fields(table)]
+
+
+# The repr of a value names its type and holds every bit of a float.
+def _pose_columns(poses):
+    return [np.array([repr((p.frame_id, p.heading, p.pitch, p.roll)) for p in poses], dtype=object),
+            np.array([p.position for p in poses], dtype=float).reshape(-1, 3)]
+
+
+def _cluster_columns(clusters):
+    return [np.array([
+        repr((c.cluster_id, sorted(c.members), c.residuals,
+              None if c.center is None else (c.center.dtype.str, c.center.shape, c.center.tobytes())))
+        for c in clusters], dtype=object)]
+
+
+def _record_columns(records):
+    return [np.array([repr(r) for r in records], dtype=object)]
 
 
 class TestReadersMatchPerRecordOracle:
@@ -154,6 +228,49 @@ class TestReadersMatchPerRecordOracle:
     def test_scores(self, path, text):
         self._assert_same(path, text, sio.read_score_triplets, oracle_read_score_triplets,
                           lambda scores: [scores.obs_a, scores.obs_b, scores.score], _KNOWN)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_file(_local_poses))
+    @example(text=_text(dict(_POSE, frame_id=2**63, x="1")))
+    @example(text=_text(_POSE, dict(_POSE, heading=None), dict(_POSE, y=0.5)))
+    @example(text=_text(dict(_POSE, lat=48.0), {"frame_id": 1}))
+    def test_local_poses(self, path, text):
+        self._assert_same(path, text, sio.read_poses, oracle_read_poses, _pose_columns)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_file(_geodetic_poses))
+    @example(text=_text(dict(_GEODETIC, lat=91), dict(_GEODETIC, frame_id=1, roll="x")))
+    @example(text=_text(_GEODETIC, dict(_GEODETIC, frame_id=1, lat=-90.5, heading=True)))
+    @example(text=_text(dict(_GEODETIC, x=0, alt=None), dict(_GEODETIC, frame_id="1")))
+    # Finite altitudes whose conversion overflows, before a later record's missing field.
+    @example(text=_text(dict(_GEODETIC, alt=-1.7e308), dict(_GEODETIC, frame_id=1, alt=1.7e308),
+                        {"frame_id": 2, "lat": 0}))
+    def test_geodetic_poses(self, path, text):
+        self._assert_same(path, text, sio.read_poses, oracle_read_poses, _pose_columns, "geodetic")
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_file(_clusters()))
+    @example(text=_text(dict(_CLUSTER, cluster_id=2**63)))
+    @example(text=_text(dict(_CLUSTER, cluster_id=1.5, members=[0, 9], center=[1, 2])))
+    @example(text=_text(dict(_CLUSTER, members=[0]), dict(_CLUSTER, cluster_id=1, members=[2**64, 0])))
+    @example(text=_text(dict(_CLUSTER, members=[2**64]), dict(_CLUSTER, cluster_id=1, members=[0, 1])))
+    @example(text=_text(dict(_CLUSTER, members=[3, 3])))
+    @example(text=_text(dict(_CLUSTER, members=[0, 7, 2**64])))
+    @example(text=_text(_CLUSTER, dict(_CLUSTER, cluster_id=1, members=[2, 1, 0])))
+    @example(text=_text(dict(_CLUSTER, center=None), dict(_CLUSTER, cluster_id=0, members=[2, 3])))
+    @example(text=_text(dict(_CLUSTER, residuals=[0.5]), {"cluster_id": 1, "members": [2], "residuals": None}))
+    def test_clusters(self, path, text):
+        self._assert_same(path, text, sio.read_clusters, oracle_read_clusters, _cluster_columns,
+                          set(_KNOWN.tolist()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_file(_inventory()))
+    @example(text=_text(dict(_RECORD, category=7, center="x")))
+    @example(text=_text(dict(_RECORD, center=[1, 2, "3"], members=[])))
+    @example(text=_text(_RECORD, dict(_RECORD, members=[5, 2**64, 1])))
+    @example(text=_text(dict(_RECORD, members=[2**64]), dict(_RECORD, members=[0, 2**64])))
+    def test_inventory(self, path, text):
+        self._assert_same(path, text, sio.read_inventory, oracle_read_inventory, _record_columns)
 
 
 def _write_poses(path, records):
