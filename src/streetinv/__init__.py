@@ -12,9 +12,9 @@ pass into an `ObservationTable`, and every later stage reads the rays as
 rows of that table; a cluster names its rays by observation id. Association
 sorts its table by frame, so each frame is one run of rows, and takes
 from one function, `window_pairs`, the row-slice pairs of frames fewer
-than `window` ranks apart. Its scores, geometric or from a file, are an
-upper-triangular sparse matrix over those rows, and assignment reads one
-dense block of it per frame pair, every block a view of one buffer. The
+than `window` ranks apart. Its scores, geometric or from a file, are one
+flat array holding one score per row pair of the window, and assignment
+reads one dense block of it per frame pair, every block a view. The
 matches are columns of table rows: chaining runs connected components on
 the rows, and `associate` returns the matches as `ScoreTriplets` columns.
 Localization and each round of refinement's splitting fit every cluster's

@@ -7,24 +7,26 @@ pairs of frames fewer than `window` ranks apart, counting only frames
 that have observations. Scoring and assignment both read that list.
 
 Matchability scores, from the built-in geometric scorer or an external
-file, are an upper-triangular sparse matrix over the sorted rows: each
-scored pair sits at (earlier row, later row). The geometric scorer scores
-same-category pairs of window frames only, exp(-gap / sigma_g) for the
-gap between the two rays, in array passes. Each frame pair in the window
-reads its dense block of scores and solves an optimal one-to-one
-assignment, kept where the score reaches the confidence threshold. The
-kept matches stay columns of table rows: `transitive_cluster` chains
-them by connected components over the rows, and `ScoreTriplets` holds
-them as columns of observation ids and scores.
+file, are one flat array with one score per row pair of the window:
+`score_window` lists the row pairs block after block, a batch of frame
+pairs at a time, and asks a scorer for each batch's scores. The geometric
+scorer scores same-category pairs exp(-gap / sigma_g) for the gap between
+the two rays, in array passes; a file's scores are looked up by row pair.
+Each frame pair in the window reads its dense block, a view of the array,
+and solves an optimal one-to-one assignment, kept where the score reaches
+the confidence threshold. The kept matches stay columns of table rows:
+`transitive_cluster` chains them by connected components over the rows,
+and `ScoreTriplets` holds them as columns of observation ids and scores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import coo_array, csr_array
+from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
 from .geometry import ObservationTable
@@ -34,6 +36,8 @@ __all__ = [
     "Cluster",
     "window_pairs",
     "ray_gaps",
+    "score_window",
+    "window_blocks",
     "build_score_matrix",
     "assign_pairs",
     "transitive_cluster",
@@ -151,36 +155,54 @@ def ray_gaps(origin_a, dir_a, origin_b, dir_b) -> np.ndarray:
     return np.where(parallel, from_b, np.where((t1 < 0.0) | (t2 < 0.0), clamped, interior))
 
 
-def _pair_rows(pairs: list[tuple[slice, slice]]) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices (i, j) of every row pair of every slice pair, in order."""
-    a0, a1, b0, b1 = np.array([(a.start, a.stop, b.start, b.stop) for a, b in pairs]).T
-    nb = b1 - b0
-    count = (a1 - a0) * nb
-    which = np.repeat(np.arange(len(pairs)), count)
-    k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    return a0[which] + k // nb[which], b0[which] + k % nb[which]
+def score_window(pairs: list[tuple[slice, slice]], score: Callable) -> np.ndarray:
+    """One score per row pair of the frame window `pairs`, in one flat array.
+
+    Lists each slice pair's row pairs (i, j), block after block and each
+    block row by row, `SCORE_BATCH` slice pairs at a time, and stores
+    `score(i, j)` of each batch. `window_blocks` reads the blocks back.
+    """
+    a0, a1, b0, b1 = np.array([(a.start, a.stop, b.start, b.stop) for a, b in pairs], dtype=np.intp).reshape(-1, 4).T
+    width = b1 - b0
+    ends = np.concatenate([[0], np.cumsum((a1 - a0) * width)])
+    flat = np.empty(ends[-1])
+    for start in range(0, len(pairs), SCORE_BATCH):
+        stop = min(start + SCORE_BATCH, len(pairs))
+        which = np.repeat(np.arange(start, stop), np.diff(ends[start : stop + 1]))
+        k = np.arange(ends[start], ends[stop]) - ends[which]
+        flat[ends[start] : ends[stop]] = score(a0[which] + k // width[which], b0[which] + k % width[which])
+    return flat
 
 
-def build_score_matrix(table: ObservationTable, sigma_g: float, pairs: list[tuple[slice, slice]]) -> csr_array:
-    """Geometric scores of the same-category row pairs in the frame window.
+def window_blocks(flat: np.ndarray, pairs: list[tuple[slice, slice]]) -> Iterator[np.ndarray]:
+    """Each slice pair's block of a `score_window` array, in order, as a view."""
+    end = 0
+    for a, b in pairs:
+        start, end = end, end + (a.stop - a.start) * (b.stop - b.start)
+        yield flat[start:end].reshape(a.stop - a.start, -1)
+
+
+# Named `build_score_matrix` though it returns a flat array: bench/run.py
+# wraps `pipeline.build_score_matrix` by name to time the geometric scorer.
+def build_score_matrix(table: ObservationTable, sigma_g: float, pairs: list[tuple[slice, slice]]) -> np.ndarray:
+    """Geometric scores of the row pairs in the frame window, as `score_window` lays them out.
 
     `table` is sorted by frame and `pairs` is its frame window,
-    `window_pairs(table.frame_id, window)`. A pair's score is
-    exp(-gap / sigma_g) for the gap between its rays. The result is an
-    upper-triangular n x n matrix over the rows of `table`; pairs of other
-    categories or outside the window have no entry.
+    `window_pairs(table.frame_id, window)`. A same-category pair scores
+    exp(-gap / sigma_g) for the gap between its rays; a pair of two
+    categories scores 0.
     """
-    n = len(table.obs_id)
     _, category = table.category_codes
-    scored = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
-    for start in range(0, len(pairs), SCORE_BATCH):
-        i, j = _pair_rows(pairs[start : start + SCORE_BATCH])
+
+    def score(i, j):
         same = category[i] == category[j]
         i, j = i[same], j[same]
         gap = ray_gaps(table.exposure[i], table.direction[i], table.exposure[j], table.direction[j])
-        scored.append((i, j, np.clip(np.exp(-gap / sigma_g), 0.0, 1.0)))
-    rows, cols, values = (np.concatenate(part) for part in zip(*scored))
-    return csr_array((values, (rows, cols)), shape=(n, n))
+        scores = np.zeros(len(same))
+        scores[same] = np.clip(np.exp(-gap / sigma_g), 0.0, 1.0)
+        return scores
+
+    return score_window(pairs, score)
 
 
 def assign_pairs(block: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:

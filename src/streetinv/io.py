@@ -653,10 +653,10 @@ def read_truth(path: str):
     category = objects.strings(values["category"], "category")
     objects.check(np.array(list(map(_is_point, values["center"])), dtype=bool),
                   lambda k: f"center must be 3 finite numbers, got {values['center'][k]!r}")
-    center = objects.points(values["center"], "center")
     height = objects.numbers(values["height"], "height")
     objects.check((0.0 < height) & (height < math.inf), lambda k: "height must be positive and finite")
     objects.raise_first()
+    center = np.array(values["center"], dtype=float).reshape(-1, 3)
 
     observations = _Rules(path, [(None, r) for r in lists["observations"][0]])
     obs_id, _ = observations.ids(observations.fields(("obs_id",))["obs_id"], "obs_id")

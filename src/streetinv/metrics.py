@@ -23,6 +23,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .io import DataError
+
 if TYPE_CHECKING:
     from .simulator import GroundTruth
 
@@ -322,11 +324,17 @@ def build_report(inventory: list[dict], truth: GroundTruth, tol: float = 1.0) ->
     cluster, and its category places its members in a per-category slice.
     Identification matches each category's localized records to its true
     objects once; the aggregate sums the categories.
+
+    Raises:
+        DataError: naming the first member that is no truth observation.
     """
     record_of: dict[int, int] = {}
     for k, record in enumerate(inventory):
         for obs_id in record["members"]:
             record_of[obs_id] = k
+    unknown = next((obs_id for obs_id in record_of if obs_id not in truth.object_of), None)
+    if unknown is not None:
+        raise DataError(f"inventory member {unknown} names no truth observation")
     kept = [
         obs_id
         for obs_id in truth.obs_ids

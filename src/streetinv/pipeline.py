@@ -12,10 +12,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from . import io as sio
 from .association import (
@@ -23,7 +21,9 @@ from .association import (
     ScoreTriplets,
     assign_pairs,
     build_score_matrix,
+    score_window,
     transitive_cluster,
+    window_blocks,
     window_pairs,
 )
 from .geometry import Observation, ObservationTable
@@ -100,48 +100,22 @@ class PipelineResult:
     report: EvaluationReport | None = None
 
 
-def _score_matrix_from_file(path: str, table: ObservationTable) -> csr_array:
-    """Scores from a triplet file, each pair at (earlier row, later row) of `table`."""
+def _file_scores(path: str, table: ObservationTable, pairs: list[tuple[slice, slice]]) -> np.ndarray:
+    """Scores from a triplet file, laid out by `score_window`; a row pair the file leaves out scores 0."""
     scores = sio.read_score_triplets(path, table.obs_id)
-    ids = np.stack([scores.obs_a, scores.obs_b], axis=-1)
-    rows = np.sort(table.rows(ids.ravel()).reshape(-1, 2), axis=1)
-    return csr_array((scores.score, (rows[:, 0], rows[:, 1])), shape=(len(table), len(table)))
+    rows = table.rows(np.stack([scores.obs_a, scores.obs_b], axis=-1).ravel()).reshape(-1, 2)
+    n = len(table)
+    # A pair's key is (earlier row) * n + (later row); the last, n * n, is above every row pair's.
+    key = np.append(rows.min(axis=1) * n + rows.max(axis=1), n * n)
+    order = np.argsort(key)
+    key, value = key[order], np.append(scores.score, 0.0)[order]
 
+    def lookup(i, j):
+        wanted = i * n + j
+        k = np.searchsorted(key, wanted)
+        return np.where(key[k] == wanted, value[k], 0.0)
 
-def _window_blocks(scores: csr_array, pairs: list[tuple[slice, slice]]) -> Iterator[np.ndarray]:
-    """The dense block of `scores` of each row-slice pair of `window_pairs`, in order.
-
-    Scatters every entry of a pair into one flat buffer of zeros, laid out
-    block after block, and yields each block as a view of it. Entries of
-    no pair, such as file scores within a frame or beyond the window, are
-    left out.
-    """
-    if not pairs:
-        return
-    a0, a1, b0, b1 = np.array([(a.start, a.stop, b.start, b.stop) for a, b in pairs], dtype=np.intp).T
-    width = b1 - b0
-    size = (a1 - a0) * width
-    ends = np.cumsum(size)
-    offset = ends - size
-    # The pairs' slices are the frames' runs of rows; an entry's run is the
-    # last run starting at or before its row. Pairs come in increasing
-    # order of (earlier run, later run), so their keys are sorted.
-    starts = np.unique(np.concatenate([a0, b0]))
-
-    def key(rows, cols):
-        return (np.searchsorted(starts, rows, side="right") - 1) * len(starts) + (
-            np.searchsorted(starts, cols, side="right") - 1
-        )
-
-    entries = scores.tocoo()
-    entry_key, pair_key = key(entries.row, entries.col), key(a0, b0)
-    k = np.minimum(np.searchsorted(pair_key, entry_key), len(pairs) - 1)
-    hit = pair_key[k] == entry_key
-    k, row, col = k[hit], entries.row[hit], entries.col[hit]
-    flat = np.zeros(ends[-1])
-    flat[offset[k] + (row - a0[k]) * width[k] + (col - b0[k])] = entries.data[hit]
-    for lo, hi, n in zip(offset.tolist(), ends.tolist(), width.tolist()):
-        yield flat[lo:hi].reshape(-1, n)
+    return score_window(pairs, lookup)
 
 
 def associate(
@@ -158,11 +132,11 @@ def associate(
     table = table.take(np.lexsort((table.obs_id, table.frame_id)))
     pairs = window_pairs(table.frame_id, cfg.window)
     if cfg.scorer.startswith("file:"):
-        scores = _score_matrix_from_file(cfg.scorer[len("file:"):], table)
+        scores = _file_scores(cfg.scorer[len("file:"):], table, pairs)
     else:
         scores = build_score_matrix(table, cfg.sigma_g, pairs)
     matched = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
-    for (a, b), block in zip(pairs, _window_blocks(scores, pairs)):
+    for (a, b), block in zip(pairs, window_blocks(scores, pairs)):
         rows, cols = assign_pairs(block, cfg.tau)
         matched.append((rows + a.start, cols + b.start, block[rows, cols]))
     row_a, row_b, score = (np.concatenate(column) for column in zip(*matched))

@@ -20,12 +20,11 @@ from streetinv import (
     DetectionTable,
     Observation,
     ObservationTable,
-    build_score_matrix,
     estimate_center,
+    ray_gaps,
     rotation_from_euler,
     window_pairs,
 )
-from streetinv.pipeline import _score_matrix_from_file
 from streetinv.simulator import (
     _CATEGORY_GEOMETRY,
     _CATEGORY_SEPARATION,
@@ -194,29 +193,41 @@ class PairMatch(NamedTuple):
 def oracle_associate(observations, cfg) -> tuple[list[PairMatch], list[tuple[int, list[int]]]]:
     """Association one match record at a time.
 
-    The reference `pipeline.associate` is checked against, from the same
-    score matrix: each frame pair's block is sliced from the matrix, every
-    kept assignment becomes a `PairMatch` of ids, and the matches are
-    chained by union-find over a dict of ids. Returns the matches and each
-    cluster as (cluster id, sorted members), clusters numbered by their
-    smallest member.
+    The reference `pipeline.associate` is checked against. Each frame pair
+    of the window gets a dense block with every row pair scored on its
+    own: `ray_gaps` of that one pair when the categories match, 0
+    otherwise, or the file's score from a dict keyed by the unordered id
+    pair. Every kept assignment becomes a `PairMatch` of ids, and the
+    matches are chained by union-find over a dict of ids. Returns the
+    matches and each cluster as (cluster id, sorted members), clusters
+    numbered by their smallest member.
     """
     table = ObservationTable.of(observations)
     table = table.take(np.lexsort((table.obs_id, table.frame_id)))
-    pairs = window_pairs(table.frame_id, cfg.window)
-    if cfg.scorer.startswith("file:"):
-        scores = _score_matrix_from_file(cfg.scorer[len("file:"):], table)
-    else:
-        scores = build_score_matrix(table, cfg.sigma_g, pairs)
     ids = table.obs_id.tolist()
+    if cfg.scorer.startswith("file:"):
+        triplets = sio.read_score_triplets(cfg.scorer[len("file:"):], ids)
+        scored = {frozenset(pair): s for *pair, s in
+                  zip(triplets.obs_a.tolist(), triplets.obs_b.tolist(), triplets.score.tolist())}
+
+        def score(i, j):
+            return scored.get(frozenset((ids[i], ids[j])), 0.0)
+    else:
+        def score(i, j):
+            if table.category[i] != table.category[j]:
+                return 0.0
+            gap = ray_gaps(table.exposure[i : i + 1], table.direction[i : i + 1],
+                           table.exposure[j : j + 1], table.direction[j : j + 1])
+            return float(np.clip(np.exp(-gap / cfg.sigma_g), 0.0, 1.0)[0])
+
     matches = []
-    for a, b in pairs:
-        block = scores[a, b].toarray()
+    for a, b in window_pairs(table.frame_id, cfg.window):
+        block = np.array([[score(i, j) for j in range(b.start, b.stop)] for i in range(a.start, a.stop)])
         for r, c in zip(*linear_sum_assignment(block, maximize=True)):
-            score = float(block[r, c])
-            if score >= cfg.tau:
+            value = float(block[r, c])
+            if value >= cfg.tau:
                 x, y = ids[a][r], ids[b][c]
-                matches.append(PairMatch(min(x, y), max(x, y), score))
+                matches.append(PairMatch(min(x, y), max(x, y), value))
 
     parent = {i: i for i in ids}
 

@@ -12,9 +12,11 @@ from streetinv import (
     ObservationTable,
     assign_pairs,
     build_score_matrix,
+    ray_gaps,
     transitive_cluster,
     window_pairs,
 )
+from streetinv.association import SCORE_BATCH, window_blocks
 
 from conftest import oracle_enumerate_assignment
 
@@ -34,11 +36,22 @@ def frame_sorted(observations) -> ObservationTable:
     return table.take(np.lexsort((table.obs_id, table.frame_id)))
 
 
+def score_table(table, sigma_g, window) -> np.ndarray:
+    """`build_score_matrix` of the frame window, its blocks placed in an n x n table; 0 outside them."""
+    pairs = window_pairs(table.frame_id, window)
+    scores = build_score_matrix(table, sigma_g, pairs)
+    assert scores.shape == (sum((a.stop - a.start) * (b.stop - b.start) for a, b in pairs),)
+    dense = np.zeros((len(table), len(table)))
+    for (a, b), block in zip(pairs, window_blocks(scores, pairs)):
+        dense[a, b] = block
+    return dense
+
+
 def pair_score(a, b, sigma_g=0.5) -> float:
     """The geometric score of observations a and b, read from build_score_matrix."""
     table = frame_sorted([a, b])
     first, second = sorted(table.rows([a.obs_id, b.obs_id]))
-    return float(build_score_matrix(table, sigma_g, window_pairs(table.frame_id, 2))[first, second])
+    return float(score_table(table, sigma_g, 2)[first, second])
 
 
 class TestWindowPairs:
@@ -106,11 +119,11 @@ class TestGeometricScore:
             obs(1, 1, [10, 0, 0], target),
             obs(2, 2, [20, 0, 0], target),
         ])
-        m = build_score_matrix(table, 0.5, window_pairs(table.frame_id, 2))
+        m = score_table(table, 0.5, 2)
         assert m[0, 1] == pytest.approx(1.0)
         assert m[1, 2] == pytest.approx(1.0)
-        assert m.nnz == 2  # frames 0 and 2 are two ranks apart
-        assert build_score_matrix(table, 0.5, window_pairs(table.frame_id, 3))[0, 2] == pytest.approx(1.0)
+        assert np.count_nonzero(m) == 2  # frames 0 and 2 are two ranks apart
+        assert score_table(table, 0.5, 3)[0, 2] == pytest.approx(1.0)
 
     def test_upper_triangular_over_window_pairs_in_batches(self):
         rng = np.random.default_rng(5)
@@ -119,8 +132,8 @@ class TestGeometricScore:
             for k, (f, c) in enumerate(zip(rng.integers(0, 400, 900), rng.choice(["a", "b"], 900)))
         ]
         table = frame_sorted(observations)
-        coo = build_score_matrix(table, 0.5, window_pairs(table.frame_id, 3)).tocoo()
-        scored = set(zip(coo.row.tolist(), coo.col.tolist()))
+        m = score_table(table, 0.5, 3)
+        scored = set(zip(*(rows.tolist() for rows in np.nonzero(m))))
         expected = {
             (i, j)
             for a, b in window_pairs(table.frame_id, 3)
@@ -128,8 +141,13 @@ class TestGeometricScore:
             for j in range(b.start, b.stop)
             if table.category[i] == table.category[j]
         }
-        assert len(window_pairs(table.frame_id, 3)) > 128  # more than one batch
+        assert len(window_pairs(table.frame_id, 3)) > SCORE_BATCH  # more than one batch
         assert scored == expected and all(i < j for i, j in scored)
+        # Each score is its pair's own, bit for bit.
+        i, j = np.array(sorted(scored)).T
+        gap = np.concatenate([ray_gaps(table.exposure[[r]], table.direction[[r]], table.exposure[[c]],
+                                       table.direction[[c]]) for r, c in zip(i, j)])
+        assert m[i, j].tobytes() == np.clip(np.exp(-gap / 0.5), 0.0, 1.0).tobytes()
 
 
 def matched(block: np.ndarray, tau: float) -> list[tuple[int, int, float]]:

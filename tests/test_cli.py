@@ -279,6 +279,25 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"data error: {tmp_path / 'truth.json'}: {message}"]
 
+    def test_member_naming_no_truth_observation_is_a_data_error(self, scene_dir, inventory, tmp_path, capsys):
+        records = [dict(r) for r in inventory]
+        records[0]["members"] = records[0]["members"] + [2**64, 10**7]
+        assert self._evaluate(scene_dir, tmp_path, records) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: inventory member {2**64} names no truth observation"]
+        assert not os.path.exists(tmp_path / "eval" / "report.json")
+
+    def test_run_against_a_truth_missing_an_observation_is_a_data_error(self, scene_dir, tmp_path, capsys):
+        truth = self._truth(scene_dir)
+        missing = truth["observations"].pop(0)["obs_id"]
+        truth_path = tmp_path / "truth.json"
+        truth_path.write_text(json.dumps(truth), encoding="utf-8")
+        args = _run_args(scene_dir, str(tmp_path / "run"))
+        args[args.index("--truth") + 1] = str(truth_path)
+        assert main(args) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: inventory member {missing} names no truth observation"]
+
 
 class TestSeed:
     def test_simulate_reads_scene_seed_from_config(self, tmp_path):
@@ -459,6 +478,27 @@ class TestReaders:
         path.write_text(json.dumps(payload))
         with pytest.raises(sio.DataError, match="non-finite number NaN"):
             sio.read_truth(str(path))
+
+    @staticmethod
+    def _truth_with_center(scene_dir, tmp_path, center) -> str:
+        """The scene's truth.json with object 1's center replaced; returns its path."""
+        with open(os.path.join(scene_dir, "truth.json"), encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["objects"][1]["center"] = center
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    @pytest.mark.parametrize("center", [[1.0, 2.0], None, [1, "2", 3], [1, True, 3], [0, 0, 10**400]])
+    def test_truth_center_is_worded_once(self, scene_dir, tmp_path, center):
+        path = self._truth_with_center(scene_dir, tmp_path, center)
+        with pytest.raises(sio.DataError) as refused:
+            sio.read_truth(path)
+        assert str(refused.value) == f"{path}: center must be 3 finite numbers, got {center!r}"
+
+    def test_truth_center_may_hold_integers(self, scene_dir, tmp_path):
+        path = self._truth_with_center(scene_dir, tmp_path, [1, -2, 3])
+        assert sio.read_truth(path).objects[1].center.tolist() == [1.0, -2.0, 3.0]
 
     def test_truth_with_overflowing_number_rejected(self, scene_dir, tmp_path):
         # 1e999 is valid JSON that parses to infinity without a NaN token.

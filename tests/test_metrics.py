@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from streetinv.io import DataError
 from streetinv.metrics import (
     ContingencyTable,
     MatchCounts,
@@ -163,3 +164,8 @@ class TestBuildReport:
         assert report.aggregate.counts_idf == MatchCounts(tp=0, fp=0, fn=3)
         assert report.aggregate.loc_err is None
         assert set(report.per_category) == {"a", "b"}
+
+    def test_member_naming_no_truth_observation_is_refused(self):
+        inventory = [_record("a", [0, 1]), _record("b", [4, 9, 8]), _record("b", [10])]
+        with pytest.raises(DataError, match="^inventory member 9 names no truth observation$"):
+            build_report(inventory, _truth(), tol=1.0)

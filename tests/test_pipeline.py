@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +19,9 @@ from streetinv import (
     generate_scene,
     run_pipeline,
 )
-from scipy.sparse import csr_array
-
 from streetinv import association, pipeline, window_pairs
-from streetinv.pipeline import _window_blocks, associate, inventory_records, localize_clusters
+from streetinv.association import window_blocks
+from streetinv.pipeline import _file_scores, associate, inventory_records, localize_clusters
 from streetinv.simulator import GroundTruth
 
 from conftest import oracle_associate
@@ -216,18 +216,45 @@ class TestAssociate:
 
 
     @pytest.mark.parametrize("window", [2, 3, 5])
-    def test_window_blocks_are_the_matrix_slices(self, window):
-        # Frames of 0-4 rows, and scores anywhere above the diagonal: in
-        # the window, beyond it, and within one frame.
+    def test_window_blocks_are_the_matrix_slices(self, tmp_path, window):
+        # The file scorer's blocks are the dense slices of a random score
+        # table. Frames hold 0-4 rows, and the table has entries anywhere
+        # above the diagonal: in the window, beyond it, and within one
+        # frame. The file names each pair in a random order.
         rng = np.random.default_rng(window)
         frames = np.sort(rng.choice(40, size=60))
         n = len(frames)
-        scores = csr_array(np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.3), 1))
+        table = ObservationTable.from_observations(
+            [mkobs(i, int(f), [0, 0, 0], [10, i, 0]) for i, f in enumerate(frames)])
+        dense = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.3), 1)
+        i, j = np.nonzero(dense)
+        swap = rng.random(len(i)) < 0.5
+        path = tmp_path / "scores.jsonl"
+        _write_scores(path, zip(np.where(swap, j, i).tolist(), np.where(swap, i, j).tolist(), dense[i, j].tolist()))
         pairs = window_pairs(frames, window)
-        blocks = list(_window_blocks(scores, pairs))
+        blocks = list(window_blocks(_file_scores(str(path), table, pairs), pairs))
         assert len(blocks) == len(pairs) > 0
+        rank = np.unique(frames, return_inverse=True)[1]
+        assert (rank[i] == rank[j]).any() and (rank[j] - rank[i] >= window).any()
         for (a, b), block in zip(pairs, blocks):
-            assert np.array_equal(block, scores[a, b].toarray())
+            assert np.array_equal(block, dense[a, b])
+
+    def test_peak_memory_is_bounded_per_window_row_pair(self):
+        # Scoring runs a batch of frame pairs at a time, so the peak is one
+        # score per window row pair plus one batch's temporaries. Scoring
+        # every frame pair in one batch peaks near 97 bytes a row pair here.
+        spec = default_scene_spec(seed=8, n_objects=750, street_length=5000.0, clutter_rate=1.0, drop_prob=0.1)
+        observations, _ = generate_scene(spec)
+        frames = np.sort([o.frame_id for o in observations])
+        row_pairs = sum((a.stop - a.start) * (b.stop - b.start) for a, b in window_pairs(frames, 3))
+        assert row_pairs == 103_343
+        tracemalloc.start()
+        try:
+            associate(observations, RunConfig(window=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * row_pairs
 
     def test_the_frame_window_is_enumerated_once_per_run(self, scene, monkeypatch):
         calls = []
