@@ -23,7 +23,7 @@ import typing
 from . import io as sio
 from .geometry import ObservationTable
 from .io import DataError
-from .metrics import EvaluationReport, build_report
+from .metrics import EvaluationReport, build_report, check_members
 from .pipeline import (
     RunConfig,
     associate,
@@ -219,6 +219,9 @@ def _cmd_run(args, config: dict) -> int:
     cfg = _run_config(args, config)
     table = sio.ingest(args.poses, args.detections, cfg.coord_mode)
     truth = sio.read_truth(args.truth) if args.truth else None
+    if truth is not None:
+        # Every observation is an inventory member: refuse one truth lacks now, not after the run.
+        check_members(table.obs_id.tolist(), truth)
     if not len(table):
         print("warning: no detections; writing empty inventory", file=sys.stderr)
     result = run_pipeline(cfg, table, truth)

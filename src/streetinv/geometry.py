@@ -22,6 +22,9 @@ the pipeline reads, columns: a `DetectionTable` and an `ObservationTable`,
 one row per record. Each kind's rules are written once, in
 `DETECTION_RULES` and `OBSERVATION_RULES`: a record raises the first one
 it fails, and a reader tests each one on every row of a table at once.
+The simulator makes its records from a table in the same way: `records()`
+tests each rule once on the whole table, then builds the rows' records
+without checking each one again.
 `lift_detections` lifts a whole detection table in one array pass;
 `build_observation` is its one-detection case.
 """
@@ -31,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -165,6 +169,33 @@ def _check_record(record, rules) -> None:
             raise ValueError(message(record))
 
 
+def _checked_rows(table, record_type, rules, vectors=()):
+    """The rows of `table` as values for `record_type`, after one check of the whole table.
+
+    Each of `rules` is tested once, on every row. A table that fails one
+    raises the ValueError that building its records one at a time would
+    raise first: the first failing row's first failing rule. So does a
+    table whose `vectors` columns are not (n, 3). Each row is a tuple in
+    `record_type`'s field order: Python scalars, and a (3,) float view of
+    each vector column's row.
+    """
+    n = len(table)
+    if any(getattr(table, name).shape != (n, 3) for name in vectors):
+        raise ValueError(f"{' and '.join(vectors)} must be 3-vectors")
+    names = [f.name for f in fields(record_type)]
+    columns = [list(np.asarray(getattr(table, name), dtype=float)) if name in vectors
+               else getattr(table, name).tolist() for name in names]
+    # A row that fails one rule may divide by 0 or NaN in another; quietly.
+    with np.errstate(all="ignore"):
+        fails = [~holds(table) for holds, _ in rules]
+    bad = np.flatnonzero(np.logical_or.reduce(fails))
+    if bad.size:
+        row = bad[0]
+        message = next(message for (_, message), fail in zip(rules, fails) if fail[row])
+        raise ValueError(message(SimpleNamespace(**{name: column[row] for name, column in zip(names, columns)})))
+    return zip(*columns)
+
+
 @dataclass(frozen=True, eq=False)
 class DetectionTable:
     """Detections as columns, one row per detection, named as in `Detection2D`.
@@ -172,7 +203,8 @@ class DetectionTable:
     Attributes:
         frame_id: (n,) integer frame ids.
         center_x, center_y, box_w, box_h, image_w, image_h,
-        confidence: (n,) floats.
+        confidence: (n,) floats; an integer column of image sizes gives
+            its records `int` sizes, as `Detection2D` keeps what it is given.
         category: (n,) category labels, Python strings.
     """
 
@@ -194,6 +226,21 @@ class DetectionTable:
             f.name: np.array([getattr(d, f.name) for d in detections], dtype=dtypes.get(f.name, float))
             for f in fields(cls)
         })
+
+    def records(self) -> list[Detection2D]:
+        """Each row as a `Detection2D`, the inverse of `from_detections`.
+
+        Raises:
+            ValueError: the error of the first row `Detection2D` refuses.
+        """
+        records = []
+        for row in _checked_rows(self, Detection2D, DETECTION_RULES):
+            # Checked with the table, so no __post_init__; assigned in field order, so
+            # every record shares one attribute key table.
+            d = Detection2D.__new__(Detection2D)
+            d.frame_id, d.center_x, d.center_y, d.box_w, d.box_h, d.image_w, d.image_h, d.category, d.confidence = row
+            records.append(d)
+        return records
 
     def __len__(self) -> int:
         return len(self.frame_id)
@@ -248,6 +295,21 @@ class ObservationTable:
         if isinstance(observations, cls):
             return observations
         return cls.from_observations(observations)
+
+    def records(self) -> list[Observation]:
+        """Each row as an `Observation`, the inverse of `from_observations`.
+
+        Raises:
+            ValueError: the error of the first row `Observation` refuses.
+        """
+        records = []
+        for row in _checked_rows(self, Observation, OBSERVATION_RULES, vectors=("exposure", "direction")):
+            # Checked with the table, so no __post_init__; assigned in field order, so
+            # every record shares one attribute key table.
+            o = Observation.__new__(Observation)
+            o.obs_id, o.frame_id, o.category, o.exposure, o.direction, o.box_w_norm, o.box_h_norm = row
+            records.append(o)
+        return records
 
     def __len__(self) -> int:
         return len(self.obs_id)

@@ -507,10 +507,15 @@ def read_observations(path: str) -> ObservationTable:
     rules = _Rules(path, _read_jsonl(path))
     values = rules.fields(_OBSERVATION_FIELDS)
     direction = np.stack([rules.numbers(values[key], key) for key in ("dx", "dy", "dz")], axis=-1)
-    # A huge direction's norm overflows to inf, and it normalizes to zero;
-    # `OBSERVATION_RULES` refuses it. A zero norm is refused below.
+    # The squares of a direction whose norm lies outside [1e-100, 1e100] may
+    # under- or overflow, so such a row is divided by its largest component
+    # before it is normalized; every other row is normalized as it is. A
+    # zero direction keeps its zero norm and is refused below.
     with np.errstate(all="ignore"):
         norm = np.linalg.norm(direction, axis=1)
+        rescale = ~((1e-100 <= norm) & (norm <= 1e100)) & direction.any(axis=1)
+        scaled = direction[rescale] / np.abs(direction[rescale]).max(axis=1, keepdims=True)
+        direction[rescale], norm[rescale] = scaled, np.linalg.norm(scaled, axis=1)
         direction = direction / norm[:, None]
     rules.check(norm != 0, lambda k: "zero direction vector")
     obs_id, _ = rules.ids(values["obs_id"], "obs_id")

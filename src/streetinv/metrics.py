@@ -36,6 +36,7 @@ __all__ = [
     "pairwise_metrics",
     "clustering_metrics",
     "identification_metrics",
+    "check_members",
     "build_report",
 ]
 
@@ -314,6 +315,17 @@ def _category_metrics(
     return m
 
 
+def check_members(obs_ids, truth: GroundTruth) -> None:
+    """Refuse observation ids that name no truth observation.
+
+    Raises:
+        DataError: naming the first of `obs_ids` that truth does not hold.
+    """
+    unknown = next((obs_id for obs_id in obs_ids if obs_id not in truth.object_of), None)
+    if unknown is not None:
+        raise DataError(f"inventory member {unknown} names no truth observation")
+
+
 def build_report(inventory: list[dict], truth: GroundTruth, tol: float = 1.0) -> EvaluationReport:
     """Evaluate inventory records against ground truth, per category and overall.
 
@@ -332,9 +344,7 @@ def build_report(inventory: list[dict], truth: GroundTruth, tol: float = 1.0) ->
     for k, record in enumerate(inventory):
         for obs_id in record["members"]:
             record_of[obs_id] = k
-    unknown = next((obs_id for obs_id in record_of if obs_id not in truth.object_of), None)
-    if unknown is not None:
-        raise DataError(f"inventory member {unknown} names no truth observation")
+    check_members(record_of, truth)
     kept = [
         obs_id
         for obs_id in truth.obs_ids

@@ -17,7 +17,9 @@ same order, or every later draw changes.
 `generate_scene` runs the draw loop first and the array passes after. The
 loop over poses only draws, in that order, and collects the draws; the
 depths, perturbed directions, box sizes and clutter rays are computed over
-all rows at once, and the records are built last. The array passes
+all rows at once into one `ObservationTable`, checked once as a table, and
+its rows become the records (`ObservationTable.records`); `export_scene`
+makes its detections from a `DetectionTable` the same way. The array passes
 repeat the per-record arithmetic operation for operation, so every float
 is unchanged. A norm is `np.sqrt(np.vecdot(v, v))`: `vecdot` calls the
 same BLAS `ddot` per row as `np.linalg.norm` on one vector, while a
@@ -36,7 +38,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import CameraPose, Detection2D, Observation, rotation_from_euler
+from .geometry import (
+    CameraPose,
+    Detection2D,
+    DetectionTable,
+    Observation,
+    ObservationTable,
+    rotation_from_euler,
+)
 
 __all__ = [
     "SceneObject",
@@ -322,22 +331,21 @@ def generate_scene(spec: SceneSpec) -> tuple[list[Observation], GroundTruth]:
     row_pose = np.concatenate([pose, clutter_pose])
     order = np.argsort(row_pose, kind="stable")
     row_pose = row_pose[order]
-    label = np.concatenate([obj, n_objects + clutter_category])[order].tolist()
-    exposure = recorded[row_pose]
-    direction = np.concatenate([direction, clutter_direction])[order]
-    w_norm = np.concatenate([w_norm, clutter_h / 2.0])[order].tolist()
-    h_norm = np.concatenate([h_norm, clutter_h])[order].tolist()
-    frame_of = [p.frame_id for p in spec.trajectory]
-    names = [o.category for o in spec.objects] + categories
-    observations = [
-        Observation(obs_id=i, frame_id=frame_of[k], category=names[j], exposure=exposure[i],
-                    direction=direction[i], box_w_norm=w_norm[i], box_h_norm=h_norm[i])
-        for i, (k, j) in enumerate(zip(row_pose.tolist(), label))
-    ]
+    label = np.concatenate([obj, n_objects + clutter_category])[order]
+    names = np.array([o.category for o in spec.objects] + categories, dtype=object)
+    observations = ObservationTable(
+        obs_id=np.arange(len(order), dtype=np.int64),
+        frame_id=np.array([p.frame_id for p in spec.trajectory], dtype=np.int64)[row_pose],
+        category=names[label],
+        exposure=recorded[row_pose],
+        direction=np.concatenate([direction, clutter_direction])[order],
+        box_w_norm=np.concatenate([w_norm, clutter_h / 2.0])[order],
+        box_h_norm=np.concatenate([h_norm, clutter_h])[order],
+    ).records()
     truth = GroundTruth(
         objects=spec.objects,
         obs_ids=list(range(len(observations))),
-        object_of={i: j if j < n_objects else None for i, j in enumerate(label)},
+        object_of={i: j if j < n_objects else None for i, j in enumerate(label.tolist())},
     )
     return observations, truth
 
@@ -364,21 +372,23 @@ def export_scene(
     rows = [row_of[o.frame_id] for o in observations]
     d_world = np.array([o.direction for o in observations]).reshape(-1, 3, 1)
     d_cam = np.matmul(rotation[rows].transpose(0, 2, 1), d_world)[:, :, 0]
-    detections = []
-    for o, (x, y, z) in zip(observations, d_cam.tolist()):
+    center_x, center_y = [], []
+    for x, y, z in d_cam.tolist():
         azimuth = math.atan2(y, x)
         elevation = math.asin(max(-1.0, min(1.0, z)))
-        detections.append(
-            Detection2D(
-                frame_id=o.frame_id,
-                center_x=(azimuth + math.pi) / (2.0 * math.pi) * EXPORT_IMAGE_W,
-                center_y=(1.0 - (elevation + math.pi / 2.0) / math.pi) * EXPORT_IMAGE_H,
-                box_w=o.box_w_norm * EXPORT_IMAGE_W,
-                box_h=o.box_h_norm * EXPORT_IMAGE_H,
-                image_w=EXPORT_IMAGE_W,
-                image_h=EXPORT_IMAGE_H,
-                category=o.category,
-                confidence=1.0,
-            )
-        )
+        center_x.append((azimuth + math.pi) / (2.0 * math.pi) * EXPORT_IMAGE_W)
+        center_y.append((1.0 - (elevation + math.pi / 2.0) / math.pi) * EXPORT_IMAGE_H)
+    n = len(observations)
+    detections = DetectionTable(
+        frame_id=np.array([o.frame_id for o in observations], dtype=np.int64),
+        center_x=np.array(center_x, dtype=float),
+        center_y=np.array(center_y, dtype=float),
+        box_w=np.array([o.box_w_norm for o in observations], dtype=float) * EXPORT_IMAGE_W,
+        box_h=np.array([o.box_h_norm for o in observations], dtype=float) * EXPORT_IMAGE_H,
+        # Integer columns, so each record's image size is the int the files write.
+        image_w=np.full(n, EXPORT_IMAGE_W),
+        image_h=np.full(n, EXPORT_IMAGE_H),
+        category=np.array([o.category for o in observations], dtype=object),
+        confidence=np.ones(n),
+    ).records()
     return poses, detections, observations, truth

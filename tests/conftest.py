@@ -753,6 +753,9 @@ def _observation(record):
     `Observation` checked them; its direction as read."""
     raw = np.array([_number(record, key) for key in ("dx", "dy", "dz")])
     norm = np.linalg.norm(raw)
+    if not 1e-100 <= norm <= 1e100 and raw.any():  # squares that may under- or overflow
+        raw = raw / np.abs(raw).max()
+        norm = np.linalg.norm(raw)
     if norm == 0:
         raise ValueError("zero direction vector")
     row = dict(

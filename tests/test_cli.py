@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from streetinv import io as sio
+from streetinv import cli, io as sio
 from streetinv.cli import _CONFIG_KEYS, _SCENE_KEYS, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 
 
@@ -298,6 +298,25 @@ class TestEvaluate:
         assert capsys.readouterr().err.splitlines() == [
             f"data error: inventory member {missing} names no truth observation"]
 
+    def test_run_refuses_an_unknown_observation_before_the_pipeline(self, scene_dir, tmp_path, capsys,
+                                                                     monkeypatch):
+        truth = self._truth(scene_dir)
+        later, first = truth["observations"].pop(7)["obs_id"], truth["observations"].pop(3)["obs_id"]
+        assert first < later
+        truth_path = tmp_path / "truth.json"
+        truth_path.write_text(json.dumps(truth), encoding="utf-8")
+        args = _run_args(scene_dir, str(tmp_path / "run"))
+        args[args.index("--truth") + 1] = str(truth_path)
+
+        def refuse(*args):
+            raise AssertionError("the pipeline ran on observations the truth does not hold")
+
+        monkeypatch.setattr(cli, "run_pipeline", refuse)
+        assert main(args) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: inventory member {first} names no truth observation"]
+        assert not os.path.exists(tmp_path / "run")
+
 
 class TestSeed:
     def test_simulate_reads_scene_seed_from_config(self, tmp_path):
@@ -330,8 +349,9 @@ class TestLocalize:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda r: r.pop("dx"), "missing fields ['dx']"),
-        # The norm of (1e200, 1e200, 0) overflows: a data error, with no numpy warning.
-        (lambda r: r.update(dx=1e200, dy=1e200, dz=0.0), "direction must be a unit vector, |d|=0.0"),
+        # The squares of (1e200, 1e200, 0) overflow, yet it reads as a unit direction, with no
+        # numpy warning: the record's error is its box.
+        (lambda r: r.update(dx=1e200, dy=1e200, dz=0.0, w_norm=1.5), "normalized box sizes must lie in (0, 1]"),
     ], ids=["missing-dx", "overflowing-direction"])
     def test_bad_observation_is_a_data_error(self, scene_dir, tmp_path, capsys, edit, message):
         def edit_second(records):

@@ -1,6 +1,8 @@
-"""Geometry: pixel-to-angle mapping, Euler rotations, observation lifting."""
+"""Geometry: pixel-to-angle mapping, Euler rotations, observation lifting, records of tables."""
 
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,13 +13,14 @@ from streetinv import (
     Detection2D,
     DetectionTable,
     Observation,
+    ObservationTable,
     angles_to_camera_dir,
     build_observation,
     lift_detections,
     pixel_to_angles,
     rotation_from_euler,
 )
-from streetinv.geometry import DETECTION_RULES
+from streetinv.geometry import DETECTION_RULES, OBSERVATION_RULES
 
 W, H = 4096.0, 2048.0
 
@@ -283,6 +286,164 @@ class TestDetectionTableValid:
         with np.errstate(all="ignore"):
             valid = np.logical_and.reduce([holds(table) for holds, _ in DETECTION_RULES])
         assert valid.tolist() == [accepted(*row) for row in rows]
+
+
+@st.composite
+def observation_rows(draw):
+    """(exposure, direction, box_w_norm, box_h_norm): a valid ray with up to two
+    fields set to the edge of a rule, or past it."""
+    direction = angles_to_camera_dir(draw(st.floats(-math.pi, math.pi)), draw(st.floats(-1.5, 1.5)))
+    row = [draw(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3)), direction.tolist(),
+           draw(st.floats(5e-324, 1.0)), draw(st.floats(5e-324, 1.0))]
+    sizes = [0.0, -0.0, 5e-324, 1.0, math.nextafter(1.0, 2.0), math.nan, math.inf]
+    edges = [
+        [[math.nan, 0.0, 0.0], [0.0, -math.inf, 0.0], [1e308, -1e308, 1e308]],
+        [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [1.0 + 5e-10, 0.0, 0.0],
+         [1.0 + 2e-9, 0.0, 0.0]],
+        sizes,
+        sizes,
+    ]
+    for field in draw(st.sets(st.integers(0, 3), max_size=2)):
+        row[field] = draw(st.sampled_from(edges[field]))
+    return tuple(row)
+
+
+_ids = st.integers(-(2**63), 2**63 - 1)
+_categories = st.sampled_from(["sign", "bollard", "street_light"])
+
+
+def _one_at_a_time(record_type, table):
+    """Each row of `table` passed to `record_type`, or the error of the first row it refuses."""
+    columns = [getattr(table, f.name) for f in dataclasses.fields(record_type)]
+    try:
+        return [record_type(*row) for row in zip(*(list(c) if c.ndim == 2 else c.tolist() for c in columns))]
+    except ValueError as exc:
+        return str(exc)
+
+
+def _records(table):
+    """`table.records()`, or its error."""
+    try:
+        return table.records()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _bits(records):
+    """Each field of each record as its exact type and every bit of its value."""
+    values = [[getattr(r, f.name) for f in dataclasses.fields(r)] for r in records]
+    return [[(type(v), v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else (type(v), repr(v))
+             for v in row] for row in values]
+
+
+def _assert_built_as_one_at_a_time(record_type, table):
+    new, old = _records(table), _one_at_a_time(record_type, table)
+    if type(new) is str or type(old) is str:
+        assert new == old
+    else:
+        assert _bits(new) == _bits(old)
+
+
+# A valid record of each kind as the fields of a table row, and per rule an
+# edit that makes the row fail that rule first.
+_DETECTION = dict(frame_id=0, center_x=5.0, center_y=5.0, box_w=2.0, box_h=2.0, image_w=10.0, image_h=10.0,
+                  category="a", confidence=1.0)
+_OBSERVATION = dict(obs_id=0, frame_id=0, category="a", exposure=[1.0, 2.0, 3.0], direction=[0.0, 0.6, 0.8],
+                    box_w_norm=0.5, box_h_norm=0.5)
+_BREAKS = {
+    "detection": [dict(image_w=math.nan), dict(center_x=-1.0), dict(center_y=11.0), dict(box_w=20.0),
+                  dict(confidence=2.0)],
+    "observation": [dict(exposure=[math.inf, 0.0, 0.0]), dict(direction=[0.6, 0.6, 0.0]), dict(box_h_norm=0.0)],
+}
+_KINDS = {"detection": (DetectionTable, Detection2D, DETECTION_RULES, _DETECTION),
+          "observation": (ObservationTable, Observation, OBSERVATION_RULES, _OBSERVATION)}
+
+
+def _table(kind, rows):
+    """The table of `kind` whose rows hold the fields of `rows`."""
+    table_type = _KINDS[kind][0]
+    dtypes = {"obs_id": np.int64, "frame_id": np.int64, "category": object}
+    return table_type(**{f.name: np.array([r[f.name] for r in rows], dtype=dtypes.get(f.name, float))
+                         for f in dataclasses.fields(table_type)})
+
+
+class TestRecords:
+    """`records()` builds what building each row's record would build, or raises
+    what the first row a record refuses would raise."""
+
+    @given(st.lists(st.tuples(_ids, _categories, detection_rows()), max_size=8))
+    def test_detections_as_built_one_at_a_time(self, rows):
+        table = DetectionTable(
+            np.array([f for f, _, _ in rows], dtype=np.int64),
+            *np.array([row for _, _, row in rows], dtype=float).reshape(-1, 7).T[:6],
+            np.array([c for _, c, _ in rows], dtype=object),
+            np.array([row[6] for _, _, row in rows], dtype=float),
+        )
+        _assert_built_as_one_at_a_time(Detection2D, table)
+
+    @given(st.lists(st.tuples(_ids, _ids, _categories, observation_rows()), max_size=8))
+    def test_observations_as_built_one_at_a_time(self, rows):
+        table = ObservationTable(
+            obs_id=np.array([r[0] for r in rows], dtype=np.int64),
+            frame_id=np.array([r[1] for r in rows], dtype=np.int64),
+            category=np.array([r[2] for r in rows], dtype=object),
+            exposure=np.array([r[3][0] for r in rows], dtype=float).reshape(-1, 3),
+            direction=np.array([r[3][1] for r in rows], dtype=float).reshape(-1, 3),
+            box_w_norm=np.array([r[3][2] for r in rows], dtype=float),
+            box_h_norm=np.array([r[3][3] for r in rows], dtype=float),
+        )
+        _assert_built_as_one_at_a_time(Observation, table)
+
+    def test_an_empty_table_has_no_records(self):
+        assert DetectionTable.from_detections([]).records() == []
+        assert ObservationTable.from_observations([]).records() == []
+
+    def test_records_hold_python_scalars_and_row_views(self):
+        table = _table("observation", [_OBSERVATION, dict(_OBSERVATION, obs_id=1, category="b")])
+        _, second = table.records()
+        assert tuple(map(type, (second.obs_id, second.frame_id, second.category, second.box_w_norm,
+                                second.box_h_norm))) == (int, int, str, float, float)
+        assert second.exposure.base is table.exposure and second.direction.base is table.direction
+        assert second.exposure.shape == (3,) and second.direction.dtype == np.float64
+        table = dataclasses.replace(_table("detection", [_DETECTION]), image_w=np.array([4096]),
+                                    image_h=np.array([2048]))
+        (detection,) = table.records()
+        assert (type(detection.image_w), type(detection.image_h), type(detection.center_x)) == (int, int, float)
+
+    @pytest.mark.parametrize("kind, rule, edit", [
+        pytest.param(kind, rule, edit, id=f"{kind}-{rule}")
+        for kind, edits in _BREAKS.items() for rule, edit in enumerate(edits)
+    ])
+    def test_each_rule_raises_the_message_of_the_record(self, kind, rule, edit):
+        _, record_type, rules, valid = _KINDS[kind]
+        bad = dict(valid, **edit)
+        table = _table(kind, [valid, bad, valid])
+        with np.errstate(all="ignore"):
+            assert [bool(holds(table)[1]) for holds, _ in rules].index(False) == rule
+        with pytest.raises(ValueError) as one:
+            record_type(**{k: np.array(v) if isinstance(v, list) else v for k, v in bad.items()})
+        with pytest.raises(ValueError) as all_rows:
+            table.records()
+        assert str(all_rows.value) == str(one.value) == rules[rule][1](SimpleNamespace(**bad))
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_the_first_bad_row_and_its_first_rule_win(self, kind):
+        _, record_type, rules, valid = _KINDS[kind]
+        late, early = _BREAKS[kind][-1], _BREAKS[kind][-2]
+        first_bad = dict(valid, **late, **early)  # fails two rules: the earlier one is named
+        rows = [valid, first_bad, dict(valid, **_BREAKS[kind][0])]
+        with pytest.raises(ValueError) as exc:
+            _table(kind, rows).records()
+        assert str(exc.value) == _one_at_a_time(record_type, _table(kind, [first_bad]))
+        assert str(exc.value) == rules[-2][1](SimpleNamespace(**first_bad))
+
+    @pytest.mark.parametrize("name", ["exposure", "direction"])
+    def test_vectors_must_be_n_by_3(self, name):
+        table = _table("observation", [_OBSERVATION, _OBSERVATION])
+        table = dataclasses.replace(table, **{name: getattr(table, name)[:, :2]})
+        with pytest.raises(ValueError, match="^exposure and direction must be 3-vectors$"):
+            table.records()
+        assert _one_at_a_time(Observation, table) == "exposure and direction must be 3-vectors"
 
 
 class TestValidation:

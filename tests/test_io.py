@@ -273,6 +273,36 @@ class TestReadersMatchPerRecordOracle:
         self._assert_same(path, text, sio.read_inventory, oracle_read_inventory, _record_columns)
 
 
+class TestDirectionNorms:
+    """A direction whose squares under- or overflow reads as the direction it scales to."""
+
+    @staticmethod
+    def _direction(tmp_path, dx, dy, dz):
+        path = str(tmp_path / "observations.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(_text(dict(_OBSERVATION, dx=dx, dy=dy, dz=dz)))
+        return sio.read_observations(path).direction[0]
+
+    @pytest.mark.parametrize("tiny_or_huge, plain", [
+        ((1e-160, 1e-160, 0), (1, 1, 0)),  # |d| was read as 1.0000055...
+        ((5e-324, 0, 0), (1, 0, 0)),  # was "zero direction vector"
+        ((1e200, 1e200, 0), (1, 1, 0)),  # |d| was read as 0.0
+        ((-3e-101, 0, 3e-101), (-1, 0, 1)),
+    ])
+    def test_read_as_its_scaled_direction(self, tmp_path, tiny_or_huge, plain):
+        direction = self._direction(tmp_path, *tiny_or_huge)
+        assert direction.tobytes() == self._direction(tmp_path, *plain).tobytes()
+
+    def test_a_zero_direction_is_still_refused(self, tmp_path):
+        with pytest.raises(sio.DataError, match="zero direction vector$"):
+            self._direction(tmp_path, 0, -0.0, 0)
+
+    def test_normal_rows_keep_their_bits(self, tmp_path):
+        direction = np.array([0.1, -0.7, 0.3])
+        assert self._direction(tmp_path, *direction.tolist()).tobytes() == (
+            direction / np.linalg.norm(direction[None], axis=1)).tobytes()
+
+
 def _write_poses(path, records):
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:

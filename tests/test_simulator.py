@@ -1,5 +1,6 @@
 """Scene simulator: the same scenes, draw for draw, as the brute-force oracles."""
 
+import collections
 import dataclasses
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import oracle_default_scene_spec, oracle_export_scene, oracle_generate_scene
 
-from streetinv import CameraPose, simulator
+from streetinv import CameraPose, Detection2D, Observation, simulator
 from streetinv.simulator import (
     SceneObject,
     SceneSpec,
@@ -80,6 +81,41 @@ def test_district_clutter_scene_matches_oracles(monkeypatch):
     assert _object_key(spec.objects) == _object_key(oracle_default_scene_spec(**kwargs).objects)
     observations, _ = _assert_scene_matches_oracle(spec, monkeypatch)
     assert len(observations) > 4000
+
+
+def test_records_hold_python_types():
+    # `_observation_key` compares np.int64(1) == 1 as equal; the types are checked here.
+    spec = default_scene_spec(seed=2, clutter_rate=1.0, drop_prob=0.1)
+    observations, _ = generate_scene(spec)
+    assert observations
+    for o in observations:
+        assert tuple(map(type, (o.obs_id, o.frame_id, o.category, o.box_w_norm, o.box_h_norm))) == (
+            int, int, str, float, float)
+        assert (o.exposure.dtype, o.exposure.shape, o.direction.dtype, o.direction.shape) == (
+            np.float64, (3,), np.float64, (3,))
+    _, detections, _, _ = export_scene(spec)
+    # Integer image sizes, so detections.jsonl keeps "img_w": 4096.
+    assert {tuple(map(type, dataclasses.astuple(d))) for d in detections} == {
+        (int, float, float, float, float, int, int, str, float)}
+
+
+def test_the_simulator_does_not_check_each_record_again(monkeypatch):
+    """Counted, not timed: the district scene's records come from one table check each."""
+    calls = collections.Counter()
+    for record_type in (Observation, Detection2D):
+        def counted(record, check=record_type.__post_init__):
+            calls[type(record).__name__] += 1
+            check(record)
+        monkeypatch.setattr(record_type, "__post_init__", counted)
+    spec = default_scene_spec(seed=5000, n_objects=750, street_length=5000.0)
+    observations, _ = generate_scene(spec)
+    _, detections, _, _ = export_scene(spec)
+    assert len(observations) > 4000 and len(detections) == len(observations)
+    assert calls == {}
+    # The counter counts: one record built by hand is checked once.
+    Observation(obs_id=0, frame_id=0, category="bollard", exposure=np.zeros(3), direction=np.array([1.0, 0, 0]),
+                box_w_norm=0.1, box_h_norm=0.1)
+    assert calls == {"Observation": 1}
 
 
 def _one_pose_spec(centers, max_range=32.0):
