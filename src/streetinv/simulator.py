@@ -10,9 +10,22 @@ the scene spec, including its seed.
 
 The order of random draws is part of that contract: per pose, the pose
 noise is drawn first, then each object in range is visited in ascending
-object index (its drop draw, then its angle and axis draws), then the
+object index (its drop draw, then one 4-draw turn call), then the
 clutter. A faster candidate search must return the same objects in the
-same order, or every later draw changes.
+same order, or every later draw changes. The turn call is
+`standard_normal(4)`: the same four draws, in the same order, as the
+angle's `normal(0.0, sigma)` and the axis's `normal(size=3)`, which NumPy
+computes as `loc + scale * z`; the angle is `0.0 + sigma * z[0]` and the
+axis `0.0 + 1.0 * z[1:]`, the same floats.
+
+`default_scene_spec` places objects one draw at a time against a grid
+hash of those placed, held in plain Python floats. A candidate is too
+close to a neighbour when `np.sqrt(np.vecdot(gap, gap)) < limit`. The
+float sum `dx*dx + dy*dy + dz*dz` can differ from `ddot`'s by a few ulps,
+so it decides only outside a tie band, a relative 1e-12 around `limit**2`
+(`_tie_band`); a squared gap inside the band is decided by that `vecdot`
+expression on its one gap. The centers are stacked into one array once
+every object is placed.
 
 `generate_scene` runs the draw loop first and the array passes after. The
 loop over poses only draws, in that order, and collects the draws; the
@@ -33,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -177,8 +191,9 @@ def default_scene_spec(
     cadence of real furniture (same-category spacing from
     _CATEGORY_SEPARATION, `min_separation` across categories) so purely
     geometric association stays unambiguous. A street length, frame
-    spacing or `min_separation` that is not positive and finite, fewer
-    than one object, or a negative seed is a ValueError.
+    spacing or `min_separation` that is not positive and finite, a street
+    length over frame spacing that overflows, fewer than one object, or a
+    negative seed is a ValueError.
     """
     if not seed >= 0:
         raise ValueError(f"seed must be 0 or more, got {seed}")
@@ -190,24 +205,33 @@ def default_scene_spec(
         raise ValueError(f"n_objects must be at least 1, got {n_objects}")
     if not 0 < min_separation < math.inf:
         raise ValueError(f"min_separation must be positive and finite, got {min_separation}")
+    if not street_length / frame_spacing < math.inf:
+        raise ValueError(
+            f"street_length / frame_spacing must be finite, got {street_length} / {frame_spacing}"
+        )
     rng = np.random.default_rng(seed)
     n_frames = int(street_length / frame_spacing) + 1
     trajectory = straight_trajectory(n_frames, frame_spacing)
     if n_objects is None:
         n_objects = int(rng.integers(20, 41))
-    objects: list[SceneObject] = []
     # Grid hash of placed objects: (cell x, cell y) -> [object index]. A cell is a
     # little wider than any separation, so every object close enough to reject a
     # candidate lies in the 3 x 3 cells around it, whatever the rounding of x / cell.
     cell = max(max(_CATEGORY_SEPARATION.values()), min_separation) * (1.0 + 1e-9)
     placed: dict[tuple[int, int], list[int]] = {}
-    centers = np.empty((n_objects, 3))
-    codes = np.empty(n_objects, dtype=np.intp)
-    # limit[a, b]: how close an object of category a may come to one of category b.
-    same = [_CATEGORY_SEPARATION[c] for c in DEFAULT_CATEGORIES]
-    limit = np.where(np.eye(len(same), dtype=bool), same, min_separation)
+    xs: list[float] = []
+    ys: list[float] = []
+    zs: list[float] = []
+    codes: list[int] = []
+    # rule[a][b]: how close an object of category a may come to one of category b,
+    # and that limit's tie band.
+    limits = [
+        [_CATEGORY_SEPARATION[a] if a == b else min_separation for b in DEFAULT_CATEGORIES]
+        for a in DEFAULT_CATEGORIES
+    ]
+    rule = [[(limit, *_tie_band(limit)) for limit in row] for row in limits]
     attempts = 0
-    while len(objects) < n_objects:
+    while len(codes) < n_objects:
         attempts += 1
         if attempts > 500 * n_objects:
             raise ValueError(
@@ -215,22 +239,25 @@ def default_scene_spec(
                 "with the requested separation"
             )
         code = int(rng.integers(0, len(DEFAULT_CATEGORIES)))
-        category = DEFAULT_CATEGORIES[code]
-        z_center, height = _CATEGORY_GEOMETRY[category]
+        z_center, _ = _CATEGORY_GEOMETRY[DEFAULT_CATEGORIES[code]]
         x = rng.uniform(0.08 * street_length, 0.92 * street_length)
         side = 1.0 if rng.random() < 0.5 else -1.0
         y = side * rng.uniform(3.5, 13.0)
         z = z_center + rng.uniform(-0.2, 0.2)
-        center = np.array([x, y, z])
         cx, cy = math.floor(x / cell), math.floor(y / cell)
-        near = [k for i in (-1, 0, 1) for j in (-1, 0, 1) for k in placed.get((cx + i, cy + j), ())]
-        if near:
-            gap = center - centers[near]
-            if (np.sqrt(np.vecdot(gap, gap)) < limit[codes[near], code]).any():
-                continue
-        centers[len(objects)], codes[len(objects)] = center, code
-        placed.setdefault((cx, cy), []).append(len(objects))
-        objects.append(SceneObject(category=category, center=center, height=height))
+        near = (k for i in (-1, 0, 1) for j in (-1, 0, 1) for k in placed.get((cx + i, cy + j), ()))
+        if any(_closer(x - xs[k], y - ys[k], z - zs[k], *rule[codes[k]][code]) for k in near):
+            continue
+        placed.setdefault((cx, cy), []).append(len(codes))
+        xs.append(x)
+        ys.append(y)
+        zs.append(z)
+        codes.append(code)
+    categories = [DEFAULT_CATEGORIES[code] for code in codes]
+    objects = [
+        SceneObject(category=category, center=center, height=_CATEGORY_GEOMETRY[category][1])
+        for category, center in zip(categories, np.column_stack((xs, ys, zs)))
+    ]
     return SceneSpec(
         trajectory=trajectory,
         objects=objects,
@@ -240,6 +267,34 @@ def default_scene_spec(
         clutter_rate=clutter_rate,
         seed=seed,
     )
+
+
+def _tie_band(limit: float) -> tuple[float, float]:
+    """Squared gaps `(lo, hi)` between which the float sum cannot decide `limit`.
+
+    The band is a relative 1e-12 around `limit**2`, thousands of times the
+    few ulps by which a sum of three squares and `ddot` can differ. Where the
+    square is not a normal float or the band's top overflows, the band is
+    every squared gap.
+    """
+    square = limit * limit
+    lo, hi = square * (1.0 - 1e-12), square * (1.0 + 1e-12)
+    return (lo, hi) if sys.float_info.min <= square and hi < math.inf else (-math.inf, math.inf)
+
+
+def _closer(dx: float, dy: float, dz: float, limit: float, lo: float, hi: float) -> bool:
+    """Whether gap (dx, dy, dz) is closer than `limit`: `np.sqrt(np.vecdot(gap, gap)) < limit`.
+
+    `(lo, hi)` is `_tie_band(limit)`; only a squared gap inside it is
+    decided by `vecdot`.
+    """
+    squared = dx * dx + dy * dy + dz * dz
+    if squared < lo:
+        return True
+    if squared > hi:
+        return False
+    gap = np.array([dx, dy, dz])
+    return bool(np.sqrt(np.vecdot(gap, gap)) < limit)
 
 
 def _perturb_directions(d: np.ndarray, angle: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -289,8 +344,8 @@ def generate_scene(spec: SceneSpec) -> tuple[list[Observation], GroundTruth]:
     pose, obj, delta, depth = pose[seen], obj[seen], delta[seen], depth[seen]
 
     # The draw loop: nothing but the draws, in the contract's order.
-    random, normal = rng.random, rng.normal
-    noise, kept, angle, raw = [], [], [], []
+    random, normal, standard_normal = rng.random, rng.normal, rng.standard_normal
+    noise, kept, turn = [], [], []
     perturb = spec.direction_noise > 0
     clutter = []  # (pose, azimuth, elevation, category index, h_norm) per clutter detection
     start = 0
@@ -301,8 +356,7 @@ def generate_scene(spec: SceneSpec) -> tuple[list[Observation], GroundTruth]:
                 continue
             kept.append(row)
             if perturb:
-                angle.append(normal(0.0, spec.direction_noise))
-                raw.append(normal(size=3))
+                turn.append(standard_normal(4))
         start = end
         for _ in range(int(rng.poisson(spec.clutter_rate)) if spec.clutter_rate > 0 else 0):
             clutter.append((k, rng.uniform(-math.pi, math.pi), rng.uniform(-0.3, 0.5),
@@ -313,7 +367,10 @@ def generate_scene(spec: SceneSpec) -> tuple[list[Observation], GroundTruth]:
     pose, obj, delta, depth = pose[kept], obj[kept], delta[kept], depth[kept]
     direction = delta / depth[:, None]
     if perturb:
-        direction = _perturb_directions(direction, np.array(angle), np.array(raw).reshape(-1, 3))
+        # normal(0.0, sigma) and normal(size=3) as NumPy computes them: loc + scale * z.
+        turn = np.array(turn).reshape(-1, 4)
+        angle, raw = 0.0 + spec.direction_noise * turn[:, 0], 0.0 + 1.0 * turn[:, 1:]
+        direction = _perturb_directions(direction, angle, raw)
         direction = direction / np.sqrt(np.vecdot(direction, direction))[:, None]
     height = np.array([o.height for o in spec.objects], dtype=float)[obj]
     h_norm = np.minimum(1.0, height / (depth * math.pi))

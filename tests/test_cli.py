@@ -138,8 +138,9 @@ class TestSettings:
         (["--sigma-dir-deg", "nan"], "noise sigmas must be nonnegative"),
         (["--n-objects", "40", "--length", "5"], "could not place 40 objects"),
         (["--seed", "-1"], "seed must be 0 or more, got -1"),
+        (["--length", "1e308", "--spacing", "1e-308"], "street_length / frame_spacing must be finite"),
     ], ids=["spacing-0", "n-objects-0", "length-minus-5", "drop-prob-2", "sigma-dir-deg-nan",
-            "too-many-objects", "seed-minus-1"])
+            "too-many-objects", "seed-minus-1", "frame-count-overflows"])
     def test_bad_scene_option_is_a_usage_error(self, tmp_path, capsys, flags, message):
         out = str(tmp_path / "scene")
         _assert_usage_error(main(["simulate", "--out", out] + flags), capsys, message, out)

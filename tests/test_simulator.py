@@ -3,10 +3,12 @@
 import collections
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 from conftest import oracle_default_scene_spec, oracle_export_scene, oracle_generate_scene
+from hypothesis import assume, example, given, settings, strategies as st
 
 from streetinv import CameraPose, Detection2D, Observation, simulator
 from streetinv.simulator import (
@@ -118,6 +120,55 @@ def test_the_simulator_does_not_check_each_record_again(monkeypatch):
     assert calls == {"Observation": 1}
 
 
+class _CountingGenerator:
+    """A Generator whose method calls are counted by name."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class TestCountedWork:
+    """Counted, not timed: what the district scene (seed 5000, 750 objects, 5 km) costs to make."""
+
+    DISTRICT = dict(seed=5000, n_objects=750, street_length=5000.0)
+
+    def test_placement_calls_vecdot_on_no_candidate(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(a, b, vecdot=np.vecdot):
+            calls["vecdot"] += 1
+            return vecdot(a, b)
+
+        monkeypatch.setattr(np, "vecdot", counted)
+        spec = default_scene_spec(**self.DISTRICT)
+        assert len(spec.objects) == 750
+        assert calls == {}
+        # The counter counts: a gap inside the tie band is decided by vecdot.
+        assert simulator._closer(1.5, 2.0, 0.0, 2.5, *simulator._tie_band(2.5)) is False
+        assert calls == {"vecdot": 1}
+
+    def test_one_generator_call_per_pose_candidate_and_kept_row(self, monkeypatch):
+        spec = default_scene_spec(**self.DISTRICT)
+        calls = collections.Counter()
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed, rng=np.random.default_rng: _CountingGenerator(rng(seed), calls))
+        observations, _ = generate_scene(spec)
+        # No drops and no clutter: every candidate row is kept and is one observation.
+        n_poses, n_rows = len(spec.trajectory), len(observations)
+        assert n_rows > 4000
+        assert calls == {"normal": n_poses, "random": n_rows, "standard_normal": n_rows}
+        assert sum(calls.values()) == n_poses + 2 * n_rows
+
+
 def _one_pose_spec(centers, max_range=32.0):
     pose = CameraPose(frame_id=0, position=np.array([0.0, 0.0, 2.5]), heading=0.0, pitch=0.0, roll=0.0)
     objects = [SceneObject(category="bollard", center=c, height=0.9) for c in centers]
@@ -153,6 +204,78 @@ def test_separation_wider_than_any_category_still_holds(min_separation, monkeypa
             needed = same_category[a.category] if a.category == b.category else min_separation
             assert np.linalg.norm(a.center - b.center) >= needed
     _assert_scene_matches_oracle(spec, monkeypatch)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n_objects=st.integers(1, 60),
+    min_separation=st.sampled_from(sorted(set(simulator._CATEGORY_SEPARATION.values())) + [2.5, 30.0, 40.0])
+    | st.floats(0.5, 40.0),
+    room=st.floats(2.0, 4.0),
+)
+def test_placement_matches_the_oracle(seed, n_objects, min_separation, room):
+    # Street length scales with the objects and their separation, so most draws can be placed.
+    kwargs = dict(seed=seed, n_objects=n_objects, min_separation=min_separation,
+                  street_length=max(200.0, room * n_objects * max(min_separation, 12.0)))
+    try:
+        spec = default_scene_spec(**kwargs)
+    except ValueError as exc:
+        assert "could not place" in str(exc)
+        assume(False)
+    assert _object_key(spec.objects) == _object_key(oracle_default_scene_spec(**kwargs).objects)
+
+
+class TestTieBand:
+    """`_closer` decides as `np.sqrt(np.vecdot(gap, gap)) < limit` does, at and around the limit."""
+
+    @staticmethod
+    def _rule(gap, limit):
+        gap = np.asarray(gap, dtype=float)
+        return bool(np.sqrt(np.vecdot(gap, gap)) < limit)
+
+    @staticmethod
+    def _closer(gap, limit):
+        return simulator._closer(*map(float, gap), limit, *simulator._tie_band(limit))
+
+    def test_a_gap_at_the_limit_is_accepted(self):
+        # A 3-4-5 triangle scaled to 2.5 m: its squares sum to 6.25 exactly.
+        assert self._closer([1.5, 2.0, 0.0], 2.5) is False
+
+    def test_one_ulp_shorter_per_side_is_decided_by_vecdot(self):
+        # Each side one ulp toward 0: the float sum lies in the band. A ddot that
+        # rounds the sum up, as OpenBLAS's does, gives a square root of 2.5, so the
+        # gap is accepted where the float sum alone would refuse it. Two ulps
+        # shorter is refused.
+        gap = np.nextafter([1.5, 2.0, 0.0], 0.0)
+        lo, hi = simulator._tie_band(2.5)
+        assert lo <= gap[0] * gap[0] + gap[1] * gap[1] + gap[2] * gap[2] <= hi
+        assert self._closer(gap, 2.5) is self._rule(gap, 2.5)
+        assert self._closer(np.nextafter(gap, 0.0), 2.5) is True
+
+    def test_a_gap_one_ulp_inside_the_limit_is_refused(self):
+        assert self._closer([np.nextafter(2.5, 0.0), 0.0, 0.0], 2.5) is True
+
+    # A square below the normal floats, and one whose band's top overflows.
+    @pytest.mark.parametrize("limit", [1e-160, math.sqrt(sys.float_info.max) * (1.0 - 1e-13)])
+    def test_a_band_outside_the_normal_floats_leaves_every_gap_to_vecdot(self, limit):
+        assert simulator._tie_band(limit) == (-math.inf, math.inf)
+        for gap in ([0.6 * limit, 0.8 * limit, 0.0], [0.5 * limit, 0.0, 0.0]):
+            assert self._closer(gap, limit) is self._rule(gap, limit)
+
+    @settings(max_examples=300)
+    @given(
+        limit=st.sampled_from(sorted(set(simulator._CATEGORY_SEPARATION.values())) + [2.5, 1e-150, 1e150])
+        | st.floats(0.5, 100.0),
+        direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda d: math.hypot(*d) > 0.1),
+        relative=st.floats(-1e-9, 1e-9),
+    )
+    @example(limit=2.5, direction=(3.0, 4.0, 0.0), relative=0.0)
+    @example(limit=28.0, direction=(1.0, 1.0, 1.0), relative=1e-12)
+    def test_gaps_near_the_limit_agree_with_vecdot(self, limit, direction, relative):
+        unit = np.array(direction) / math.hypot(*direction)
+        gap = unit * (limit * (1.0 + relative))
+        assert self._closer(gap, limit) is self._rule(gap, limit)
 
 
 def test_hand_built_curved_scene_matches_oracle(monkeypatch):
@@ -244,6 +367,10 @@ class TestSceneSpecChecks:
     def test_min_separation_must_be_positive_and_finite(self, min_separation):
         with pytest.raises(ValueError, match="min_separation must be positive and finite"):
             default_scene_spec(seed=2, min_separation=min_separation)
+
+    def test_frame_count_that_overflows_is_refused(self):
+        with pytest.raises(ValueError, match=r"street_length / frame_spacing must be finite, got 1e\+308 / 1e-308"):
+            default_scene_spec(street_length=1e308, frame_spacing=1e-308)
 
     def test_negative_seed_is_refused_with_the_scene_message(self):
         with pytest.raises(ValueError, match="seed must be 0 or more, got -1"):
