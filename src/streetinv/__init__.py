@@ -17,12 +17,15 @@ flat array holding one score per row pair of the window, and assignment
 reads one dense block of it per frame pair, every block a view. The
 matches are columns of table rows: chaining runs connected components on
 the rows, and `associate` returns the matches as `ScoreTriplets` columns.
-Localization and each round of refinement's splitting fit every cluster's
-center in one batched solve.
+The clusters are one `ClusterTable` of columns from chaining to the
+inventory: localization, refinement, the inventory and the cluster files
+read and write it with no object per cluster. Localization and each round
+of refinement's splitting fit every cluster's center in one batched solve.
 """
 
 from .association import (
     Cluster,
+    ClusterTable,
     ScoreTriplets,
     assign_pairs,
     build_score_matrix,

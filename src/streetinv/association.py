@@ -17,12 +17,20 @@ and solves an optimal one-to-one assignment, kept where the score reaches
 the confidence threshold. The kept matches stay columns of table rows:
 `transitive_cluster` chains them by connected components over the rows,
 and `ScoreTriplets` holds them as columns of observation ids and scores.
+
+The clusters of a run are one `ClusterTable`: columns of cluster ids,
+member ids grouped by cluster, centers and residuals. Chaining builds it
+from the component labels, and every later stage, from localization and
+refinement to the inventory and the cluster files, takes one and returns
+one. `Cluster` is the record of one cluster, made only when a table is
+iterated or built from records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from functools import cached_property
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -34,6 +42,7 @@ from .geometry import ObservationTable
 __all__ = [
     "ScoreTriplets",
     "Cluster",
+    "ClusterTable",
     "window_pairs",
     "ray_gaps",
     "score_window",
@@ -91,6 +100,150 @@ class Cluster:
     @property
     def size(self) -> int:
         return len(self.members)
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+@dataclass(frozen=True, eq=False)
+class ClusterTable:
+    """Clusters as columns: a partition of some observations.
+
+    Clusters come in id order, and each cluster's members are one run of
+    the member columns, in id order. A table may cover only some of a
+    run's observations. Building one refuses an observation that is a
+    member of two clusters.
+
+    Attributes:
+        cluster_id: (k,) int64 ids, increasing.
+        size: (k,) member counts, each at least 1.
+        member: (n,) int64 observation ids, cluster after cluster.
+        center: (k, 3) centers; a row of NaN for an unlocalized cluster.
+        residual: (n,) each member's distance from its cluster's center,
+            NaN in an unlocalized cluster.
+    """
+
+    cluster_id: np.ndarray
+    size: np.ndarray
+    member: np.ndarray
+    center: np.ndarray
+    residual: np.ndarray
+
+    def __post_init__(self):
+        if np.any(self.size < 1):
+            raise ValueError("cluster must have at least one member")
+        if self.size.sum() != len(self.member):
+            raise ValueError(f"cluster sizes add up to {self.size.sum()}, not to the {len(self.member)} members")
+        if np.any(self.cluster_id[1:] <= self.cluster_id[:-1]):  # no np.diff: it wraps at 64 bits
+            raise ValueError("cluster ids must be unique and increasing")
+        ids = np.sort(self.member)
+        shared = ids[1:][ids[1:] == ids[:-1]]
+        if shared.size:
+            raise ValueError(f"clusters are not disjoint; shared observations: {np.unique(shared)[:5].tolist()}")
+
+    @classmethod
+    def grouped(cls, owner, member, residual=None, cluster_id=None, center=None) -> "ClusterTable":
+        """The clusters of the observations `member`, member i in the cluster of id owner[i].
+
+        Sorts the clusters and each one's members by id, each member's
+        residual (NaN without `residual`) with it. Row g of `center` is the
+        center of the cluster of id cluster_id[g]: they list every id of
+        `owner`, in any order, and may list ids no member names, which are
+        left out. Without them every cluster is unlocalized.
+
+        Raises:
+            ValueError: if `cluster_id` holds an id twice, or an observation
+                is a member twice.
+        """
+        owner = np.asarray(owner, dtype=np.int64)
+        member = np.asarray(member, dtype=np.int64)
+        order = np.lexsort((member, owner))
+        owner, member = owner[order], member[order]
+        residual = np.full(len(member), np.nan) if residual is None else np.asarray(residual, dtype=float)[order]
+        new = np.ones(len(owner), dtype=bool)
+        new[1:] = owner[1:] != owner[:-1]
+        starts = np.flatnonzero(new)
+        ids = owner[starts]
+        if cluster_id is None:
+            centers = np.full((len(ids), 3), np.nan)
+        else:
+            by_id = np.argsort(cluster_id, kind="stable")
+            known = np.asarray(cluster_id, dtype=np.int64)[by_id]
+            twice = known[1:][known[1:] == known[:-1]]
+            if twice.size:
+                raise ValueError(f"cluster_id {twice[0]} is used twice")
+            centers = np.asarray(center, dtype=float).reshape(-1, 3)[by_id[np.searchsorted(known, ids)]]
+        return cls(ids, np.diff(np.append(starts, len(owner))), member, centers, residual)
+
+    @classmethod
+    def from_records(cls, clusters: Iterable[Cluster]) -> "ClusterTable":
+        """The table of `Cluster` records given in any order: the inverse of `records`.
+
+        Raises:
+            ValueError: if two records share an id or an observation.
+        """
+        clusters = list(clusters)
+        members = [list(c.members) for c in clusters]
+        residual = [c.residuals[m] if c.center is not None else np.nan for c, ms in zip(clusters, members) for m in ms]
+        return cls.grouped(
+            np.repeat(np.array([c.cluster_id for c in clusters], dtype=np.int64), [len(ms) for ms in members]),
+            [m for ms in members for m in ms],
+            residual,
+            [c.cluster_id for c in clusters],
+            [[np.nan] * 3 if c.center is None else c.center for c in clusters],
+        )
+
+    def records(self) -> list[Cluster]:
+        """Each cluster as a `Cluster`, in id order."""
+        records = []
+        for k, (cluster_id, members, residuals, localized) in enumerate(zip(
+                self.cluster_id.tolist(), self.runs(self.member), self.runs(self.residual), self.localized.tolist())):
+            # Checked with the table, so no __post_init__.
+            c = Cluster.__new__(Cluster)
+            c.cluster_id, c.members, c.center, c.residuals = cluster_id, set(members), None, None
+            if localized:
+                c.center, c.residuals = self.center[k].copy(), dict(zip(members, residuals))
+            records.append(c)
+        return records
+
+    def runs(self, column: np.ndarray) -> list[list]:
+        """Each cluster's run of a member column, `member` or `residual`, as a list."""
+        values, ends = column.tolist(), np.cumsum(self.size).tolist()
+        return [values[lo:hi] for lo, hi in zip([0, *ends], ends)]
+
+    def __len__(self) -> int:
+        return len(self.cluster_id)
+
+    def __iter__(self) -> Iterator[Cluster]:
+        return iter(self.records())
+
+    @cached_property
+    def start(self) -> np.ndarray:
+        """Each cluster's first index into the member columns."""
+        return np.cumsum(self.size) - self.size
+
+    @cached_property
+    def group(self) -> np.ndarray:
+        """Each member's cluster, as an index into the cluster columns."""
+        return np.repeat(np.arange(len(self)), self.size)
+
+    @property
+    def localized(self) -> np.ndarray:
+        """Whether each cluster has a center."""
+        return ~np.isnan(self.center[:, 0])
+
+    def fresh_ids(self, n: int) -> np.ndarray:
+        """`n` unused cluster ids, counting up from one past the largest (from 0 in an empty table).
+
+        Raises:
+            OverflowError: if one would not fit 64 bits.
+        """
+        first = int(self.cluster_id[-1]) + 1 if len(self) else 0
+        if not n:
+            return np.empty(0, dtype=np.int64)
+        if first + n - 1 > _INT64_MAX:
+            raise OverflowError(f"{n} fresh cluster ids after cluster_id {first - 1} do not fit 64 bits")
+        return np.arange(n, dtype=np.int64) + first
 
 
 def window_pairs(frame_id: np.ndarray, window: int) -> list[tuple[slice, slice]]:
@@ -217,13 +370,13 @@ def assign_pairs(block: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]
     return rows[kept], cols[kept]
 
 
-def transitive_cluster(row_a: np.ndarray, row_b: np.ndarray, obs_id: np.ndarray) -> list[Cluster]:
+def transitive_cluster(row_a: np.ndarray, row_b: np.ndarray, obs_id: np.ndarray) -> ClusterTable:
     """Chain matched rows into clusters by connected components.
 
     Match i links rows row_a[i] and row_b[i] of a table whose ids are
     `obs_id`. Every row ends up in exactly one cluster; unmatched rows
     become singletons. Cluster ids are assigned in order of each
-    component's smallest member id.
+    component's smallest member id. No cluster is localized.
 
     Raises:
         ValueError: if a match names a row outside the table.
@@ -232,8 +385,6 @@ def transitive_cluster(row_a: np.ndarray, row_b: np.ndarray, obs_id: np.ndarray)
     for rows in (row_a, row_b):
         if rows.size and not (0 <= rows.min() and rows.max() < n):
             raise ValueError(f"match references unknown row of a {n}-row table")
-    if n == 0:
-        return []
     # Nodes are numbered in id order and components are labelled in order
     # of their first node, so labels already follow each smallest member id.
     by_id = np.argsort(obs_id, kind="stable")
@@ -241,7 +392,4 @@ def transitive_cluster(row_a: np.ndarray, row_b: np.ndarray, obs_id: np.ndarray)
     node[by_id] = np.arange(n)
     graph = coo_array((np.ones(len(row_a)), (node[row_a], node[row_b])), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
-    order = np.argsort(labels, kind="stable")
-    ids = obs_id[by_id][order].tolist()
-    bounds = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), n]
-    return [Cluster(cluster_id=k, members=ids[lo:hi]) for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    return ClusterTable.grouped(labels, obs_id[by_id])

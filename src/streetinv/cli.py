@@ -187,10 +187,9 @@ def _cmd_associate(args, config: dict) -> int:
 def _cmd_localize(args, config: dict) -> int:
     table = sio.read_observations(args.observations)
     clusters = sio.read_clusters(args.clusters, set(table.obs_id.tolist()))
-    localized = localize_clusters(clusters, table)
-    sio.write_clusters(args.out, localized)
-    n = sum(1 for c in localized if c.center is not None)
-    print(f"localized {n} of {len(localized)} clusters -> {args.out}")
+    located = localize_clusters(clusters, table)
+    sio.write_clusters(args.out, located)
+    print(f"localized {located.localized.sum()} of {len(located)} clusters -> {args.out}")
     return EXIT_OK
 
 
@@ -198,7 +197,10 @@ def _cmd_refine(args, config: dict) -> int:
     cfg = _run_config(args, config)
     table = sio.read_observations(args.observations)
     clusters = sio.read_clusters(args.clusters, set(table.obs_id.tolist()))
-    refined = refine(clusters, table, cfg)
+    try:
+        refined = refine(clusters, table, cfg)
+    except OverflowError as exc:  # the fresh ids of split and merge
+        raise DataError(f"{args.clusters}: {exc}") from None
     sio.write_clusters(args.out, refined)
     print(f"{len(clusters)} clusters in, {len(refined)} out -> {args.out}")
     return EXIT_OK

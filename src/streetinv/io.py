@@ -30,7 +30,7 @@ from typing import Callable, Collection, Iterable
 
 import numpy as np
 
-from .association import Cluster, ScoreTriplets
+from .association import ClusterTable, ScoreTriplets
 from .geometry import (
     DETECTION_RULES,
     OBSERVATION_RULES,
@@ -58,7 +58,6 @@ __all__ = [
     "atomic_write_text",
     "write_observations",
     "read_observations",
-    "cluster_to_record",
     "write_clusters",
     "read_clusters",
     "parse_config_text",
@@ -535,20 +534,22 @@ def read_observations(path: str) -> ObservationTable:
     return table
 
 
-def cluster_to_record(c: Cluster) -> dict:
-    """The record `read_clusters` reads: center and residuals are null together."""
-    members, fitted = sorted(c.members), c.center is not None
-    return {"cluster_id": c.cluster_id, "members": members, "center": c.center.tolist() if fitted else None,
-            "residuals": [c.residuals[m] for m in members] if fitted else None}
+def write_clusters(path: str, clusters: ClusterTable) -> None:
+    """Write one record per cluster, in id order, as `read_clusters` reads them.
+
+    Members are in id order; center and residuals are null together.
+    """
+    columns = (clusters.cluster_id.tolist(), clusters.runs(clusters.member), clusters.center.tolist(),
+               clusters.runs(clusters.residual), clusters.localized.tolist())
+    write_jsonl(path, (
+        {"cluster_id": cluster_id, "members": members, "center": center if localized else None,
+         "residuals": residuals if localized else None}
+        for cluster_id, members, center, residuals, localized in zip(*columns)
+    ))
 
 
-def write_clusters(path: str, clusters: list[Cluster]) -> None:
-    ordered = sorted(clusters, key=lambda c: c.cluster_id)
-    write_jsonl(path, (cluster_to_record(c) for c in ordered))
-
-
-def read_clusters(path: str, obs_ids: Collection[int]) -> list[Cluster]:
-    """Read clusters of the observations `obs_ids`.
+def read_clusters(path: str, obs_ids: Collection[int]) -> ClusterTable:
+    """Read clusters of the observations `obs_ids`, as one table.
 
     Cluster ids must be unique integers that fit 64 bits. Members must be a
     non-empty list of integers from `obs_ids`, and no observation may be a
@@ -561,9 +562,9 @@ def read_clusters(path: str, obs_ids: Collection[int]) -> list[Cluster]:
     members = rules.members(values["members"], "members")
     rules.check(np.array([all(m in obs_ids for m in v) for v in members], dtype=bool),
                 lambda k: f"unknown observation {next(m for m in members[k] if m not in obs_ids)}")
-    centers = [r.get("center") for _, r in rules.records]
     residuals = [r.get("residuals") for _, r in rules.records]
-    null = np.isnan(rules.points(centers, "center")[:, 0])
+    center = rules.points([r.get("center") for _, r in rules.records], "center")
+    null = np.isnan(center[:, 0])
     rules.check(~null | np.array([r is None for r in residuals], dtype=bool),
                 lambda k: "residuals must be null when center is null")
     rules.check(null | np.array([isinstance(r, list) and len(r) == len(v) and all(map(_is_number, r))
@@ -572,11 +573,9 @@ def read_clusters(path: str, obs_ids: Collection[int]) -> list[Cluster]:
     cluster_id, _ = rules.ids(values["cluster_id"], "cluster_id")
     rules.unique([cluster_id], lambda k: f"cluster_id {cluster_id[k]} is already used")
     rules.raise_first()
-    return [
-        Cluster(cluster_id=c, members=m) if center is None else
-        Cluster(cluster_id=c, members=m, center=np.array(center, dtype=float), residuals=dict(zip(m, map(float, fit))))
-        for c, m, center, fit in zip(cluster_id.tolist(), members, centers, residuals)
-    ]
+    residual = [x for v, r in zip(members, residuals) for x in ([math.nan] * len(v) if r is None else r)]
+    return ClusterTable.grouped(np.repeat(cluster_id, [len(v) for v in members]),
+                                [m for v in members for m in v], residual, cluster_id, center)
 
 
 def _is_int(value) -> bool:

@@ -4,20 +4,20 @@ The run configuration collects every tunable in one place so a run is
 reproducible from a config file plus input files alone. Association reads
 the observations as table rows sorted by frame and matches within a
 sliding window of frames; refinement is skippable to get the plain
-transitive-chaining baseline.
+transitive-chaining baseline. The clusters pass from chaining through
+localization or refinement to the inventory as one `ClusterTable`, and
+each stage works on its columns.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import io as sio
 from .association import (
-    Cluster,
+    ClusterTable,
     ScoreTriplets,
     assign_pairs,
     build_score_matrix,
@@ -95,7 +95,7 @@ class RunConfig:
 @dataclass
 class PipelineResult:
     matches: ScoreTriplets
-    clusters: list[Cluster]
+    clusters: ClusterTable
     inventory: list[dict]
     report: EvaluationReport | None = None
 
@@ -120,7 +120,7 @@ def _file_scores(path: str, table: ObservationTable, pairs: list[tuple[slice, sl
 
 def associate(
     observations: ObservationTable | list[Observation], cfg: RunConfig
-) -> tuple[ScoreTriplets, list[Cluster]]:
+) -> tuple[ScoreTriplets, ClusterTable]:
     """Score, assign per frame pair within the window, and chain clusters.
 
     Works on the observations as table rows sorted by (frame_id, obs_id).
@@ -145,52 +145,44 @@ def associate(
     return matches, transitive_cluster(row_a, row_b, table.obs_id)
 
 
-def localize_clusters(clusters: list[Cluster], table: ObservationTable) -> list[Cluster]:
+def localize_clusters(clusters: ClusterTable, table: ObservationTable) -> ClusterTable:
     """Estimate a center for every cluster with at least two rays, in one batched solve.
 
-    Degenerate bundles and singletons pass through unlocalized.
+    Degenerate bundles and singletons come out unlocalized.
     """
-    ordered = sorted(clusters, key=lambda c: c.cluster_id)
-    member_lists = [sorted(c.members) for c in ordered]
-    rows = table.rows([m for ms in member_lists for m in ms])
-    group = np.repeat(np.arange(len(ordered)), [len(ms) for ms in member_lists])
-    fit = estimate_centers(table.exposure[rows], table.direction[rows], group, len(ordered))
-    residuals = iter(fit.residuals.tolist())
-    result = []
-    for k, (cluster, members) in enumerate(zip(ordered, member_lists)):
-        spread = dict(zip(members, itertools.islice(residuals, len(members))))
-        if fit.degenerate[k]:
-            result.append(Cluster(cluster.cluster_id, set(members)))
-        else:
-            result.append(Cluster(cluster.cluster_id, set(members), fit.centers[k], spread))
-    return result
+    rows = table.rows(clusters.member)
+    fit = estimate_centers(table.exposure[rows], table.direction[rows], clusters.group, len(clusters))
+    return replace(clusters, center=fit.centers, residual=fit.residuals)
 
 
-def inventory_records(clusters: list[Cluster], table: ObservationTable) -> list[dict]:
+def inventory_records(clusters: ClusterTable, table: ObservationTable) -> list[dict]:
     """Flatten final clusters into inventory records.
 
     Records are ordered and numbered by their smallest member observation
     id; the category is the members' majority vote (ties alphabetical).
     """
-    ordered = sorted(clusters, key=lambda c: min(c.members))
-    member_lists = [sorted(c.members) for c in ordered]
-    categories = iter(table.category[table.rows([m for ms in member_lists for m in ms])])
-    records = []
-    for object_id, (cluster, members) in enumerate(zip(ordered, member_lists)):
-        votes = Counter(itertools.islice(categories, len(members)))
-        category = min(votes, key=lambda name: (-votes[name], name))
-        localized = cluster.center is not None
-        records.append(
-            {
-                "object_id": object_id,
-                "category": category,
-                "center": [float(v) for v in cluster.center] if localized else None,
-                "n_observations": len(members),
-                "max_residual": max(cluster.residuals.values()) if localized else None,
-                "members": members,
-            }
-        )
-    return records
+    if not len(clusters):
+        return []
+    names, codes = table.category_codes
+    votes = np.bincount(clusters.group * len(names) + codes[table.rows(clusters.member)],
+                        minlength=len(clusters) * len(names)).reshape(len(clusters), len(names))
+    # The names are sorted, so the first of the most votes is the alphabetical tie-break.
+    category = names[votes.argmax(axis=1)].tolist()
+    max_residual = np.maximum.reduceat(clusters.residual, clusters.start).tolist()
+    members, centers, localized = clusters.runs(clusters.member), clusters.center.tolist(), clusters.localized.tolist()
+    # Each cluster's members are in id order, so its first is its smallest.
+    order = np.argsort(clusters.member[clusters.start]).tolist()
+    return [
+        {
+            "object_id": object_id,
+            "category": category[g],
+            "center": centers[g] if localized[g] else None,
+            "n_observations": len(members[g]),
+            "max_residual": max_residual[g] if localized[g] else None,
+            "members": members[g],
+        }
+        for object_id, g in enumerate(order)
+    ]
 
 
 def run_pipeline(

@@ -8,25 +8,25 @@ distinct objects grouped together, biasing the center) and under-matching
          the center until none is,
   Step 2 re-attaches singletons to consistent clusters or pairs them up
          (guarded by a physical-size consistency check),
-  Step 3 is step 1 again.
+  Step 3 is step 1 again, on the clusters step 2 grew or made.
 
-Steps 1 and 3 work in rounds over all clusters at once, on arrays of
-table rows: each round fits the center of every cluster still open in one
-batched closed-form solve (`triangulation.estimate_centers`) and frees
-every member past its threshold. Step 2 pairs rays in closed form: the
-least-squares point of two lines is the midpoint of their common
-perpendicular (Hartley & Zisserman). Every threshold comes from the run's
-`pipeline.RunConfig`.
+Every step takes the clusters as one `association.ClusterTable` and returns
+one, working on its columns and the observation table's rows. Steps 1 and
+3 work in rounds over all clusters at once: each round fits the center of
+every cluster still open in one batched closed-form solve
+(`triangulation.estimate_centers`) and frees every member past its
+threshold. Step 2 pairs rays in closed form: the least-squares point of
+two lines is the midpoint of their common perpendicular (Hartley &
+Zisserman). Every threshold comes from the run's `pipeline.RunConfig`.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .association import Cluster
+from .association import ClusterTable
 from .geometry import Observation, ObservationTable
 # estimate_center is not called here; it stays importable from this module
 # because bench/run.py wraps `refinement.estimate_center` by name.
@@ -39,18 +39,9 @@ if TYPE_CHECKING:
 __all__ = ["split_overmatched", "estimate_physical_size", "merge_undermatched", "refine"]
 
 
-def _check_partition(clusters: list[Cluster]) -> None:
-    seen: set[int] = set()
-    for c in clusters:
-        overlap = seen & c.members
-        if overlap:
-            raise ValueError(f"clusters are not disjoint; shared observations: {sorted(overlap)[:5]}")
-        seen |= c.members
-
-
 def split_overmatched(
-    clusters: list[Cluster], table: ObservationTable, cfg: RunConfig
-) -> list[Cluster]:
+    clusters: ClusterTable, table: ObservationTable, cfg: RunConfig, refit: np.ndarray | None = None
+) -> ClusterTable:
     """Free every cluster's members past the split threshold, refitting until none is.
 
     Works in rounds over all open clusters at once. Each round fits every
@@ -61,21 +52,24 @@ def split_overmatched(
     cluster out of it has max residual <= tau_split. Freed members become
     singleton clusters with fresh ids, in order of cluster id, then round,
     then member id.
+
+    With the mask `refit`, only the clusters it marks are split; the rest
+    pass through as given, centers and residuals too.
+
+    Raises:
+        OverflowError: if a fresh id would not fit 64 bits.
     """
-    ordered = sorted(clusters, key=lambda c: c.cluster_id)
-    members = [sorted(c.members) for c in ordered]
-    sizes = np.array([len(m) for m in members], dtype=np.intp)
-    obs = np.array(list(itertools.chain.from_iterable(members)), dtype=np.int64)
-    group = np.repeat(np.arange(len(ordered)), sizes)
+    k, group, obs = len(clusters), clusters.group, clusters.member
     rows = table.rows(obs)
     names, codes = table.category_codes
     threshold = np.array([cfg.split_threshold(c) for c in names], dtype=float)[codes[rows]]
 
+    reset = np.ones(k, dtype=bool) if refit is None else refit
+    centers, residuals = clusters.center.copy(), clusters.residual.copy()
+    centers[reset] = np.nan
+    residuals[reset[group]] = np.nan
     freed_in = np.full(len(obs), -1)  # the round a row was freed in
-    residuals = np.full(len(obs), np.nan)
-    centers = np.full((len(ordered), 3), np.nan)
-    located = np.zeros(len(ordered), dtype=bool)
-    is_open = sizes >= 2
+    is_open = reset & (clusters.size >= 2)
     round_no = 0
     while is_open.any():
         live = np.flatnonzero(is_open[group] & (freed_in < 0))
@@ -86,33 +80,25 @@ def split_overmatched(
         over = ~fit.degenerate[g] & (fit.residuals > threshold[live])
         pruned = np.bincount(g[over], minlength=len(fitted)) > 0
         settled = ~fit.degenerate & ~pruned
-        located[fitted[settled]] = True
         centers[fitted[settled]] = fit.centers[settled]
         residuals[live[settled[g]]] = fit.residuals[settled[g]]
         freed_in[live[over]] = round_no
-        left = np.bincount(group[freed_in < 0], minlength=len(ordered))
+        left = np.bincount(group[freed_in < 0], minlength=k)
         is_open[fitted] = pruned & (left[fitted] >= 2)
         round_no += 1
 
     kept = freed_in < 0
-    counts = np.bincount(group[kept], minlength=len(ordered))
-    kept_obs, kept_residuals = iter(obs[kept].tolist()), iter(residuals[kept].tolist())
-    result: list[Cluster] = []
-    for k, cluster in enumerate(ordered):
-        ids = list(itertools.islice(kept_obs, counts[k]))
-        spread = list(itertools.islice(kept_residuals, counts[k]))
-        if not ids:
-            continue
-        if located[k]:
-            result.append(Cluster(cluster.cluster_id, set(ids), centers[k], dict(zip(ids, spread))))
-        else:
-            result.append(Cluster(cluster.cluster_id, set(ids)))
+    size = np.bincount(group[kept], minlength=k)
+    alive = size > 0
     freed = np.flatnonzero(~kept)
     freed = freed[np.lexsort((freed_in[freed], group[freed]))]
-    next_id = max((c.cluster_id for c in ordered), default=-1) + 1
-    return result + [
-        Cluster(cluster_id=next_id + k, members={m}) for k, m in enumerate(obs[freed].tolist())
-    ]
+    return ClusterTable(
+        cluster_id=np.concatenate([clusters.cluster_id[alive], clusters.fresh_ids(len(freed))]),
+        size=np.concatenate([size[alive], np.ones(len(freed), dtype=size.dtype)]),
+        member=np.concatenate([obs[kept], obs[freed]]),
+        center=np.concatenate([centers[alive], np.full((len(freed), 3), np.nan)]),
+        residual=np.concatenate([residuals[kept], np.full(len(freed), np.nan)]),
+    )
 
 
 def estimate_physical_size(o: Observation | ObservationTable, c_tri):
@@ -161,9 +147,7 @@ def _pair(
     return taken
 
 
-def merge_undermatched(
-    clusters: list[Cluster], table: ObservationTable, cfg: RunConfig
-) -> list[Cluster]:
+def merge_undermatched(clusters: ClusterTable, table: ObservationTable, cfg: RunConfig) -> ClusterTable:
     """Recover missed links by absorbing and pairing singletons.
 
     Each singleton whose ray passes within the merge threshold of a
@@ -171,72 +155,69 @@ def merge_undermatched(
     one, the smallest id on ties; centers stay as they were on entry. The
     rest are paired, most consistent pair first, when their two-ray center
     is within the threshold of both rays and the implied physical sizes
-    (box height times projection depth) agree within tau_scale. A cluster
-    that absorbs is returned as a new one; every other multi-member
-    cluster is returned as given.
-    """
-    _check_partition(clusters)
-    ordered = sorted(clusters, key=lambda c: c.cluster_id)
-    multis = [c for c in ordered if c.size >= 2]
-    # A target has a center and members of one category.
-    names, codes = table.category_codes
-    sizes = np.array([c.size for c in multis], dtype=np.intp)
-    group = np.repeat(np.arange(len(multis)), sizes)
-    member_codes = codes[table.rows([m for c in multis for m in c.members])]
-    first = member_codes[np.cumsum(sizes) - sizes]
-    mixed = np.bincount(group[member_codes != first[group]], minlength=len(multis)) > 0
-    targets: dict[int, list[int]] = {}
-    for k, (c, code) in enumerate(zip(multis, first.tolist())):
-        if c.center is not None and not mixed[k]:
-            targets.setdefault(code, []).append(k)
-    singles = [c for c in ordered if c.size == 1]
-    single_rows = table.rows([next(iter(s.members)) for s in singles])
-    single_rays, single_codes = table.take(single_rows), codes[single_rows]
-    single_ids = np.array([s.cluster_id for s in singles], dtype=np.int64)
+    (box height times projection depth) agree within tau_scale. A pair is
+    a new, unlocalized cluster with a fresh id; every other cluster keeps
+    its id.
 
+    Raises:
+        OverflowError: if a fresh id would not fit 64 bits.
+    """
+    names, codes = table.category_codes
+    k, group = len(clusters), clusters.group
+    member_codes = codes[table.rows(clusters.member)]
+    first = member_codes[clusters.start]
+    # A target has a center and members of one category.
+    mixed = np.bincount(group[member_codes != first[group]], minlength=k) > 0
+    target = (clusters.size >= 2) & clusters.localized & ~mixed
+    single = np.flatnonzero(clusters.size == 1)
+    at = clusters.start[single]  # each singleton's index into the member columns
+    single_rays, single_codes = table.take(table.rows(clusters.member[at])), member_codes[at]
+
+    # Each member's cluster id and residual on the way out.
+    owner, residual = clusters.cluster_id[group], clusters.residual.copy()
     # Each category is absorbed and paired on arrays of its own.
-    absorbed: dict[int, dict[int, float]] = {}
-    left: set[int] = set()
     taken: list[tuple[float, int, int]] = []
-    for code in dict.fromkeys(single_codes.tolist()):
-        in_category = single_codes == code
-        rays, ids = single_rays.take(in_category), single_ids[in_category]
+    for code in np.unique(single_codes):
+        in_category = np.flatnonzero(single_codes == code)
+        rays, ids = single_rays.take(in_category), clusters.cluster_id[single[in_category]]
         threshold = cfg.merge_threshold(names[code])
         free = np.ones(len(ids), dtype=bool)
-        if code in targets:
-            near = targets[code]
-            v = np.stack([multis[t].center for t in near])[None, :, :] - rays.exposure[:, None, :]
+        near = np.flatnonzero(target & (first == code))
+        if near.size:
+            v = clusters.center[near][None, :, :] - rays.exposure[:, None, :]
             dist = np.linalg.norm(np.cross(v, rays.direction[:, None, :]), axis=2)
             nearest = dist.argmin(axis=1)
             d = dist[np.arange(len(ids)), nearest]
-            for k in np.flatnonzero(d < threshold):
-                absorbed.setdefault(near[nearest[k]], {})[int(rays.obs_id[k])] = float(d[k])
             free = d >= threshold
-        left.update(ids[free].tolist())
+            joins = at[in_category[~free]]
+            owner[joins], residual[joins] = clusters.cluster_id[near[nearest[~free]]], d[~free]
         taken += _pair(rays.take(free), ids[free], threshold, cfg.tau_scale)
 
-    by_id = {c.cluster_id: c for c in ordered}
-    next_id = max(by_id, default=-1) + 1
-    merged = [
-        Cluster(cluster_id=next_id + k, members=by_id[id_a].members | by_id[id_b].members)
-        for k, (_, id_a, id_b) in enumerate(sorted(taken))
-    ]
-    left -= {x for _, id_a, id_b in taken for x in (id_a, id_b)}
-    grown = [
-        Cluster(c.cluster_id, c.members | set(absorbed[k]), c.center, {**c.residuals, **absorbed[k]})
-        if k in absorbed else c
-        for k, c in enumerate(multis)
-    ]
-    return grown + [c for c in ordered if c.cluster_id in left] + merged
+    taken.sort()
+    fresh = clusters.fresh_ids(len(taken))
+    paired = at[np.searchsorted(clusters.cluster_id[single], [(a, b) for _, a, b in taken])].reshape(-1, 2)
+    owner[paired], residual[paired] = fresh[:, None], np.nan
+    return ClusterTable.grouped(
+        owner, clusters.member, residual,
+        np.concatenate([clusters.cluster_id, fresh]),
+        np.concatenate([clusters.center, np.full((len(fresh), 3), np.nan)]),
+    )
 
 
-def refine(clusters: list[Cluster], table: ObservationTable, cfg: RunConfig) -> list[Cluster]:
+def refine(clusters: ClusterTable, table: ObservationTable, cfg: RunConfig) -> ClusterTable:
     """Full refinement pass: split, merge, then split again.
 
-    The second split refits every center from the corrected memberships
-    and prunes to a fixed point, so every multi-member cluster in the
-    output satisfies max residual <= tau_split.
+    The second split refits the clusters the merge grew or made. Every
+    other cluster left the first split as a fixed point of it, so every
+    multi-member cluster in the output satisfies max residual <= tau_split.
+
+    Raises:
+        OverflowError: if a fresh id would not fit 64 bits.
     """
-    _check_partition(clusters)
     split = split_overmatched(clusters, table, cfg)
-    return split_overmatched(merge_undermatched(split, table, cfg), table, cfg)
+    merged = merge_undermatched(split, table, cfg)
+    # The merge only grows clusters or makes new ones, so a cluster is as
+    # the split left it when its id and size are.
+    at = np.minimum(np.searchsorted(split.cluster_id, merged.cluster_id), len(split) - 1)
+    same = (split.cluster_id[at] == merged.cluster_id) & (split.size[at] == merged.size)
+    return split_overmatched(merged, table, cfg, refit=~same)

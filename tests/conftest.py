@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -380,6 +381,29 @@ def oracle_split_overmatched(clusters, table, cfg) -> list[Cluster]:
         if kept is not None:
             result.append(kept)
     return result + freed
+
+
+def oracle_inventory_records(clusters, table) -> list[dict]:
+    """Inventory records built one `Cluster` at a time.
+
+    The reference `pipeline.inventory_records` is checked against: records
+    in order of each cluster's smallest member, the category by a vote
+    counted per cluster (ties alphabetical), the largest residual by `max`.
+    """
+    records = []
+    for object_id, cluster in enumerate(sorted(clusters, key=lambda c: min(c.members))):
+        members = sorted(cluster.members)
+        votes = Counter(table.category[table.rows(members)].tolist())
+        localized = cluster.center is not None
+        records.append({
+            "object_id": object_id,
+            "category": min(votes, key=lambda name: (-votes[name], name)),
+            "center": [float(v) for v in cluster.center] if localized else None,
+            "n_observations": len(members),
+            "max_residual": max(cluster.residuals.values()) if localized else None,
+            "members": members,
+        })
+    return records
 
 
 def oracle_default_scene_spec(

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from streetinv import (
     Cluster,
+    ClusterTable,
     Observation,
     ObservationTable,
     assign_pairs,
@@ -244,3 +245,78 @@ class TestClusterValidation:
     def test_center_requires_matching_residuals(self):
         with pytest.raises(ValueError, match="residuals"):
             Cluster(cluster_id=0, members={1, 2}, center=np.zeros(3), residuals={1: 0.0})
+
+
+_ID64 = st.integers(-(2**63), 2**63 - 1)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def cluster_records(draw):
+    """`Cluster` records in any order: singletons and multi-member clusters,
+    localized or not (a bundle of parallel rays is not), ids anywhere in 64 bits."""
+    members = draw(st.lists(_ID64, unique=True, max_size=30))
+    labels = draw(st.lists(st.integers(0, 7), min_size=len(members), max_size=len(members)))
+    groups = [{m for m, g in zip(members, labels) if g == label} for label in sorted(set(labels))]
+    ids = draw(st.lists(_ID64, unique=True, min_size=len(groups), max_size=len(groups)))
+    records = []
+    for cluster_id, group in zip(ids, groups):
+        if draw(st.booleans()):
+            center = draw(st.lists(_FINITE, min_size=3, max_size=3))
+            residuals = {m: draw(st.floats(0.0, 1e6)) for m in sorted(group)}
+            records.append(Cluster(cluster_id, group, center, residuals))
+        else:
+            records.append(Cluster(cluster_id, group))
+    return draw(st.permutations(records))
+
+
+def _summary(c: Cluster):
+    center = None if c.center is None else c.center.tobytes()
+    residuals = None if c.residuals is None else sorted(c.residuals.items())
+    return c.cluster_id, sorted(c.members), center, residuals
+
+
+class TestClusterTable:
+    @settings(max_examples=200, deadline=None)
+    @given(records=cluster_records())
+    def test_records_round_trip(self, records):
+        table = ClusterTable.from_records(records)
+        assert [_summary(c) for c in table] == [_summary(c) for c in sorted(records, key=lambda c: c.cluster_id)]
+        # Clusters in id order, each one's members in id order, and back again bit for bit.
+        assert (table.cluster_id[1:] > table.cluster_id[:-1]).all()
+        for g in range(len(table)):
+            members = table.member[table.group == g]
+            assert (members[1:] > members[:-1]).all()
+        again = ClusterTable.from_records(table.records())
+        for column in ("cluster_id", "size", "member", "center", "residual"):
+            assert getattr(again, column).tobytes() == getattr(table, column).tobytes()
+
+    def test_member_of_two_clusters_refused(self):
+        with pytest.raises(ValueError, match=r"not disjoint; shared observations: \[3\]"):
+            ClusterTable.from_records([Cluster(0, {1, 3}), Cluster(1, {3, 4})])
+
+    def test_id_used_twice_refused(self):
+        with pytest.raises(ValueError, match="cluster_id 5 is used twice"):
+            ClusterTable.from_records([Cluster(5, {1}), Cluster(5, {2})])
+
+    def test_covers_only_the_members_it_names(self):
+        table = ClusterTable.from_records([Cluster(2, {10, 30}), Cluster(-1, {20})])
+        assert (table.cluster_id.tolist(), table.size.tolist(), table.member.tolist()) == ([-1, 2], [1, 2],
+                                                                                         [20, 10, 30])
+        assert table.start.tolist() == [0, 1] and table.group.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("largest, n, fresh", [
+        (None, 2, [0, 1]),
+        (-7, 2, [-6, -5]),
+        (2**63 - 3, 2, [2**63 - 2, 2**63 - 1]),
+        (2**63 - 1, 0, []),
+    ])
+    def test_fresh_ids_count_up_from_the_largest(self, largest, n, fresh):
+        table = ClusterTable.from_records([] if largest is None else [Cluster(largest, {0})])
+        assert table.fresh_ids(n).tolist() == fresh
+
+    @pytest.mark.parametrize("largest, n", [(2**63 - 1, 1), (2**63 - 3, 3)])
+    def test_fresh_ids_past_64_bits_refused(self, largest, n):
+        table = ClusterTable.from_records([Cluster(largest, {0})])
+        with pytest.raises(OverflowError, match=f"{n} fresh cluster ids after cluster_id {largest} do not fit"):
+            table.fresh_ids(n)

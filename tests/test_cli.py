@@ -435,6 +435,41 @@ class TestClusterFiles:
         assert not os.path.exists(out)
 
 
+class TestFreshClusterIds:
+    """`refine` numbers the clusters it frees or pairs on from the largest id."""
+
+    def _refine(self, scene_dir, tmp_path, cluster_id):
+        # Every observation in one cluster: the split frees most of them.
+        observations = os.path.join(scene_dir, "observations.jsonl")
+        ids = [json.loads(line)["obs_id"] for line in _read_lines(observations)]
+        clusters, out = str(tmp_path / f"clusters{cluster_id}.jsonl"), str(tmp_path / f"refined{cluster_id}.jsonl")
+        _write_lines(clusters, [{"cluster_id": cluster_id, "members": ids}])
+        code = main(["refine", "--observations", observations, "--clusters", clusters, "--out", out])
+        return code, clusters, out
+
+    def test_ids_that_fit_run_as_from_zero(self, scene_dir, tmp_path):
+        code, _, base = self._refine(scene_dir, tmp_path, 0)
+        assert code == EXIT_OK
+        records = [json.loads(line) for line in _read_lines(base)]
+        assert len(records) > 2
+        top = 2**63 - 1 - max(r["cluster_id"] for r in records)
+        code, _, out = self._refine(scene_dir, tmp_path, top)
+        assert code == EXIT_OK
+        # The same clusters, each id shifted by the first one, up to 2**63 - 1.
+        assert [json.loads(line) for line in _read_lines(out)] == [
+            dict(r, cluster_id=r["cluster_id"] + top) for r in records]
+
+    @pytest.mark.parametrize("below_top", [0, 1])
+    def test_ids_past_64_bits_are_a_data_error(self, scene_dir, tmp_path, capsys, below_top):
+        cluster_id = 2**63 - 1 - below_top
+        code, clusters, out = self._refine(scene_dir, tmp_path, cluster_id)
+        assert code == EXIT_DATA
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"data error: {clusters}: ")
+        assert line.endswith(f"fresh cluster ids after cluster_id {cluster_id} do not fit 64 bits")
+        assert not os.path.exists(out)
+
+
 def _score(a="0", b="1", score="0.5") -> str:
     """One score line, its values given as JSON text."""
     return f'{{"obs_a": {a}, "obs_b": {b}, "score": {score}}}'

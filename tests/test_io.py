@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from streetinv import ClusterTable
 from streetinv import io as sio
 from streetinv.cli import EXIT_DATA, main
 
@@ -159,13 +160,6 @@ def _pose_columns(poses):
             np.array([p.position for p in poses], dtype=float).reshape(-1, 3)]
 
 
-def _cluster_columns(clusters):
-    return [np.array([
-        repr((c.cluster_id, sorted(c.members), c.residuals,
-              None if c.center is None else (c.center.dtype.str, c.center.shape, c.center.tobytes())))
-        for c in clusters], dtype=object)]
-
-
 def _record_columns(records):
     return [np.array([repr(r) for r in records], dtype=object)]
 
@@ -260,8 +254,11 @@ class TestReadersMatchPerRecordOracle:
     @example(text=_text(dict(_CLUSTER, center=None), dict(_CLUSTER, cluster_id=0, members=[2, 3])))
     @example(text=_text(dict(_CLUSTER, residuals=[0.5]), {"cluster_id": 1, "members": [2], "residuals": None}))
     def test_clusters(self, path, text):
-        self._assert_same(path, text, sio.read_clusters, oracle_read_clusters, _cluster_columns,
-                          set(_KNOWN.tolist()))
+        # The oracle's records become a table at the boundary.
+        def oracle(path, obs_ids):
+            return ClusterTable.from_records(oracle_read_clusters(path, obs_ids))
+
+        self._assert_same(path, text, sio.read_clusters, oracle, _table_columns, set(_KNOWN.tolist()))
 
     @settings(max_examples=300, deadline=None)
     @given(text=_file(_inventory()))

@@ -11,6 +11,7 @@ import pytest
 
 from streetinv import (
     Cluster,
+    ClusterTable,
     Observation,
     ObservationTable,
     RunConfig,
@@ -19,12 +20,12 @@ from streetinv import (
     generate_scene,
     run_pipeline,
 )
-from streetinv import association, pipeline, window_pairs
+from streetinv import association, io, pipeline, refinement, window_pairs
 from streetinv.association import window_blocks
 from streetinv.pipeline import _file_scores, associate, inventory_records, localize_clusters
 from streetinv.simulator import GroundTruth
 
-from conftest import oracle_associate
+from conftest import oracle_associate, oracle_inventory_records
 
 
 def mkobs(obs_id, frame_id, origin, target, category="bollard"):
@@ -367,7 +368,7 @@ class TestLocalizeClusters:
     def test_singletons_and_parallel_bundles_stay_unlocalized(self):
         parallel = [mkobs(i, i, [0.0, i, 0.0], [10.0, i, 0.0]) for i in range(3)]
         table = ObservationTable.from_observations(parallel + [mkobs(3, 3, [0, 0, 0], [5, 5, 0])])
-        out = localize_clusters([Cluster(4, {3}), Cluster(2, {0, 1, 2})], table)
+        out = localize_clusters(ClusterTable.from_records([Cluster(4, {3}), Cluster(2, {0, 1, 2})]), table)
         assert [(c.cluster_id, c.members, c.center, c.residuals) for c in out] == [
             (2, {0, 1, 2}, None, None), (4, {3}, None, None)]
 
@@ -377,7 +378,7 @@ class TestLocalizeClusters:
         groups: dict = {}
         for o in observations:
             groups.setdefault(truth.object_of[o.obs_id], set()).add(o.obs_id)
-        clusters = [Cluster(k, m) for k, m in enumerate(groups.values())]
+        clusters = ClusterTable.from_records(Cluster(k, m) for k, m in enumerate(groups.values()))
         localized = [c for c in localize_clusters(clusters, table) if c.center is not None]
         assert localized
         by_id = {o.obs_id: o for o in observations}
@@ -397,30 +398,59 @@ class TestInventoryRecords:
     def test_majority_category_with_alphabetical_ties(self):
         table = self._table(["sign", "bollard", "sign", "light", "bollard", "light", "sign"])
         records = inventory_records(
-            [Cluster(0, {0, 1, 2}), Cluster(1, {3, 4}), Cluster(2, {5, 6})], table)
+            ClusterTable.from_records([Cluster(0, {0, 1, 2}), Cluster(1, {3, 4}), Cluster(2, {5, 6})]), table)
         assert [r["category"] for r in records] == ["sign", "bollard", "light"]
 
     def test_numbered_by_smallest_member(self):
         table = self._table(["sign"] * 6)
         records = inventory_records(
-            [Cluster(0, {5, 3}), Cluster(1, {4}), Cluster(2, {2, 0}), Cluster(3, {1})], table)
+            ClusterTable.from_records([Cluster(0, {5, 3}), Cluster(1, {4}), Cluster(2, {2, 0}), Cluster(3, {1})]),
+            table)
         assert [(r["object_id"], r["members"]) for r in records] == [
             (0, [0, 2]), (1, [1]), (2, [3, 5]), (3, [4])]
 
     def test_unlocalized_record_has_null_center_and_residual(self):
         table = self._table(["sign"] * 3)
-        located = localize_clusters([Cluster(0, {0, 1}), Cluster(1, {2})], table)
+        located = localize_clusters(ClusterTable.from_records([Cluster(0, {0, 1}), Cluster(1, {2})]), table)
         records = inventory_records(located, table)
         assert records[0]["center"] is not None and records[0]["max_residual"] is not None
         assert records[0]["n_observations"] == 2
         assert (records[1]["center"], records[1]["max_residual"]) == (None, None)
 
 
+    @pytest.mark.parametrize("no_refine", [False, True])
+    def test_matches_per_record_oracle(self, no_refine):
+        observations, truth = generate_scene(
+            default_scene_spec(seed=6, n_objects=30, clutter_rate=1.0, drop_prob=0.1))
+        table = ObservationTable.from_observations(observations)
+        result = run_pipeline(RunConfig(no_refine=no_refine), table)
+        expected = oracle_inventory_records(result.clusters.records(), table)
+        assert json.dumps(result.inventory) == json.dumps(expected)
+
+
 class TestRunPipeline:
+    def test_district_run_builds_no_cluster_records(self, monkeypatch):
+        observations, truth = generate_scene(default_scene_spec(seed=3, n_objects=750, street_length=5000.0))
+        built = []
+
+        class Counted(Cluster):
+            def __new__(cls, *args, **kwargs):
+                built.append(cls)
+                return super().__new__(cls)
+
+        # Every module of the run that could name the record type.
+        for module in (association, io, pipeline, refinement):
+            monkeypatch.setattr(module, "Cluster", Counted, raising=False)
+        result = run_pipeline(RunConfig(), observations, truth)
+        assert len(result.inventory) > 700 and built == []
+        # Iterating the clusters makes them, each counted.
+        assert sum(c.size for c in result.clusters) == len(observations)
+        assert len(built) == len(result.clusters)
+
     def test_empty_input_with_truth(self):
         truth = GroundTruth(objects=[], obs_ids=[], object_of={})
         result = run_pipeline(RunConfig(), [], truth)
-        assert (len(result.matches), result.clusters, result.inventory) == (0, [], [])
+        assert (len(result.matches), len(result.clusters), result.inventory) == (0, 0, [])
         assert result.report is not None and result.report.per_category == {}
 
     def test_duplicate_observation_ids_refused(self, scene):

@@ -5,6 +5,7 @@ import pytest
 
 from streetinv import (
     Cluster,
+    ClusterTable,
     Observation,
     ObservationTable,
     RunConfig,
@@ -13,9 +14,27 @@ from streetinv import (
     refine,
     split_overmatched,
 )
+from streetinv import refinement
+from streetinv.pipeline import associate
 from streetinv.simulator import default_scene_spec, generate_scene
 
 from conftest import corrupt_links, oracle_merge_undermatched, oracle_split_overmatched, true_clusters
+
+as_table = ClusterTable.from_records
+
+
+def on_records(oracle):
+    """A scalar oracle over `Cluster` lists, called on a table and returning one."""
+    return lambda clusters, table, cfg: as_table(oracle(clusters.records(), table, cfg))
+
+
+def assert_same_clusters(out, expected, atol):
+    """Equal ids and members, centers and residuals within `atol`."""
+    for column in ("cluster_id", "size", "member"):
+        assert getattr(out, column).tolist() == getattr(expected, column).tolist()
+    np.testing.assert_array_equal(out.localized, expected.localized)
+    np.testing.assert_allclose(out.center, expected.center, rtol=0.0, atol=atol)
+    np.testing.assert_allclose(out.residual, expected.residual, rtol=0.0, atol=atol)
 
 
 def mkobs(obs_id, frame_id, origin, target, category="street_light", height=1.2):
@@ -45,10 +64,10 @@ def fig3_scenario():
     d = mkobs(3, 3, FRAMES[3], t2)
     e = mkobs(4, 4, FRAMES[4], t2)
     obs = ObservationTable.from_observations([a, b, c, d, e])
-    clusters = [
+    clusters = as_table([
         Cluster(cluster_id=0, members={0, 1, 2, 4}),
         Cluster(cluster_id=1, members={3}),
-    ]
+    ])
     return obs, clusters, T1, t2
 
 
@@ -70,7 +89,13 @@ def scattered_bundles(rng, n_objects=30, spread=0.4):
     start = len(observations)
     observations += [mkobs(start + f, f, [0.0, f, 0.0], [10.0, f, 0.0]) for f in range(3)]
     clusters.append(Cluster(cluster_id=n_objects, members=set(range(start, start + 3))))
-    return clusters, ObservationTable.from_observations(observations)
+    return as_table(clusters), ObservationTable.from_observations(observations)
+
+
+def split_with_stray(obs):
+    """Rays 0-2 as the split leaves their cluster 0, and ray 3 as singleton 1."""
+    split = split_overmatched(as_table([Cluster(cluster_id=0, members={0, 1, 2})]), obs, RunConfig())
+    return as_table(split.records() + [Cluster(cluster_id=1, members={3})])
 
 
 class TestSplitOvermatched:
@@ -81,16 +106,15 @@ class TestSplitOvermatched:
         members = [mkobs(i, i, FRAMES[i], T1) for i in range(4)]
         members.append(mkobs(4, 4, FRAMES[4], t_off))
         obs = ObservationTable.from_observations(members)
-        out = split_overmatched([Cluster(cluster_id=0, members={0, 1, 2, 3, 4})], obs, RunConfig())
+        out = split_overmatched(as_table([Cluster(cluster_id=0, members={0, 1, 2, 3, 4})]), obs, RunConfig())
         assert sorted(tuple(sorted(c.members)) for c in out) == [(0, 1, 2, 3), (4,)]
 
     def test_consistent_cluster_unchanged(self):
         members = [mkobs(i, i, FRAMES[i], T1) for i in range(4)]
         obs = ObservationTable.from_observations(members)
-        out = split_overmatched([Cluster(cluster_id=0, members={0, 1, 2, 3})], obs, RunConfig())
-        assert len(out) == 1
-        assert out[0].members == {0, 1, 2, 3}
-        assert max(out[0].residuals.values()) < 1e-9
+        [out] = split_overmatched(as_table([Cluster(cluster_id=0, members={0, 1, 2, 3})]), obs, RunConfig())
+        assert out.members == {0, 1, 2, 3}
+        assert max(out.residuals.values()) < 1e-9
 
     def test_two_rays_far_apart_both_freed(self):
         # The rays cross in XY but pass 2.4 m apart vertically: the midpoint
@@ -99,26 +123,25 @@ class TestSplitOvermatched:
         a = mkobs(0, 0, [0, 0, 0], [20, 0, 0])
         b = mkobs(1, 1, [20, 10, 2.4], [0, -10, 2.4])
         obs = ObservationTable.from_observations([a, b])
-        estimate = split_overmatched([Cluster(cluster_id=0, members={0, 1})], obs, RunConfig())
+        estimate = split_overmatched(as_table([Cluster(cluster_id=0, members={0, 1})]), obs, RunConfig())
         assert sorted(tuple(sorted(c.members)) for c in estimate) == [(0,), (1,)]
         for c in estimate:
             assert c.center is None
 
     def test_singletons_pass_through(self):
         a = mkobs(0, 0, [0, 0, 0], [20, 0, 0])
-        out = split_overmatched(
-            [Cluster(cluster_id=7, members={0})], ObservationTable.from_observations([a]), RunConfig())
-        assert len(out) == 1 and out[0].cluster_id == 7
+        [out] = split_overmatched(
+            as_table([Cluster(cluster_id=7, members={0})]), ObservationTable.from_observations([a]), RunConfig())
+        assert out.cluster_id == 7
 
     def test_degenerate_cluster_passes_through(self):
         # Same line, no XY intersection anywhere.
         a = mkobs(0, 0, [0, 0, 0], [20, 0, 0])
         b = mkobs(1, 1, [10, 0, 0], [20, 0, 0])
         obs = ObservationTable.from_observations([a, b])
-        out = split_overmatched([Cluster(cluster_id=0, members={0, 1})], obs, RunConfig())
-        assert len(out) == 1
-        assert out[0].members == {0, 1}
-        assert out[0].center is None
+        [out] = split_overmatched(as_table([Cluster(cluster_id=0, members={0, 1})]), obs, RunConfig())
+        assert out.members == {0, 1}
+        assert out.center is None
 
     def test_prunes_until_no_member_violates(self):
         # Five rays at scattered targets: freeing the worst one moves the
@@ -128,7 +151,7 @@ class TestSplitOvermatched:
         obs = ObservationTable.from_observations(
             [mkobs(i, i, FRAMES[i], t) for i, t in enumerate(targets)])
         cfg = RunConfig()
-        out = split_overmatched([Cluster(cluster_id=0, members=set(range(5)))], obs, cfg)
+        out = split_overmatched(as_table([Cluster(cluster_id=0, members=set(range(5)))]), obs, cfg)
         assert sum(c.size == 1 for c in out) >= 2
         for c in out:
             if c.center is not None:
@@ -140,7 +163,7 @@ class TestSplitOvermatched:
             observations, truth = generate_scene(default_scene_spec(seed=seed, n_objects=20))
             obs = ObservationTable.from_observations(observations)
             clusters, _, _ = corrupt_links(observations, truth, 0.15, np.random.default_rng(seed))
-            for c in split_overmatched(clusters, obs, cfg):
+            for c in split_overmatched(as_table(clusters), obs, cfg):
                 if c.size >= 2 and c.center is not None:
                     for m, r in c.residuals.items():
                         assert r <= cfg.split_threshold(obs.category[obs.rows([m])[0]])
@@ -152,9 +175,22 @@ class TestSplitOvermatched:
         obs = ObservationTable.from_observations(members)
         # Loose per-category threshold keeps the outlier in place.
         cfg = RunConfig(tau_split_per_category={"street_light": 5.0})
-        out = split_overmatched([Cluster(cluster_id=0, members={0, 1, 2, 3, 4})], obs, cfg)
-        assert len(out) == 1 and out[0].members == {0, 1, 2, 3, 4}
+        [out] = split_overmatched(as_table([Cluster(cluster_id=0, members={0, 1, 2, 3, 4})]), obs, cfg)
+        assert out.members == {0, 1, 2, 3, 4}
 
+    def test_unmarked_clusters_pass_through(self):
+        # With `refit`, a cluster it does not mark keeps its members, center
+        # and residuals as given, even an outlier and a stale center.
+        t_off = T1 + np.array([2.0, 0.7, 0.0])
+        obs = ObservationTable.from_observations(
+            [mkobs(i, i, FRAMES[i], T1) for i in range(4)] + [mkobs(4, 4, FRAMES[4], t_off)]
+            + [mkobs(5 + i, i, FRAMES[i], T1) for i in range(5)])
+        stale = Cluster(0, {0, 1, 2, 3, 4}, center=[1.0, 2.0, 3.0], residuals=dict.fromkeys(range(5), 9.0))
+        given = as_table([stale, Cluster(1, set(range(5, 10)))])
+        out = split_overmatched(given, obs, RunConfig(), refit=np.array([False, True]))
+        assert out.cluster_id.tolist() == [0, 1]
+        assert (out.center[0] == [1.0, 2.0, 3.0]).all() and (out.residual[:5] == 9.0).all()
+        assert out.localized[1] and out.residual[5:].max() < 1e-9
 
     @pytest.mark.parametrize("per_category", [{}, {"street_light": 0.3, "bollard": 0.8}])
     def test_matches_scalar_oracle(self, per_category):
@@ -175,19 +211,10 @@ class TestSplitOvermatched:
                     parts[k + 1].discard(stray)
                     parts[k].add(stray)
             strays = [Cluster(cluster_id=k, members=m) for k, m in enumerate(parts)]
-            for given, table in ((clusters, obs), (strays, obs), scattered_bundles(rng)):
+            for given, table in ((as_table(clusters), obs), (as_table(strays), obs), scattered_bundles(rng)):
                 out = split_overmatched(given, table, cfg)
-                expected = oracle_split_overmatched(given, table, cfg)
-                assert [(c.cluster_id, c.members, c.center is None) for c in out] == [
-                    (c.cluster_id, c.members, c.center is None) for c in expected
-                ]
-                for c, e in zip(out, expected):
-                    if c.center is not None:
-                        np.testing.assert_allclose(c.center, e.center, rtol=0.0, atol=1e-9)
-                        assert c.residuals.keys() == e.residuals.keys()
-                        for m in c.residuals:
-                            assert c.residuals[m] == pytest.approx(e.residuals[m], abs=1e-9)
-                freed += sum(c.size == 1 for c in out) - sum(c.size == 1 for c in given)
+                assert_same_clusters(out, on_records(oracle_split_overmatched)(given, table, cfg), atol=1e-9)
+                freed += sum(out.size == 1) - sum(given.size == 1)
         assert freed > 0
 
 
@@ -219,9 +246,7 @@ class TestMergeUndermatched:
         members = [mkobs(i, i, FRAMES[i], T1) for i in range(3)]
         stray = mkobs(3, 3, FRAMES[3], T1)  # ray passes exactly through T1
         obs = ObservationTable.from_observations(members + [stray])
-        clusters = split_overmatched(
-            [Cluster(cluster_id=0, members={0, 1, 2})], obs, RunConfig()
-        ) + [Cluster(cluster_id=1, members={3})]
+        clusters = split_with_stray(obs)
         out = merge_undermatched(clusters, obs, RunConfig())
         assert sorted(tuple(sorted(c.members)) for c in out) == [(0, 1, 2, 3)]
 
@@ -240,7 +265,7 @@ class TestMergeUndermatched:
         a.box_h_norm = 0.5 / np.linalg.norm(crossing - a.exposure)
         b.box_h_norm = 2.0 / np.linalg.norm(crossing - b.exposure)
         obs = ObservationTable.from_observations([a, b])
-        clusters = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})]
+        clusters = as_table([Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})])
         out = merge_undermatched(clusters, obs, RunConfig(tau_scale=1.5))
         assert sorted(tuple(sorted(c.members)) for c in out) == [(0,), (1,)]
 
@@ -249,7 +274,7 @@ class TestMergeUndermatched:
         a = mkobs(0, 0, [0, 0, 0], crossing, category="bollard", height=0.9)
         b = mkobs(1, 1, [20, 5, 0], crossing, category="bollard", height=0.9)
         obs = ObservationTable.from_observations([a, b])
-        clusters = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})]
+        clusters = as_table([Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})])
         out = merge_undermatched(clusters, obs, RunConfig(tau_scale=1.5))
         assert sorted(tuple(sorted(c.members)) for c in out) == [(0, 1)]
 
@@ -260,7 +285,7 @@ class TestMergeUndermatched:
         a = mkobs(0, 0, [0, 0, 0], [10, 0, 0], category="bollard", height=0.9)
         b = mkobs(1, 1, [20, 5, gap], [10, 0, gap], category="bollard", height=0.9)
         obs = ObservationTable.from_observations([a, b])
-        clusters = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})]
+        clusters = as_table([Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})])
         out = merge_undermatched(clusters, obs, RunConfig())
         assert (len(out) == 1) == merges
 
@@ -269,7 +294,7 @@ class TestMergeUndermatched:
         a = mkobs(0, 5, [0, 0, 0], crossing, category="bollard", height=0.9)
         b = mkobs(1, 5, [20, 5, 0], crossing, category="bollard", height=0.9)
         obs = ObservationTable.from_observations([a, b])
-        clusters = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})]
+        clusters = as_table([Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})])
         out = merge_undermatched(clusters, obs, RunConfig())
         assert len(out) == 2
 
@@ -278,7 +303,7 @@ class TestMergeUndermatched:
         a = mkobs(0, 0, [0, 0, 0], crossing, category="bollard", height=0.9)
         b = mkobs(1, 1, [20, 5, 0], crossing, category="trash_bin", height=0.9)
         obs = ObservationTable.from_observations([a, b])
-        clusters = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})]
+        clusters = as_table([Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})])
         out = merge_undermatched(clusters, obs, RunConfig())
         assert len(out) == 2
 
@@ -286,9 +311,7 @@ class TestMergeUndermatched:
         members = [mkobs(i, i, FRAMES[i], T1, category="street_light") for i in range(3)]
         stray = mkobs(3, 3, FRAMES[3], T1, category="traffic_sign")
         obs = ObservationTable.from_observations(members + [stray])
-        clusters = split_overmatched(
-            [Cluster(cluster_id=0, members={0, 1, 2})], obs, RunConfig()
-        ) + [Cluster(cluster_id=1, members={3})]
+        clusters = split_with_stray(obs)
         out = merge_undermatched(clusters, obs, RunConfig())
         assert sorted(len(c.members) for c in out) == [1, 3]
 
@@ -301,11 +324,9 @@ class TestMergeUndermatched:
         members = [mkobs(i, i, FRAMES[i], T1, category=c) for i, c in enumerate(categories)]
         stray = mkobs(3, 3, FRAMES[3], T1, category="street_light")
         obs = ObservationTable.from_observations(members + [stray])
-        clusters = split_overmatched(
-            [Cluster(cluster_id=0, members={0, 1, 2})], obs, RunConfig()
-        ) + [Cluster(cluster_id=1, members={3})]
-        assert clusters[0].center is not None
-        for merge in (merge_undermatched, oracle_merge_undermatched):
+        clusters = split_with_stray(obs)
+        assert clusters.localized[0]
+        for merge in (merge_undermatched, on_records(oracle_merge_undermatched)):
             out = merge(clusters, obs, RunConfig())
             assert sorted(tuple(sorted(c.members)) for c in out) == [(0, 1, 2), (3,)]
 
@@ -313,8 +334,8 @@ class TestMergeUndermatched:
         a = mkobs(0, 0, [0, 0, 0], [10, 0, 0], category="bollard")
         b = mkobs(1, 1, [0, 0.1, 0], [10, 0.1, 0], category="bollard")
         obs = ObservationTable.from_observations([a, b])
-        clusters = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})]
-        for merge in (merge_undermatched, oracle_merge_undermatched):
+        clusters = as_table([Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})])
+        for merge in (merge_undermatched, on_records(oracle_merge_undermatched)):
             out = merge(clusters, obs, RunConfig())
             assert sorted(tuple(sorted(c.members)) for c in out) == [(0,), (1,)]
 
@@ -331,19 +352,10 @@ class TestMergeUndermatched:
             parts = []
             for c in corrupt_links(observations, truth, 0.2, rng)[0]:
                 parts += [{m} for m in c.members] if rng.random() < 0.3 else [c.members]
-            shattered = [Cluster(cluster_id=k, members=m) for k, m in enumerate(parts)]
+            shattered = as_table([Cluster(cluster_id=k, members=m) for k, m in enumerate(parts)])
             clusters = split_overmatched(shattered, obs, cfg)
             out = merge_undermatched(clusters, obs, cfg)
-            expected = oracle_merge_undermatched(clusters, obs, cfg)
-            assert [(c.cluster_id, c.members) for c in out] == [
-                (c.cluster_id, c.members) for c in expected
-            ]
-            for c, e in zip(out, expected):
-                assert (c.residuals is None) == (e.residuals is None)
-                if c.residuals is not None:
-                    assert set(c.residuals) == set(e.residuals)
-                    for m in c.residuals:
-                        assert c.residuals[m] == pytest.approx(e.residuals[m], abs=1e-12)
+            assert_same_clusters(out, on_records(oracle_merge_undermatched)(clusters, obs, cfg), atol=1e-12)
             known = {c.cluster_id: c.size for c in clusters}
             absorbed += sum(c.size - known[c.cluster_id] for c in out if c.cluster_id in known)
             paired += sum(c.cluster_id not in known for c in out)
@@ -354,7 +366,7 @@ class TestMergeUndermatched:
         obs = ObservationTable.from_observations([a])
         overlapping = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={0})]
         with pytest.raises(ValueError, match="disjoint"):
-            merge_undermatched(overlapping, obs, RunConfig())
+            merge_undermatched(as_table(overlapping), obs, RunConfig())
 
 
 class TestRefine:
@@ -370,12 +382,12 @@ class TestRefine:
     def test_fixed_point_on_consistent_input(self):
         members = [mkobs(i, i, FRAMES[i], T1) for i in range(4)]
         obs = ObservationTable.from_observations(members)
-        clusters = [Cluster(cluster_id=0, members={0, 1, 2, 3})]
+        clusters = as_table([Cluster(cluster_id=0, members={0, 1, 2, 3})])
         once = refine(clusters, obs, RunConfig())
         assert [sorted(c.members) for c in once] == [[0, 1, 2, 3]]
         twice = refine(once, obs, RunConfig())
         assert [sorted(c.members) for c in twice] == [sorted(c.members) for c in once]
-        np.testing.assert_allclose(twice[0].center, once[0].center, atol=1e-12)
+        np.testing.assert_allclose(twice.center, once.center, atol=1e-12)
 
     def test_partition_preserved(self):
         spec = default_scene_spec(seed=3, n_objects=15)
@@ -383,7 +395,7 @@ class TestRefine:
         obs = ObservationTable.from_observations(observations)
         rng = np.random.default_rng(42)
         clusters, _, _ = corrupt_links(observations, truth, 0.10, rng)
-        out = refine(clusters, obs, RunConfig())
+        out = refine(as_table(clusters), obs, RunConfig())
         all_in = sorted(m for c in out for m in c.members)
         assert all_in == sorted(o.obs_id for o in observations)
 
@@ -394,7 +406,7 @@ class TestRefine:
         rng = np.random.default_rng(43)
         clusters, _, _ = corrupt_links(observations, truth, 0.10, rng)
         cfg = RunConfig()
-        out = refine(clusters, obs, cfg)
+        out = refine(as_table(clusters), obs, cfg)
         for c in out:
             if c.size >= 2 and c.residuals is not None:
                 for m, r in c.residuals.items():
@@ -418,7 +430,7 @@ class TestRefine:
                 [truth.object_of[i] for i in ids], [assign[i] for i in ids]
             )[2]
 
-        assert v_of(refine(corrupted, obs, RunConfig())) >= v_of(corrupted)
+        assert v_of(refine(as_table(corrupted), obs, RunConfig())) >= v_of(corrupted)
 
     def test_idempotent_after_clean_pass(self):
         obs, clusters, _, _ = fig3_scenario()
@@ -428,3 +440,47 @@ class TestRefine:
         assert sorted(tuple(sorted(c.members)) for c in twice) == sorted(
             tuple(sorted(c.members)) for c in once
         )
+
+    @staticmethod
+    def _chained(seed):
+        observations, _ = generate_scene(
+            default_scene_spec(seed=seed, n_objects=40, clutter_rate=1.0, drop_prob=0.1))
+        obs = ObservationTable.from_observations(observations)
+        return associate(obs, RunConfig())[1], obs
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_same_as_a_second_split_of_every_cluster(self, seed):
+        # The clusters the merge leaves as they were left the first split as
+        # fixed points of it, so refitting them too changes no bit.
+        clusters, obs = self._chained(seed)
+        cfg = RunConfig()
+        split = split_overmatched(clusters, obs, cfg)
+        every = split_overmatched(merge_undermatched(split, obs, cfg), obs, cfg)
+        out = refine(clusters, obs, cfg)
+        for column in ("cluster_id", "size", "member", "center", "residual"):
+            assert getattr(out, column).tobytes() == getattr(every, column).tobytes()
+
+    def test_second_split_fits_only_what_the_merge_changed(self, monkeypatch):
+        clusters, obs = self._chained(4)
+        calls = []
+        fit, merge = refinement.estimate_centers, refinement.merge_undermatched
+
+        def counted_fit(origins, *args):
+            calls.append(len(origins))
+            return fit(origins, *args)
+
+        def recorded_merge(given, *args):
+            merged = merge(given, *args)
+            calls.append((given, merged))
+            return merged
+
+        monkeypatch.setattr(refinement, "estimate_centers", counted_fit)
+        monkeypatch.setattr(refinement, "merge_undermatched", recorded_merge)
+        refine(clusters, obs, RunConfig())
+        at = next(k for k, call in enumerate(calls) if isinstance(call, tuple))
+        given, merged = calls[at]
+        kept = {(c.cluster_id, c.size) for c in given}
+        changed = sum(c.size for c in merged if c.size >= 2 and (c.cluster_id, c.size) not in kept)
+        multi = sum(c.size for c in merged if c.size >= 2)
+        # The first round of the second split fits the changed clusters' members alone.
+        assert calls[at + 1:at + 2] == [changed] and 0 < changed < multi
