@@ -256,10 +256,10 @@ def window_pairs(frame_id: np.ndarray, window: int) -> list[tuple[slice, slice]]
     Raises:
         ValueError: if `frame_id` is not sorted.
     """
-    steps = np.diff(frame_id)
-    if np.any(steps < 0):
+    # Neighbours are compared, not subtracted: a difference of int64 ids may wrap.
+    if np.any(frame_id[1:] < frame_id[:-1]):
         raise ValueError("rows must be sorted by frame")
-    edges = [0, *(np.flatnonzero(steps) + 1).tolist(), len(frame_id)]
+    edges = [0, *(np.flatnonzero(frame_id[1:] != frame_id[:-1]) + 1).tolist(), len(frame_id)]
     runs = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     return [
         (runs[r], runs[q])

@@ -3,13 +3,21 @@
 All record streams are JSON lines: one object per line, diffable and
 streamable. Every file is UTF-8 text; a file that is not, or a non-blank
 line that is not exactly one JSON object, is a DataError naming the file
-and the line. A file is decoded once into its records, and every reader,
-of poses, detections, scores, observations, clusters, inventory and truth,
-then reads them as columns: each rule a record must pass is one array test
-over the whole file (see `_Rules`), and the error names the first bad line
-and the first rule it fails. `truth.json` is one JSON object, and its
-errors name the file alone. `ingest` lifts every detection in one array
-pass.
+and the line. Every reader, of poses, detections, scores, observations,
+clusters, inventory and truth, reads the records of its file as columns:
+each rule a record must pass is one array test over the whole file (see
+`_Rules`), and the error names the first bad line and the first rule it
+fails. `truth.json` is one JSON object, and its errors name the file alone.
+`ingest` lifts every detection in one array pass.
+
+`orjson` decodes every file but the inventory: one call per line, and one
+for `truth.json`. The stdlib decoder decodes a file again, and the reader
+checks its records again, only when orjson refuses a line (malformed JSON,
+a number that overflows a float, an escaped lone surrogate) or the reader
+refuses the records orjson made. orjson reads an integer beyond 64 bits as
+a float, which a rule would word otherwise; so every result and every error
+is the one the stdlib's records give. `read_inventory` returns its records
+whole, fields no rule reads included, so the stdlib alone decodes them.
 
 Poses may carry either local metric coordinates (x, y, z) or geodetic ones
 (lat, lon, alt in degrees/meters); geodetic input is converted to a local
@@ -25,10 +33,13 @@ import json
 import math
 import os
 import tempfile
+from itertools import compress, count
+from operator import itemgetter
 from types import SimpleNamespace
-from typing import Callable, Collection, Iterable
+from typing import Callable, Collection, Iterable, TypeVar
 
 import numpy as np
+import orjson
 
 from .association import ClusterTable, ScoreTriplets
 from .geometry import (
@@ -122,7 +133,9 @@ def _reject_constant(name: str):
     raise DataError(f"non-finite number {name}")
 
 
-# One decoder for every line: json.loads with a hook builds a new one per call.
+# The stdlib decoder, of an inventory and of a file orjson refuses or whose
+# records fail a rule; one for every line, as json.loads with a hook builds a
+# new one per call.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 _SCAN = _DECODER.scan_once
 
@@ -164,13 +177,24 @@ def _decode(text: str, where: str) -> dict:
     return record
 
 
-def _read_jsonl(path: str) -> list[tuple[int, dict]]:
-    """The (line number, record) pairs of a JSON-lines file; blank lines are skipped.
+def _read_jsonl(path: str) -> tuple[list, list[int]]:
+    """The values of the non-blank lines of a JSON-lines file, decoded by
+    orjson, and their line numbers.
 
-    Each other line must be exactly one JSON object: the scan of a line
+    Raises:
+        orjson.JSONDecodeError: if orjson refuses a line.
+    """
+    lines = list(map(str.strip, read_text(path).split("\n")))
+    return list(map(orjson.loads, filter(None, lines))), list(compress(count(1), lines))
+
+
+def _read_jsonl_exact(path: str) -> tuple[list[dict], list[int]]:
+    """The records of a JSON-lines file, decoded by the stdlib, and their line numbers.
+
+    Each non-blank line must be exactly one JSON object: the scan of a line
     must end where the line ends, so no value spans two lines.
     """
-    records = []
+    records, numbers = [], []
     for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
@@ -181,8 +205,28 @@ def _read_jsonl(path: str) -> list[tuple[int, dict]]:
             end = None
         if end != len(line) or type(record) is not dict:
             record = _decode(line, f"{path}:{line_no}")
-        records.append((line_no, record))
-    return records
+        records.append(record)
+        numbers.append(line_no)
+    return records, numbers
+
+
+_T = TypeVar("_T")
+
+
+def _read_records(path: str, read: Callable[..., _T], *args) -> _T:
+    """`read(rules, *args)` of the `_Rules` of the JSON-lines file `path`.
+
+    The records are orjson's, unless orjson refuses a line, a line is not a
+    JSON object, or `read` refuses them: then they are the stdlib's, and
+    `read` checks them again.
+    """
+    try:
+        records, numbers = _read_jsonl(path)
+        if set(map(type, records)) <= {dict}:
+            return read(_Rules(path, records, numbers), *args)
+    except (orjson.JSONDecodeError, DataError):
+        pass
+    return read(_Rules(path, *_read_jsonl_exact(path)), *args)
 
 
 # --- Rules over columns ------------------------------------------------------
@@ -204,13 +248,14 @@ _MISSING = object()
 class _Rules:
     """The rules the records of one file fail, in the order they are checked.
 
-    Records are (line number, record) pairs. The entries of `truth.json`
-    have no line (None), and their errors name the file alone.
+    `lines` holds each record's line number. The entries of `truth.json`
+    have none (None), and their errors name the file alone.
     """
 
-    def __init__(self, path: str, records: list[tuple[int | None, dict]]):
+    def __init__(self, path: str, records: list[dict], lines: list[int] | None = None):
         self.path = path
         self.records = records
+        self.lines = lines
         self.broken: list[tuple[np.ndarray, Callable[[int], str]]] = []
 
     def check(self, holds: np.ndarray, message: Callable[[int], str]) -> None:
@@ -223,8 +268,7 @@ class _Rules:
         if self.broken:
             row = min(int(bad.argmax()) for bad, _ in self.broken)
             message = next(message for bad, message in self.broken if bad[row])
-            line = self.records[row][0]
-            where = self.path if line is None else f"{self.path}:{line}"
+            where = self.path if self.lines is None else f"{self.path}:{self.lines[row]}"
             raise DataError(f"{where}: {message(row)}")
 
     def fields(self, keys: tuple[str, ...]) -> dict[str, list]:
@@ -232,11 +276,11 @@ class _Rules:
         values, present = {}, np.ones(len(self.records), dtype=bool)
         for key in keys:
             try:
-                values[key] = [r[key] for _, r in self.records]
+                values[key] = list(map(itemgetter(key), self.records))
             except KeyError:
-                values[key] = [r.get(key, _MISSING) for _, r in self.records]
+                values[key] = [r.get(key, _MISSING) for r in self.records]
                 present &= np.array([v is not _MISSING for v in values[key]], dtype=bool)
-        self.check(present, lambda k: f"missing fields {[key for key in keys if key not in self.records[k][1]]}")
+        self.check(present, lambda k: f"missing fields {[key for key in keys if key not in self.records[k]]}")
         return values
 
     def ids(self, values: list, key: str, any_size: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -333,8 +377,7 @@ class _Rules:
         def message(k):
             i = np.flatnonzero(repeated & (rows == k))[0]
             first = np.flatnonzero(np.logical_and.reduce([key == key[i] for key in keys]))[0]
-            line = self.records[rows[first]][0]
-            return claim(i) if line is None else f"{claim(i)} on line {line}"
+            return claim(i) if self.lines is None else f"{claim(i)} on line {self.lines[rows[first]]}"
 
         self.check(held, message)
 
@@ -348,7 +391,10 @@ def read_poses(path: str, coord_mode: str = "local") -> list[CameraPose]:
     """
     if coord_mode not in ("local", "geodetic"):
         raise DataError(f"unknown coordinate mode {coord_mode!r}")
-    rules = _Rules(path, _read_jsonl(path))
+    return _read_records(path, _poses, coord_mode)
+
+
+def _poses(rules: _Rules, coord_mode: str) -> list[CameraPose]:
     values = rules.fields(("frame_id", "heading", "pitch", "roll"))
     frame_id, _ = rules.ids(values["frame_id"], "frame_id")
     if coord_mode == "geodetic":
@@ -394,12 +440,15 @@ def read_detections(path: str) -> DetectionTable:
 
     Every record must be a detection `Detection2D` accepts.
     """
-    rules = _Rules(path, _read_jsonl(path))
+    return _read_records(path, _detections)
+
+
+def _detections(rules: _Rules) -> DetectionTable:
     values = rules.fields(("frame_id", *_DETECTION_FIELDS, "category"))
     frame_id, _ = rules.ids(values["frame_id"], "frame_id")
     numbers = {column: rules.numbers(values[key], key) for key, column in _DETECTION_FIELDS.items()}
     category = rules.strings(values["category"], "category")
-    confidence = rules.numbers([r.get("confidence", 1.0) for _, r in rules.records], "confidence")
+    confidence = rules.numbers([r.get("confidence", 1.0) for r in rules.records], "confidence")
     table = DetectionTable(frame_id=frame_id, category=category, confidence=confidence, **numbers)
     rules.record_rules(DETECTION_RULES, table)
     rules.raise_first()
@@ -440,7 +489,10 @@ def read_score_triplets(path: str, obs_ids: Collection[int]) -> ScoreTriplets:
     Both ids of a score must be in `obs_ids` and differ, the score must lie
     in [0, 1], and no unordered pair may be scored twice, in either order.
     """
-    rules = _Rules(path, _read_jsonl(path))
+    return _read_records(path, _score_triplets, np.fromiter(obs_ids, dtype=np.int64, count=len(obs_ids)))
+
+
+def _score_triplets(rules: _Rules, known: np.ndarray) -> ScoreTriplets:
     values = rules.fields(("obs_a", "obs_b", "score"))
     (a, a_fits), (b, b_fits) = (rules.ids(values[key], key, any_size=True) for key in ("obs_a", "obs_b"))
     score = rules.numbers(values["score"], "score")
@@ -449,7 +501,6 @@ def read_score_triplets(path: str, obs_ids: Collection[int]) -> ScoreTriplets:
     same = a == b if (a_fits & b_fits).all() else np.array(
         [x == y for x, y in zip(values["obs_a"], values["obs_b"])], dtype=bool)
     rules.check(~same, lambda k: f"self-pair ({values['obs_a'][k]}, {values['obs_b'][k]})")
-    known = np.fromiter(obs_ids, dtype=np.int64, count=len(obs_ids))
     for key, column, fits in (("obs_a", a, a_fits), ("obs_b", b, b_fits)):
         rules.check(fits & np.isin(column, known), lambda k, key=key: f"unknown observation {values[key][k]}")
     lo, hi = np.minimum(a, b), np.maximum(a, b)
@@ -503,7 +554,10 @@ def read_observations(path: str) -> ObservationTable:
     A record's direction is normalized, and must then be a unit vector;
     every record must be an observation `Observation` accepts.
     """
-    rules = _Rules(path, _read_jsonl(path))
+    return _read_records(path, _observations)
+
+
+def _observations(rules: _Rules) -> ObservationTable:
     values = rules.fields(_OBSERVATION_FIELDS)
     direction = np.stack([rules.numbers(values[key], key) for key in ("dx", "dy", "dz")], axis=-1)
     # The squares of a direction whose norm lies outside [1e-100, 1e100] may
@@ -557,13 +611,16 @@ def read_clusters(path: str, obs_ids: Collection[int]) -> ClusterTable:
     are null with it and otherwise one finite number per member, in member
     order.
     """
-    rules = _Rules(path, _read_jsonl(path))
+    return _read_records(path, _clusters, obs_ids)
+
+
+def _clusters(rules: _Rules, obs_ids: Collection[int]) -> ClusterTable:
     values = rules.fields(("cluster_id", "members"))
     members = rules.members(values["members"], "members")
     rules.check(np.array([all(m in obs_ids for m in v) for v in members], dtype=bool),
                 lambda k: f"unknown observation {next(m for m in members[k] if m not in obs_ids)}")
-    residuals = [r.get("residuals") for _, r in rules.records]
-    center = rules.points([r.get("center") for _, r in rules.records], "center")
+    residuals = [r.get("residuals") for r in rules.records]
+    center = rules.points([r.get("center") for r in rules.records], "center")
     null = np.isnan(center[:, 0])
     rules.check(~null | np.array([r is None for r in residuals], dtype=bool),
                 lambda k: "residuals must be null when center is null")
@@ -601,13 +658,13 @@ def read_inventory(path: str) -> list[dict]:
     finite numbers, and a non-empty list of integer members; no
     observation may be a member of two records.
     """
-    rules = _Rules(path, _read_jsonl(path))
+    rules = _Rules(path, *_read_jsonl_exact(path))
     values = rules.fields(("object_id", "category", "center", "n_observations", "max_residual", "members"))
     rules.strings(values["category"], "category")
     rules.points(values["center"], "center")
     rules.members(values["members"], "members")
     rules.raise_first()
-    return [record for _, record in rules.records]
+    return rules.records
 
 
 def write_truth(path: str, truth) -> None:
@@ -636,18 +693,31 @@ def read_truth(path: str):
     id, or null for clutter. No two observations may share an `obs_id`.
 
     The objects are checked in id order. Entries have no line, so an error
-    names the file alone.
+    names the file alone. As for JSON lines, orjson decodes the file, and
+    the stdlib decodes it again, to be checked again, if orjson refuses it
+    or the document it made fails a rule.
     """
+    text = read_text(path)
+    try:
+        payload = orjson.loads(text)
+        if type(payload) is dict:
+            return _truth(path, payload)
+    except (orjson.JSONDecodeError, DataError):
+        pass
+    return _truth(path, _decode(text, path))
+
+
+def _truth(path: str, document: dict):
     from .simulator import GroundTruth, SceneObject
 
-    payload = _Rules(path, [(None, _decode(read_text(path), path))])
+    payload = _Rules(path, [document])
     lists = payload.fields(("objects", "observations"))
     for key, (value,) in lists.items():
-        payload.check(np.array([isinstance(value, list) and all(isinstance(r, dict) for r in value)]),
+        payload.check(np.array([isinstance(value, list) and set(map(type, value)) <= {dict}]),
                       lambda k, key=key: f"{key} must be a list of JSON objects")
     payload.raise_first()
 
-    numbered = _Rules(path, [(None, r) for r in lists["objects"][0]])
+    numbered = _Rules(path, lists["objects"][0])
     object_id, fits = numbered.ids(numbered.fields(("object_id",))["object_id"], "object_id", any_size=True)
     numbered.raise_first()
     if not (fits.all() and np.array_equal(np.sort(object_id), np.arange(len(object_id)))):
@@ -662,7 +732,7 @@ def read_truth(path: str):
     objects.raise_first()
     center = np.array(values["center"], dtype=float).reshape(-1, 3)
 
-    observations = _Rules(path, [(None, r) for r in lists["observations"][0]])
+    observations = _Rules(path, lists["observations"][0])
     obs_id, _ = observations.ids(observations.fields(("obs_id",))["obs_id"], "obs_id")
     observations.unique([obs_id], lambda k: f"duplicate observation id {obs_id[k]}")
     named = observations.fields(("object_id",))["object_id"]

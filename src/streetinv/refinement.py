@@ -108,8 +108,12 @@ def estimate_physical_size(o: Observation | ObservationTable, c_tri):
     center along the observation ray. `o` is an `Observation`, or an
     `ObservationTable` of n rows with `c_tri` n x 3 for n sizes at once.
     """
-    offset = np.asarray(c_tri, dtype=float) - o.exposure
-    return o.box_h_norm * np.abs(np.einsum("...k,...k->...", offset, o.direction))
+    return _physical_size(o.exposure, o.direction, o.box_h_norm, c_tri)
+
+
+def _physical_size(exposure, direction, box_h_norm, c_tri):
+    offset = np.asarray(c_tri, dtype=float) - exposure
+    return box_h_norm * np.abs(np.einsum("...k,...k->...", offset, direction))
 
 
 def _pair(
@@ -121,29 +125,32 @@ def _pair(
     half the line-line gap. Pairs go best-first by (residual, id_a, id_b).
     """
     i, j = np.triu_indices(len(ids), 1)
-    cos = np.einsum("pk,pk->p", rays.direction[i], rays.direction[j])
+    direction, exposure = rays.direction, rays.exposure
+    cos = np.einsum("pk,pk->p", direction[i], direction[j])
     # Two unit rays have normal-matrix eigenvalues 1 - |cos|, 1 + |cos| and
     # 2, so this is estimate_center's parallel test on a trace of 4.
     keep = (rays.frame_id[i] != rays.frame_id[j]) & (1.0 - np.abs(cos) > 4.0 * PARALLEL_EIGEN_RATIO)
     i, j, cos = i[keep], j[keep], cos[keep]
-    a, b = rays.take(i), rays.take(j)
-    w = b.exposure - a.exposure
-    e = np.einsum("pk,pk->p", w, a.direction)
-    f = np.einsum("pk,pk->p", w, b.direction)
-    foot_a = a.exposure + ((e - cos * f) / (1.0 - cos * cos))[:, None] * a.direction
-    foot_b = b.exposure + ((cos * e - f) / (1.0 - cos * cos))[:, None] * b.direction
+    d_a, d_b, o_a, o_b = direction[i], direction[j], exposure[i], exposure[j]
+    w = o_b - o_a
+    e = np.einsum("pk,pk->p", w, d_a)
+    f = np.einsum("pk,pk->p", w, d_b)
+    foot_a = o_a + ((e - cos * f) / (1.0 - cos * cos))[:, None] * d_a
+    foot_b = o_b + ((cos * e - f) / (1.0 - cos * cos))[:, None] * d_b
     residual = 0.5 * np.linalg.norm(foot_a - foot_b, axis=1)
     center = 0.5 * (foot_a + foot_b)
-    size_a, size_b = estimate_physical_size(a, center), estimate_physical_size(b, center)
+    size_a = _physical_size(o_a, d_a, rays.box_h_norm[i], center)
+    size_b = _physical_size(o_b, d_b, rays.box_h_norm[j], center)
     # A zero size fails the ratio test too.
     ok = (residual < threshold) & (np.maximum(size_a, size_b) < tau_scale * np.minimum(size_a, size_b))
     i, j, residual = i[ok], j[ok], residual[ok]
-    used = np.zeros(len(ids), dtype=bool)
+    order = np.lexsort((ids[j], ids[i], residual))
+    id_of, used = ids.tolist(), [False] * len(ids)
     taken: list[tuple[float, int, int]] = []
-    for k in np.lexsort((ids[j], ids[i], residual)):
-        if not (used[i[k]] or used[j[k]]):
-            used[i[k]] = used[j[k]] = True
-            taken.append((float(residual[k]), int(ids[i[k]]), int(ids[j[k]])))
+    for r, a, b in zip(residual[order].tolist(), i[order].tolist(), j[order].tolist()):
+        if not (used[a] or used[b]):
+            used[a] = used[b] = True
+            taken.append((r, id_of[a], id_of[b]))
     return taken
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -678,12 +679,41 @@ def corrupt_links(observations, truth: GroundTruth, frac: float, rng: np.random.
 # file's directions are normalized by one `np.linalg.norm(..., axis=1)` over
 # the file, as `io` normalizes them; a per-record norm can differ from it in
 # the last bit. A cluster_id must fit 64 bits, as every other id must.
+# They decode each line with the stdlib's decoder, on their own, never
+# through the decoding of `io`, which is under test with the readers.
 
 _INT64 = np.iinfo(np.int64)
 _DETECTION_FIELDS = {
     "cx": "center_x", "cy": "center_y", "w": "box_w", "h": "box_h", "img_w": "image_w", "img_h": "image_h",
 }
 _OBSERVATION_FIELDS = ("obs_id", "frame_id", "category", "px", "py", "pz", "dx", "dy", "dz", "w_norm", "h_norm")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name}")
+
+
+_STDLIB_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def read_jsonl_stdlib(path):
+    """The (line number, record) pairs of a JSON-lines file, each non-blank line
+    decoded by the stdlib on its own; errors worded as the readers word them."""
+    records = []
+    for line_no, line in enumerate(sio.read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = _STDLIB_DECODER.decode(line)
+        except json.JSONDecodeError as exc:
+            raise sio.DataError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from exc
+        except ValueError as exc:  # a NaN or an Infinity
+            raise sio.DataError(f"{path}:{line_no}: {exc}") from exc
+        if type(record) is not dict:
+            raise sio.DataError(f"{path}:{line_no}: expected a JSON object")
+        records.append((line_no, record))
+    return records
 
 
 def _require(record, keys, path, line_no):
@@ -752,7 +782,7 @@ def _check_detection(center_x, center_y, box_w, box_h, image_w, image_h, confide
 
 def oracle_read_detections(path):
     rows = []
-    for line_no, record in sio._read_jsonl(path):
+    for line_no, record in read_jsonl_stdlib(path):
         _require(record, ("frame_id", *_DETECTION_FIELDS, "category"), path, line_no)
         try:
             row = dict(
@@ -805,7 +835,7 @@ def _observation(record):
 def oracle_read_observations(path):
     rows = []
     lines = {}
-    for line_no, record in sio._read_jsonl(path):
+    for line_no, record in read_jsonl_stdlib(path):
         _require(record, _OBSERVATION_FIELDS, path, line_no)
         try:
             rows.append(_observation(record))
@@ -828,7 +858,7 @@ def oracle_read_score_triplets(path, obs_ids):
     known_set = set(np.asarray(obs_ids).tolist())
     triplets = []
     lines = {}
-    for line_no, record in sio._read_jsonl(path):
+    for line_no, record in read_jsonl_stdlib(path):
         _require(record, ("obs_a", "obs_b", "score"), path, line_no)
         try:
             a, b, s = _id(record, "obs_a"), _id(record, "obs_b"), _number(record, "score")
@@ -851,7 +881,7 @@ def oracle_read_poses(path, coord_mode="local"):
     poses = []
     anchor = None
     frames = {}
-    for line_no, record in sio._read_jsonl(path):
+    for line_no, record in read_jsonl_stdlib(path):
         _require(record, ("frame_id", "heading", "pitch", "roll"), path, line_no)
         try:
             frame_id = _id64(record, "frame_id")
@@ -889,7 +919,7 @@ def oracle_read_clusters(path, obs_ids):
     clusters = []
     owner = {}
     lines = {}
-    for line_no, record in sio._read_jsonl(path):
+    for line_no, record in read_jsonl_stdlib(path):
         _require(record, ("cluster_id", "members"), path, line_no)
         members = record["members"]
         _claim_members(owner, members, path, line_no)
@@ -921,7 +951,7 @@ def oracle_read_inventory(path):
     records = []
     owner = {}
     fields = ("object_id", "category", "center", "n_observations", "max_residual", "members")
-    for line_no, record in sio._read_jsonl(path):
+    for line_no, record in read_jsonl_stdlib(path):
         _require(record, fields, path, line_no)
         try:
             _category(record)

@@ -73,6 +73,12 @@ class TestWindowPairs:
         with pytest.raises(ValueError, match="sorted by frame"):
             window_pairs(np.array([0, 2, 1]), 2)
 
+    def test_frames_more_than_2_63_apart_are_sorted(self):
+        # 5 - (-2**63) wraps to a negative int64.
+        frames = np.array([-2**63, -2**63, 5, 7], dtype=np.int64)
+        assert window_pairs(frames, 3) == [
+            (slice(0, 2), slice(2, 3)), (slice(0, 2), slice(3, 4)), (slice(2, 3), slice(3, 4))]
+
 
 class TestGeometricScore:
     def test_identical_rays_same_category(self):

@@ -56,6 +56,20 @@ class TestRun:
         with open(os.path.join(out, "report.json"), encoding="utf-8") as handle:
             _strict_load(handle.read())
 
+    def test_frame_id_minus_2_63_runs_as_its_frame(self, scene_dir, tmp_path):
+        # Frame 0 renamed to the smallest int64: frames 2**63 or more apart stay in order.
+        def rename(records):
+            return [dict(r, frame_id=-2**63) if r["frame_id"] == 0 else r for r in records]
+
+        poses, detections = (_copy_records(scene_dir, tmp_path, f"{kind}.jsonl", rename)
+                             for kind in ("poses", "detections"))
+        args = _run_args(scene_dir, str(tmp_path / "renamed"), detections=detections)
+        args[args.index("--poses") + 1] = poses
+        assert main(args) == EXIT_OK
+        assert main(_run_args(scene_dir, str(tmp_path / "plain"))) == EXIT_OK
+        inventories = [(tmp_path / name / "inventory.jsonl").read_bytes() for name in ("renamed", "plain")]
+        assert inventories[0] == inventories[1]
+
     def test_box_wider_than_image_is_a_data_error(self, scene_dir, tmp_path, capsys):
         records = [json.loads(line) for line in _read_lines(os.path.join(scene_dir, "detections.jsonl"))]
         records[0]["w"] = records[0]["img_w"] + 10

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -164,30 +165,38 @@ def _record_columns(records):
     return [np.array([repr(r) for r in records], dtype=object)]
 
 
+def _oracle_read_clusters(path, obs_ids):
+    # The oracle's records become a table at the boundary.
+    return ClusterTable.from_records(oracle_read_clusters(path, obs_ids))
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("files") / "records.jsonl")
+
+
+def _assert_same(path, text, read, oracle, columns, *args):
+    """`read` and `oracle` of the file `text` raise the same DataError text, or return the same columns."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    new = _outcome(read, path, *args)
+    # The per-record norm of a huge direction overflows, with a warning.
+    with np.errstate(all="ignore"):
+        old = _outcome(oracle, path, *args)
+    if type(new) is str or type(old) is str:
+        assert new == old
+        return
+    for column, expected in zip(columns(new), old if type(old) is tuple else columns(old), strict=True):
+        assert column.dtype == expected.dtype and column.shape == expected.shape
+        if column.dtype == object:
+            assert column.tolist() == expected.tolist()
+        else:
+            assert column.tobytes() == expected.tobytes()
+
+
 class TestReadersMatchPerRecordOracle:
     """Each reader refuses exactly what the per-record checks refused, with the same
     message, and reads what they accepted into the same columns, byte for byte."""
-
-    @pytest.fixture(scope="class")
-    def path(self, tmp_path_factory):
-        return str(tmp_path_factory.mktemp("files") / "records.jsonl")
-
-    def _assert_same(self, path, text, read, oracle, columns, *args):
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        new = _outcome(read, path, *args)
-        # The per-record norm of a huge direction overflows, with a warning.
-        with np.errstate(all="ignore"):
-            old = _outcome(oracle, path, *args)
-        if type(new) is str or type(old) is str:
-            assert new == old
-            return
-        for column, expected in zip(columns(new), old if type(old) is tuple else columns(old), strict=True):
-            assert column.dtype == expected.dtype and column.shape == expected.shape
-            if column.dtype == object:
-                assert column.tolist() == expected.tolist()
-            else:
-                assert column.tobytes() == expected.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(text=_file(_detections))
@@ -197,7 +206,7 @@ class TestReadersMatchPerRecordOracle:
     @example(text=_text(dict(_DETECTION, frame_id=2**63, cx="5")))
     @example(text=_text(_DETECTION, dict(_DETECTION, category=None, cy=20)))
     def test_detections(self, path, text):
-        self._assert_same(path, text, sio.read_detections, oracle_read_detections, _table_columns)
+        _assert_same(path, text, sio.read_detections, oracle_read_detections, _table_columns)
 
     @settings(max_examples=300, deadline=None)
     @given(text=_file(_observations))
@@ -208,7 +217,7 @@ class TestReadersMatchPerRecordOracle:
     @example(text=_text(_OBSERVATION, dict(_OBSERVATION, obs_id=1), _OBSERVATION))
     @example(text=_text(dict(_OBSERVATION, category=7, px="x")))
     def test_observations(self, path, text):
-        self._assert_same(path, text, sio.read_observations, oracle_read_observations, _table_columns)
+        _assert_same(path, text, sio.read_observations, oracle_read_observations, _table_columns)
 
     @settings(max_examples=300, deadline=None)
     @given(text=_file(_scores))
@@ -220,8 +229,8 @@ class TestReadersMatchPerRecordOracle:
     @example(text=_text(_SCORE, dict(_SCORE, obs_a=1, obs_b=0, score="x")))
     @example(text=_text(_SCORE, dict(_SCORE, obs_b=2), dict(_SCORE, obs_a=1, obs_b=0)))
     def test_scores(self, path, text):
-        self._assert_same(path, text, sio.read_score_triplets, oracle_read_score_triplets,
-                          lambda scores: [scores.obs_a, scores.obs_b, scores.score], _KNOWN)
+        _assert_same(path, text, sio.read_score_triplets, oracle_read_score_triplets,
+                     lambda scores: [scores.obs_a, scores.obs_b, scores.score], _KNOWN)
 
     @settings(max_examples=300, deadline=None)
     @given(text=_file(_local_poses))
@@ -229,7 +238,7 @@ class TestReadersMatchPerRecordOracle:
     @example(text=_text(_POSE, dict(_POSE, heading=None), dict(_POSE, y=0.5)))
     @example(text=_text(dict(_POSE, lat=48.0), {"frame_id": 1}))
     def test_local_poses(self, path, text):
-        self._assert_same(path, text, sio.read_poses, oracle_read_poses, _pose_columns)
+        _assert_same(path, text, sio.read_poses, oracle_read_poses, _pose_columns)
 
     @settings(max_examples=300, deadline=None)
     @given(text=_file(_geodetic_poses))
@@ -240,7 +249,7 @@ class TestReadersMatchPerRecordOracle:
     @example(text=_text(dict(_GEODETIC, alt=-1.7e308), dict(_GEODETIC, frame_id=1, alt=1.7e308),
                         {"frame_id": 2, "lat": 0}))
     def test_geodetic_poses(self, path, text):
-        self._assert_same(path, text, sio.read_poses, oracle_read_poses, _pose_columns, "geodetic")
+        _assert_same(path, text, sio.read_poses, oracle_read_poses, _pose_columns, "geodetic")
 
     @settings(max_examples=300, deadline=None)
     @given(text=_file(_clusters()))
@@ -254,11 +263,7 @@ class TestReadersMatchPerRecordOracle:
     @example(text=_text(dict(_CLUSTER, center=None), dict(_CLUSTER, cluster_id=0, members=[2, 3])))
     @example(text=_text(dict(_CLUSTER, residuals=[0.5]), {"cluster_id": 1, "members": [2], "residuals": None}))
     def test_clusters(self, path, text):
-        # The oracle's records become a table at the boundary.
-        def oracle(path, obs_ids):
-            return ClusterTable.from_records(oracle_read_clusters(path, obs_ids))
-
-        self._assert_same(path, text, sio.read_clusters, oracle, _table_columns, set(_KNOWN.tolist()))
+        _assert_same(path, text, sio.read_clusters, _oracle_read_clusters, _table_columns, set(_KNOWN.tolist()))
 
     @settings(max_examples=300, deadline=None)
     @given(text=_file(_inventory()))
@@ -267,7 +272,146 @@ class TestReadersMatchPerRecordOracle:
     @example(text=_text(_RECORD, dict(_RECORD, members=[5, 2**64, 1])))
     @example(text=_text(dict(_RECORD, members=[2**64]), dict(_RECORD, members=[0, 2**64])))
     def test_inventory(self, path, text):
-        self._assert_same(path, text, sio.read_inventory, oracle_read_inventory, _record_columns)
+        _assert_same(path, text, sio.read_inventory, oracle_read_inventory, _record_columns)
+
+
+# JSON text the two decoders read apart: integers beyond 64 bits, which orjson
+# reads as floats, and overflowing exponents and escaped lone surrogates,
+# which orjson refuses and the stdlib reads as infinities and strings.
+_TOKENS = ["18446744073709551616", "-9223372036854775809", "-18446744073709551617", "1e400", "-1e400",
+           '"\\ud800"', '"x\\udc00"']
+
+
+@st.composite
+def _raw_file(draw, records):
+    """The text of a JSON lines file of valid `records`, written key by key.
+
+    In some records a value is swapped for one of `_TOKENS` or another value
+    of the record, or a key is given twice, its last value winning. Blank
+    lines fall among the records, and lines end in LF or CRLF.
+    """
+    lines = []
+    for record in draw(records):
+        pairs = [[json.dumps(key), json.dumps(value)] for key, value in record.items()]
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            at = draw(st.integers(0, len(pairs) - 1))
+            value = draw(st.sampled_from(_TOKENS + [v for _, v in pairs]))
+            if draw(st.booleans()):
+                pairs[at][1] = value
+            else:
+                pairs.insert(draw(st.integers(0, len(pairs))), [pairs[at][0], value])
+        lines.append("{" + ", ".join(f"{key}: {value}" for key, value in pairs) + "}")
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end
+
+
+def _stdlib_only(read):
+    """`read`, with orjson's decoding refused, so every file is read by the stdlib."""
+    def stdlib_read(*args):
+        with mock.patch.object(sio, "_read_jsonl", side_effect=sio.DataError("refused")):
+            return read(*args)
+
+    return stdlib_read
+
+
+class TestOrjsonReadsAsTheStdlib:
+    """orjson decodes every file, and the stdlib reads again one that orjson refuses or
+    whose records fail a rule. So each reader returns the columns, or raises the
+    DataError, that the stdlib's records give: as the per-record oracle does, and as
+    the reader does with orjson kept out."""
+
+    def _assert_as_stdlib(self, path, text, read, oracle, columns, *args):
+        _assert_same(path, text, read, oracle, columns, *args)
+        _assert_same(path, text, read, _stdlib_only(read), columns, *args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_raw_file(_detections))
+    @example(text='{"frame_id": 18446744073709551616, "cx": 1e400}\n')
+    def test_detections(self, path, text):
+        self._assert_as_stdlib(path, text, sio.read_detections, oracle_read_detections, _table_columns)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_raw_file(_scores))
+    @example(text='{"obs_a": 0, "obs_b": 18446744073709551617, "score": 0.5}\r\n')
+    def test_scores(self, path, text):
+        self._assert_as_stdlib(path, text, sio.read_score_triplets, oracle_read_score_triplets,
+                               lambda scores: [scores.obs_a, scores.obs_b, scores.score], _KNOWN)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_raw_file(_local_poses))
+    # A coordinate beyond 64 bits is a finite number: orjson's float is the stdlib's float(int).
+    @example(text=_text(dict(_POSE, x=2**64 + 1, y=-(2**70)), dict(_POSE, frame_id=1, z=3**50)))
+    @example(text=_text(dict(_POSE, heading=0.25, frame_id=1)).replace("0.25", '"\\ud800"'))
+    def test_poses(self, path, text):
+        self._assert_as_stdlib(path, text, sio.read_poses, oracle_read_poses, _pose_columns)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_raw_file(_clusters()))
+    @example(text=_text(dict(_CLUSTER, center=[2**64, 0, 1], residuals=[0, 2**65])))
+    def test_clusters(self, path, text):
+        self._assert_as_stdlib(path, text, sio.read_clusters, _oracle_read_clusters, _table_columns,
+                               set(_KNOWN.tolist()))
+
+
+_WIDE = [2**64, -(2**63) - 1]
+
+
+class TestIdsBeyond64Bits:
+    """An id beyond 64 bits, which orjson reads as a float, is worded as the integer it is."""
+
+    @staticmethod
+    def _refusal(path, text, read, *args):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with pytest.raises(sio.DataError) as refused:
+            read(path, *args)
+        return str(refused.value)
+
+    @pytest.mark.parametrize("wide", _WIDE)
+    @pytest.mark.parametrize("read, record, field, args", [
+        (sio.read_poses, _POSE, "frame_id", ()),
+        (sio.read_detections, _DETECTION, "frame_id", ()),
+        (sio.read_observations, _OBSERVATION, "obs_id", ()),
+        (sio.read_observations, _OBSERVATION, "frame_id", ()),
+        (sio.read_clusters, _CLUSTER, "cluster_id", ({0, 1},)),
+    ], ids=["poses-frame_id", "detections-frame_id", "observations-obs_id", "observations-frame_id",
+            "clusters-cluster_id"])
+    def test_id_outside_the_range(self, path, read, record, field, args, wide):
+        text = "\n" + _text(dict(record, **{field: wide}))
+        assert self._refusal(path, text, read, *args) == (
+            f"{path}:2: {field} {wide} is outside the 64-bit integer range")
+
+    @pytest.mark.parametrize("wide", _WIDE)
+    @pytest.mark.parametrize("read, record, field, args", [
+        (sio.read_score_triplets, _SCORE, "obs_a", (_KNOWN,)),
+        (sio.read_score_triplets, _SCORE, "obs_b", (_KNOWN,)),
+        (sio.read_clusters, _CLUSTER, "members", ({0, 1},)),
+    ], ids=["scores-obs_a", "scores-obs_b", "clusters-members"])
+    def test_observation_id_is_unknown(self, path, read, record, field, args, wide):
+        text = _text(dict(record, **{field: [0, wide] if field == "members" else wide}))
+        assert self._refusal(path, text, read, *args) == f"{path}:1: unknown observation {wide}"
+
+    @pytest.mark.parametrize("wide", _WIDE)
+    @pytest.mark.parametrize("entries, entry, message", [
+        ("objects", {"object_id": "wide"}, "object ids must be 0..n-1"),
+        ("observations", {"obs_id": "wide"}, "obs_id {wide} is outside the 64-bit integer range"),
+        ("observations", {"object_id": "wide"}, "observation 0 names object {wide}, outside 0..0"),
+    ], ids=["object_id", "obs_id", "observation-object_id"])
+    def test_truth(self, path, entries, entry, message, wide):
+        truth = {"objects": [{"object_id": 0, "category": "a", "center": [0, 0, 0], "height": 1.0}],
+                 "observations": [{"obs_id": 0, "object_id": 0}]}
+        truth[entries][0].update({key: wide for key in entry})
+        assert self._refusal(path, json.dumps(truth), sio.read_truth) == f"{path}: {message.format(wide=wide)}"
+
+    @pytest.mark.parametrize("wide", _WIDE)
+    def test_inventory_keeps_the_integers(self, path, wide):
+        # An inventory record is returned whole, unchecked fields too.
+        record = dict(_RECORD, object_id=wide, max_residual=[wide, 0.5])
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(_text(_RECORD | {"members": [2]}, record))
+        assert repr(sio.read_inventory(path)) == repr([_RECORD | {"members": [2]}, record])
 
 
 class TestDirectionNorms:
