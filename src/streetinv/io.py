@@ -32,7 +32,9 @@ import dataclasses
 import json
 import math
 import os
+import sys
 import tempfile
+import threading
 from itertools import compress, count
 from operator import itemgetter
 from types import SimpleNamespace
@@ -137,7 +139,14 @@ def _reject_constant(name: str):
 # records fail a rule; one for every line, as json.loads with a hook builds a
 # new one per call.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-_SCAN = _DECODER.scan_once
+
+# orjson reads values nested up to 1,024 levels deep. The stdlib decoder and
+# repr recurse once per level, so they run with that much more room; the
+# lock keeps two threads from restoring each other's recursion limit.
+_DEPTH = 1024
+_DEEPER = threading.Lock()
+
+_T = TypeVar("_T")
 
 # The range of an id column.
 _INT64 = np.iinfo(np.int64)
@@ -164,14 +173,27 @@ def read_text(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def _deep(call: Callable[..., _T], *args) -> _T:
+    """`call(*args)` with room for `_DEPTH` more levels of recursion."""
+    with _DEEPER:
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + _DEPTH)
+        try:
+            return call(*args)
+        finally:
+            sys.setrecursionlimit(limit)
+
+
 def _decode(text: str, where: str) -> dict:
     """`text` as one JSON object, or the DataError, prefixed by `where`, naming what it is instead."""
     try:
-        record = _DECODER.decode(text)
+        record = _deep(_DECODER.decode, text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{where}: malformed JSON: {exc.msg}") from exc
     except DataError as exc:
         raise DataError(f"{where}: {exc}") from exc
+    except RecursionError as exc:
+        raise DataError(f"{where}: JSON nested too deep") from exc
     if not isinstance(record, dict):
         raise DataError(f"{where}: expected a JSON object")
     return record
@@ -191,26 +213,15 @@ def _read_jsonl(path: str) -> tuple[list, list[int]]:
 def _read_jsonl_exact(path: str) -> tuple[list[dict], list[int]]:
     """The records of a JSON-lines file, decoded by the stdlib, and their line numbers.
 
-    Each non-blank line must be exactly one JSON object: the scan of a line
-    must end where the line ends, so no value spans two lines.
+    Each non-blank line must be exactly one JSON object, so no value spans two lines.
     """
     records, numbers = [], []
     for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
-        if not line:
-            continue
-        try:
-            record, end = _SCAN(line, 0)
-        except (StopIteration, ValueError, DataError):
-            end = None
-        if end != len(line) or type(record) is not dict:
-            record = _decode(line, f"{path}:{line_no}")
-        records.append(record)
-        numbers.append(line_no)
+        if line:
+            records.append(_decode(line, f"{path}:{line_no}"))
+            numbers.append(line_no)
     return records, numbers
-
-
-_T = TypeVar("_T")
 
 
 def _read_records(path: str, read: Callable[..., _T], *args) -> _T:
@@ -269,7 +280,8 @@ class _Rules:
             row = min(int(bad.argmax()) for bad, _ in self.broken)
             message = next(message for bad, message in self.broken if bad[row])
             where = self.path if self.lines is None else f"{self.path}:{self.lines[row]}"
-            raise DataError(f"{where}: {message(row)}")
+            # A message may show a value as deep as orjson reads.
+            raise DataError(f"{where}: {_deep(message, row)}")
 
     def fields(self, keys: tuple[str, ...]) -> dict[str, list]:
         """Each field of `keys` as the list of its values, one per record; a record missing any is refused."""

@@ -9,15 +9,22 @@ an object, so true positives are Σ C(n_km, 2) over the table's cells and
 the predicted and true pair totals are the same sum over its margins
 (Hubert & Arabie 1985, "Comparing partitions"). Clustering quality uses
 the entropy-based homogeneity / completeness / V-measure family of the
-same table. The 3D level matches predicted centers to ground-truth centers
-one-to-one within each category under a distance tolerance and reports
-identification rates plus the mean localization error over the matched
-pairs. `build_report` evaluates an inventory against ground truth.
+same table.
+
+The 3D level is one matcher over every category at once: of the pairs of
+a predicted and a true center of one category closer than the tolerance,
+the closest remaining pair is taken first, one-to-one. Ties go to the
+smaller category code (names sorted), then the smaller predicted index,
+then the smaller true index, so the matched distances come in category
+order and, within a category, in matching order; the mean localization
+error sums them in that order. `build_report` evaluates an inventory
+against ground truth in one pass over its members.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -169,64 +176,37 @@ def clustering_metrics(y, c) -> tuple[float, float, float]:
     return _clustering_scores(ContingencyTable.from_labels(y, c))
 
 
-def _match_category(
-    pred: list[np.ndarray], gt: list[np.ndarray], tol: float
-) -> tuple[MatchCounts, list[float]]:
-    """One-to-one matching of one category's centers within `tol`.
+def _identify(pred, pred_code, gt, gt_code, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy one-to-one matching of predicted to true centers of the same category.
 
-    Repeatedly takes the globally closest remaining pair closer than
-    `tol`. That pair is always mutually nearest, so this realizes
-    mutual-nearest pairing deterministically (ties broken by indices).
-    Returns the counts and the matched distances in matching order.
+    `pred` and `gt` are n x 3 centers, `pred_code` and `gt_code` their
+    integer category codes. The pairs of one category closer than `tol` are
+    walked by (category code, distance, predicted index, true index), and a
+    pair is taken when neither of its centers is taken yet. The closest
+    remaining pair is always mutually nearest, so within a category this is
+    mutual-nearest pairing. Returns the category codes and distances of the
+    taken pairs, in walking order.
     """
-    distances: list[float] = []
-    if pred and gt:
-        near = cKDTree(np.array(pred)).sparse_distance_matrix(
-            cKDTree(np.array(gt)), tol, output_type="ndarray"
-        )
-        near = near[near["v"] < tol]
-        used_pred: set[int] = set()
-        used_gt: set[int] = set()
-        for k in np.lexsort((near["j"], near["i"], near["v"])):
-            i, j = int(near["i"][k]), int(near["j"][k])
-            if i in used_pred or j in used_gt:
-                continue
-            distances.append(float(near["v"][k]))
-            used_pred.add(i)
-            used_gt.add(j)
-    matched = len(distances)
-    return MatchCounts(tp=matched, fp=len(pred) - matched, fn=len(gt) - matched), distances
-
-
-def _match_by_category(
-    pred: list[tuple[np.ndarray, str]],
-    gt: list[tuple[np.ndarray, str]],
-    tol: float,
-) -> dict[str, tuple[MatchCounts, list[float]]]:
     if tol <= 0:
         raise ValueError("tol must be positive")
-    categories = sorted({c for _, c in pred} | {c for _, c in gt})
-    return {
-        category: _match_category(
-            [np.asarray(x, dtype=float) for x, cat in pred if cat == category],
-            [np.asarray(x, dtype=float) for x, cat in gt if cat == category],
-            tol,
-        )
-        for category in categories
-    }
+    near = cKDTree(pred).sparse_distance_matrix(cKDTree(gt), tol, output_type="ndarray")
+    i, j, v = near["i"], near["j"], near["v"]
+    same = (v < tol) & (pred_code[i] == gt_code[j])
+    i, j, v = i[same], j[same], v[same]
+    order = np.lexsort((j, i, v, pred_code[i]))
+    i, j, v = i[order], j[order], v[order]
+    hit = np.zeros(len(order), dtype=bool)
+    used_pred, used_gt = set(), set()
+    for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+        if a not in used_pred and b not in used_gt:
+            hit[k] = True
+            used_pred.add(a)
+            used_gt.add(b)
+    return pred_code[i[hit]], v[hit]
 
 
-def _sum_matches(matches) -> tuple[MatchCounts, list[float]]:
-    """Aggregate per-category matches in category order."""
-    total = MatchCounts()
-    distances: list[float] = []
-    for category in sorted(matches):
-        counts, d = matches[category]
-        total.tp += counts.tp
-        total.fp += counts.fp
-        total.fn += counts.fn
-        distances.extend(d)
-    return total, distances
+def _centers(centers) -> np.ndarray:
+    return np.array(list(centers), dtype=float).reshape(-1, 3)
 
 
 def identification_metrics(
@@ -241,9 +221,11 @@ def identification_metrics(
     localization error averages distances over matched pairs and is None
     when nothing matched.
     """
-    counts, distances = _sum_matches(_match_by_category(pred, gt, tol))
-    loc_err = float(np.mean(distances)) if distances else None
-    return (*_precision_recall_f1(counts), loc_err)
+    _, codes = np.unique(np.array([c for _, c in pred + gt], dtype=object), return_inverse=True)
+    pred_centers, gt_centers = _centers(x for x, _ in pred), _centers(x for x, _ in gt)
+    _, distances = _identify(pred_centers, codes[: len(pred)], gt_centers, codes[len(pred):], tol)
+    m = _category_metrics(np.empty(0), np.empty(0), len(pred), len(gt), distances)
+    return m.pre_idf, m.rec_idf, m.f1_idf, m.loc_err
 
 
 @dataclass
@@ -301,17 +283,23 @@ class EvaluationReport:
 def _category_metrics(
     true_labels: np.ndarray,
     pred_labels: np.ndarray,
-    identified: tuple[MatchCounts, list[float]],
+    n_pred: int,
+    n_gt: int,
+    distances: np.ndarray,
 ) -> CategoryMetrics:
+    """The metrics of observations labelled `true_labels` and clustered as
+    `pred_labels`, and of `n_pred` predicted and `n_gt` true objects matched
+    at `distances`."""
     m = CategoryMetrics()
     if len(true_labels) > 0:
         table = ContingencyTable.from_labels(true_labels, pred_labels)
         m.counts_mat = table.pair_counts()
         m.pre_mat, m.rec_mat, m.f1_mat = _precision_recall_f1(m.counts_mat)
         m.homogeneity, m.completeness, m.v_measure = _clustering_scores(table)
-    m.counts_idf, distances = identified
+    tp = len(distances)
+    m.counts_idf = MatchCounts(tp=tp, fp=n_pred - tp, fn=n_gt - tp)
     m.pre_idf, m.rec_idf, m.f1_idf = _precision_recall_f1(m.counts_idf)
-    m.loc_err = float(np.mean(distances)) if distances else None
+    m.loc_err = float(np.mean(distances)) if tp else None
     return m
 
 
@@ -340,31 +328,34 @@ def build_report(inventory: list[dict], truth: GroundTruth, tol: float = 1.0) ->
     Raises:
         DataError: naming the first member that is no truth observation.
     """
-    record_of: dict[int, int] = {}
-    for k, record in enumerate(inventory):
-        for obs_id in record["members"]:
-            record_of[obs_id] = k
-    check_members(record_of, truth)
-    kept = [
-        obs_id
-        for obs_id in truth.obs_ids
-        if truth.object_of[obs_id] is not None and obs_id in record_of
-    ]
-    true_labels = np.array([truth.object_of[obs_id] for obs_id in kept], dtype=np.int64)
-    pred_labels = np.array([record_of[obs_id] for obs_id in kept], dtype=np.int64)
-    obs_categories = np.array(
-        [inventory[record_of[obs_id]]["category"] for obs_id in kept], dtype=str
-    )
-    pred_objects = [(r["center"], r["category"]) for r in inventory if r["center"] is not None]
-    gt_objects = [(o.center, o.category) for o in truth.objects]
-    identified = _match_by_category(pred_objects, gt_objects, tol)
+    members = [record["members"] for record in inventory]
+    flat = list(chain.from_iterable(members))
+    check_members(flat, truth)
+    true_labels = np.array([truth.object_of[obs_id] for obs_id in flat], dtype=float)
+    pred_labels = np.repeat(np.arange(len(inventory)), list(map(len, members)))
+    # Clutter (None, read as NaN) has no identity to recover.
+    kept = ~np.isnan(true_labels)
+    true_labels, pred_labels = true_labels[kept].astype(np.int64), pred_labels[kept]
+
+    categories = [record["category"] for record in inventory] + [o.category for o in truth.objects]
+    names, codes = np.unique(np.array(categories, dtype=object), return_inverse=True)
+    record_code, gt_code = codes[: len(inventory)], codes[len(inventory):]
+    obs_code = record_code[pred_labels]
+    centers = [record["center"] for record in inventory]
+    pred_code = record_code[[center is not None for center in centers]]
+    pred = _centers(center for center in centers if center is not None)
+    hit_code, distances = _identify(pred, pred_code, _centers(o.center for o in truth.objects), gt_code, tol)
+
+    def tally(code: np.ndarray) -> list[int]:
+        return np.bincount(code, minlength=len(names)).tolist()
+
+    n_pred, n_gt, n_obs = map(tally, (pred_code, gt_code, obs_code))
     per_category: dict[str, CategoryMetrics] = {}
-    for category in sorted(set(obs_categories.tolist()) | set(identified)):
-        sel = obs_categories == category
-        per_category[category] = _category_metrics(
-            true_labels[sel],
-            pred_labels[sel],
-            identified.get(category, (MatchCounts(), [])),
-        )
-    aggregate = _category_metrics(true_labels, pred_labels, _sum_matches(identified))
+    for c, name in enumerate(names.tolist()):
+        if n_pred[c] or n_gt[c] or n_obs[c]:
+            sel = obs_code == c
+            per_category[name] = _category_metrics(
+                true_labels[sel], pred_labels[sel], n_pred[c], n_gt[c], distances[hit_code == c]
+            )
+    aggregate = _category_metrics(true_labels, pred_labels, len(pred_code), len(gt_code), distances)
     return EvaluationReport(aggregate=aggregate, per_category=per_category)

@@ -102,10 +102,13 @@ def split_overmatched(
 
 
 def estimate_physical_size(o: Observation | ObservationTable, c_tri):
-    """Physical object height implied by a 2D box at a triangulated center.
+    """Object size implied by a 2D box at a triangulated center: height / π.
 
     Multiplies the normalized box height by the projection depth of the
-    center along the observation ray. `o` is an `Observation`, or an
+    center along the observation ray. A box spans height / (depth · π) of
+    the panorama (as the simulator draws it), so this is the physical
+    height over π, not the height; merging compares only the ratio of two
+    sizes, where the π cancels. `o` is an `Observation`, or an
     `ObservationTable` of n rows with `c_tri` n x 3 for n sizes at once.
     """
     return _physical_size(o.exposure, o.direction, o.box_h_norm, c_tri)

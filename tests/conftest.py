@@ -27,6 +27,7 @@ from streetinv import (
     rotation_from_euler,
     window_pairs,
 )
+from streetinv.metrics import CategoryMetrics, EvaluationReport, MatchCounts, clustering_metrics
 from streetinv.simulator import (
     _CATEGORY_GEOMETRY,
     _CATEGORY_SEPARATION,
@@ -260,6 +261,76 @@ def oracle_pair_counts(true_labels, pred_labels) -> tuple[int, int, int]:
     t = same_true[upper]
     p = same_pred[upper]
     return int(np.sum(t & p)), int(np.sum(~t & p)), int(np.sum(t & ~p))
+
+
+def _oracle_rates(counts: MatchCounts) -> tuple[float, float, float]:
+    """Precision, recall, F1; an empty denominator scores 0 if there was something to get wrong, else 1."""
+    tp, fp, fn = counts.tp, counts.fp, counts.fn
+    precision = tp / (tp + fp) if tp + fp else float(fn == 0)
+    recall = tp / (tp + fn) if tp + fn else float(fp == 0)
+    return precision, recall, 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+
+
+def _oracle_match(pred: list, gt: list, tol: float) -> list[float]:
+    """Distances of a greedy one-to-one matching of one category's centers.
+
+    Every pair is measured (quadratic); pairs closer than `tol` are taken
+    closest first, ties by predicted then true index, skipping a pair whose
+    center is taken.
+    """
+    pairs = sorted(
+        (float(np.sqrt(((np.asarray(p, dtype=float) - g) ** 2).sum())), a, b)
+        for a, p in enumerate(pred)
+        for b, g in enumerate(gt)
+    )
+    used_pred, used_gt, distances = set(), set(), []
+    for d, a, b in pairs:
+        if d < tol and a not in used_pred and b not in used_gt:
+            used_pred.add(a)
+            used_gt.add(b)
+            distances.append(d)
+    return distances
+
+
+def oracle_build_report(inventory: list[dict], truth: GroundTruth, tol: float) -> EvaluationReport:
+    """`metrics.build_report`, one observation and one category at a time.
+
+    Dictionaries from each member to its record and per-category lists of
+    centers, matched category by category; pair counts from the quadratic
+    `oracle_pair_counts`. The aggregate averages the matched distances in
+    category order and, within a category, in matching order.
+    """
+    record_of = {}
+    for k, record in enumerate(inventory):
+        for obs_id in record["members"]:
+            record_of[obs_id] = k
+    kept = [i for i in truth.obs_ids if truth.object_of[i] is not None and i in record_of]
+    pred = [(r["center"], r["category"]) for r in inventory if r["center"] is not None]
+    gt = [(o.center, o.category) for o in truth.objects]
+
+    def category_metrics(obs: list[int], pred: list, gt: list, distances: list[float]) -> CategoryMetrics:
+        m = CategoryMetrics()
+        if obs:
+            y, c = [truth.object_of[i] for i in obs], [record_of[i] for i in obs]
+            m.counts_mat = MatchCounts(*oracle_pair_counts(y, c))
+            m.pre_mat, m.rec_mat, m.f1_mat = _oracle_rates(m.counts_mat)
+            m.homogeneity, m.completeness, m.v_measure = clustering_metrics(y, c)
+        tp = len(distances)
+        m.counts_idf = MatchCounts(tp=tp, fp=len(pred) - tp, fn=len(gt) - tp)
+        m.pre_idf, m.rec_idf, m.f1_idf = _oracle_rates(m.counts_idf)
+        m.loc_err = float(np.mean(distances)) if distances else None
+        return m
+
+    categories = sorted({inventory[record_of[i]]["category"] for i in kept} | {c for _, c in pred + gt})
+    per_category, all_distances = {}, []
+    for category in categories:
+        obs = [i for i in kept if inventory[record_of[i]]["category"] == category]
+        pred_c = [x for x, c in pred if c == category]
+        gt_c = [x for x, c in gt if c == category]
+        distances = _oracle_match(pred_c, gt_c, tol)
+        per_category[category] = category_metrics(obs, pred_c, gt_c, distances)
+        all_distances.extend(distances)
+    return EvaluationReport(aggregate=category_metrics(kept, pred, gt, all_distances), per_category=per_category)
 
 
 def _line_line_distance(a: Ray, b: Ray) -> float:

@@ -414,6 +414,38 @@ class TestIdsBeyond64Bits:
         assert repr(sio.read_inventory(path)) == repr([_RECORD | {"members": [2]}, record])
 
 
+def _nested(depth):
+    """The JSON text of a list nested `depth` levels deep."""
+    return "[" * depth + "]" * depth
+
+
+class TestDeepValues:
+    """A value nested deeper than Python's default recursion limit is a data error, not a traceback."""
+
+    @pytest.mark.parametrize("depth", [1010, 1024])
+    def test_checked_field_as_deep_as_orjson_reads(self, path, depth):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(_text(_DETECTION) + json.dumps(_DETECTION).replace('"cx": 5', '"cx": ' + _nested(depth)))
+        with pytest.raises(sio.DataError) as refused:
+            sio.read_detections(path)
+        assert str(refused.value) == f"{path}:2: cx must be a finite number, got {_nested(depth)}"
+
+    def test_line_deeper_than_any_decoder_reads(self, path):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(_text(_DETECTION) + '{"note": ' + _nested(100_000) + "}\n")
+        with pytest.raises(sio.DataError) as refused:
+            sio.read_detections(path)
+        assert str(refused.value) == f"{path}:2: JSON nested too deep"
+
+    def test_run_exits_2(self, tmp_path, capsys):
+        poses, detections, out = (str(tmp_path / name) for name in ("poses.jsonl", "detections.jsonl", "out"))
+        _write_poses(poses, [_POSE])
+        with open(detections, "w", encoding="utf-8") as handle:
+            handle.write(_text(_DETECTION) + json.dumps(_DETECTION).replace('"cx": 5', '"cx": ' + _nested(1010)))
+        assert main(["run", "--poses", poses, "--detections", detections, "--out", out]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {detections}:2: cx must be a finite number")
+
+
 class TestDirectionNorms:
     """A direction whose squares under- or overflow reads as the direction it scales to."""
 

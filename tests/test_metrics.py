@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streetinv.io import DataError
 from streetinv.metrics import (
@@ -16,7 +17,7 @@ from streetinv.metrics import (
 )
 from streetinv.simulator import GroundTruth, SceneObject
 
-from conftest import oracle_pair_counts
+from conftest import oracle_build_report, oracle_pair_counts
 
 # Six observations: objects 0 (x3), 1 (x2), 2 (x1); clusters A = {0, 0},
 # B = {0, 1, 1, 2}.
@@ -169,3 +170,57 @@ class TestBuildReport:
         inventory = [_record("a", [0, 1]), _record("b", [4, 9, 8]), _record("b", [10])]
         with pytest.raises(DataError, match="^inventory member 9 names no truth observation$"):
             build_report(inventory, _truth(), tol=1.0)
+
+
+# Centers on a 0.5 m grid a few meters wide: distances tie exactly, land on
+# the tolerance, and a prediction is often nearest a truth of another category.
+_grid_points = st.lists(st.integers(0, 4), min_size=3, max_size=3).map(lambda p: [0.5 * v for v in p])
+
+
+@st.composite
+def _inventories(draw):
+    """(inventory, truth, tol): 1-3 categories, clutter members, unlocalized records, uningested observations."""
+    categories = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    category = st.sampled_from(categories)
+    objects = [
+        SceneObject(category=draw(category), center=np.array(draw(_grid_points)), height=1.0)
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    owners = (st.none() | st.integers(0, len(objects) - 1)) if objects else st.none()
+    object_of = dict(enumerate(draw(st.lists(owners, max_size=16))))
+    truth = GroundTruth(objects=objects, obs_ids=list(object_of), object_of=object_of)
+    # Each observation goes to a record, or to none (never ingested).
+    record_of = draw(st.lists(st.integers(-1, 5), min_size=len(object_of), max_size=len(object_of)))
+    inventory = []
+    for k in sorted(set(record_of) - {-1}):
+        members = [i for i, r in enumerate(record_of) if r == k]
+        inventory.append(_record(draw(category), members, draw(st.none() | _grid_points)))
+    return inventory, truth, draw(st.sampled_from([0.5, 1.0, 1.5]))
+
+
+class TestReportOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_inventories())
+    def test_build_report_matches_per_record_oracle(self, case):
+        inventory, truth, tol = case
+        assert build_report(inventory, truth, tol).to_dict() == oracle_build_report(inventory, truth, tol).to_dict()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_inventories())
+    def test_identification_metrics_matches_oracle(self, case):
+        inventory, truth, tol = case
+        pred = [(r["center"], r["category"]) for r in inventory if r["center"] is not None]
+        gt = [(o.center, o.category) for o in truth.objects]
+        m = oracle_build_report(inventory, truth, tol).aggregate
+        assert identification_metrics(pred, gt, tol) == (m.pre_idf, m.rec_idf, m.f1_idf, m.loc_err)
+
+    def test_aggregate_error_averages_in_category_order(self):
+        # Matched at 0.1 and 0.4 m in "a", 0.2 m in "b": summed in category
+        # order the mean differs in the last bit from the distance order.
+        objects = [SceneObject(category=c, center=np.array(x), height=1.0)
+                   for c, x in (("a", [0.0, 0.0, 0.0]), ("a", [10.0, 0.0, 0.0]), ("b", [20.0, 0.0, 0.0]))]
+        truth = GroundTruth(objects=objects, obs_ids=[0, 1, 2], object_of={0: 0, 1: 1, 2: 2})
+        inventory = [_record("a", [0], [0.1, 0.0, 0.0]), _record("a", [1], [10.0, 0.4, 0.0]),
+                     _record("b", [2], [20.0, 0.0, 0.2])]
+        assert np.mean([0.1, 0.4, 0.2]) != np.mean([0.1, 0.2, 0.4])
+        assert build_report(inventory, truth, tol=1.0).aggregate.loc_err == np.mean([0.1, 0.4, 0.2])

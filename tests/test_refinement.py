@@ -232,6 +232,17 @@ class TestEstimatePhysicalSize:
         o = mkobs(0, 0, [0, 0, 0], [10, 0, 0])
         assert estimate_physical_size(o, [0.0, 5.0, 0.0]) == pytest.approx(0.0)
 
+    def test_noiseless_ray_at_its_true_center_gives_height_over_pi(self):
+        spec = default_scene_spec(seed=3, n_objects=12, direction_noise=0.0, pose_noise=0.0)
+        observations, truth = generate_scene(spec)
+        checked = 0
+        for o in observations:
+            obj = spec.objects[truth.object_of[o.obs_id]]
+            if o.box_h_norm < 1.0:  # a box taller than the panorama is clipped
+                assert estimate_physical_size(o, obj.center) == pytest.approx(obj.height / np.pi, rel=1e-12)
+                checked += 1
+        assert checked > 0
+
     def test_array_form_matches_each_ray(self):
         observations = [mkobs(i, i, FRAMES[i], T1 + [0.0, i, 0.0]) for i in range(4)]
         centers = np.array([T1, T1 + 1.0, [0.0, 0.0, 2.5], [-5.0, 3.0, 1.0]])
