@@ -11,11 +11,13 @@ as columns, checked as arrays: `ingest` lifts every detection in one array
 pass into an `ObservationTable`, and every later stage reads the rays as
 rows of that table; a cluster names its rays by observation id. Association
 sorts its table by frame, so each frame is one run of rows, and takes
-from one function, `window_pairs`, the row-slice pairs of frames fewer
-than `window` ranks apart. Its scores, geometric or from a file, are one
-flat array holding one score per row pair of the window, and assignment
-reads one dense block of it per frame pair, every block a view. The
-matches are columns of table rows: chaining runs connected components on
+from one function, `window_pairs`, the frames fewer than `window` ranks
+apart as four columns of row ranges, one row per frame pair. Its scores,
+geometric or from a file, are one flat array holding one score per row
+pair of the window; the geometric scorer computes only the same-category
+pairs. Assignment solves a view of that array per frame pair and does
+the rest in array passes over the window. The matches are columns of
+table rows: chaining runs connected components on
 the rows, and `associate` returns the matches as `ScoreTriplets` columns.
 The clusters are one `ClusterTable` of columns from chaining to the
 inventory: localization, refinement, the inventory and the cluster files

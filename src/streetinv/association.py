@@ -2,21 +2,27 @@
 
 Association reads the observations as rows of one `ObservationTable`
 sorted by (frame_id, obs_id), so each frame is one run of rows. The
-window is decided in one place, `window_pairs`: it lists the row-slice
-pairs of frames fewer than `window` ranks apart, counting only frames
-that have observations. Scoring and assignment both read that list.
+window is decided in one place, `window_pairs`: it lists the pairs of
+frames fewer than `window` ranks apart, counting only frames that have
+observations, as four row-range columns (a0, a1, b0, b1): frame pair k
+pairs rows a0[k]:a1[k] with the later rows b0[k]:b1[k]. Scoring and
+assignment both read those columns.
 
 Matchability scores, from the built-in geometric scorer or an external
-file, are one flat array with one score per row pair of the window:
-`score_window` lists the row pairs block after block, a batch of frame
-pairs at a time, and asks a scorer for each batch's scores. The geometric
-scorer scores same-category pairs exp(-gap / sigma_g) for the gap between
-the two rays, in array passes; a file's scores are looked up by row pair.
-Each frame pair in the window reads its dense block, a view of the array,
-and solves an optimal one-to-one assignment, kept where the score reaches
-the confidence threshold. The kept matches stay columns of table rows:
-`transitive_cluster` chains them by connected components over the rows,
-and `ScoreTriplets` holds them as columns of observation ids and scores.
+file, are one flat array with one score per row pair of the window, block
+after block and each block row by row. The geometric scorer lists only
+the same-category row pairs, the only ones that can score above 0: with
+the rows sorted by (category, row), each row's partners are one
+`searchsorted` range. It takes their ray gaps a cache-sized chunk at a
+time and scatters exp(-gap / sigma_g) into an array of zeros. A file's
+scores are looked up for every row pair of the window, which
+`score_window` lists. `assign_pairs` solves the whole window: its one
+loop is the optimal one-to-one assignment of each frame pair's block, a
+view of the negated array, and the offsets, the scores and the
+confidence threshold are array passes over all the solutions. The kept
+matches stay columns of table rows: `transitive_cluster` chains them by
+connected components over the rows, and `ScoreTriplets` holds them as
+columns of observation ids and scores.
 
 The clusters of a run are one `ClusterTable`: columns of cluster ids,
 member ids grouped by cluster, centers and residuals. Chaining builds it
@@ -40,20 +46,24 @@ from scipy.sparse.csgraph import connected_components
 from .geometry import ObservationTable
 
 __all__ = [
+    "FramePairs",
     "ScoreTriplets",
     "Cluster",
     "ClusterTable",
     "window_pairs",
     "ray_gaps",
     "score_window",
-    "window_blocks",
     "build_score_matrix",
     "assign_pairs",
     "transitive_cluster",
 ]
 
-# Frame pairs scored per array pass: bounds the scorer's peak memory.
+# Frame pairs `score_window` scores per array pass: bounds its peak memory.
 SCORE_BATCH = 128
+
+# Same-category row pairs per `ray_gaps` pass of the geometric scorer:
+# small enough that a pass's temporaries stay in cache.
+GAP_CHUNK = 4096
 
 # Rays with 1 - (d_a . d_b)^2 below this are treated as parallel.
 PARALLEL_SIN2 = 1e-12
@@ -103,6 +113,10 @@ class Cluster:
 
 
 _INT64_MAX = np.iinfo(np.int64).max
+
+# A frame window as four intp columns (a0, a1, b0, b1): frame pair k pairs
+# rows a0[k]:a1[k] of one frame with rows b0[k]:b1[k] of a later one.
+FramePairs = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,12 +260,14 @@ class ClusterTable:
         return np.arange(n, dtype=np.int64) + first
 
 
-def window_pairs(frame_id: np.ndarray, window: int) -> list[tuple[slice, slice]]:
-    """Row-slice pairs of the frames fewer than `window` ranks apart.
+def window_pairs(frame_id: np.ndarray, window: int) -> FramePairs:
+    """The frame pairs fewer than `window` ranks apart, as row-range columns.
 
     `frame_id` gives each row's frame and must be sorted, so that each
-    frame is one run of rows. Ranks count only the frames present. Pairs
-    come earlier frame first, in order of its rank, then the later one's.
+    frame is one run of rows. Ranks count only the frames present. Pair k
+    of the columns (a0, a1, b0, b1) pairs rows a0[k]:a1[k] of the earlier
+    frame with rows b0[k]:b1[k] of the later one. Pairs come earlier frame
+    first, in order of its rank, then the later one's.
 
     Raises:
         ValueError: if `frame_id` is not sorted.
@@ -259,24 +275,37 @@ def window_pairs(frame_id: np.ndarray, window: int) -> list[tuple[slice, slice]]
     # Neighbours are compared, not subtracted: a difference of int64 ids may wrap.
     if np.any(frame_id[1:] < frame_id[:-1]):
         raise ValueError("rows must be sorted by frame")
-    edges = [0, *(np.flatnonzero(frame_id[1:] != frame_id[:-1]) + 1).tolist(), len(frame_id)]
-    runs = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    return [
-        (runs[r], runs[q])
-        for r in range(len(runs))
-        for q in range(r + 1, min(r + window, len(runs)))
-    ]
+    edges = np.concatenate([[0], np.flatnonzero(frame_id[1:] != frame_id[:-1]) + 1, [len(frame_id)]])
+    n_frames = len(edges) - 1
+    # Frame r pairs with the min(window - 1, n_frames - 1 - r) frames after it.
+    later = np.minimum(min(window - 1, n_frames), n_frames - 1 - np.arange(n_frames))
+    first = np.repeat(np.arange(n_frames), later)
+    second = first + 1 + _ranges(later)
+    return edges[first], edges[first + 1], edges[second], edges[second + 1]
+
+
+def _ranges(counts: np.ndarray) -> np.ndarray:
+    """arange(c) for each c of `counts`, one after another."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts, counts)
+
+
+def _blocks(pairs: FramePairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each frame pair's block height and width, and the bounds of the
+    blocks in a `score_window` array: block k is ends[k]:ends[k + 1]."""
+    a0, a1, b0, b1 = pairs
+    height, width = a1 - a0, b1 - b0
+    return height, width, np.concatenate([[0], np.cumsum(height * width)])
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
-def _clamped_gap(origin, d_fix, other, d_other) -> np.ndarray:
-    """Gap with `origin` as one end: the point of ray `other` nearest
-    `origin`, then the point of ray `origin` nearest that, both clamped to
-    their rays."""
-    t = np.maximum(0.0, np.einsum("ij,ij->i", origin - other, d_other))
+def _clamped_gap(t, origin, d_fix, other, d_other) -> np.ndarray:
+    """Gap with `origin` as one end: the point at parameter `t` >= 0 of ray
+    `other`, the one nearest `origin`, then the point of ray `origin`
+    nearest that, clamped to its ray."""
     p = other + t[:, None] * d_other
     s = np.maximum(0.0, np.einsum("ij,ij->i", p - origin, d_fix))
     return _norm(origin + s[:, None] * d_fix - p)
@@ -302,72 +331,102 @@ def ray_gaps(origin_a, dir_a, origin_b, dir_b) -> np.ndarray:
     t2 = (f - b * e) / denom
     interior = _norm((origin_a + t1[:, None] * dir_a) - (origin_b + t2[:, None] * dir_b))
     # The parallel gap projects origin_b's ray point nearest origin_a's ray:
-    # the second of the two clamped cases.
-    from_b = _clamped_gap(origin_b, dir_b, origin_a, dir_a)
-    clamped = np.minimum(_clamped_gap(origin_a, dir_a, origin_b, dir_b), from_b)
+    # the second of the two clamped cases. The point of ray b nearest
+    # origin_a is at f, and that of ray a nearest origin_b at -e.
+    from_b = _clamped_gap(np.maximum(0.0, -e), origin_b, dir_b, origin_a, dir_a)
+    clamped = np.minimum(_clamped_gap(np.maximum(0.0, f), origin_a, dir_a, origin_b, dir_b), from_b)
     return np.where(parallel, from_b, np.where((t1 < 0.0) | (t2 < 0.0), clamped, interior))
 
 
-def score_window(pairs: list[tuple[slice, slice]], score: Callable) -> np.ndarray:
+def score_window(pairs: FramePairs, score: Callable) -> np.ndarray:
     """One score per row pair of the frame window `pairs`, in one flat array.
 
-    Lists each slice pair's row pairs (i, j), block after block and each
-    block row by row, `SCORE_BATCH` slice pairs at a time, and stores
-    `score(i, j)` of each batch. `window_blocks` reads the blocks back.
+    Lists each frame pair's row pairs (i, j), block after block and each
+    block row by row, `SCORE_BATCH` frame pairs at a time, and stores
+    `score(i, j)` of each batch.
     """
-    a0, a1, b0, b1 = np.array([(a.start, a.stop, b.start, b.stop) for a, b in pairs], dtype=np.intp).reshape(-1, 4).T
-    width = b1 - b0
-    ends = np.concatenate([[0], np.cumsum((a1 - a0) * width)])
+    a0, _, b0, _ = pairs
+    _, width, ends = _blocks(pairs)
     flat = np.empty(ends[-1])
-    for start in range(0, len(pairs), SCORE_BATCH):
-        stop = min(start + SCORE_BATCH, len(pairs))
-        which = np.repeat(np.arange(start, stop), np.diff(ends[start : stop + 1]))
-        k = np.arange(ends[start], ends[stop]) - ends[which]
-        flat[ends[start] : ends[stop]] = score(a0[which] + k // width[which], b0[which] + k % width[which])
+    for first in range(0, len(a0), SCORE_BATCH):
+        stop = min(first + SCORE_BATCH, len(a0))
+        which = np.repeat(np.arange(first, stop), np.diff(ends[first : stop + 1]))
+        k = np.arange(ends[first], ends[stop]) - ends[which]
+        flat[ends[first] : ends[stop]] = score(a0[which] + k // width[which], b0[which] + k % width[which])
     return flat
-
-
-def window_blocks(flat: np.ndarray, pairs: list[tuple[slice, slice]]) -> Iterator[np.ndarray]:
-    """Each slice pair's block of a `score_window` array, in order, as a view."""
-    end = 0
-    for a, b in pairs:
-        start, end = end, end + (a.stop - a.start) * (b.stop - b.start)
-        yield flat[start:end].reshape(a.stop - a.start, -1)
 
 
 # Named `build_score_matrix` though it returns a flat array: bench/run.py
 # wraps `pipeline.build_score_matrix` by name to time the geometric scorer.
-def build_score_matrix(table: ObservationTable, sigma_g: float, pairs: list[tuple[slice, slice]]) -> np.ndarray:
+def build_score_matrix(table: ObservationTable, sigma_g: float, pairs: FramePairs) -> np.ndarray:
     """Geometric scores of the row pairs in the frame window, as `score_window` lays them out.
 
     `table` is sorted by frame and `pairs` is its frame window,
     `window_pairs(table.frame_id, window)`. A same-category pair scores
     exp(-gap / sigma_g) for the gap between its rays; a pair of two
-    categories scores 0.
+    categories scores 0. Only same-category pairs are listed: with the
+    rows sorted by (category, row), a row's partners of its own category
+    in the later frames of its window are one run of them. Their gaps
+    are taken `GAP_CHUNK` pairs a pass.
     """
-    _, category = table.category_codes
-
-    def score(i, j):
-        same = category[i] == category[j]
-        i, j = i[same], j[same]
-        gap = ray_gaps(table.exposure[i], table.direction[i], table.exposure[j], table.direction[j])
-        scores = np.zeros(len(same))
-        scores[same] = np.clip(np.exp(-gap / sigma_g), 0.0, 1.0)
+    a0, _, b0, b1 = pairs
+    height, width, ends = _blocks(pairs)
+    scores = np.zeros(ends[-1])
+    if not len(a0):
         return scores
+    n = len(table)
+    _, code = table.category_codes
+    # The rows of each frame with later frames in the window, `head` its
+    # first frame pair and `last` its last. Its later frames' rows are one
+    # run, b0 of the first pair to b1 of the last.
+    head = np.flatnonzero(np.append(True, a0[1:] != a0[:-1]))
+    last = np.append(head[1:], len(a0)) - 1
+    per_frame = height[head]
+    frame = np.repeat(a0[head], per_frame)
+    rows = frame + _ranges(per_frame)
+    # Sorted by (category, row), a row's same-category partners are one run of `key`.
+    key = np.sort(code * n + np.arange(n))
+    own = code[rows] * n
+    lo = np.searchsorted(key, own + np.repeat(b0[head], per_frame))
+    count = np.searchsorted(key, own + np.repeat(b1[last], per_frame)) - lo
+    i = np.repeat(rows, count)
+    j = key[np.repeat(lo, count) + _ranges(count)] % n
+    # The frame pair of (i, j): the last whose (a0, b0) is at most (frame of i, j).
+    k = np.searchsorted(a0 * n + b0, np.repeat(frame, count) * n + j, side="right") - 1
+    at = ends[k] + (i - a0[k]) * width[k] + (j - b0[k])
+    for start in range(0, len(i), GAP_CHUNK):
+        chunk = slice(start, start + GAP_CHUNK)
+        # np.take gathers rows several times faster than fancy indexing.
+        rays = [np.take(column, side[chunk], axis=0) for side in (i, j)
+                for column in (table.exposure, table.direction)]
+        scores[at[chunk]] = np.exp(-ray_gaps(*rays) / sigma_g)
+    return scores
 
-    return score_window(pairs, score)
 
+def assign_pairs(scores: np.ndarray, pairs: FramePairs, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Optimal one-to-one matches in every frame pair of the window, kept where the score reaches `tau`.
 
-def assign_pairs(block: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal one-to-one matches between the rows and columns of `block`.
-
-    Solves the maximum-weight bipartite assignment on the scores `block`
-    and keeps assignments whose score is at least `tau`, as block-local
-    (rows, cols) index arrays in increasing row order.
+    `scores` holds the window's blocks as `score_window` lays them out.
+    Each frame pair's block is solved as a maximum-weight bipartite
+    assignment, the one solver call per frame pair; everything else is
+    one array pass over the window. Returns (row_a, row_b, score): the
+    table rows of the earlier and the later frame and the score of each
+    kept match, frame pair by frame pair in window order, each pair's in
+    increasing row order.
     """
-    rows, cols = linear_sum_assignment(block, maximize=True)
-    kept = block[rows, cols] >= tau
-    return rows[kept], cols[kept]
+    a0, _, b0, _ = pairs
+    height, width, ends = _blocks(pairs)
+    # linear_sum_assignment(maximize=True) solves a negated copy; negate the window once instead.
+    cost = -scores
+    solved = [(np.empty(0, dtype=np.intp),) * 2] + [
+        linear_sum_assignment(cost[lo:hi].reshape(h, -1))
+        for lo, hi, h in zip(ends[:-1].tolist(), ends[1:].tolist(), height.tolist())
+    ]
+    rows, cols = (np.concatenate(column) for column in zip(*solved))
+    block = np.repeat(np.arange(len(a0)), np.minimum(height, width))
+    score = scores[ends[block] + rows * width[block] + cols]
+    kept = score >= tau
+    return (rows + a0[block])[kept], (cols + b0[block])[kept], score[kept]
 
 
 def transitive_cluster(row_a: np.ndarray, row_b: np.ndarray, obs_id: np.ndarray) -> ClusterTable:

@@ -275,12 +275,16 @@ class ObservationTable:
         Raises:
             ValueError: if two observations share an obs_id.
         """
+        # Every exposure, then every direction, in one array; the empty `()`
+        # keeps np.concatenate from refusing a list of no records.
+        rays = np.concatenate([*(o.exposure for o in observations), *(o.direction for o in observations), ()],
+                              dtype=float).reshape(2, -1, 3)
         table = cls(
             obs_id=np.array([o.obs_id for o in observations], dtype=np.int64),
             frame_id=np.array([o.frame_id for o in observations], dtype=np.int64),
             category=np.array([o.category for o in observations], dtype=object),
-            exposure=np.array([o.exposure for o in observations], dtype=float).reshape(-1, 3),
-            direction=np.array([o.direction for o in observations], dtype=float).reshape(-1, 3),
+            exposure=rays[0],
+            direction=rays[1],
             box_w_norm=np.array([o.box_w_norm for o in observations], dtype=float),
             box_h_norm=np.array([o.box_h_norm for o in observations], dtype=float),
         )
@@ -332,7 +336,11 @@ class ObservationTable:
         A table made by `take` has the names of the table it was taken
         from, which may include categories none of its rows has.
         """
-        return np.unique(self.category, return_inverse=True)
+        labels = self.category.tolist()
+        names = sorted(set(labels))
+        code = dict(zip(names, range(len(names))))
+        return np.array(names, dtype=object), np.fromiter(map(code.__getitem__, labels), dtype=np.intp,
+                                                          count=len(labels))
 
     def rows(self, obs_ids) -> np.ndarray:
         """Row index of each id in the sequence `obs_ids`, in its order.

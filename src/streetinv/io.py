@@ -190,6 +190,9 @@ def _decode(text: str, where: str) -> dict:
         record = _deep(_DECODER.decode, text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{where}: malformed JSON: {exc.msg}") from exc
+    except ValueError as exc:
+        # int() refuses a literal longer than the interpreter's limit on digits.
+        raise DataError(f"{where}: integer literal of more than {sys.get_int_max_str_digits()} digits") from exc
     except DataError as exc:
         raise DataError(f"{where}: {exc}") from exc
     except RecursionError as exc:

@@ -18,12 +18,12 @@ import numpy as np
 from . import io as sio
 from .association import (
     ClusterTable,
+    FramePairs,
     ScoreTriplets,
     assign_pairs,
     build_score_matrix,
     score_window,
     transitive_cluster,
-    window_blocks,
     window_pairs,
 )
 from .geometry import Observation, ObservationTable
@@ -100,7 +100,7 @@ class PipelineResult:
     report: EvaluationReport | None = None
 
 
-def _file_scores(path: str, table: ObservationTable, pairs: list[tuple[slice, slice]]) -> np.ndarray:
+def _file_scores(path: str, table: ObservationTable, pairs: FramePairs) -> np.ndarray:
     """Scores from a triplet file, laid out by `score_window`; a row pair the file leaves out scores 0."""
     scores = sio.read_score_triplets(path, table.obs_id)
     rows = table.rows(np.stack([scores.obs_a, scores.obs_b], axis=-1).ravel()).reshape(-1, 2)
@@ -135,11 +135,7 @@ def associate(
         scores = _file_scores(cfg.scorer[len("file:"):], table, pairs)
     else:
         scores = build_score_matrix(table, cfg.sigma_g, pairs)
-    matched = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
-    for (a, b), block in zip(pairs, window_blocks(scores, pairs)):
-        rows, cols = assign_pairs(block, cfg.tau)
-        matched.append((rows + a.start, cols + b.start, block[rows, cols]))
-    row_a, row_b, score = (np.concatenate(column) for column in zip(*matched))
+    row_a, row_b, score = assign_pairs(scores, pairs, cfg.tau)
     id_a, id_b = table.obs_id[row_a], table.obs_id[row_b]
     matches = ScoreTriplets(np.minimum(id_a, id_b), np.maximum(id_a, id_b), score)
     return matches, transitive_cluster(row_a, row_b, table.obs_id)

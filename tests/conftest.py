@@ -224,8 +224,9 @@ def oracle_associate(observations, cfg) -> tuple[list[PairMatch], list[tuple[int
             return float(np.clip(np.exp(-gap / cfg.sigma_g), 0.0, 1.0)[0])
 
     matches = []
-    for a, b in window_pairs(table.frame_id, cfg.window):
-        block = np.array([[score(i, j) for j in range(b.start, b.stop)] for i in range(a.start, a.stop)])
+    for a0, a1, b0, b1 in zip(*(column.tolist() for column in window_pairs(table.frame_id, cfg.window))):
+        a, b = slice(a0, a1), slice(b0, b1)
+        block = np.array([[score(i, j) for j in range(b0, b1)] for i in range(a0, a1)])
         for r, c in zip(*linear_sum_assignment(block, maximize=True)):
             value = float(block[r, c])
             if value >= cfg.tau:

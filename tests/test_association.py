@@ -1,10 +1,12 @@
 """Association: the frame window, geometric scoring, optimal assignment, transitive chaining."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from streetinv import (
     Cluster,
@@ -12,12 +14,13 @@ from streetinv import (
     Observation,
     ObservationTable,
     assign_pairs,
+    association,
     build_score_matrix,
     ray_gaps,
     transitive_cluster,
     window_pairs,
 )
-from streetinv.association import SCORE_BATCH, window_blocks
+from streetinv.association import GAP_CHUNK
 
 from conftest import oracle_enumerate_assignment
 
@@ -37,14 +40,28 @@ def frame_sorted(observations) -> ObservationTable:
     return table.take(np.lexsort((table.obs_id, table.frame_id)))
 
 
+def frame_pairs(pairs) -> list[tuple[int, int, int, int]]:
+    """The columns (a0, a1, b0, b1) of `window_pairs` as one tuple per frame pair."""
+    assert all(column.dtype == np.intp for column in pairs)
+    return list(zip(*(column.tolist() for column in pairs)))
+
+
+def blocks(flat, pairs) -> list[np.ndarray]:
+    """Each frame pair's block of a window score array, cut out by hand."""
+    out, end = [], 0
+    for a0, a1, b0, b1 in frame_pairs(pairs):
+        start, end = end, end + (a1 - a0) * (b1 - b0)
+        out.append(flat[start:end].reshape(a1 - a0, b1 - b0))
+    assert end == len(flat)
+    return out
+
+
 def score_table(table, sigma_g, window) -> np.ndarray:
     """`build_score_matrix` of the frame window, its blocks placed in an n x n table; 0 outside them."""
     pairs = window_pairs(table.frame_id, window)
-    scores = build_score_matrix(table, sigma_g, pairs)
-    assert scores.shape == (sum((a.stop - a.start) * (b.stop - b.start) for a, b in pairs),)
     dense = np.zeros((len(table), len(table)))
-    for (a, b), block in zip(pairs, window_blocks(scores, pairs)):
-        dense[a, b] = block
+    for (a0, a1, b0, b1), block in zip(frame_pairs(pairs), blocks(build_score_matrix(table, sigma_g, pairs), pairs)):
+        dense[a0:a1, b0:b1] = block
     return dense
 
 
@@ -57,17 +74,22 @@ def pair_score(a, b, sigma_g=0.5) -> float:
 
 class TestWindowPairs:
     def test_ranks_count_only_frames_present(self):
-        assert window_pairs(np.array([0, 5, 6]), 2) == [
-            (slice(0, 1), slice(1, 2)), (slice(1, 2), slice(2, 3))]
+        assert frame_pairs(window_pairs(np.array([0, 5, 6]), 2)) == [(0, 1, 1, 2), (1, 2, 2, 3)]
 
     def test_each_frame_is_one_run_of_rows(self):
         frames = np.array([0, 0, 5, 6, 6])
-        assert window_pairs(frames, 3) == [
-            (slice(0, 2), slice(2, 3)), (slice(0, 2), slice(3, 5)), (slice(2, 3), slice(3, 5))]
+        assert frame_pairs(window_pairs(frames, 3)) == [(0, 2, 2, 3), (0, 2, 3, 5), (2, 3, 3, 5)]
 
     @pytest.mark.parametrize("frames", [[], [4], [4, 4, 4]])
     def test_empty_or_single_frame_has_no_pairs(self, frames):
-        assert window_pairs(np.array(frames, dtype=np.int64), 3) == []
+        assert frame_pairs(window_pairs(np.array(frames, dtype=np.int64), 3)) == []
+
+    @pytest.mark.parametrize("window", [2, 3, 4, 10, 2**80])
+    def test_every_frame_pairs_with_the_next_window_minus_one(self, window):
+        frames = np.array([1, 1, 2, 4, 4, 4, 7, 9, 9])
+        runs = [(0, 2), (2, 3), (3, 6), (6, 7), (7, 9)]
+        assert frame_pairs(window_pairs(frames, window)) == [
+            (*runs[r], *runs[q]) for r in range(len(runs)) for q in range(r + 1, min(r + window, len(runs)))]
 
     def test_unsorted_frames_refused(self):
         with pytest.raises(ValueError, match="sorted by frame"):
@@ -76,8 +98,7 @@ class TestWindowPairs:
     def test_frames_more_than_2_63_apart_are_sorted(self):
         # 5 - (-2**63) wraps to a negative int64.
         frames = np.array([-2**63, -2**63, 5, 7], dtype=np.int64)
-        assert window_pairs(frames, 3) == [
-            (slice(0, 2), slice(2, 3)), (slice(0, 2), slice(3, 4)), (slice(2, 3), slice(3, 4))]
+        assert frame_pairs(window_pairs(frames, 3)) == [(0, 2, 2, 3), (0, 2, 3, 4), (2, 3, 3, 4)]
 
 
 class TestGeometricScore:
@@ -133,34 +154,119 @@ class TestGeometricScore:
         assert score_table(table, 0.5, 3)[0, 2] == pytest.approx(1.0)
 
     def test_upper_triangular_over_window_pairs_in_batches(self):
+        # More same-category pairs than one `ray_gaps` chunk.
         rng = np.random.default_rng(5)
         observations = [
             obs(k, int(f), rng.normal(size=3), rng.normal(size=3) * 10, category=c)
-            for k, (f, c) in enumerate(zip(rng.integers(0, 400, 900), rng.choice(["a", "b"], 900)))
+            for k, (f, c) in enumerate(zip(rng.integers(0, 300, 2400), rng.choice(["a", "b"], 2400)))
         ]
         table = frame_sorted(observations)
         m = score_table(table, 0.5, 3)
         scored = set(zip(*(rows.tolist() for rows in np.nonzero(m))))
         expected = {
             (i, j)
-            for a, b in window_pairs(table.frame_id, 3)
-            for i in range(a.start, a.stop)
-            for j in range(b.start, b.stop)
+            for a0, a1, b0, b1 in frame_pairs(window_pairs(table.frame_id, 3))
+            for i in range(a0, a1)
+            for j in range(b0, b1)
             if table.category[i] == table.category[j]
         }
-        assert len(window_pairs(table.frame_id, 3)) > SCORE_BATCH  # more than one batch
+        assert len(expected) > 2 * GAP_CHUNK  # more than two chunks
         assert scored == expected and all(i < j for i, j in scored)
         # Each score is its pair's own, bit for bit.
         i, j = np.array(sorted(scored)).T
         gap = np.concatenate([ray_gaps(table.exposure[[r]], table.direction[[r]], table.exposure[[c]],
                                        table.direction[[c]]) for r, c in zip(i, j)])
-        assert m[i, j].tobytes() == np.clip(np.exp(-gap / 0.5), 0.0, 1.0).tobytes()
+        assert m[i, j].tobytes() == np.exp(-gap / 0.5).tobytes()
+
+
+_CATEGORIES = ("light", "pole", "sign")
+_DIRECTIONS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
+
+
+@st.composite
+def ray_tables(draw):
+    """Frame-sorted tables of up to 40 rays on up to 12 frames, each frame
+    drawing its categories from a subset of three, some rays parallel."""
+    rows = []
+    for frame in range(draw(st.integers(0, 12))):
+        present = draw(st.lists(st.sampled_from(_CATEGORIES), min_size=1, max_size=3, unique=True))
+        for category in draw(st.lists(st.sampled_from(present), min_size=1, max_size=4)):
+            rows.append((frame, category))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    observations = []
+    for k, (frame, category) in enumerate(rows[:40]):
+        origin = rng.normal(size=3) * 5
+        # One ray in four runs along an axis, so some pairs are parallel.
+        toward = origin + (_DIRECTIONS[k % 3] if rng.random() < 0.25 else rng.normal(size=3))
+        observations.append(obs(k, frame, origin, toward, category=category))
+    return frame_sorted(observations)
+
+
+def all_pairs_scores(table, sigma_g, pairs) -> np.ndarray:
+    """The window's scores cut from one pass over every row pair i < j:
+    exp(-gap / sigma_g) of the same category, 0 of two."""
+    n = len(table)
+    i, j = np.triu_indices(n, 1)
+    gap = ray_gaps(table.exposure[i], table.direction[i], table.exposure[j], table.direction[j])
+    dense = np.zeros((n, n))
+    dense[i, j] = np.where(table.category[i] == table.category[j], np.exp(-gap / sigma_g), 0.0)
+    return np.concatenate([dense[a0:a1, b0:b1].ravel() for a0, a1, b0, b1 in frame_pairs(pairs)] + [np.empty(0)])
+
+
+class TestScoresOfSameCategoryPairs:
+    @settings(max_examples=150, deadline=None)
+    @given(table=ray_tables(), window=st.integers(2, 5), chunk=st.integers(1, 16),
+           sigma_g=st.sampled_from([0.05, 0.5, 3.0]))
+    def test_equal_to_the_all_pairs_reference(self, table, window, chunk, sigma_g):
+        # Chunks of a few pairs, so most windows take several.
+        pairs = window_pairs(table.frame_id, window)
+        with mock.patch.object(association, "GAP_CHUNK", chunk):
+            scores = build_score_matrix(table, sigma_g, pairs)
+        assert scores.tobytes() == all_pairs_scores(table, sigma_g, pairs).tobytes()
+
+    @pytest.mark.parametrize("window", [2, 3, 4, 5])
+    def test_ray_gaps_sees_only_same_category_window_pairs(self, window):
+        # A counting gate: `ray_gaps` is handed as many row pairs as the
+        # window has same-category row pairs, at most a chunk at a time.
+        rng = np.random.default_rng(window)
+        observations = [
+            obs(k, int(f), rng.normal(size=3), rng.normal(size=3) * 10, category=c)
+            for k, (f, c) in enumerate(zip(rng.integers(0, 500, 3000), rng.choice(list(_CATEGORIES), 3000)))
+        ]
+        table = frame_sorted(observations)
+        pairs = window_pairs(table.frame_id, window)
+        same = sum(int((table.category[a0:a1, None] == table.category[None, b0:b1]).sum())
+                   for a0, a1, b0, b1 in frame_pairs(pairs))
+        seen = []
+
+        def counted(*ends):
+            seen.append(len(ends[0]))
+            return ray_gaps(*ends)
+
+        with mock.patch.object(association, "ray_gaps", counted):
+            build_score_matrix(table, 0.5, pairs)
+        assert sum(seen) == same > GAP_CHUNK
+        assert max(seen) <= GAP_CHUNK
 
 
 def matched(block: np.ndarray, tau: float) -> list[tuple[int, int, float]]:
-    """`assign_pairs` of `block` as (row, col, score) triples."""
-    rows, cols = assign_pairs(block, tau)
-    return [(r, c, float(block[r, c])) for r, c in zip(rows.tolist(), cols.tolist())]
+    """`assign_pairs` of a window of one frame pair, `block`, as block-local (row, col, score) triples."""
+    h, w = block.shape
+    pairs = tuple(np.array([bound], dtype=np.intp) for bound in (0, h, h, h + w))
+    rows, cols, scores = assign_pairs(block.ravel(), pairs, tau)
+    assert scores.tobytes() == block[rows, cols - h].tobytes()
+    return [(r, c - h, s) for r, c, s in zip(rows.tolist(), cols.tolist(), scores.tolist())]
+
+
+@st.composite
+def score_windows(draw):
+    """Frame windows of 1-4 rows a frame and their scores, many of them tied or 0."""
+    sizes = draw(st.lists(st.integers(1, 4), max_size=8))
+    frames = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    pairs = window_pairs(frames, draw(st.integers(2, 5)))
+    n = int(((pairs[1] - pairs[0]) * (pairs[3] - pairs[2])).sum())
+    values = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    return pairs, np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
 
 
 class TestAssignPairs:
@@ -177,13 +283,13 @@ class TestAssignPairs:
     def test_never_matches_within_a_frame(self):
         # Rows are the earlier frame's rays and columns the later one's.
         rng = np.random.default_rng(2)
-        rows, cols = assign_pairs(rng.uniform(0, 1, size=(4, 3)), tau=0.0)
-        assert len(rows) == 3 and set(rows.tolist()) <= set(range(4)) and sorted(cols.tolist()) == [0, 1, 2]
+        rows, cols, _ = zip(*matched(rng.uniform(0, 1, size=(4, 3)), tau=0.0))
+        assert len(rows) == 3 and set(rows) <= set(range(4)) and sorted(cols) == [0, 1, 2]
 
     def test_one_to_one_per_frame_pair(self):
         rng = np.random.default_rng(3)
-        rows, cols = assign_pairs(rng.uniform(0, 1, size=(5, 5)), tau=0.0)
-        assert sorted(rows.tolist()) == sorted(cols.tolist()) == list(range(5))
+        rows, cols, _ = zip(*matched(rng.uniform(0, 1, size=(5, 5)), tau=0.0))
+        assert sorted(rows) == sorted(cols) == list(range(5))
 
     def test_total_score_matches_enumeration_oracle(self):
         rng = np.random.default_rng(4)
@@ -194,6 +300,25 @@ class TestAssignPairs:
             total = sum(score for _, _, score in matched(block, tau=0.0))
             _, oracle_total = oracle_enumerate_assignment(block)
             assert total == pytest.approx(oracle_total, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(window=score_windows(), tau=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    def test_the_window_is_solved_block_by_block(self, window, tau):
+        # Bit for bit the matches of linear_sum_assignment(maximize=True)
+        # on each block, its kept ones in window order.
+        pairs, scores = window
+        expected = [np.empty(0, dtype=np.intp)] * 2 + [np.empty(0)]
+        for (a0, _, b0, _), block in zip(frame_pairs(pairs), blocks(scores, pairs)):
+            r, c = linear_sum_assignment(block, maximize=True)
+            kept = block[r, c] >= tau
+            expected = [np.append(x, y) for x, y in zip(expected, (r[kept] + a0, c[kept] + b0, block[r, c][kept]))]
+        got = assign_pairs(scores, pairs, tau)
+        assert got[0].dtype == got[1].dtype == np.intp
+        assert [column.tobytes() for column in got] == [column.tobytes() for column in expected]
+
+    def test_an_empty_window_matches_nothing(self):
+        pairs = window_pairs(np.array([3, 3], dtype=np.int64), 3)
+        assert [column.tolist() for column in assign_pairs(np.empty(0), pairs, 0.5)] == [[], [], []]
 
 
 def chained(edges, obs_id) -> list[tuple[int, list[int]]]:

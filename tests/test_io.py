@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import sys
 from unittest import mock
 
 import numpy as np
@@ -444,6 +445,28 @@ class TestDeepValues:
             handle.write(_text(_DETECTION) + json.dumps(_DETECTION).replace('"cx": 5', '"cx": ' + _nested(1010)))
         assert main(["run", "--poses", poses, "--detections", detections, "--out", out]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"data error: {detections}:2: cx must be a finite number")
+
+
+class TestLongIntegers:
+    """An integer literal longer than the interpreter converts is a data error, not a traceback."""
+
+    @staticmethod
+    def _write(path):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(_text(_DETECTION) + json.dumps(_DETECTION).replace('"frame_id": 0', '"frame_id": ' + "1" * 5000))
+
+    def test_refused_naming_the_line(self, path):
+        self._write(path)
+        with pytest.raises(sio.DataError) as refused:
+            sio.read_detections(path)
+        assert str(refused.value) == f"{path}:2: integer literal of more than {sys.get_int_max_str_digits()} digits"
+
+    def test_run_exits_2(self, tmp_path, capsys):
+        poses, detections, out = (str(tmp_path / name) for name in ("poses.jsonl", "detections.jsonl", "out"))
+        _write_poses(poses, [_POSE])
+        self._write(detections)
+        assert main(["run", "--poses", poses, "--detections", detections, "--out", out]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: {detections}:2: integer literal of more than")
 
 
 class TestDirectionNorms:

@@ -21,7 +21,6 @@ from streetinv import (
     run_pipeline,
 )
 from streetinv import association, io, pipeline, refinement, window_pairs
-from streetinv.association import window_blocks
 from streetinv.pipeline import _file_scores, associate, inventory_records, localize_clusters
 from streetinv.simulator import GroundTruth
 
@@ -88,6 +87,7 @@ class TestObservationTable:
         expected_names, expected_codes = np.unique(table.category, return_inverse=True)
         assert names.tolist() == expected_names.tolist() == sorted(set(table.category))
         assert codes.tolist() == expected_codes.tolist()
+        assert (names.dtype, codes.dtype) == (expected_names.dtype, expected_codes.dtype)
         assert names[codes].tolist() == table.category.tolist()
         assert table.category_codes is table.category_codes
         empty = ObservationTable.from_observations([]).category_codes
@@ -233,21 +233,26 @@ class TestAssociate:
         path = tmp_path / "scores.jsonl"
         _write_scores(path, zip(np.where(swap, j, i).tolist(), np.where(swap, i, j).tolist(), dense[i, j].tolist()))
         pairs = window_pairs(frames, window)
-        blocks = list(window_blocks(_file_scores(str(path), table, pairs), pairs))
-        assert len(blocks) == len(pairs) > 0
+        scores = _file_scores(str(path), table, pairs)
         rank = np.unique(frames, return_inverse=True)[1]
         assert (rank[i] == rank[j]).any() and (rank[j] - rank[i] >= window).any()
-        for (a, b), block in zip(pairs, blocks):
-            assert np.array_equal(block, dense[a, b])
+        # The blocks, cut by hand from the columns, one after another.
+        end = 0
+        for a0, a1, b0, b1 in zip(*(column.tolist() for column in pairs)):
+            start, end = end, end + (a1 - a0) * (b1 - b0)
+            assert np.array_equal(scores[start:end].reshape(a1 - a0, b1 - b0), dense[a0:a1, b0:b1])
+        assert end == len(scores) > 0
 
     def test_peak_memory_is_bounded_per_window_row_pair(self):
-        # Scoring runs a batch of frame pairs at a time, so the peak is one
-        # score per window row pair plus one batch's temporaries. Scoring
-        # every frame pair in one batch peaks near 97 bytes a row pair here.
+        # The peak is one score per window row pair, the negated copy that
+        # assignment solves, and the same-category pairs' index columns,
+        # whose gaps are taken a chunk at a time: near 33 bytes a row pair
+        # here. Scoring every window row pair in one pass peaked near 97.
         spec = default_scene_spec(seed=8, n_objects=750, street_length=5000.0, clutter_rate=1.0, drop_prob=0.1)
         observations, _ = generate_scene(spec)
         frames = np.sort([o.frame_id for o in observations])
-        row_pairs = sum((a.stop - a.start) * (b.stop - b.start) for a, b in window_pairs(frames, 3))
+        a0, a1, b0, b1 = window_pairs(frames, 3)
+        row_pairs = int(((a1 - a0) * (b1 - b0)).sum())
         assert row_pairs == 103_343
         tracemalloc.start()
         try:
