@@ -12,13 +12,14 @@ pass into an `ObservationTable`, and every later stage reads the rays as
 rows of that table; a cluster names its rays by observation id. Association
 sorts its table by frame, so each frame is one run of rows, and takes
 from one function, `window_pairs`, the frames fewer than `window` ranks
-apart as four columns of row ranges, one row per frame pair. Its scores,
-geometric or from a file, are one flat array holding one score per row
-pair of the window; the geometric scorer computes only the same-category
-pairs. Assignment solves a view of that array per frame pair and does
-the rest in array passes over the window. The matches are columns of
-table rows: chaining runs connected components on
-the rows, and `associate` returns the matches as `ScoreTriplets` columns.
+apart as four columns of row ranges, one row per frame pair. Both
+scorers hand assignment scored row pairs as columns: the geometric scorer
+lists only the window's same-category pairs, and a file's pairs come as
+read. Assignment alone places them in the window's one flat array of
+blocks, solves a view of it per frame pair and does the rest in array
+passes over the window. The matches are columns of table rows: chaining
+runs connected components on the rows, and `associate` returns the
+matches as `ScoreTriplets` columns.
 The clusters are one `ClusterTable` of columns from chaining to the
 inventory: localization, refinement, the inventory and the cluster files
 read and write it with no object per cluster. Localization and each round

@@ -5,24 +5,24 @@ sorted by (frame_id, obs_id), so each frame is one run of rows. The
 window is decided in one place, `window_pairs`: it lists the pairs of
 frames fewer than `window` ranks apart, counting only frames that have
 observations, as four row-range columns (a0, a1, b0, b1): frame pair k
-pairs rows a0[k]:a1[k] with the later rows b0[k]:b1[k]. Scoring and
-assignment both read those columns.
+pairs rows a0[k]:a1[k] with the later rows b0[k]:b1[k]. The geometric
+scorer and assignment both read those columns.
 
 Matchability scores, from the built-in geometric scorer or an external
-file, are one flat array with one score per row pair of the window, block
-after block and each block row by row. The geometric scorer lists only
-the same-category row pairs, the only ones that can score above 0: with
-the rows sorted by (category, row), each row's partners are one
-`searchsorted` range. It takes their ray gaps a cache-sized chunk at a
-time and scatters exp(-gap / sigma_g) into an array of zeros. A file's
-scores are looked up for every row pair of the window, which
-`score_window` lists. `assign_pairs` solves the whole window: its one
-loop is the optimal one-to-one assignment of each frame pair's block, a
-view of the negated array, and the offsets, the scores and the
-confidence threshold are array passes over all the solutions. The kept
-matches stay columns of table rows: `transitive_cluster` chains them by
-connected components over the rows, and `ScoreTriplets` holds them as
-columns of observation ids and scores.
+file, are scored row pairs: columns (row_a, row_b, score), a row pair the
+scorer leaves out scoring 0. The geometric scorer lists only the
+same-category row pairs of the window, the only ones that can score above
+0: with the rows sorted by (category, row), each row's partners are one
+`searchsorted` range, and their ray gaps are taken a cache-sized chunk at
+a time. A file's pairs are listed as read. `assign_pairs` alone lays out
+the window: it places each listed pair of the window in its frame pair's
+block of one flat cost array, drops the pairs within one frame or beyond
+the window, and solves the whole window. Its one loop is the optimal
+one-to-one assignment of each frame pair's block, a view of that array,
+and the offsets, the scores and the confidence threshold are array passes
+over all the solutions. The kept matches stay columns of table rows:
+`transitive_cluster` chains them by connected components over the rows,
+and `ScoreTriplets` holds them as columns of observation ids and scores.
 
 The clusters of a run are one `ClusterTable`: columns of cluster ids,
 member ids grouped by cluster, centers and residuals. Chaining builds it
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -47,19 +47,16 @@ from .geometry import ObservationTable
 
 __all__ = [
     "FramePairs",
+    "ScoredPairs",
     "ScoreTriplets",
     "Cluster",
     "ClusterTable",
     "window_pairs",
     "ray_gaps",
-    "score_window",
     "build_score_matrix",
     "assign_pairs",
     "transitive_cluster",
 ]
-
-# Frame pairs `score_window` scores per array pass: bounds its peak memory.
-SCORE_BATCH = 128
 
 # Same-category row pairs per `ray_gaps` pass of the geometric scorer:
 # small enough that a pass's temporaries stay in cache.
@@ -117,6 +114,9 @@ _INT64_MAX = np.iinfo(np.int64).max
 # A frame window as four intp columns (a0, a1, b0, b1): frame pair k pairs
 # rows a0[k]:a1[k] of one frame with rows b0[k]:b1[k] of a later one.
 FramePairs = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+# Scored row pairs as three columns (row_a, row_b, score).
+ScoredPairs = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,14 +290,6 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts, counts)
 
 
-def _blocks(pairs: FramePairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each frame pair's block height and width, and the bounds of the
-    blocks in a `score_window` array: block k is ends[k]:ends[k + 1]."""
-    a0, a1, b0, b1 = pairs
-    height, width = a1 - a0, b1 - b0
-    return height, width, np.concatenate([[0], np.cumsum(height * width)])
-
-
 def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", v, v))
 
@@ -338,42 +330,24 @@ def ray_gaps(origin_a, dir_a, origin_b, dir_b) -> np.ndarray:
     return np.where(parallel, from_b, np.where((t1 < 0.0) | (t2 < 0.0), clamped, interior))
 
 
-def score_window(pairs: FramePairs, score: Callable) -> np.ndarray:
-    """One score per row pair of the frame window `pairs`, in one flat array.
-
-    Lists each frame pair's row pairs (i, j), block after block and each
-    block row by row, `SCORE_BATCH` frame pairs at a time, and stores
-    `score(i, j)` of each batch.
-    """
-    a0, _, b0, _ = pairs
-    _, width, ends = _blocks(pairs)
-    flat = np.empty(ends[-1])
-    for first in range(0, len(a0), SCORE_BATCH):
-        stop = min(first + SCORE_BATCH, len(a0))
-        which = np.repeat(np.arange(first, stop), np.diff(ends[first : stop + 1]))
-        k = np.arange(ends[first], ends[stop]) - ends[which]
-        flat[ends[first] : ends[stop]] = score(a0[which] + k // width[which], b0[which] + k % width[which])
-    return flat
-
-
-# Named `build_score_matrix` though it returns a flat array: bench/run.py
-# wraps `pipeline.build_score_matrix` by name to time the geometric scorer.
-def build_score_matrix(table: ObservationTable, sigma_g: float, pairs: FramePairs) -> np.ndarray:
-    """Geometric scores of the row pairs in the frame window, as `score_window` lays them out.
+# Named `build_score_matrix` though it returns scored row pairs, not a
+# matrix: bench/run.py wraps `pipeline.build_score_matrix` by name to time
+# the geometric scorer.
+def build_score_matrix(table: ObservationTable, sigma_g: float, pairs: FramePairs) -> ScoredPairs:
+    """Geometric scores of the same-category row pairs in the frame window, as `assign_pairs` takes them.
 
     `table` is sorted by frame and `pairs` is its frame window,
     `window_pairs(table.frame_id, window)`. A same-category pair scores
     exp(-gap / sigma_g) for the gap between its rays; a pair of two
-    categories scores 0. Only same-category pairs are listed: with the
-    rows sorted by (category, row), a row's partners of its own category
-    in the later frames of its window are one run of them. Their gaps
-    are taken `GAP_CHUNK` pairs a pass.
+    categories scores 0 and is not listed. With the rows sorted by
+    (category, row), a row's partners of its own category in the later
+    frames of its window are one run of them. Their gaps are taken
+    `GAP_CHUNK` pairs a pass. Returns (row_a, row_b, score), row_a of the
+    earlier frame.
     """
-    a0, _, b0, b1 = pairs
-    height, width, ends = _blocks(pairs)
-    scores = np.zeros(ends[-1])
+    a0, a1, b0, b1 = pairs
     if not len(a0):
-        return scores
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
     n = len(table)
     _, code = table.category_codes
     # The rows of each frame with later frames in the window, `head` its
@@ -381,9 +355,8 @@ def build_score_matrix(table: ObservationTable, sigma_g: float, pairs: FramePair
     # run, b0 of the first pair to b1 of the last.
     head = np.flatnonzero(np.append(True, a0[1:] != a0[:-1]))
     last = np.append(head[1:], len(a0)) - 1
-    per_frame = height[head]
-    frame = np.repeat(a0[head], per_frame)
-    rows = frame + _ranges(per_frame)
+    per_frame = a1[head] - a0[head]
+    rows = np.repeat(a0[head], per_frame) + _ranges(per_frame)
     # Sorted by (category, row), a row's same-category partners are one run of `key`.
     key = np.sort(code * n + np.arange(n))
     own = code[rows] * n
@@ -391,42 +364,62 @@ def build_score_matrix(table: ObservationTable, sigma_g: float, pairs: FramePair
     count = np.searchsorted(key, own + np.repeat(b1[last], per_frame)) - lo
     i = np.repeat(rows, count)
     j = key[np.repeat(lo, count) + _ranges(count)] % n
-    # The frame pair of (i, j): the last whose (a0, b0) is at most (frame of i, j).
-    k = np.searchsorted(a0 * n + b0, np.repeat(frame, count) * n + j, side="right") - 1
-    at = ends[k] + (i - a0[k]) * width[k] + (j - b0[k])
+    scores = np.empty(len(i))
     for start in range(0, len(i), GAP_CHUNK):
         chunk = slice(start, start + GAP_CHUNK)
         # np.take gathers rows several times faster than fancy indexing.
         rays = [np.take(column, side[chunk], axis=0) for side in (i, j)
                 for column in (table.exposure, table.direction)]
-        scores[at[chunk]] = np.exp(-ray_gaps(*rays) / sigma_g)
-    return scores
+        scores[chunk] = np.exp(-ray_gaps(*rays) / sigma_g)
+    return i, j, scores
 
 
-def assign_pairs(scores: np.ndarray, pairs: FramePairs, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def assign_pairs(scored: ScoredPairs, pairs: FramePairs, tau: float) -> ScoredPairs:
     """Optimal one-to-one matches in every frame pair of the window, kept where the score reaches `tau`.
 
-    `scores` holds the window's blocks as `score_window` lays them out.
-    Each frame pair's block is solved as a maximum-weight bipartite
-    assignment, the one solver call per frame pair; everything else is
-    one array pass over the window. Returns (row_a, row_b, score): the
-    table rows of the earlier and the later frame and the score of each
-    kept match, frame pair by frame pair in window order, each pair's in
-    increasing row order.
+    `scored` is (row_a, row_b, score): table rows, in either order, and
+    the score of each listed row pair, a pair listed at most once. A row
+    pair of the window that is not listed scores 0; a listed pair within
+    one frame or beyond the window is ignored. Each frame pair's block is
+    solved as a maximum-weight bipartite assignment, the one solver call
+    per frame pair; everything else is one array pass over the window.
+    Returns (row_a, row_b, score): the table rows of the earlier and the
+    later frame and the score of each kept match, frame pair by frame pair
+    in window order, each pair's in increasing row order.
     """
-    a0, _, b0, _ = pairs
-    height, width, ends = _blocks(pairs)
-    # linear_sum_assignment(maximize=True) solves a negated copy; negate the window once instead.
-    cost = -scores
+    a0, a1, b0, b1 = pairs
+    if not len(a0):
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
+    height, width = a1 - a0, b1 - b0
+    # The window's blocks, one after another, each row by row: block k is ends[k]:ends[k + 1].
+    ends = np.concatenate([[0], np.cumsum(height * width)])
+    # Every frame's first row and rank, and its frame pairs as the earlier
+    # frame: `later[r]` of them from pair first[r] on, with frames r + 1,
+    # r + 2, ... in turn. The last frame pair ends at the last row.
+    starts = np.union1d(a0, b0)
+    rank = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, b1[-1])))
+    first = np.searchsorted(a0, starts)
+    later = np.diff(np.append(first, len(a0)))
+    row_a, row_b, score = scored
+    i, j = np.minimum(row_a, row_b), np.maximum(row_a, row_b)
+    # The pair's frame pair, if any: frame rank[j] is `ahead` frames after rank[i].
+    ahead = rank[j] - rank[i]
+    listed = (0 < ahead) & (ahead <= later[rank[i]])
+    i, j = i[listed], j[listed]
+    k = first[rank[i]] + ahead[listed] - 1
+    # linear_sum_assignment(maximize=True) solves a negated copy; negate the scores once instead.
+    cost = np.zeros(ends[-1])
+    cost[ends[k] + (i - a0[k]) * width[k] + (j - b0[k])] = -score[listed]
     solved = [(np.empty(0, dtype=np.intp),) * 2] + [
         linear_sum_assignment(cost[lo:hi].reshape(h, -1))
         for lo, hi, h in zip(ends[:-1].tolist(), ends[1:].tolist(), height.tolist())
     ]
     rows, cols = (np.concatenate(column) for column in zip(*solved))
     block = np.repeat(np.arange(len(a0)), np.minimum(height, width))
-    score = scores[ends[block] + rows * width[block] + cols]
-    kept = score >= tau
-    return (rows + a0[block])[kept], (cols + b0[block])[kept], score[kept]
+    # 0.0 - cost, not -cost: an unlisted pair's +0.0 stays +0.0.
+    assigned = 0.0 - cost[ends[block] + rows * width[block] + cols]
+    kept = assigned >= tau
+    return (rows + a0[block])[kept], (cols + b0[block])[kept], assigned[kept]
 
 
 def transitive_cluster(row_a: np.ndarray, row_b: np.ndarray, obs_id: np.ndarray) -> ClusterTable:

@@ -5,9 +5,9 @@ localize, refine, evaluate) plus `run` for the whole chain. Every command
 that builds a RunConfig takes one flag per scalar RunConfig field, and
 `simulate` one per default_scene_spec option; any of them can also come
 from a flat key-value config file, and flags override config values.
-Exit codes: 0 success; 1 usage error (bad flags, or settings RunConfig or
-the scene rejects); 2 data error (malformed or inconsistent input or
-config files).
+Exit codes: 0 success; 1 usage error (bad flags, settings RunConfig or
+the scene rejects, or an output that cannot be written); 2 data error
+(malformed or inconsistent input or config files).
 """
 
 from __future__ import annotations
@@ -154,7 +154,6 @@ def _cmd_simulate(args, config: dict) -> int:
         poses, detections, observations, truth = export_scene(spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    os.makedirs(args.out, exist_ok=True)
     sio.write_poses(os.path.join(args.out, "poses.jsonl"), poses)
     sio.write_detections(os.path.join(args.out, "detections.jsonl"), detections)
     sio.write_observations(
@@ -211,7 +210,6 @@ def _cmd_evaluate(args, config: dict) -> int:
     truth = sio.read_truth(args.truth)
     inventory = sio.read_inventory(args.inventory)
     report = build_report(inventory, truth, cfg.identification_tol)
-    os.makedirs(args.out, exist_ok=True)
     _write_report(args.out, report)
     print(report.to_text(), end="")
     return EXIT_OK
@@ -227,7 +225,6 @@ def _cmd_run(args, config: dict) -> int:
     if not len(table):
         print("warning: no detections; writing empty inventory", file=sys.stderr)
     result = run_pipeline(cfg, table, truth)
-    os.makedirs(args.out, exist_ok=True)
     sio.write_jsonl(os.path.join(args.out, "inventory.jsonl"), result.inventory)
     if result.report is not None:
         _write_report(args.out, result.report)
@@ -302,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         config = _load_config(args.config)
         return args.func(args, config)
-    except UsageError as exc:
+    except (UsageError, sio.OutputError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:

@@ -59,6 +59,7 @@ from .geometry import build_observation  # noqa: F401
 
 __all__ = [
     "DataError",
+    "OutputError",
     "geodetic_to_enu",
     "read_poses",
     "write_poses",
@@ -79,6 +80,10 @@ __all__ = [
 
 class DataError(Exception):
     """Malformed or inconsistent input data."""
+
+
+class OutputError(Exception):
+    """An output path that cannot be written; the message names it."""
 
 
 # WGS-84 ellipsoid.
@@ -525,17 +530,24 @@ def _score_triplets(rules: _Rules, known: np.ndarray) -> ScoreTriplets:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to `path` via a temp file and atomic rename."""
+    """Write text to `path` via a temp file and atomic rename, making its directory if need be.
+
+    Raises:
+        OutputError: if it cannot be written, say because a directory on the path is a file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp_path = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
+    except BaseException as exc:
+        if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 

@@ -18,11 +18,10 @@ import numpy as np
 from . import io as sio
 from .association import (
     ClusterTable,
-    FramePairs,
+    ScoredPairs,
     ScoreTriplets,
     assign_pairs,
     build_score_matrix,
-    score_window,
     transitive_cluster,
     window_pairs,
 )
@@ -100,22 +99,10 @@ class PipelineResult:
     report: EvaluationReport | None = None
 
 
-def _file_scores(path: str, table: ObservationTable, pairs: FramePairs) -> np.ndarray:
-    """Scores from a triplet file, laid out by `score_window`; a row pair the file leaves out scores 0."""
+def _file_scores(path: str, table: ObservationTable) -> ScoredPairs:
+    """The scored row pairs of a triplet file, each pair's rows in the file's order."""
     scores = sio.read_score_triplets(path, table.obs_id)
-    rows = table.rows(np.stack([scores.obs_a, scores.obs_b], axis=-1).ravel()).reshape(-1, 2)
-    n = len(table)
-    # A pair's key is (earlier row) * n + (later row); the last, n * n, is above every row pair's.
-    key = np.append(rows.min(axis=1) * n + rows.max(axis=1), n * n)
-    order = np.argsort(key)
-    key, value = key[order], np.append(scores.score, 0.0)[order]
-
-    def lookup(i, j):
-        wanted = i * n + j
-        k = np.searchsorted(key, wanted)
-        return np.where(key[k] == wanted, value[k], 0.0)
-
-    return score_window(pairs, lookup)
+    return table.rows(scores.obs_a), table.rows(scores.obs_b), scores.score
 
 
 def associate(
@@ -132,10 +119,10 @@ def associate(
     table = table.take(np.lexsort((table.obs_id, table.frame_id)))
     pairs = window_pairs(table.frame_id, cfg.window)
     if cfg.scorer.startswith("file:"):
-        scores = _file_scores(cfg.scorer[len("file:"):], table, pairs)
+        scored = _file_scores(cfg.scorer[len("file:"):], table)
     else:
-        scores = build_score_matrix(table, cfg.sigma_g, pairs)
-    row_a, row_b, score = assign_pairs(scores, pairs, cfg.tau)
+        scored = build_score_matrix(table, cfg.sigma_g, pairs)
+    row_a, row_b, score = assign_pairs(scored, pairs, cfg.tau)
     id_a, id_b = table.obs_id[row_a], table.obs_id[row_b]
     matches = ScoreTriplets(np.minimum(id_a, id_b), np.maximum(id_a, id_b), score)
     return matches, transitive_cluster(row_a, row_b, table.obs_id)

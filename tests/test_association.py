@@ -46,22 +46,13 @@ def frame_pairs(pairs) -> list[tuple[int, int, int, int]]:
     return list(zip(*(column.tolist() for column in pairs)))
 
 
-def blocks(flat, pairs) -> list[np.ndarray]:
-    """Each frame pair's block of a window score array, cut out by hand."""
-    out, end = [], 0
-    for a0, a1, b0, b1 in frame_pairs(pairs):
-        start, end = end, end + (a1 - a0) * (b1 - b0)
-        out.append(flat[start:end].reshape(a1 - a0, b1 - b0))
-    assert end == len(flat)
-    return out
-
-
 def score_table(table, sigma_g, window) -> np.ndarray:
-    """`build_score_matrix` of the frame window, its blocks placed in an n x n table; 0 outside them."""
-    pairs = window_pairs(table.frame_id, window)
+    """`build_score_matrix` of the frame window as an n x n table: each
+    listed pair's score at (row_a, row_b), 0 elsewhere."""
+    row_a, row_b, scores = build_score_matrix(table, sigma_g, window_pairs(table.frame_id, window))
     dense = np.zeros((len(table), len(table)))
-    for (a0, a1, b0, b1), block in zip(frame_pairs(pairs), blocks(build_score_matrix(table, sigma_g, pairs), pairs)):
-        dense[a0:a1, b0:b1] = block
+    dense[row_a, row_b] = scores
+    assert len(set(zip(row_a.tolist(), row_b.tolist()))) == len(scores)  # each pair listed once
     return dense
 
 
@@ -161,8 +152,8 @@ class TestGeometricScore:
             for k, (f, c) in enumerate(zip(rng.integers(0, 300, 2400), rng.choice(["a", "b"], 2400)))
         ]
         table = frame_sorted(observations)
-        m = score_table(table, 0.5, 3)
-        scored = set(zip(*(rows.tolist() for rows in np.nonzero(m))))
+        row_a, row_b, scores = build_score_matrix(table, 0.5, window_pairs(table.frame_id, 3))
+        scored = set(zip(row_a.tolist(), row_b.tolist()))
         expected = {
             (i, j)
             for a0, a1, b0, b1 in frame_pairs(window_pairs(table.frame_id, 3))
@@ -171,12 +162,11 @@ class TestGeometricScore:
             if table.category[i] == table.category[j]
         }
         assert len(expected) > 2 * GAP_CHUNK  # more than two chunks
-        assert scored == expected and all(i < j for i, j in scored)
+        assert scored == expected and len(scores) == len(expected) and all(i < j for i, j in scored)
         # Each score is its pair's own, bit for bit.
-        i, j = np.array(sorted(scored)).T
         gap = np.concatenate([ray_gaps(table.exposure[[r]], table.direction[[r]], table.exposure[[c]],
-                                       table.direction[[c]]) for r, c in zip(i, j)])
-        assert m[i, j].tobytes() == np.exp(-gap / 0.5).tobytes()
+                                       table.direction[[c]]) for r, c in zip(row_a, row_b)])
+        assert scores.tobytes() == np.exp(-gap / 0.5).tobytes()
 
 
 _CATEGORIES = ("light", "pole", "sign")
@@ -202,15 +192,18 @@ def ray_tables(draw):
     return frame_sorted(observations)
 
 
-def all_pairs_scores(table, sigma_g, pairs) -> np.ndarray:
-    """The window's scores cut from one pass over every row pair i < j:
-    exp(-gap / sigma_g) of the same category, 0 of two."""
+def all_pairs_scores(table, sigma_g, pairs):
+    """The same-category row pairs i < j of the window and their scores,
+    exp(-gap / sigma_g), cut from one pass over every row pair i < j, in
+    (i, j) order."""
     n = len(table)
     i, j = np.triu_indices(n, 1)
+    in_window = np.zeros((n, n), dtype=bool)
+    for a0, a1, b0, b1 in frame_pairs(pairs):
+        in_window[a0:a1, b0:b1] = True
+    i, j = (rows[in_window[i, j] & (table.category[i] == table.category[j])] for rows in (i, j))
     gap = ray_gaps(table.exposure[i], table.direction[i], table.exposure[j], table.direction[j])
-    dense = np.zeros((n, n))
-    dense[i, j] = np.where(table.category[i] == table.category[j], np.exp(-gap / sigma_g), 0.0)
-    return np.concatenate([dense[a0:a1, b0:b1].ravel() for a0, a1, b0, b1 in frame_pairs(pairs)] + [np.empty(0)])
+    return i, j, np.exp(-gap / sigma_g)
 
 
 class TestScoresOfSameCategoryPairs:
@@ -221,8 +214,10 @@ class TestScoresOfSameCategoryPairs:
         # Chunks of a few pairs, so most windows take several.
         pairs = window_pairs(table.frame_id, window)
         with mock.patch.object(association, "GAP_CHUNK", chunk):
-            scores = build_score_matrix(table, sigma_g, pairs)
-        assert scores.tobytes() == all_pairs_scores(table, sigma_g, pairs).tobytes()
+            scored = build_score_matrix(table, sigma_g, pairs)
+        order = np.lexsort(scored[1::-1])
+        assert [column[order].tobytes() for column in scored] == [
+            column.tobytes() for column in all_pairs_scores(table, sigma_g, pairs)]
 
     @pytest.mark.parametrize("window", [2, 3, 4, 5])
     def test_ray_gaps_sees_only_same_category_window_pairs(self, window):
@@ -250,23 +245,31 @@ class TestScoresOfSameCategoryPairs:
 
 
 def matched(block: np.ndarray, tau: float) -> list[tuple[int, int, float]]:
-    """`assign_pairs` of a window of one frame pair, `block`, as block-local (row, col, score) triples."""
+    """`assign_pairs` of a window of one frame pair, `block`, every entry
+    listed, as block-local (row, col, score) triples."""
     h, w = block.shape
     pairs = tuple(np.array([bound], dtype=np.intp) for bound in (0, h, h, h + w))
-    rows, cols, scores = assign_pairs(block.ravel(), pairs, tau)
+    r, c = np.indices(block.shape).reshape(2, -1)
+    rows, cols, scores = assign_pairs((r, c + h, block.ravel()), pairs, tau)
     assert scores.tobytes() == block[rows, cols - h].tobytes()
     return [(r, c - h, s) for r, c, s in zip(rows.tolist(), cols.tolist(), scores.tolist())]
 
 
 @st.composite
-def score_windows(draw):
-    """Frame windows of 1-4 rows a frame and their scores, many of them tied or 0."""
+def listed_windows(draw):
+    """Frame windows of 1-4 rows a frame and scored row pairs anywhere:
+    within a frame, in the window and beyond it, each pair listed once, in
+    either row order, many scores tied or 0."""
     sizes = draw(st.lists(st.integers(1, 4), max_size=8))
     frames = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     pairs = window_pairs(frames, draw(st.integers(2, 5)))
-    n = int(((pairs[1] - pairs[0]) * (pairs[3] - pairs[2])).sum())
+    n = len(frames)
     values = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.5, 1.0]) | st.floats(0.0, 1.0)
-    return pairs, np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
+    rows = st.integers(0, max(n - 1, 0))
+    listed = np.array(draw(st.lists(st.tuples(rows, rows, values).filter(lambda t: t[0] != t[1]),
+                                    max_size=80 if n > 1 else 0, unique_by=lambda t: frozenset(t[:2]))))
+    listed = listed.reshape(-1, 3)
+    return pairs, (listed[:, 0].astype(np.intp), listed[:, 1].astype(np.intp), listed[:, 2])
 
 
 class TestAssignPairs:
@@ -302,23 +305,31 @@ class TestAssignPairs:
             assert total == pytest.approx(oracle_total, abs=1e-9)
 
     @settings(max_examples=300, deadline=None)
-    @given(window=score_windows(), tau=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    @given(window=listed_windows(), tau=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
     def test_the_window_is_solved_block_by_block(self, window, tau):
         # Bit for bit the matches of linear_sum_assignment(maximize=True)
-        # on each block, its kept ones in window order.
-        pairs, scores = window
+        # on each block, built dense by hand from the listed pairs, its
+        # kept ones in window order.
+        pairs, scored = window
+        lo, hi = np.minimum(scored[0], scored[1]), np.maximum(scored[0], scored[1])
         expected = [np.empty(0, dtype=np.intp)] * 2 + [np.empty(0)]
-        for (a0, _, b0, _), block in zip(frame_pairs(pairs), blocks(scores, pairs)):
+        for a0, a1, b0, b1 in frame_pairs(pairs):
+            block = np.zeros((a1 - a0, b1 - b0))
+            inside = (a0 <= lo) & (lo < a1) & (b0 <= hi) & (hi < b1)
+            block[lo[inside] - a0, hi[inside] - b0] = scored[2][inside]
             r, c = linear_sum_assignment(block, maximize=True)
             kept = block[r, c] >= tau
             expected = [np.append(x, y) for x, y in zip(expected, (r[kept] + a0, c[kept] + b0, block[r, c][kept]))]
-        got = assign_pairs(scores, pairs, tau)
+        got = assign_pairs(scored, pairs, tau)
         assert got[0].dtype == got[1].dtype == np.intp
         assert [column.tobytes() for column in got] == [column.tobytes() for column in expected]
 
     def test_an_empty_window_matches_nothing(self):
+        # One frame: its two rows' listed score is within the frame.
         pairs = window_pairs(np.array([3, 3], dtype=np.int64), 3)
-        assert [column.tolist() for column in assign_pairs(np.empty(0), pairs, 0.5)] == [[], [], []]
+        for scored in ([np.empty(0, dtype=np.intp)] * 2 + [np.empty(0)], ([0], [1], [0.9])):
+            scored = tuple(np.array(column) for column in scored)
+            assert [column.tolist() for column in assign_pairs(scored, pairs, 0.5)] == [[], [], []]
 
 
 def chained(edges, obs_id) -> list[tuple[int, list[int]]]:

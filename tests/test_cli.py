@@ -133,6 +133,38 @@ class TestRepeatedMain:
         assert build_parser() is build_parser()
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", ["simulate", "ingest", "associate", "localize", "refine", "evaluate", "run"])
+    def test_out_that_cannot_be_written_is_a_usage_error(self, scene_dir, tmp_path, capsys, command):
+        # An output directory that is a regular file, or an output file under one.
+        def scene(name):
+            return os.path.join(scene_dir, name)
+
+        clusters, inventory = str(tmp_path / "clusters.jsonl"), str(tmp_path / "run" / "inventory.jsonl")
+        assert main(["associate", "--observations", scene("observations.jsonl"), "--out", clusters]) == EXIT_OK
+        assert main(_run_args(scene_dir, str(tmp_path / "run"))) == EXIT_OK
+        capsys.readouterr()
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = str(blocker) if command in ("simulate", "evaluate", "run") else str(blocker / "out.jsonl")
+        args = {
+            "simulate": ["simulate", "--seed", "0", "--n-objects", "2", "--length", "20", "--out", out],
+            "ingest": ["ingest", "--poses", scene("poses.jsonl"), "--detections", scene("detections.jsonl"),
+                       "--out", out],
+            "associate": ["associate", "--observations", scene("observations.jsonl"), "--out", out],
+            "localize": ["localize", "--observations", scene("observations.jsonl"), "--clusters", clusters,
+                         "--out", out],
+            "refine": ["refine", "--observations", scene("observations.jsonl"), "--clusters", clusters,
+                       "--out", out],
+            "evaluate": ["evaluate", "--inventory", inventory, "--truth", scene("truth.json"), "--out", out],
+            "run": _run_args(scene_dir, out),
+        }[command]
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"usage error: cannot write {out}")
+        assert blocker.read_text() == "kept\n"
+
+
 class TestSettings:
     """Every setting is checked once, where it is built, and comes from one declaration."""
 

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from streetinv import (
     Cluster,
@@ -200,10 +201,14 @@ class TestAssociate:
             (c.cluster_id, c.members) for c in clusters]
 
     @pytest.mark.parametrize("frames", [[], [3, 3, 3], [3]])
-    def test_empty_or_single_frame_matches_nothing(self, frames):
+    def test_empty_or_single_frame_matches_nothing(self, frames, tmp_path):
+        # Also from a file scoring every two observations, all of one frame, 0.9.
         observations = [mkobs(i, f, [0, 0, 0], [10, i, 0]) for i, f in enumerate(frames)]
-        matches, clusters = _assert_associate_matches_oracle(observations, RunConfig())
-        assert _columns(matches) == [] and _members(clusters) == [[i] for i in range(len(frames))]
+        path = tmp_path / "scores.jsonl"
+        _write_scores(path, [(i, j, 0.9) for i in range(len(frames)) for j in range(i)])
+        for cfg in (RunConfig(), RunConfig(scorer=f"file:{path}")):
+            matches, clusters = _assert_associate_matches_oracle(observations, cfg)
+            assert _columns(matches) == [] and _members(clusters) == [[i] for i in range(len(frames))]
 
     def test_file_scores_outside_the_window_are_ignored(self, tmp_path):
         observations = [mkobs(i, f, [10.0 * i, 0, 0], [5, 5, 0]) for i, f in enumerate([0, 4, 9])]
@@ -218,10 +223,11 @@ class TestAssociate:
 
     @pytest.mark.parametrize("window", [2, 3, 5])
     def test_window_blocks_are_the_matrix_slices(self, tmp_path, window):
-        # The file scorer's blocks are the dense slices of a random score
-        # table. Frames hold 0-4 rows, and the table has entries anywhere
-        # above the diagonal: in the window, beyond it, and within one
-        # frame. The file names each pair in a random order.
+        # The blocks assignment solves from the file scorer's row pairs are
+        # the dense slices of a random score table. Frames hold 0-4 rows,
+        # and the table has entries anywhere above the diagonal: in the
+        # window, beyond it, and within one frame. The file names each pair
+        # in a random order.
         rng = np.random.default_rng(window)
         frames = np.sort(rng.choice(40, size=60))
         n = len(frames)
@@ -232,21 +238,25 @@ class TestAssociate:
         swap = rng.random(len(i)) < 0.5
         path = tmp_path / "scores.jsonl"
         _write_scores(path, zip(np.where(swap, j, i).tolist(), np.where(swap, i, j).tolist(), dense[i, j].tolist()))
-        pairs = window_pairs(frames, window)
-        scores = _file_scores(str(path), table, pairs)
+        scored = _file_scores(str(path), table)
+        assert [rows.tolist() for rows in scored[:2]] == [np.where(swap, j, i).tolist(), np.where(swap, i, j).tolist()]
         rank = np.unique(frames, return_inverse=True)[1]
         assert (rank[i] == rank[j]).any() and (rank[j] - rank[i] >= window).any()
-        # The blocks, cut by hand from the columns, one after another.
-        end = 0
+        # Each block solved as cut by hand from the table, one after another.
+        pairs = window_pairs(frames, window)
+        expected = [[], [], []]
         for a0, a1, b0, b1 in zip(*(column.tolist() for column in pairs)):
-            start, end = end, end + (a1 - a0) * (b1 - b0)
-            assert np.array_equal(scores[start:end].reshape(a1 - a0, b1 - b0), dense[a0:a1, b0:b1])
-        assert end == len(scores) > 0
+            block = dense[a0:a1, b0:b1]
+            r, c = linear_sum_assignment(block, maximize=True)
+            for column, values in zip(expected, (r + a0, c + b0, block[r, c])):
+                column.extend(values.tolist())
+        assert [column.tolist() for column in association.assign_pairs(scored, pairs, 0.0)] == expected
+        assert len(expected[0]) > 0
 
     def test_peak_memory_is_bounded_per_window_row_pair(self):
-        # The peak is one score per window row pair, the negated copy that
-        # assignment solves, and the same-category pairs' index columns,
-        # whose gaps are taken a chunk at a time: near 33 bytes a row pair
+        # The peak is the negated score per window row pair that assignment
+        # solves, and the same-category pairs' rows, scores and block slots,
+        # whose gaps are taken a chunk at a time: near 36 bytes a row pair
         # here. Scoring every window row pair in one pass peaked near 97.
         spec = default_scene_spec(seed=8, n_objects=750, street_length=5000.0, clutter_rate=1.0, drop_prob=0.1)
         observations, _ = generate_scene(spec)
