@@ -14,7 +14,10 @@ scorer leaves out scoring 0. The geometric scorer lists only the
 same-category row pairs of the window, the only ones that can score above
 0: with the rows sorted by (category, row), each row's partners are one
 `searchsorted` range, and their ray gaps are taken a cache-sized chunk at
-a time. A file's pairs are listed as read. `assign_pairs` alone lays out
+a time. A ray gap, the distance between two half-lines, is one clamped
+closed form (Ericson, Real-Time Collision Detection, 2005, 5.1.9, with the
+segments' upper clamps dropped): one pair of ray parameters per ray pair.
+A file's pairs are listed as read. `assign_pairs` alone lays out
 the window: it places each listed pair of the window in its frame pair's
 block of one flat cost array, drops the pairs within one frame or beyond
 the window, and solves the whole window. Its one loop is the optimal
@@ -294,40 +297,27 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
-def _clamped_gap(t, origin, d_fix, other, d_other) -> np.ndarray:
-    """Gap with `origin` as one end: the point at parameter `t` >= 0 of ray
-    `other`, the one nearest `origin`, then the point of ray `origin`
-    nearest that, clamped to its ray."""
-    p = other + t[:, None] * d_other
-    s = np.maximum(0.0, np.einsum("ij,ij->i", p - origin, d_fix))
-    return _norm(origin + s[:, None] * d_fix - p)
-
-
 def ray_gaps(origin_a, dir_a, origin_b, dir_b) -> np.ndarray:
     """Minimum distance between ray pairs (half-lines, parameters >= 0).
 
     Row k of the n x 3 arrays is one pair: rays from origin_a[k] along
-    unit dir_a[k] and from origin_b[k] along unit dir_b[k]. The closest
-    approach of the two infinite lines is kept when it lies in front of
-    both origins. Otherwise, or when the rays are parallel, the gap is
-    clamped: a parameter at zero, so points behind a camera never count.
+    unit dir_a[k] and from origin_b[k] along unit dir_b[k]. Their closest
+    points are one pair of ray parameters (s, t), clamped as in Ericson,
+    Real-Time Collision Detection (2005), 5.1.9, without the segments'
+    upper clamps: s of the lines' closest approach (0 if parallel), at
+    least 0; t of ray b's point nearest that; if t < 0, t = 0 and s of ray
+    a's point nearest origin_b, at least 0.
     """
-    w0 = origin_a - origin_b
+    w = origin_a - origin_b
     b = np.einsum("ij,ij->i", dir_a, dir_b)
-    e = np.einsum("ij,ij->i", dir_a, w0)
-    f = np.einsum("ij,ij->i", dir_b, w0)
+    e = np.einsum("ij,ij->i", dir_a, w)
+    f = np.einsum("ij,ij->i", dir_b, w)
     denom = 1.0 - b * b  # |d_a| = |d_b| = 1
-    parallel = denom < PARALLEL_SIN2
-    denom = np.where(parallel, 1.0, denom)
-    t1 = (b * f - e) / denom
-    t2 = (f - b * e) / denom
-    interior = _norm((origin_a + t1[:, None] * dir_a) - (origin_b + t2[:, None] * dir_b))
-    # The parallel gap projects origin_b's ray point nearest origin_a's ray:
-    # the second of the two clamped cases. The point of ray b nearest
-    # origin_a is at f, and that of ray a nearest origin_b at -e.
-    from_b = _clamped_gap(np.maximum(0.0, -e), origin_b, dir_b, origin_a, dir_a)
-    clamped = np.minimum(_clamped_gap(np.maximum(0.0, f), origin_a, dir_a, origin_b, dir_b), from_b)
-    return np.where(parallel, from_b, np.where((t1 < 0.0) | (t2 < 0.0), clamped, interior))
+    # A parallel pair divides by inf, not by (nearly) 0: s = 0.
+    s = np.maximum(0.0, (b * f - e) / np.where(denom < PARALLEL_SIN2, np.inf, denom))
+    t = b * s + f
+    s = np.where(t < 0.0, np.maximum(0.0, -e), s)
+    return _norm(w + s[:, None] * dir_a - np.maximum(0.0, t)[:, None] * dir_b)
 
 
 # Named `build_score_matrix` though it returns scored row pairs, not a

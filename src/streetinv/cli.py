@@ -6,8 +6,9 @@ that builds a RunConfig takes one flag per scalar RunConfig field, and
 `simulate` one per default_scene_spec option; any of them can also come
 from a flat key-value config file, and flags override config values.
 Exit codes: 0 success; 1 usage error (bad flags, settings RunConfig or
-the scene rejects, or an output that cannot be written); 2 data error
-(malformed or inconsistent input or config files).
+the scene rejects, or an output that cannot be written, refused before any
+input is read if `--out` shows it); 2 data error (malformed or inconsistent
+input or config files).
 """
 
 from __future__ import annotations
@@ -293,10 +294,25 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_out(command: str, out: str) -> None:
+    """Refuse, creating nothing, an `--out` that cannot be written: a directory
+    where a file must be, or an existing non-directory where a directory must."""
+    into = command in ("simulate", "evaluate", "run")  # they write into the directory `out`
+    if not into and os.path.isdir(out):
+        raise sio.OutputError(f"cannot write {out}: it is a directory")
+    # The nearest existing path of the output directory and its parents; "" is the working directory.
+    blocker = out if into else os.path.dirname(out)
+    while blocker and not os.path.lexists(blocker):
+        blocker = os.path.dirname(blocker)
+    if blocker and not os.path.isdir(blocker):
+        raise sio.OutputError(f"cannot write {out}: {blocker} is not a directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out(args.command, args.out)
         config = _load_config(args.config)
         return args.func(args, config)
     except (UsageError, sio.OutputError) as exc:

@@ -92,17 +92,22 @@ _WGS84_F = 1.0 / 298.257223563
 _WGS84_E2 = _WGS84_F * (2.0 - _WGS84_F)
 
 
-def _geodetic_to_ecef(lat_rad: float, lon_rad: float, alt: float) -> np.ndarray:
-    sin_lat, cos_lat = math.sin(lat_rad), math.cos(lat_rad)
-    sin_lon, cos_lon = math.sin(lon_rad), math.cos(lon_rad)
-    n = _WGS84_A / math.sqrt(1.0 - _WGS84_E2 * sin_lat * sin_lat)
-    return np.array(
-        [
-            (n + alt) * cos_lat * cos_lon,
-            (n + alt) * cos_lat * sin_lon,
-            (n * (1.0 - _WGS84_E2) + alt) * sin_lat,
-        ]
-    )
+def _enu(lat: np.ndarray, lon: np.ndarray, alt: np.ndarray) -> np.ndarray:
+    """East-North-Up positions of geodetic points about the first, as (n, 3); row 0 is exactly zero.
+
+    Latitudes and longitudes are degrees, altitudes meters, one array each.
+    """
+    lat, lon = np.radians(lat), np.radians(lon)
+    sin_lat, cos_lat, sin_lon, cos_lon = np.sin(lat), np.cos(lat), np.sin(lon), np.cos(lon)
+    n = _WGS84_A / np.sqrt(1.0 - _WGS84_E2 * sin_lat * sin_lat)
+    ecef = ((n + alt) * cos_lat * cos_lon, (n + alt) * cos_lat * sin_lon, (n * (1.0 - _WGS84_E2) + alt) * sin_lat)
+    x, y, z = (c - c[:1] for c in ecef)
+    # The first point's sines and cosines, as length-1 arrays: none of an empty array.
+    sin_lat0, cos_lat0, sin_lon0, cos_lon0 = (v[:1] for v in (sin_lat, cos_lat, sin_lon, cos_lon))
+    east = -sin_lon0 * x + cos_lon0 * y
+    north = -sin_lat0 * cos_lon0 * x - sin_lat0 * sin_lon0 * y + cos_lat0 * z
+    up = cos_lat0 * cos_lon0 * x + cos_lat0 * sin_lon0 * y + sin_lat0 * z
+    return np.stack([east, north, up], axis=-1)
 
 
 def geodetic_to_enu(lat: float, lon: float, alt: float, lat0: float, lon0: float, alt0: float) -> np.ndarray:
@@ -116,23 +121,7 @@ def geodetic_to_enu(lat: float, lon: float, alt: float, lat0: float, lon0: float
     for value in (lat, lat0):
         if not -90.0 <= value <= 90.0:
             raise ValueError(f"latitude {value} outside [-90, 90]")
-    lat_rad, lon_rad = math.radians(lat), math.radians(lon)
-    lat0_rad, lon0_rad = math.radians(lat0), math.radians(lon0)
-    delta = _geodetic_to_ecef(lat_rad, lon_rad, alt) - _geodetic_to_ecef(lat0_rad, lon0_rad, alt0)
-    sin_lat0, cos_lat0 = math.sin(lat0_rad), math.cos(lat0_rad)
-    sin_lon0, cos_lon0 = math.sin(lon0_rad), math.cos(lon0_rad)
-    east = -sin_lon0 * delta[0] + cos_lon0 * delta[1]
-    north = (
-        -sin_lat0 * cos_lon0 * delta[0]
-        - sin_lat0 * sin_lon0 * delta[1]
-        + cos_lat0 * delta[2]
-    )
-    up = (
-        cos_lat0 * cos_lon0 * delta[0]
-        + cos_lat0 * sin_lon0 * delta[1]
-        + sin_lat0 * delta[2]
-    )
-    return np.array([east, north, up])
+    return _enu(*(np.array(pair, dtype=float) for pair in ((lat0, lat), (lon0, lon), (alt0, alt))))[1]
 
 
 def _reject_constant(name: str):
@@ -420,15 +409,10 @@ def _poses(rules: _Rules, coord_mode: str) -> list[CameraPose]:
     if coord_mode == "geodetic":
         coords = rules.fields(("lat", "lon", "alt"))
         lat, lon, alt = (rules.numbers(coords[key], key) for key in ("lat", "lon", "alt"))
-        inside = (-90.0 <= lat) & (lat <= 90.0)
-        rules.check(inside, lambda k: f"latitude {lat[k]} outside [-90, 90]")
-        position = np.full((len(lat), 3), math.nan)
-        # One pose at a time, as `geodetic_to_enu` converts a point; finite
-        # altitudes far apart overflow, quietly, and are refused below. A
-        # first pose outside the latitude range is itself the first error.
+        rules.check((-90.0 <= lat) & (lat <= 90.0), lambda k: f"latitude {lat[k]} outside [-90, 90]")
+        # Finite altitudes far apart overflow, quietly, and are refused below.
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in np.flatnonzero(inside) if inside[:1].all() else ():
-                position[k] = geodetic_to_enu(lat[k], lon[k], alt[k], lat[0], lon[0], alt[0])
+            position = _enu(lat, lon, alt)
     else:
         coords = rules.fields(("x", "y", "z"))
         position = np.stack([rules.numbers(coords[key], key) for key in ("x", "y", "z")], axis=-1)

@@ -7,6 +7,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -116,6 +117,35 @@ def ray_ray_distance(origin_a, dir_a, origin_b, dir_b) -> float:
     p1 = origin_a + t1 * d1
     p2 = origin_b + t2 * d2
     return float(np.linalg.norm(p1 - p2))
+
+
+def exact_ray_gap(origin_a, dir_a, origin_b, dir_b) -> float:
+    """Minimum distance between two rays, exact in rational arithmetic on the float inputs.
+
+    The squared gap is the smallest of three candidates: the lines' closest
+    approach, when it lies in front of both origins, and the two boundary
+    cases, one ray parameter at 0 and the other the nearest point clamped
+    to its ray. The directions' squared lengths are used as they are, not
+    taken as 1. Only the final square root is rounded.
+    """
+    oa, da, ob, db = ([Fraction(float(x)) for x in v] for v in (origin_a, dir_a, origin_b, dir_b))
+    w = [x - y for x, y in zip(oa, ob)]
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def squared(s, t):
+        d = [x + s * y - t * z for x, y, z in zip(w, da, db)]
+        return dot(d, d)
+
+    a, b, c, e, f = dot(da, da), dot(da, db), dot(db, db), dot(da, w), dot(db, w)
+    candidates = [squared(0, max(0, f / c)), squared(max(0, -e / a), 0)]
+    det = a * c - b * b
+    if det:
+        s, t = (b * f - c * e) / det, (a * f - b * e) / det
+        if s >= 0 and t >= 0:
+            candidates.append(squared(s, t))
+    return math.sqrt(min(candidates))
 
 
 def oracle_grid_center(rays, bounds, step: float) -> np.ndarray:

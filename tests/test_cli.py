@@ -165,6 +165,60 @@ class TestUnwritableOut:
         assert blocker.read_text() == "kept\n"
 
 
+_SEVEN = ["simulate", "ingest", "associate", "localize", "refine", "evaluate", "run"]
+
+
+def _missing_inputs(command, missing, out):
+    """`command`'s arguments with every input, the config file included, at the path `missing`."""
+    inputs = {
+        "simulate": [],
+        "ingest": ["--poses", missing, "--detections", missing],
+        "associate": ["--observations", missing],
+        "localize": ["--observations", missing, "--clusters", missing],
+        "refine": ["--observations", missing, "--clusters", missing],
+        "evaluate": ["--inventory", missing, "--truth", missing],
+        "run": ["--poses", missing, "--detections", missing, "--truth", missing],
+    }[command]
+    return ["--config", missing, command, *inputs, "--out", out]
+
+
+class TestOutCheckedFirst:
+    """An `--out` that cannot be written is refused before any input is read: with
+    every input missing, the error is still the usage error, not the data error."""
+
+    @pytest.mark.parametrize("deeper", [False, True], ids=["parent", "ancestor"])
+    @pytest.mark.parametrize("command", _SEVEN)
+    def test_blocked_out_is_refused_before_any_input(self, tmp_path, capsys, command, deeper):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if deeper else blocker
+        if command not in ("simulate", "evaluate", "run"):
+            out = out / "out.jsonl"
+        code = main(_missing_inputs(command, str(tmp_path / "missing"), str(out)))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: cannot write {out}: {blocker} is not a directory\n"
+        assert blocker.read_text() == "kept\n"
+        assert sorted(os.listdir(tmp_path)) == ["file"]
+
+    @pytest.mark.parametrize("command", ["ingest", "associate", "localize", "refine"])
+    def test_file_out_that_is_a_directory_is_refused_before_any_input(self, tmp_path, capsys, command):
+        out = tmp_path / "dir"
+        out.mkdir()
+        code = main(_missing_inputs(command, str(tmp_path / "missing"), str(out)))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: cannot write {out}: it is a directory\n"
+        assert sorted(os.listdir(tmp_path)) == ["dir"] and not os.listdir(out)
+
+    @pytest.mark.parametrize("out", ["out", os.path.join("new", "out")])
+    @pytest.mark.parametrize("command", _SEVEN)
+    def test_writable_out_reads_the_inputs(self, tmp_path, monkeypatch, capsys, command, out):
+        # A relative --out that does not exist yet passes; the missing config is then the data error.
+        monkeypatch.chdir(tmp_path)
+        assert main(_missing_inputs(command, "missing", out)) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: cannot open missing")
+        assert os.listdir(tmp_path) == []
+
+
 class TestSettings:
     """Every setting is checked once, where it is built, and comes from one declaration."""
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from streetinv import DegenerateClusterError, estimate_center, estimate_centers, ray_gaps
 from streetinv.geometry import rotation_from_euler
@@ -13,6 +13,7 @@ from conftest import (
     Ray,
     bundle,
     energy,
+    exact_ray_gap,
     grid_argmin,
     make_ray,
     point_ray_distance,
@@ -70,7 +71,47 @@ def gap(a: Ray, b: Ray) -> float:
     return float(ray_gaps(a.origin[None], a.direction[None], b.origin[None], b.direction[None])[0])
 
 
+# Metres. Rounding moves a computed gap by up to about 4 eps |origin| / sin,
+# so origins within 7 m of 0 keep it under 1e-11 at sin^2 >= 1e-6.
+_coordinate = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def skew_ray_pairs(draw):
+    """A ray pair whose lines pass up to 1 m apart at an angle with sin^2 in [1e-6, 1].
+
+    Each origin lies up to 2 m in front of or behind its line's point of
+    closest approach, so that point lies in front of both cameras, behind
+    one, or behind both.
+    """
+    axis = st.tuples(_coordinate, _coordinate, _coordinate).map(np.array).filter(lambda v: np.linalg.norm(v) > 1.0)
+    dir_a = _unit(draw(axis))
+    # A unit vector normal to dir_a; dir_b turns from dir_a toward it.
+    normal = np.cross(dir_a, draw(axis))
+    assume(np.linalg.norm(normal) > 1e-3)
+    normal = _unit(normal)
+    sin2 = 10.0 ** draw(st.floats(-6.0, 0.0))
+    cos = math.sqrt(1.0 - sin2) * draw(st.sampled_from([1.0, -1.0]))
+    dir_b = _unit(cos * dir_a + math.sqrt(sin2) * normal)
+    near_a = np.array(draw(st.tuples(_coordinate, _coordinate, _coordinate)))
+    near_b = near_a + draw(st.floats(0.0, 1.0)) * np.cross(dir_a, normal)
+    s, t = draw(_coordinate), draw(_coordinate)
+    return Ray(near_a - s * dir_a, dir_a), Ray(near_b - t * dir_b, dir_b)
+
+
 class TestRayRayDistance:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=skew_ray_pairs())
+    # Nearly antiparallel: a gap taken as the difference of the two rays'
+    # points, each computed on its own, is 4e-10 off here.
+    @example(pair=(Ray(np.array([2.8416750742146983, 1.2506243821470153, 1.5908134835861683]),
+                       np.array([-0.9289582355402054, -0.27931799097550364, 0.24293632198466478])),
+                   Ray(np.array([0.3732770321067458, 0.5089193222262917, 2.2372304512389554]),
+                       np.array([0.928880937790958, 0.2787916860802747, -0.24383477844866192]))))
+    def test_equal_to_the_exact_rational_gap(self, pair):
+        a, b = pair
+        assert abs(gap(a, b) - exact_ray_gap(*a, *b)) <= 1e-11
+
     def test_identical_rays(self):
         assert gap(X_RAY, X_RAY) == pytest.approx(0.0)
 
