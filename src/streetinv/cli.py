@@ -6,9 +6,9 @@ that builds a RunConfig takes one flag per scalar RunConfig field, and
 `simulate` one per default_scene_spec option; any of them can also come
 from a flat key-value config file, and flags override config values.
 Exit codes: 0 success; 1 usage error (bad flags, settings RunConfig or
-the scene rejects, or an output that cannot be written, refused before any
-input is read if `--out` shows it); 2 data error (malformed or inconsistent
-input or config files).
+the scene rejects, or an output that cannot be written: every file a
+command writes is checked before any input is read); 2 data error
+(malformed or inconsistent input or config files).
 """
 
 from __future__ import annotations
@@ -129,17 +129,6 @@ def _run_config(args, config: dict) -> RunConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per config key, `--name-with-dashes`; a bool is a switch."""
-    helps = {f.name: f.metadata.get("help") for f in dataclasses.fields(RunConfig)}
-    for name, kind in _CONFIG_KEYS.items():
-        flag = "--" + name.replace("_", "-")
-        if kind is bool:
-            parser.add_argument(flag, action="store_true", default=None, help=helps[name])
-        else:
-            parser.add_argument(flag, type=kind, help=helps[name])
-
-
 def _write_report(out_dir: str, report: EvaluationReport) -> None:
     sio.write_jsonl(os.path.join(out_dir, "report.json"), [report.to_dict()])
     sio.atomic_write_text(os.path.join(out_dir, "report.txt"), report.to_text())
@@ -237,84 +226,90 @@ def _cmd_run(args, config: dict) -> int:
     return EXIT_OK
 
 
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    """A subcommand: help, required input flags, `--out` help, whether it takes the pipeline flags,
+    and the files it writes into the directory `--out` (none: `--out` is the one file it writes).
+    A command with `with_truth` files takes an optional `--truth` and writes them only with it."""
+
+    help: str
+    func: typing.Callable
+    inputs: tuple[str, ...]
+    out_help: str
+    pipeline: bool = True
+    writes: tuple[str, ...] = ()
+    with_truth: tuple[str, ...] = ()
+
+
+# Every command, what it reads and what it writes: the one place a command or an output is added.
+_COMMANDS = {
+    "simulate": _Command("generate a synthetic scene", _cmd_simulate, (), "output directory", pipeline=False,
+                         writes=("poses.jsonl", "detections.jsonl", "observations.jsonl", "truth.json")),
+    "ingest": _Command("join poses and detections into observations", _cmd_ingest, ("poses", "detections"),
+                       "observations.jsonl path"),
+    "associate": _Command("match observations into initial clusters", _cmd_associate, ("observations",),
+                          "clusters.jsonl path"),
+    "localize": _Command("triangulate cluster centers", _cmd_localize, ("observations", "clusters"),
+                         "clusters.jsonl path", pipeline=False),
+    "refine": _Command("split/merge refinement of clusters", _cmd_refine, ("observations", "clusters"),
+                       "clusters.jsonl path"),
+    "evaluate": _Command("score an inventory against ground truth", _cmd_evaluate, ("inventory", "truth"),
+                         "report output directory", writes=("report.json", "report.txt")),
+    "run": _Command("full pipeline: ingest, associate, localize, refine", _cmd_run, ("poses", "detections"),
+                    "output directory", writes=("inventory.jsonl",), with_truth=("report.json", "report.txt")),
+}
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The argparse tree, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="streetinv", description=__doc__)
     parser.add_argument("--config", help="flat key-value config file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate a synthetic scene")
-    p.add_argument("--out", required=True, help="output directory")
+    helps = {f.name: f.metadata.get("help") for f in dataclasses.fields(RunConfig)}
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.inputs:
+            p.add_argument("--" + flag, required=True)
+        if command.with_truth:
+            p.add_argument("--truth", help="optional ground truth for evaluation")
+        p.add_argument("--out", required=True, help=command.out_help)
+        if command.pipeline:  # one flag per config key, `--name-with-dashes`; a bool is a switch
+            for key, kind in _CONFIG_KEYS.items():
+                flag = "--" + key.replace("_", "-")
+                if kind is bool:
+                    p.add_argument(flag, action="store_true", default=None, help=helps[key])
+                else:
+                    p.add_argument(flag, type=kind, help=helps[key])
+    simulate = sub.choices["simulate"]
     for option, (parameter, parse) in _SCENE_KEYS.items():
-        p.add_argument("--" + option.replace("_", "-"), type=parse, help=f"scene {parameter}")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("ingest", help="join poses and detections into observations")
-    p.add_argument("--poses", required=True)
-    p.add_argument("--detections", required=True)
-    p.add_argument("--out", required=True, help="observations.jsonl path")
-    _add_pipeline_flags(p)
-    p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("associate", help="match observations into initial clusters")
-    p.add_argument("--observations", required=True)
-    p.add_argument("--out", required=True, help="clusters.jsonl path")
-    _add_pipeline_flags(p)
-    p.set_defaults(func=_cmd_associate)
-
-    p = sub.add_parser("localize", help="triangulate cluster centers")
-    p.add_argument("--observations", required=True)
-    p.add_argument("--clusters", required=True)
-    p.add_argument("--out", required=True, help="clusters.jsonl path")
-    p.set_defaults(func=_cmd_localize)
-
-    p = sub.add_parser("refine", help="split/merge refinement of clusters")
-    p.add_argument("--observations", required=True)
-    p.add_argument("--clusters", required=True)
-    p.add_argument("--out", required=True, help="clusters.jsonl path")
-    _add_pipeline_flags(p)
-    p.set_defaults(func=_cmd_refine)
-
-    p = sub.add_parser("evaluate", help="score an inventory against ground truth")
-    p.add_argument("--inventory", required=True)
-    p.add_argument("--truth", required=True)
-    p.add_argument("--out", required=True, help="report output directory")
-    _add_pipeline_flags(p)
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("run", help="full pipeline: ingest, associate, localize, refine")
-    p.add_argument("--poses", required=True)
-    p.add_argument("--detections", required=True)
-    p.add_argument("--truth", help="optional ground truth for evaluation")
-    p.add_argument("--out", required=True, help="output directory")
-    _add_pipeline_flags(p)
-    p.set_defaults(func=_cmd_run)
-
+        simulate.add_argument("--" + option.replace("_", "-"), type=parse, help=f"scene {parameter}")
     return parser
 
 
-def _check_out(command: str, out: str) -> None:
-    """Refuse, creating nothing, an `--out` that cannot be written: a directory
-    where a file must be, or an existing non-directory where a directory must."""
-    into = command in ("simulate", "evaluate", "run")  # they write into the directory `out`
-    if not into and os.path.isdir(out):
-        raise sio.OutputError(f"cannot write {out}: it is a directory")
+def _check_out(args) -> None:
+    """Refuse, creating nothing, any path the command would write that cannot be written:
+    a directory where a file must be, or an existing non-directory where a directory must."""
+    command = _COMMANDS[args.command]
+    names = command.writes + (command.with_truth if getattr(args, "truth", None) else ())
+    paths = [os.path.join(args.out, name) for name in names] or [args.out]
+    for path in paths:
+        if os.path.isdir(path):
+            raise sio.OutputError(f"cannot write {path}: it is a directory")
     # The nearest existing path of the output directory and its parents; "" is the working directory.
-    blocker = out if into else os.path.dirname(out)
+    blocker = os.path.dirname(paths[0])
     while blocker and not os.path.lexists(blocker):
         blocker = os.path.dirname(blocker)
     if blocker and not os.path.isdir(blocker):
-        raise sio.OutputError(f"cannot write {out}: {blocker} is not a directory")
+        raise sio.OutputError(f"cannot write {args.out}: {blocker} is not a directory")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _check_out(args.command, args.out)
+        args = build_parser().parse_args(argv)
+        _check_out(args)
         config = _load_config(args.config)
-        return args.func(args, config)
+        return _COMMANDS[args.command].func(args, config)
     except (UsageError, sio.OutputError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

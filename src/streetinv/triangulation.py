@@ -15,10 +15,10 @@ has no unique center.
 
 `estimate_centers` solves many bundles at once: the rows of one array
 pair, each labelled with its bundle. It sums every bundle's normal
-matrix and right-hand side in row order with `np.bincount` and makes one
-`np.linalg.eigh` call on the k x 3 x 3 stack. `estimate_center` is its
-one-bundle case, so a bundle gets the same center, bit for bit, alone or
-in a batch.
+matrix and right-hand side in row order with `np.bincount`, then makes
+one `np.linalg.eigvalsh` and one `np.linalg.solve` call on the k x 3 x 3
+stack. `estimate_center` is its one-bundle case, so a bundle gets the
+same center, bit for bit, alone or in a batch.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def estimate_centers(origins: np.ndarray, dirs: np.ndarray, group: np.ndarray, k
     direction dirs[i] and belongs to bundle group[i], an integer in
     0..k-1. A bundle may have no rays. For each bundle, A = sum(I - d d^T)
     and b = sum((I - d d^T) o) are summed over its rays in row order, and
-    A c = b is solved through the eigendecomposition of the symmetric A.
+    A c = b is solved unless A is singular by PARALLEL_EIGEN_RATIO.
     """
     group = np.asarray(group, dtype=np.intp)
 
@@ -87,11 +87,10 @@ def estimate_centers(origins: np.ndarray, dirs: np.ndarray, group: np.ndarray, k
             a[:, i, j] = a[:, j, i] = (i == j) * count - per_bundle(dirs[:, i] * dirs[:, j])
     along = np.einsum("ij,ij->i", origins, dirs)
     b = np.stack([per_bundle(origins[:, i] - along * dirs[:, i]) for i in range(3)], axis=1)
-    w, v = np.linalg.eigh(a)
+    w = np.linalg.eigvalsh(a)
     degenerate = (count < 2) | (w[:, 0] <= PARALLEL_EIGEN_RATIO * w.sum(axis=1))
-    # Degenerate bundles divide by 1 instead of a zero eigenvalue, then are blanked.
-    coefficients = np.einsum("gji,gj->gi", v, b) / np.where(degenerate[:, None], 1.0, w)
-    centers = np.einsum("gij,gj->gi", v, coefficients)
+    # Degenerate bundles solve the identity instead of their singular matrix, then are blanked.
+    centers = np.linalg.solve(np.where(degenerate[:, None, None], np.eye(3), a), b[:, :, None])[:, :, 0]
     centers[degenerate] = np.nan
     # Explicit perpendicular form: nonnegative by construction, no
     # cancellation near exact intersections.

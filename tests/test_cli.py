@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -37,12 +38,12 @@ def scene_dir(tmp_path_factory):
     return out
 
 
-def _run_args(scene_dir, out, detections=None):
+def _run_args(scene_dir, out, detections=None, truth=True):
     return [
         "run",
         "--poses", os.path.join(scene_dir, "poses.jsonl"),
         "--detections", detections or os.path.join(scene_dir, "detections.jsonl"),
-        "--truth", os.path.join(scene_dir, "truth.json"),
+        *(["--truth", os.path.join(scene_dir, "truth.json")] if truth else []),
         "--out", out,
     ]
 
@@ -146,7 +147,7 @@ class TestUnwritableOut:
         capsys.readouterr()
         blocker = tmp_path / "file"
         blocker.write_text("kept\n")
-        out = str(blocker) if command in ("simulate", "evaluate", "run") else str(blocker / "out.jsonl")
+        out = str(blocker) if cli._COMMANDS[command].writes else str(blocker / "out.jsonl")
         args = {
             "simulate": ["simulate", "--seed", "0", "--n-objects", "2", "--length", "20", "--out", out],
             "ingest": ["ingest", "--poses", scene("poses.jsonl"), "--detections", scene("detections.jsonl"),
@@ -165,21 +166,15 @@ class TestUnwritableOut:
         assert blocker.read_text() == "kept\n"
 
 
-_SEVEN = ["simulate", "ingest", "associate", "localize", "refine", "evaluate", "run"]
-
-
 def _missing_inputs(command, missing, out):
-    """`command`'s arguments with every input, the config file included, at the path `missing`."""
-    inputs = {
-        "simulate": [],
-        "ingest": ["--poses", missing, "--detections", missing],
-        "associate": ["--observations", missing],
-        "localize": ["--observations", missing, "--clusters", missing],
-        "refine": ["--observations", missing, "--clusters", missing],
-        "evaluate": ["--inventory", missing, "--truth", missing],
-        "run": ["--poses", missing, "--detections", missing, "--truth", missing],
-    }[command]
-    return ["--config", missing, command, *inputs, "--out", out]
+    """`command`'s arguments with every input, the config file and `--truth` included, at the path `missing`."""
+    spec = cli._COMMANDS[command]
+    flags = spec.inputs + (("truth",) if spec.with_truth else ())
+    return ["--config", missing, command, *(arg for flag in flags for arg in ("--" + flag, missing)), "--out", out]
+
+
+# Every file a command writes into its `--out` directory, as (command, file name).
+_WRITTEN = [(name, file) for name, spec in cli._COMMANDS.items() for file in spec.writes + spec.with_truth]
 
 
 class TestOutCheckedFirst:
@@ -187,12 +182,12 @@ class TestOutCheckedFirst:
     every input missing, the error is still the usage error, not the data error."""
 
     @pytest.mark.parametrize("deeper", [False, True], ids=["parent", "ancestor"])
-    @pytest.mark.parametrize("command", _SEVEN)
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_blocked_out_is_refused_before_any_input(self, tmp_path, capsys, command, deeper):
         blocker = tmp_path / "file"
         blocker.write_text("kept\n")
         out = blocker / "sub" if deeper else blocker
-        if command not in ("simulate", "evaluate", "run"):
+        if not cli._COMMANDS[command].writes:
             out = out / "out.jsonl"
         code = main(_missing_inputs(command, str(tmp_path / "missing"), str(out)))
         assert code == EXIT_USAGE
@@ -209,14 +204,64 @@ class TestOutCheckedFirst:
         assert capsys.readouterr().err == f"usage error: cannot write {out}: it is a directory\n"
         assert sorted(os.listdir(tmp_path)) == ["dir"] and not os.listdir(out)
 
+    @pytest.mark.parametrize("command, name", _WRITTEN)
+    def test_written_file_that_is_a_directory_is_refused_before_any_input(self, tmp_path, capsys, command, name):
+        target = tmp_path / "out" / name
+        target.mkdir(parents=True)
+        code = main(_missing_inputs(command, str(tmp_path / "missing"), str(tmp_path / "out")))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: cannot write {target}: it is a directory\n"
+        assert sorted(os.listdir(tmp_path)) == ["out"] and os.listdir(tmp_path / "out") == [name]
+        assert not os.listdir(target)
+
+    def test_run_writes_nothing_when_a_report_cannot_be_written(self, scene_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "report.json").mkdir(parents=True)
+        assert main(_run_args(scene_dir, str(out))) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: cannot write {out / 'report.json'}: it is a directory\n"
+        assert os.listdir(out) == ["report.json"]
+
+    def test_run_without_truth_writes_no_report(self, scene_dir, tmp_path):
+        out = tmp_path / "run"
+        (out / "report.json").mkdir(parents=True)
+        assert main(_run_args(scene_dir, str(out), truth=False)) == EXIT_OK
+        assert sorted(os.listdir(out)) == ["inventory.jsonl", "report.json"]
+
     @pytest.mark.parametrize("out", ["out", os.path.join("new", "out")])
-    @pytest.mark.parametrize("command", _SEVEN)
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_writable_out_reads_the_inputs(self, tmp_path, monkeypatch, capsys, command, out):
         # A relative --out that does not exist yet passes; the missing config is then the data error.
         monkeypatch.chdir(tmp_path)
         assert main(_missing_inputs(command, "missing", out)) == EXIT_DATA
         assert capsys.readouterr().err.startswith("data error: cannot open missing")
         assert os.listdir(tmp_path) == []
+
+
+class TestCommandTable:
+    """The command table names every file a command writes: the writers write exactly
+    those, and README's Commands table lists them."""
+
+    def test_writers_write_the_table_files(self, tmp_path):
+        scene, run, bare, evaluated = (str(tmp_path / name) for name in ("scene", "run", "bare", "eval"))
+        assert main(["simulate", "--out", scene, "--seed", "0", "--n-objects", "4", "--length", "40"]) == EXIT_OK
+        assert main(_run_args(scene, run)) == EXIT_OK
+        assert main(_run_args(scene, bare, truth=False)) == EXIT_OK
+        assert main(["evaluate", "--inventory", os.path.join(run, "inventory.jsonl"),
+                     "--truth", os.path.join(scene, "truth.json"), "--out", evaluated]) == EXIT_OK
+        commands = cli._COMMANDS
+        assert sorted(os.listdir(scene)) == sorted(commands["simulate"].writes)
+        assert sorted(os.listdir(evaluated)) == sorted(commands["evaluate"].writes)
+        assert sorted(os.listdir(run)) == sorted(commands["run"].writes + commands["run"].with_truth)
+        assert sorted(os.listdir(bare)) == sorted(commands["run"].writes)
+
+    def test_readme_lists_the_written_files(self):
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as handle:
+            rows = re.findall(r"^\| `(\w+) [^|]*\|[^|]*\| (.*) \|$", handle.read(), re.MULTILINE)
+        writes = {command: text.split("with `--truth`") + [""] for command, text in rows}
+        for name, spec in cli._COMMANDS.items():
+            if spec.writes:
+                always, with_truth = (re.findall(r"`DIR/([^`]+)`", text) for text in writes[name][:2])
+                assert (always, with_truth) == (list(spec.writes), list(spec.with_truth)), name
 
 
 class TestSettings:
