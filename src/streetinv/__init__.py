@@ -24,6 +24,8 @@ The clusters are one `ClusterTable` of columns from chaining to the
 inventory: localization, refinement, the inventory and the cluster files
 read and write it with no object per cluster. Localization and each round
 of refinement's splitting fit every cluster's center in one batched solve.
+Refinement's merge leaves every cluster it grows or makes blank, with no
+center, and its split fits exactly the blank clusters of two or more rays.
 """
 
 from .association import (

@@ -33,6 +33,9 @@ from the component labels, and every later stage, from localization and
 refinement to the inventory and the cluster files, takes one and returns
 one. `Cluster` is the record of one cluster, made only when a table is
 iterated or built from records.
+
+`greedy_pairs` is the one greedy one-to-one walk over pairs listed best
+first: refinement pairs singletons with it and evaluation matches centers.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ __all__ = [
     "ray_gaps",
     "build_score_matrix",
     "assign_pairs",
+    "greedy_pairs",
     "transitive_cluster",
 ]
 
@@ -410,6 +414,21 @@ def assign_pairs(scored: ScoredPairs, pairs: FramePairs, tau: float) -> ScoredPa
     assigned = 0.0 - cost[ends[block] + rows * width[block] + cols]
     kept = assigned >= tau
     return (rows + a0[block])[kept], (cols + b0[block])[kept], assigned[kept]
+
+
+def greedy_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Walk the pairs (a[k], b[k]) in order and take each whose two ends are both still free.
+
+    `a` and `b` are non-negative indices into one vertex space; a bipartite
+    caller offsets one side's indices past the other's. Returns the mask of
+    the pairs taken.
+    """
+    taken = np.zeros(len(a), dtype=bool)
+    used = [False] * (int(max(a.max(), b.max())) + 1 if len(a) else 0)
+    for k, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        if not (used[x] or used[y]):
+            used[x] = used[y] = taken[k] = True
+    return taken
 
 
 def transitive_cluster(row_a: np.ndarray, row_b: np.ndarray, obs_id: np.ndarray) -> ClusterTable:

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .association import greedy_pairs
 from .io import DataError
 
 if TYPE_CHECKING:
@@ -181,10 +182,10 @@ def _identify(pred, pred_code, gt, gt_code, tol: float) -> tuple[np.ndarray, np.
 
     `pred` and `gt` are n x 3 centers, `pred_code` and `gt_code` their
     integer category codes. The pairs of one category closer than `tol` are
-    walked by (category code, distance, predicted index, true index), and a
-    pair is taken when neither of its centers is taken yet. The closest
-    remaining pair is always mutually nearest, so within a category this is
-    mutual-nearest pairing. Returns the category codes and distances of the
+    walked by (category code, distance, predicted index, true index) in
+    `greedy_pairs`: a pair is taken when neither of its centers is taken
+    yet. The closest remaining pair is always mutually nearest, so within a
+    category this is mutual-nearest pairing. Returns the category codes and distances of the
     taken pairs, in walking order.
     """
     if tol <= 0:
@@ -195,13 +196,8 @@ def _identify(pred, pred_code, gt, gt_code, tol: float) -> tuple[np.ndarray, np.
     i, j, v = i[same], j[same], v[same]
     order = np.lexsort((j, i, v, pred_code[i]))
     i, j, v = i[order], j[order], v[order]
-    hit = np.zeros(len(order), dtype=bool)
-    used_pred, used_gt = set(), set()
-    for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
-        if a not in used_pred and b not in used_gt:
-            hit[k] = True
-            used_pred.add(a)
-            used_gt.add(b)
+    # True centers are numbered after the predicted ones.
+    hit = greedy_pairs(i, j + len(pred))
     return pred_code[i[hit]], v[hit]
 
 

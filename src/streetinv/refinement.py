@@ -4,11 +4,16 @@ Association errors come in two structural flavors: over-matching (rays of
 distinct objects grouped together, biasing the center) and under-matching
 (one object's rays fragmented across clusters). Refinement resolves both:
 
-  Step 1 frees each cluster's members past the split threshold, refitting
-         the center until none is,
+  Step 1 frees each blank cluster's members past the split threshold,
+         fitting the center until none is,
   Step 2 re-attaches singletons to consistent clusters or pairs them up
-         (guarded by a physical-size consistency check),
-  Step 3 is step 1 again, on the clusters step 2 grew or made.
+         (guarded by a physical-size consistency check), and leaves every
+         cluster it grows or makes blank,
+  Step 3 is step 1 again, so it fits exactly what step 2 changed.
+
+A cluster is blank when it has no center (and so no residuals). `refine`
+blanks its input once, as a cluster file may carry centers, so step 1
+fits every multi-member cluster.
 
 Every step takes the clusters as one `association.ClusterTable` and returns
 one, working on its columns and the observation table's rows. Steps 1 and
@@ -17,7 +22,9 @@ every cluster still open in one batched closed-form solve
 (`triangulation.estimate_centers`) and frees every member past its
 threshold. Step 2 pairs rays in closed form: the least-squares point of
 two lines is the midpoint of their common perpendicular (Hartley &
-Zisserman). Every threshold comes from the run's `pipeline.RunConfig`.
+Zisserman). The pairs of every category are then taken best-first in one
+walk of `association.greedy_pairs`. Every threshold comes from the run's
+`pipeline.RunConfig`.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .association import ClusterTable
+from .association import ClusterTable, greedy_pairs
 from .geometry import Observation, ObservationTable
 # estimate_center is not called here; it stays importable from this module
 # because bench/run.py wraps `refinement.estimate_center` by name.
@@ -39,22 +46,18 @@ if TYPE_CHECKING:
 __all__ = ["split_overmatched", "estimate_physical_size", "merge_undermatched", "refine"]
 
 
-def split_overmatched(
-    clusters: ClusterTable, table: ObservationTable, cfg: RunConfig, refit: np.ndarray | None = None
-) -> ClusterTable:
-    """Free every cluster's members past the split threshold, refitting until none is.
+def split_overmatched(clusters: ClusterTable, table: ObservationTable, cfg: RunConfig) -> ClusterTable:
+    """Fit every blank multi-member cluster, freeing its members past the split threshold until none is.
 
-    Works in rounds over all open clusters at once. Each round fits every
-    open cluster's center in one `estimate_centers` call and frees each
-    member past its split threshold. A cluster closes, localized, once no
-    member is past it; it closes unlocalized when fewer than 2 members are
-    left or its rays are all parallel. So every localized multi-member
-    cluster out of it has max residual <= tau_split. Freed members become
-    singleton clusters with fresh ids, in order of cluster id, then round,
-    then member id.
-
-    With the mask `refit`, only the clusters it marks are split; the rest
-    pass through as given, centers and residuals too.
+    A localized cluster, and a singleton, passes through as given, center
+    and residuals too. The blank clusters of 2+ members are fitted in
+    rounds, all at once. Each round fits every open cluster's center in
+    one `estimate_centers` call and frees each member past its split
+    threshold. A cluster closes, localized, once no member is past it; it
+    closes blank when fewer than 2 members are left or its rays are all
+    parallel. So every multi-member cluster it localizes has max residual
+    <= tau_split. Freed members become singleton clusters with fresh ids,
+    in order of cluster id, then round, then member id.
 
     Raises:
         OverflowError: if a fresh id would not fit 64 bits.
@@ -64,12 +67,9 @@ def split_overmatched(
     names, codes = table.category_codes
     threshold = np.array([cfg.split_threshold(c) for c in names], dtype=float)[codes[rows]]
 
-    reset = np.ones(k, dtype=bool) if refit is None else refit
     centers, residuals = clusters.center.copy(), clusters.residual.copy()
-    centers[reset] = np.nan
-    residuals[reset[group]] = np.nan
     freed_in = np.full(len(obs), -1)  # the round a row was freed in
-    is_open = reset & (clusters.size >= 2)
+    is_open = ~clusters.localized & (clusters.size >= 2)
     round_no = 0
     while is_open.any():
         live = np.flatnonzero(is_open[group] & (freed_in < 0))
@@ -119,15 +119,14 @@ def _physical_size(exposure, direction, box_h_norm, c_tri):
     return box_h_norm * np.abs(np.einsum("...k,...k->...", offset, direction))
 
 
-def _pair(
-    rays: ObservationTable, ids: np.ndarray, threshold: float, tau_scale: float
-) -> list[tuple[float, int, int]]:
-    """Take disjoint pairs from different frames whose two-ray center passes the gates.
+def _pair(rays: ObservationTable, threshold: float, tau_scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs of rays from different frames whose two-ray center passes the gates.
 
     The center is the midpoint of the common perpendicular and the residual
-    half the line-line gap. Pairs go best-first by (residual, id_a, id_b).
+    half the line-line gap. Returns (i, j, residual): row positions in
+    `rays`, i < j, and each pair's residual.
     """
-    i, j = np.triu_indices(len(ids), 1)
+    i, j = np.triu_indices(len(rays), 1)
     direction, exposure = rays.direction, rays.exposure
     cos = np.einsum("pk,pk->p", direction[i], direction[j])
     # Two unit rays have normal-matrix eigenvalues 1 - |cos|, 1 + |cos| and
@@ -146,15 +145,7 @@ def _pair(
     size_b = _physical_size(o_b, d_b, rays.box_h_norm[j], center)
     # A zero size fails the ratio test too.
     ok = (residual < threshold) & (np.maximum(size_a, size_b) < tau_scale * np.minimum(size_a, size_b))
-    i, j, residual = i[ok], j[ok], residual[ok]
-    order = np.lexsort((ids[j], ids[i], residual))
-    id_of, used = ids.tolist(), [False] * len(ids)
-    taken: list[tuple[float, int, int]] = []
-    for r, a, b in zip(residual[order].tolist(), i[order].tolist(), j[order].tolist()):
-        if not (used[a] or used[b]):
-            used[a] = used[b] = True
-            taken.append((r, id_of[a], id_of[b]))
-    return taken
+    return i[ok], j[ok], residual[ok]
 
 
 def merge_undermatched(clusters: ClusterTable, table: ObservationTable, cfg: RunConfig) -> ClusterTable:
@@ -162,16 +153,20 @@ def merge_undermatched(clusters: ClusterTable, table: ObservationTable, cfg: Run
 
     Each singleton whose ray passes within the merge threshold of a
     localized cluster of its own category (and no other) joins the nearest
-    one, the smallest id on ties; centers stay as they were on entry. The
-    rest are paired, most consistent pair first, when their two-ray center
-    is within the threshold of both rays and the implied physical sizes
-    (box height times projection depth) agree within tau_scale. A pair is
-    a new, unlocalized cluster with a fresh id; every other cluster keeps
-    its id.
+    one, the smallest id on ties; the distances are taken to the centers
+    as they were on entry. The rest are paired, most consistent pair
+    first, when their two-ray center is within the threshold of both rays
+    and the implied physical sizes (box height times projection depth)
+    agree within tau_scale. A pair is a new cluster with a fresh id; every
+    other cluster keeps its id. Every cluster that grows, and every pair,
+    comes out blank: no center, NaN residuals.
 
     Raises:
         OverflowError: if a fresh id would not fit 64 bits.
     """
+    single = np.flatnonzero(clusters.size == 1)
+    if not single.size:
+        return clusters
     names, codes = table.category_codes
     k, group = len(clusters), clusters.group
     member_codes = codes[table.rows(clusters.member)]
@@ -179,55 +174,62 @@ def merge_undermatched(clusters: ClusterTable, table: ObservationTable, cfg: Run
     # A target has a center and members of one category.
     mixed = np.bincount(group[member_codes != first[group]], minlength=k) > 0
     target = (clusters.size >= 2) & clusters.localized & ~mixed
-    single = np.flatnonzero(clusters.size == 1)
     at = clusters.start[single]  # each singleton's index into the member columns
     single_rays, single_codes = table.take(table.rows(clusters.member[at])), member_codes[at]
 
-    # Each member's cluster id and residual on the way out.
-    owner, residual = clusters.cluster_id[group], clusters.residual.copy()
-    # Each category is absorbed and paired on arrays of its own.
-    taken: list[tuple[float, int, int]] = []
+    # Each member's cluster id, and each cluster's center, on the way out.
+    owner, center = clusters.cluster_id[group], clusters.center.copy()
+    # Each category is absorbed on arrays of its own; its pair candidates
+    # are listed as positions into `single`.
+    candidates = []
     for code in np.unique(single_codes):
         in_category = np.flatnonzero(single_codes == code)
-        rays, ids = single_rays.take(in_category), clusters.cluster_id[single[in_category]]
+        rays = single_rays.take(in_category)
         threshold = cfg.merge_threshold(names[code])
-        free = np.ones(len(ids), dtype=bool)
+        free = np.ones(len(in_category), dtype=bool)
         near = np.flatnonzero(target & (first == code))
         if near.size:
             v = clusters.center[near][None, :, :] - rays.exposure[:, None, :]
             dist = np.linalg.norm(np.cross(v, rays.direction[:, None, :]), axis=2)
             nearest = dist.argmin(axis=1)
-            d = dist[np.arange(len(ids)), nearest]
-            free = d >= threshold
-            joins = at[in_category[~free]]
-            owner[joins], residual[joins] = clusters.cluster_id[near[nearest[~free]]], d[~free]
-        taken += _pair(rays.take(free), ids[free], threshold, cfg.tau_scale)
+            free = dist[np.arange(len(in_category)), nearest] >= threshold
+            grown = near[nearest[~free]]
+            owner[at[in_category[~free]]] = clusters.cluster_id[grown]
+            center[grown] = np.nan
+        i, j, r = _pair(rays.take(free), threshold, cfg.tau_scale)
+        loose = in_category[free]
+        candidates.append((loose[i], loose[j], r))
 
-    taken.sort()
-    fresh = clusters.fresh_ids(len(taken))
-    paired = at[np.searchsorted(clusters.cluster_id[single], [(a, b) for _, a, b in taken])].reshape(-1, 2)
-    owner[paired], residual[paired] = fresh[:, None], np.nan
+    # No two categories share a singleton, so one walk by (residual r, id_a,
+    # id_b) takes each category's pairs; positions into `single` order as
+    # its ids do.
+    i, j, r = (np.concatenate(column) for column in zip(*candidates))
+    order = np.lexsort((j, i, r))
+    order = order[greedy_pairs(i[order], j[order])]
+    fresh = clusters.fresh_ids(len(order))
+    owner[at[i[order]]] = owner[at[j[order]]] = fresh
+    # Every member of a blank cluster has a NaN residual: a grown cluster's
+    # members, and the singletons absorbed or paired, whose clusters are blank.
+    residual = np.where(np.isnan(center[group, 0]), np.nan, clusters.residual)
     return ClusterTable.grouped(
         owner, clusters.member, residual,
         np.concatenate([clusters.cluster_id, fresh]),
-        np.concatenate([clusters.center, np.full((len(fresh), 3), np.nan)]),
+        np.concatenate([center, np.full((len(fresh), 3), np.nan)]),
     )
 
 
 def refine(clusters: ClusterTable, table: ObservationTable, cfg: RunConfig) -> ClusterTable:
-    """Full refinement pass: split, merge, then split again.
+    """Full refinement pass: blank, split, merge, then split again.
 
-    The second split refits the clusters the merge grew or made. Every
-    other cluster left the first split as a fixed point of it, so every
-    multi-member cluster in the output satisfies max residual <= tau_split.
+    The second split fits what the merge left blank: the clusters it grew
+    or made. Every other cluster left the first split as a fixed point of
+    it, so every multi-member cluster in the output that has a center
+    satisfies max residual <= tau_split.
 
     Raises:
         OverflowError: if a fresh id would not fit 64 bits.
     """
-    split = split_overmatched(clusters, table, cfg)
-    merged = merge_undermatched(split, table, cfg)
-    # The merge only grows clusters or makes new ones, so a cluster is as
-    # the split left it when its id and size are.
-    at = np.minimum(np.searchsorted(split.cluster_id, merged.cluster_id), len(split) - 1)
-    same = (split.cluster_id[at] == merged.cluster_id) & (split.size[at] == merged.size)
-    return split_overmatched(merged, table, cfg, refit=~same)
+    blank = ClusterTable(clusters.cluster_id, clusters.size, clusters.member,
+                         np.full_like(clusters.center, np.nan), np.full_like(clusters.residual, np.nan))
+    split = split_overmatched(blank, table, cfg)
+    return split_overmatched(merge_undermatched(split, table, cfg), table, cfg)

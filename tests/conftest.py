@@ -381,6 +381,8 @@ def oracle_merge_undermatched(clusters, table, cfg) -> list[Cluster]:
     each singleton pair is prefiltered by its line-line distance, then
     triangulated by `estimate_center` and gated on its residual and on
     its implied sizes (box height times depth); pairs are taken best-first.
+    A cluster that grows comes out blank, as a pair does: no center, no
+    residuals.
     """
     # One row of the table per id: scalar fields, named like Observation's.
     obs = {m: table.take(k) for k, m in enumerate(table.obs_id.tolist())}
@@ -403,7 +405,7 @@ def oracle_merge_undermatched(clusters, table, cfg) -> list[Cluster]:
         if c.size >= 2
     ]
     next_id = max((c.cluster_id for c in clusters), default=-1) + 1
-    remaining = []
+    remaining, grown = [], set()
     for s in singles:
         member = next(iter(s.members))
         o = obs[member]
@@ -418,7 +420,10 @@ def oracle_merge_undermatched(clusters, table, cfg) -> list[Cluster]:
             remaining.append(s)
         else:
             best[2].members.add(member)
-            best[2].residuals[member] = best[0]
+            grown.add(best[1])
+    for m in multis:
+        if m.cluster_id in grown:
+            m.center = m.residuals = None
     candidates = []
     for i, a in enumerate(remaining):
         obs_a = obs[next(iter(a.members))]

@@ -20,7 +20,7 @@ from streetinv import (
     transitive_cluster,
     window_pairs,
 )
-from streetinv.association import GAP_CHUNK
+from streetinv.association import GAP_CHUNK, greedy_pairs
 
 from conftest import oracle_enumerate_assignment
 
@@ -462,3 +462,26 @@ class TestClusterTable:
         table = ClusterTable.from_records([Cluster(largest, {0})])
         with pytest.raises(OverflowError, match=f"{n} fresh cluster ids after cluster_id {largest} do not fit"):
             table.fresh_ids(n)
+
+
+class TestGreedyPairs:
+    def test_walk_order_decides_which_pairs_are_taken(self):
+        # Pairs (0, 1) and (1, 2) share vertex 1: whichever comes first is taken.
+        assert greedy_pairs(np.array([0, 1]), np.array([1, 2])).tolist() == [True, False]
+        assert greedy_pairs(np.array([1, 0]), np.array([2, 1])).tolist() == [True, False]
+
+    def test_shared_end_blocks_a_later_pair(self):
+        # (1, 3) comes after (0, 1) and (2, 3) took both its ends; (4, 0) after (0, 1) took 0.
+        taken = greedy_pairs(np.array([0, 2, 1, 4, 4]), np.array([1, 3, 3, 0, 5]))
+        assert taken.tolist() == [True, True, False, False, True]
+
+    def test_bipartite_through_an_index_offset(self):
+        # Left 0 with right 1 and left 1 with right 0: disjoint once the right
+        # side is numbered after the two left vertices, blocked without that.
+        left, right = np.array([0, 1]), np.array([1, 0])
+        assert greedy_pairs(left, right + 2).tolist() == [True, True]
+        assert greedy_pairs(left, right).tolist() == [True, False]
+
+    def test_empty_input(self):
+        taken = greedy_pairs(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+        assert taken.dtype == bool and taken.shape == (0,)

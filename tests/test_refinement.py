@@ -92,6 +92,12 @@ def scattered_bundles(rng, n_objects=30, spread=0.4):
     return as_table(clusters), ObservationTable.from_observations(observations)
 
 
+def blanked(clusters):
+    """The clusters with no center and NaN residuals."""
+    return ClusterTable(clusters.cluster_id, clusters.size, clusters.member,
+                        np.full_like(clusters.center, np.nan), np.full_like(clusters.residual, np.nan))
+
+
 def split_with_stray(obs):
     """Rays 0-2 as the split leaves their cluster 0, and ray 3 as singleton 1."""
     split = split_overmatched(as_table([Cluster(cluster_id=0, members={0, 1, 2})]), obs, RunConfig())
@@ -178,19 +184,21 @@ class TestSplitOvermatched:
         [out] = split_overmatched(as_table([Cluster(cluster_id=0, members={0, 1, 2, 3, 4})]), obs, cfg)
         assert out.members == {0, 1, 2, 3, 4}
 
-    def test_unmarked_clusters_pass_through(self):
-        # With `refit`, a cluster it does not mark keeps its members, center
-        # and residuals as given, even an outlier and a stale center.
+    def test_localized_clusters_pass_through(self):
+        # A cluster with a center keeps its members, center and residuals as
+        # given, even an outlier and a stale center; the same members blank
+        # are split, and a blank cluster beside it is fitted.
         t_off = T1 + np.array([2.0, 0.7, 0.0])
         obs = ObservationTable.from_observations(
             [mkobs(i, i, FRAMES[i], T1) for i in range(4)] + [mkobs(4, 4, FRAMES[4], t_off)]
             + [mkobs(5 + i, i, FRAMES[i], T1) for i in range(5)])
         stale = Cluster(0, {0, 1, 2, 3, 4}, center=[1.0, 2.0, 3.0], residuals=dict.fromkeys(range(5), 9.0))
-        given = as_table([stale, Cluster(1, set(range(5, 10)))])
-        out = split_overmatched(given, obs, RunConfig(), refit=np.array([False, True]))
+        out = split_overmatched(as_table([stale, Cluster(1, set(range(5, 10)))]), obs, RunConfig())
         assert out.cluster_id.tolist() == [0, 1]
         assert (out.center[0] == [1.0, 2.0, 3.0]).all() and (out.residual[:5] == 9.0).all()
         assert out.localized[1] and out.residual[5:].max() < 1e-9
+        out = split_overmatched(as_table([Cluster(0, {0, 1, 2, 3, 4})]), obs, RunConfig())
+        assert [sorted(c.members) for c in out] == [[0, 1, 2, 3], [4]]
 
     @pytest.mark.parametrize("per_category", [{}, {"street_light": 0.3, "bollard": 0.8}])
     def test_matches_scalar_oracle(self, per_category):
@@ -260,6 +268,40 @@ class TestMergeUndermatched:
         clusters = split_with_stray(obs)
         out = merge_undermatched(clusters, obs, RunConfig())
         assert sorted(tuple(sorted(c.members)) for c in out) == [(0, 1, 2, 3)]
+
+    def test_grown_cluster_comes_out_blank(self):
+        # Ray 3 joins cluster 0, which loses its center and residuals;
+        # cluster 1, which absorbs nothing, keeps both.
+        t2 = np.array([30.0, 6.0, 4.0])
+        obs = ObservationTable.from_observations(
+            [mkobs(i, i, FRAMES[i], T1) for i in range(3)] + [mkobs(3, 3, FRAMES[3], T1)]
+            + [mkobs(4 + i, i, FRAMES[i], t2) for i in range(3)])
+        split = split_overmatched(as_table([Cluster(0, {0, 1, 2}), Cluster(1, {4, 5, 6})]), obs, RunConfig())
+        clusters = as_table(split.records() + [Cluster(2, {3})])
+        out = merge_undermatched(clusters, obs, RunConfig())
+        assert out.cluster_id.tolist() == [0, 1] and out.size.tolist() == [4, 3]
+        assert np.isnan(out.center[0]).all() and np.isnan(out.residual[:4]).all()
+        assert out.center[1].tobytes() == clusters.center[1].tobytes()
+        assert out.residual[4:].tobytes() == clusters.residual[3:6].tobytes()
+
+    def test_pairs_of_two_categories_get_fresh_ids_in_residual_order(self):
+        # Three pairs of singletons, each two rays a `gap` apart at their
+        # closest, so with residual gap / 2: bollards 0-1 (0.3) and 2-3
+        # (0.1), trash bins 4-5 (0.2). The pairs lie 10 m apart in height,
+        # so no ray comes near another pair's.
+        def pair(obs_id, category, level, gap):
+            crossing = np.array([10.0, 0.0, level])
+            return [mkobs(obs_id, obs_id, crossing + [-10.0, -3.0, 0.0], crossing, category=category),
+                    mkobs(obs_id + 1, obs_id + 1, crossing + [10.0, -5.0, gap], crossing + [0.0, 0.0, gap],
+                          category=category)]
+
+        obs = ObservationTable.from_observations(
+            pair(0, "bollard", 0.0, 0.6) + pair(2, "bollard", 10.0, 0.2) + pair(4, "trash_bin", 20.0, 0.4))
+        clusters = as_table([Cluster(k, {k}) for k in range(6)])
+        for merge in (merge_undermatched, on_records(oracle_merge_undermatched)):
+            out = merge(clusters, obs, RunConfig())
+            assert out.cluster_id.tolist() == [6, 7, 8]
+            assert [sorted(c.members) for c in out] == [[2, 3], [4, 5], [0, 1]]
 
     def test_fig3_pair_merge(self):
         obs, clusters, _, t2 = fig3_scenario()
@@ -461,12 +503,12 @@ class TestRefine:
 
     @pytest.mark.parametrize("seed", [1, 4])
     def test_same_as_a_second_split_of_every_cluster(self, seed):
-        # The clusters the merge leaves as they were left the first split as
+        # The clusters the merge leaves localized left the first split as
         # fixed points of it, so refitting them too changes no bit.
         clusters, obs = self._chained(seed)
         cfg = RunConfig()
         split = split_overmatched(clusters, obs, cfg)
-        every = split_overmatched(merge_undermatched(split, obs, cfg), obs, cfg)
+        every = split_overmatched(blanked(merge_undermatched(split, obs, cfg)), obs, cfg)
         out = refine(clusters, obs, cfg)
         for column in ("cluster_id", "size", "member", "center", "residual"):
             assert getattr(out, column).tobytes() == getattr(every, column).tobytes()
@@ -489,9 +531,9 @@ class TestRefine:
         monkeypatch.setattr(refinement, "merge_undermatched", recorded_merge)
         refine(clusters, obs, RunConfig())
         at = next(k for k, call in enumerate(calls) if isinstance(call, tuple))
-        given, merged = calls[at]
-        kept = {(c.cluster_id, c.size) for c in given}
-        changed = sum(c.size for c in merged if c.size >= 2 and (c.cluster_id, c.size) not in kept)
-        multi = sum(c.size for c in merged if c.size >= 2)
-        # The first round of the second split fits the changed clusters' members alone.
-        assert calls[at + 1:at + 2] == [changed] and 0 < changed < multi
+        _, merged = calls[at]
+        multi = merged.size >= 2
+        blank = merged.size[multi & ~merged.localized].sum()
+        # The first round of the second split fits the members of the blank
+        # multi-member clusters the merge left, and no others.
+        assert calls[at + 1:at + 2] == [blank] and 0 < blank < merged.size[multi].sum()
