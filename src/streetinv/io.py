@@ -21,9 +21,13 @@ whole, fields no rule reads included, so the stdlib alone decodes them.
 
 Poses may carry either local metric coordinates (x, y, z) or geodetic ones
 (lat, lon, alt in degrees/meters); geodetic input is converted to a local
-East-North-Up frame anchored at the first pose. Writes go through a temp
-file and an atomic rename so partial outputs never appear under the target
-name.
+East-North-Up frame anchored at the first pose.
+
+`write_jsonl` writes every JSON file, one `orjson.dumps` per record: keys
+sorted, compact separators, UTF-8, each float in the fewest digits that
+read back to it. A NaN or infinity anywhere in a record is a ValueError
+before anything is written. Writes go through a temp file and an atomic
+rename so partial outputs never appear under the target name.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ import os
 import sys
 import tempfile
 import threading
-from itertools import compress, count
-from operator import itemgetter
+from itertools import compress, count, repeat
+from operator import countOf, itemgetter
 from types import SimpleNamespace
 from typing import Callable, Collection, Iterable, TypeVar
 
@@ -325,11 +329,21 @@ class _Rules:
         return np.array([v if good else math.nan for v, good in zip(values, ok)], dtype=float)
 
     def strings(self, values: list, key: str) -> np.ndarray:
-        """Field `key` as an object array of JSON strings."""
+        """Field `key` as an object array of JSON strings that UTF-8 can encode.
+
+        The stdlib decodes an escaped lone surrogate, which no UTF-8 output
+        can hold, so a string holding one is refused.
+        """
         if set(map(type, values)) <= {str}:
-            return np.array(values, dtype=object)
+            try:
+                "".join(values).encode("utf-8")
+                return np.array(values, dtype=object)
+            except UnicodeEncodeError:
+                pass
         ok = [isinstance(v, str) for v in values]
         self.check(np.array(ok, dtype=bool), lambda k: f"{key} must be a string, got {values[k]!r}")
+        self.check(np.array([not good or _is_utf8(v) for v, good in zip(values, ok)], dtype=bool),
+                   lambda k: f"{key} {values[k]!r} holds a lone surrogate, which UTF-8 cannot encode")
         return np.array([v if good else "" for v, good in zip(values, ok)], dtype=object)
 
     def points(self, values: list, key: str) -> np.ndarray:
@@ -420,8 +434,14 @@ def _poses(rules: _Rules, coord_mode: str) -> list[CameraPose]:
     rules.check(np.isfinite(position).all(axis=1), lambda k: "position contains non-finite values")
     rules.unique([frame_id], lambda k: f"frame {frame_id[k]} already has a pose")
     rules.raise_first()
-    return [CameraPose(frame_id=f, position=p, heading=h, pitch=t, roll=r)
-            for f, p, h, t, r in zip(frame_id.tolist(), position, *(a.tolist() for a in angles))]
+    poses = []
+    for row in zip(frame_id.tolist(), position, *(a.tolist() for a in angles)):
+        # Checked with the columns, so no __post_init__; assigned in field order, so
+        # every record shares one attribute key table.
+        pose = CameraPose.__new__(CameraPose)
+        pose.frame_id, pose.position, pose.heading, pose.pitch, pose.roll = row
+        poses.append(pose)
+    return poses
 
 
 def write_poses(path: str, poses: Iterable[CameraPose]) -> None:
@@ -514,7 +534,12 @@ def _score_triplets(rules: _Rules, known: np.ndarray) -> ScoreTriplets:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to `path` via a temp file and atomic rename, making its directory if need be.
+    """Write text to `path` as UTF-8, as `_atomic_write` writes bytes."""
+    _atomic_write(path, text.encode("utf-8"))
+
+
+def _atomic_write(path: str, data: bytes) -> None:
+    """Write `data` to `path` via a temp file and atomic rename, making its directory if need be.
 
     Raises:
         OutputError: if it cannot be written, say because a directory on the path is a file.
@@ -523,9 +548,9 @@ def atomic_write_text(path: str, text: str) -> None:
     tmp_path = None
     try:
         os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp_path, path)
     except BaseException as exc:
         if tmp_path is not None and os.path.exists(tmp_path):
@@ -535,15 +560,50 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-# The one encoder of every file written: strict JSON, keys sorted.
-_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+# The options of every file written; see the module docstring.
+_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+
+
+def _number(value):
+    """orjson's `default`: a numpy scalar as the Python number it holds."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _refuse_non_finite(value) -> None:
+    """Raise ValueError if a float in `value`, at any depth, is NaN or infinite."""
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    elif isinstance(value, dict):
+        for item in value.values():
+            _refuse_non_finite(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _refuse_non_finite(item)
 
 
 def write_jsonl(path: str, records: Iterable[dict]) -> None:
     """Write one JSON object per line. A file of one record is one JSON
-    document, as `truth.json` and `report.json` are written."""
-    text = "".join(_ENCODER.encode(r) + "\n" for r in records)
-    atomic_write_text(path, text)
+    document, as `truth.json` and `report.json` are written.
+
+    Raises:
+        ValueError: if a record holds NaN or an infinity, before anything is written.
+    """
+    records = list(records)
+    lines = [orjson.dumps(r, default=_number, option=_OPTIONS) for r in records]
+    data = b"".join(lines)
+    # orjson writes NaN and infinities as null. Each null written is a None, a
+    # NaN or infinity, or part of a string; so records hold no NaN or infinity
+    # if no more nulls are written than they have None values at their top
+    # level, or if they equal what their lines read back as. Otherwise they
+    # are searched.
+    nulls = data.count(b"null")
+    if (nulls and nulls > sum(map(countOf, map(dict.values, records), repeat(None)))
+            and list(map(orjson.loads, lines)) != records):
+        _refuse_non_finite(records)
+    _atomic_write(path, data)
 
 
 # The fields of an observation record: the columns of an `ObservationTable`,
@@ -658,6 +718,14 @@ def _is_number(value) -> bool:
         return False
 
 
+def _is_utf8(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+        return True
+    except UnicodeEncodeError:
+        return False
+
+
 def _is_point(value) -> bool:
     return isinstance(value, list) and len(value) == 3 and all(map(_is_number, value))
 
@@ -753,9 +821,14 @@ def _truth(path: str, document: dict):
     observations.check(clutter | (fits & (0 <= object_of) & (object_of < n)),
                        lambda k: f"observation {obs_id[k]} names object {named[k]}, outside 0..{n - 1}")
     observations.raise_first()
+    objects = []
+    for row in zip(category.tolist(), center, height.tolist()):
+        # Checked with the columns, so no __post_init__.
+        obj = SceneObject.__new__(SceneObject)
+        obj.category, obj.center, obj.height = row
+        objects.append(obj)
     return GroundTruth(
-        objects=[SceneObject(category=c, center=x, height=h)
-                 for c, x, h in zip(category.tolist(), center, height.tolist())],
+        objects=objects,
         obs_ids=obs_id.tolist(),
         object_of=dict(zip(obs_id.tolist(), named)),
     )

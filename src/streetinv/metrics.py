@@ -23,7 +23,7 @@ against ground truth in one pass over its members.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -149,15 +149,18 @@ def pairwise_metrics(y, c) -> tuple[float, float, float]:
 
 def _clustering_scores(table: ContingencyTable) -> tuple[float, float, float]:
     n = table.total
-    h_y = _entropy(table.object_totals, n)
-    h_c = _entropy(table.cluster_totals, n)
     share = table.counts / n
-    h_y_given_c = -float(
-        (share * np.log(table.counts / table.cluster_totals[table.cell_cluster])).sum()
+    return _homogeneity_completeness_v(
+        _entropy(table.object_totals, n),
+        _entropy(table.cluster_totals, n),
+        -float((share * np.log(table.counts / table.cluster_totals[table.cell_cluster])).sum()),
+        -float((share * np.log(table.counts / table.object_totals[table.cell_object])).sum()),
     )
-    h_c_given_y = -float(
-        (share * np.log(table.counts / table.object_totals[table.cell_object])).sum()
-    )
+
+
+def _homogeneity_completeness_v(h_y: float, h_c: float, h_y_given_c: float,
+                                h_c_given_y: float) -> tuple[float, float, float]:
+    """The scores of a table from its entropies: of the objects, of the clusters, and of each given the other."""
     homogeneity = 1.0 - h_y_given_c / h_y if h_y > 0.0 else 1.0
     completeness = 1.0 - h_c_given_y / h_c if h_c > 0.0 else 1.0
     if homogeneity + completeness == 0.0:
@@ -242,6 +245,10 @@ class CategoryMetrics:
     counts_idf: MatchCounts = field(default_factory=MatchCounts)
 
 
+def _as_dict(m: CategoryMetrics) -> dict:
+    return {**vars(m), "counts_mat": vars(m.counts_mat).copy(), "counts_idf": vars(m.counts_idf).copy()}
+
+
 @dataclass
 class EvaluationReport:
     """Per-category and aggregate metrics for one pipeline run."""
@@ -250,8 +257,9 @@ class EvaluationReport:
     per_category: dict[str, CategoryMetrics] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """Every field as nested plain dicts, for JSON."""
-        return asdict(self)
+        """Every field as nested plain dicts, for JSON: `dataclasses.asdict` without its deep copies."""
+        return {"aggregate": _as_dict(self.aggregate),
+                "per_category": {name: _as_dict(m) for name, m in self.per_category.items()}}
 
     def to_text(self) -> str:
         header = (
@@ -276,6 +284,20 @@ class EvaluationReport:
         return "\n".join(lines) + "\n"
 
 
+def _metrics(mat: tuple[MatchCounts, tuple[float, float, float]] | None, n_pred: int, n_gt: int, tp: int,
+             loc_err: float | None) -> CategoryMetrics:
+    """The metrics of a category, or the aggregate: `mat` holds its pair counts and clustering
+    scores (None: it has no observation), and `tp` of its `n_pred` predicted and `n_gt` true
+    objects are matched, at a mean distance `loc_err`."""
+    m = CategoryMetrics(loc_err=loc_err)
+    if mat is not None:
+        m.counts_mat, (m.homogeneity, m.completeness, m.v_measure) = mat
+        m.pre_mat, m.rec_mat, m.f1_mat = _precision_recall_f1(m.counts_mat)
+    m.counts_idf = MatchCounts(tp=tp, fp=n_pred - tp, fn=n_gt - tp)
+    m.pre_idf, m.rec_idf, m.f1_idf = _precision_recall_f1(m.counts_idf)
+    return m
+
+
 def _category_metrics(
     true_labels: np.ndarray,
     pred_labels: np.ndarray,
@@ -286,17 +308,12 @@ def _category_metrics(
     """The metrics of observations labelled `true_labels` and clustered as
     `pred_labels`, and of `n_pred` predicted and `n_gt` true objects matched
     at `distances`."""
-    m = CategoryMetrics()
+    mat = None
     if len(true_labels) > 0:
         table = ContingencyTable.from_labels(true_labels, pred_labels)
-        m.counts_mat = table.pair_counts()
-        m.pre_mat, m.rec_mat, m.f1_mat = _precision_recall_f1(m.counts_mat)
-        m.homogeneity, m.completeness, m.v_measure = _clustering_scores(table)
+        mat = table.pair_counts(), _clustering_scores(table)
     tp = len(distances)
-    m.counts_idf = MatchCounts(tp=tp, fp=n_pred - tp, fn=n_gt - tp)
-    m.pre_idf, m.rec_idf, m.f1_idf = _precision_recall_f1(m.counts_idf)
-    m.loc_err = float(np.mean(distances)) if tp else None
-    return m
+    return _metrics(mat, n_pred, n_gt, tp, float(np.mean(distances)) if tp else None)
 
 
 def check_members(obs_ids, truth: GroundTruth) -> None:
@@ -310,6 +327,53 @@ def check_members(obs_ids, truth: GroundTruth) -> None:
         raise DataError(f"inventory member {unknown} names no truth observation")
 
 
+def _category_tables(true_labels: np.ndarray, pred_labels: np.ndarray, record_code: np.ndarray,
+                     n_codes: int) -> list[tuple[MatchCounts, tuple[float, float, float]] | None]:
+    """Each category's pair counts and (homogeneity, completeness, V), from one contingency table.
+
+    `true_labels` and `pred_labels` are each observation's object and
+    record, `record_code` each record's category code. Every cell lies in
+    its record's category, so a category's table is its cells, with the
+    cluster margins of its records and object margins of its own. Sums are
+    taken per category by `bincount`, exact for the pair counts, which fall
+    far below 2**53. A category with no observation has None.
+    """
+    if not len(true_labels):
+        return [None] * n_codes
+    n_objects = int(true_labels.max()) + 1
+    cells, counts = np.unique(pred_labels * n_objects + true_labels, return_counts=True)
+    cell_cluster, cell_object = np.divmod(cells, n_objects)
+    cell_code = record_code[cell_cluster]
+    # Indexed by record: 0 for a record with no cell.
+    by_record = np.bincount(cell_cluster, counts)
+    clusters = np.flatnonzero(by_record)
+    # An object may have observations in records of two categories: a margin per (category, object).
+    margins, margin_of = np.unique(cell_code * n_objects + cell_object, return_inverse=True)
+    by_margin = np.bincount(margin_of, counts)
+
+    def total(code: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return np.bincount(code, values, minlength=n_codes)
+
+    n = total(cell_code, counts)
+
+    def pairs(code: np.ndarray, sizes: np.ndarray) -> list[int]:
+        return total(code, sizes * (sizes - 1) / 2).astype(np.int64).tolist()
+
+    def entropy(code: np.ndarray, sizes: np.ndarray) -> list[float]:
+        p = sizes / n[code]
+        return (-total(code, p * np.log(p))).tolist()
+
+    def conditional_entropy(margin: np.ndarray) -> list[float]:
+        return (-total(cell_code, counts / n[cell_code] * np.log(counts / margin))).tolist()
+
+    object_code, cluster_code = margins // n_objects, record_code[clusters]
+    entropies = zip(entropy(object_code, by_margin), entropy(cluster_code, by_record[clusters]),
+                    conditional_entropy(by_record[cell_cluster]), conditional_entropy(by_margin[margin_of]))
+    counted = zip(pairs(cell_code, counts), pairs(cluster_code, by_record[clusters]), pairs(object_code, by_margin))
+    return [(MatchCounts(tp=tp, fp=predicted - tp, fn=true - tp), _homogeneity_completeness_v(*h)) if n_c else None
+            for n_c, (tp, predicted, true), h in zip(n.tolist(), counted, entropies)]
+
+
 def build_report(inventory: list[dict], truth: GroundTruth, tol: float = 1.0) -> EvaluationReport:
     """Evaluate inventory records against ground truth, per category and overall.
 
@@ -317,9 +381,10 @@ def build_report(inventory: list[dict], truth: GroundTruth, tol: float = 1.0) ->
     that some record lists as a member; clutter has no identity to recover,
     and truth observations no record lists were never ingested (their
     objects still count as missed targets). Every record is one predicted
-    cluster, and its category places its members in a per-category slice.
-    Identification matches each category's localized records to its true
-    objects once; the aggregate sums the categories.
+    cluster, and its category places its members in a per-category slice;
+    every slice is read off one table (`_category_tables`). Identification
+    matches each category's localized records to its true objects once; the
+    aggregate sums the categories.
 
     Raises:
         DataError: naming the first member that is no truth observation.
@@ -336,22 +401,19 @@ def build_report(inventory: list[dict], truth: GroundTruth, tol: float = 1.0) ->
     categories = [record["category"] for record in inventory] + [o.category for o in truth.objects]
     names, codes = np.unique(np.array(categories, dtype=object), return_inverse=True)
     record_code, gt_code = codes[: len(inventory)], codes[len(inventory):]
-    obs_code = record_code[pred_labels]
     centers = [record["center"] for record in inventory]
     pred_code = record_code[[center is not None for center in centers]]
     pred = _centers(center for center in centers if center is not None)
     hit_code, distances = _identify(pred, pred_code, _centers(o.center for o in truth.objects), gt_code, tol)
 
-    def tally(code: np.ndarray) -> list[int]:
-        return np.bincount(code, minlength=len(names)).tolist()
+    def tally(code: np.ndarray, weights: np.ndarray | None = None) -> list:
+        return np.bincount(code, weights, minlength=len(names)).tolist()
 
-    n_pred, n_gt, n_obs = map(tally, (pred_code, gt_code, obs_code))
-    per_category: dict[str, CategoryMetrics] = {}
-    for c, name in enumerate(names.tolist()):
-        if n_pred[c] or n_gt[c] or n_obs[c]:
-            sel = obs_code == c
-            per_category[name] = _category_metrics(
-                true_labels[sel], pred_labels[sel], n_pred[c], n_gt[c], distances[hit_code == c]
-            )
+    n_pred, n_gt, n_hit, hit_sum = tally(pred_code), tally(gt_code), tally(hit_code), tally(hit_code, distances)
+    tables = _category_tables(true_labels, pred_labels, record_code, len(names))
+    per_category = {
+        name: _metrics(tables[c], n_pred[c], n_gt[c], n_hit[c], hit_sum[c] / n_hit[c] if n_hit[c] else None)
+        for c, name in enumerate(names.tolist()) if n_pred[c] or n_gt[c] or tables[c]
+    }
     aggregate = _category_metrics(true_labels, pred_labels, len(pred_code), len(gt_code), distances)
     return EvaluationReport(aggregate=aggregate, per_category=per_category)

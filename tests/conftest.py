@@ -28,7 +28,15 @@ from streetinv import (
     rotation_from_euler,
     window_pairs,
 )
-from streetinv.metrics import CategoryMetrics, EvaluationReport, MatchCounts, clustering_metrics
+from streetinv.metrics import (
+    CategoryMetrics,
+    EvaluationReport,
+    MatchCounts,
+    _category_metrics,
+    _centers,
+    _identify,
+    clustering_metrics,
+)
 from streetinv.simulator import (
     _CATEGORY_GEOMETRY,
     _CATEGORY_SEPARATION,
@@ -362,6 +370,51 @@ def oracle_build_report(inventory: list[dict], truth: GroundTruth, tol: float) -
         per_category[category] = category_metrics(obs, pred_c, gt_c, distances)
         all_distances.extend(distances)
     return EvaluationReport(aggregate=category_metrics(kept, pred, gt, all_distances), per_category=per_category)
+
+
+def oracle_category_loop(inventory: list[dict], truth: GroundTruth, tol: float) -> EvaluationReport:
+    """`metrics.build_report` with one contingency table per category: each
+    category's observations selected by a mask and passed, with its slice of
+    the matched distances, to `_category_metrics`. The aggregate is the same
+    call over every observation."""
+    members = [record["members"] for record in inventory]
+    flat = list(itertools.chain.from_iterable(members))
+    true_labels = np.array([truth.object_of[obs_id] for obs_id in flat], dtype=float)
+    pred_labels = np.repeat(np.arange(len(inventory)), list(map(len, members)))
+    kept = ~np.isnan(true_labels)
+    true_labels, pred_labels = true_labels[kept].astype(np.int64), pred_labels[kept]
+    categories = [record["category"] for record in inventory] + [o.category for o in truth.objects]
+    names, codes = np.unique(np.array(categories, dtype=object), return_inverse=True)
+    record_code, gt_code = codes[: len(inventory)], codes[len(inventory):]
+    obs_code = record_code[pred_labels]
+    centers = [record["center"] for record in inventory]
+    pred_code = record_code[[center is not None for center in centers]]
+    pred = _centers(center for center in centers if center is not None)
+    hit_code, distances = _identify(pred, pred_code, _centers(o.center for o in truth.objects), gt_code, tol)
+    per_category = {}
+    for c, name in enumerate(names.tolist()):
+        n_pred, n_gt, sel = int((pred_code == c).sum()), int((gt_code == c).sum()), obs_code == c
+        if n_pred or n_gt or sel.any():
+            per_category[name] = _category_metrics(true_labels[sel], pred_labels[sel], n_pred, n_gt,
+                                                   distances[hit_code == c])
+    aggregate = _category_metrics(true_labels, pred_labels, len(pred_code), len(gt_code), distances)
+    return EvaluationReport(aggregate=aggregate, per_category=per_category)
+
+
+def assert_reports_match(report: EvaluationReport, expected: EvaluationReport, tol: float = 1e-12) -> None:
+    """The aggregates are equal to the bit; each category has the same counts and
+    None values, and floats within `tol`: its entropies and matched distances are
+    summed in another order than `expected` may sum them."""
+    assert repr(report.to_dict()["aggregate"]) == repr(expected.to_dict()["aggregate"])
+    got, want = report.to_dict()["per_category"], expected.to_dict()["per_category"]
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].keys() == want[name].keys()
+        for key, value in want[name].items():
+            if isinstance(value, float):
+                assert abs(got[name][key] - value) <= tol, (name, key)
+            else:
+                assert got[name][key] == value, (name, key)
 
 
 def _line_line_distance(a: Ray, b: Ray) -> float:
@@ -871,6 +924,8 @@ def _category(record):
     value = record["category"]
     if not isinstance(value, str):
         raise TypeError(f"category must be a string, got {value!r}")
+    if any("\ud800" <= ch <= "\udfff" for ch in value):
+        raise ValueError(f"category {value!r} holds a lone surrogate, which UTF-8 cannot encode")
     return value
 
 
@@ -1062,7 +1117,7 @@ def oracle_read_inventory(path):
         _require(record, fields, path, line_no)
         try:
             _category(record)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise sio.DataError(f"{path}:{line_no}: {exc}") from exc
         _check_center(record["center"], path, line_no)
         _claim_members(owner, record["members"], path, line_no)

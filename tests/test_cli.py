@@ -6,6 +6,7 @@ import os
 import re
 
 import numpy as np
+import orjson
 import pytest
 
 from streetinv import cli, io as sio
@@ -80,6 +81,41 @@ class TestRun:
         assert main(_run_args(scene_dir, out, detections=bad)) == EXIT_DATA
         assert f"{bad}:1:" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "inventory.jsonl"))
+
+    def test_lone_surrogate_category_is_a_data_error(self, scene_dir, tmp_path, capsys):
+        # The stdlib decodes an escaped lone surrogate; no UTF-8 output can hold it.
+        bad = _copy_records(scene_dir, tmp_path, "detections.jsonl", lambda records: records[:2] + [
+            dict(records[2], category="sign\ud800")] + records[3:])
+        out = str(tmp_path / "run")
+        assert main(_run_args(scene_dir, out, detections=bad)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == (f"data error: {bad}:3: category 'sign\\ud800' holds a lone surrogate, "
+                       "which UTF-8 cannot encode\n")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("kind", ["observations", "inventory", "truth"])
+    def test_lone_surrogate_category_is_refused_by_every_reader(self, scene_dir, tmp_path, capsys, kind):
+        def category(name):
+            return name + "\udc00" if kind == name else name
+
+        inventory = str(tmp_path / "inventory.jsonl")
+        _write_lines(inventory, [{"object_id": 0, "category": category("inventory"), "center": None,
+                                  "n_observations": 1, "max_residual": None, "members": [0]}])
+        truth = str(tmp_path / "truth.json")
+        with open(os.path.join(scene_dir, "truth.json"), encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["objects"][0]["category"] = category("truth")
+        _write_lines(truth, [payload])
+        observations = _copy_records(scene_dir, tmp_path, "observations.jsonl",
+                                     _set_first("category", lambda _: category("observations")))
+        out = str(tmp_path / "out")
+        args = (["associate", "--observations", observations, "--out", out] if kind == "observations" else
+                ["evaluate", "--inventory", inventory, "--truth", truth, "--out", out])
+        assert main(args) == EXIT_DATA
+        where = {"observations": f"{observations}:1", "inventory": f"{inventory}:1", "truth": truth}[kind]
+        assert capsys.readouterr().err == (f"data error: {where}: category '{kind}\\udc00' holds a lone "
+                                           "surrogate, which UTF-8 cannot encode\n")
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("flags, config, message", [
         (["--window", "1"], None, "window must be at least 2"),
@@ -725,29 +761,54 @@ class TestReaders:
         np.testing.assert_allclose(ingested.box_w_norm, exported.box_w_norm, rtol=0, atol=1e-12)
         np.testing.assert_allclose(ingested.box_h_norm, exported.box_h_norm, rtol=0, atol=1e-12)
 
-    def test_write_jsonl_refuses_nan(self, tmp_path):
+    @pytest.mark.parametrize("record", [
+        {"center": [np.nan, 0.0, 0.0]},
+        {"b": [[0.0, np.inf]]},
+        {"b": [{"c": -np.inf}]},
+        {"b": [{"c": {"d": [np.float64("nan")]}}]},
+        {"b": ({"c": float("inf")},)},
+        {"b": np.float32("-inf")},
+    ], ids=["nan-in-list", "inf-in-nested-list", "minus-inf-in-dict-in-list", "deep-nan", "inf-in-tuple",
+            "float32-minus-inf"])
+    def test_write_jsonl_refuses_non_finite(self, tmp_path, record):
+        # orjson writes NaN and infinities as null; the writer refuses them at
+        # any depth, before any file is made, temporary ones included.
         path = tmp_path / "out.jsonl"
         with pytest.raises(ValueError):
-            sio.write_jsonl(str(path), [{"center": [np.nan, 0.0, 0.0]}])
-        assert not path.exists()
+            sio.write_jsonl(str(path), [{"a": None, "ok": [1.0]}, record])
+        assert os.listdir(tmp_path) == []
 
-    def test_write_jsonl_bytes_are_json_dumps(self, tmp_path):
+    def test_write_jsonl_bytes_are_orjson(self, tmp_path):
+        # One orjson.dumps per record, keys sorted: compact separators, UTF-8
+        # text and each float in the fewest digits that read back to it.
         records = [
             {"object_id": 0, "category": "bollard", "center": [1.5, -2.0, 1e-300], "n_observations": 2,
              "max_residual": 0.1 + 0.2, "members": [3, 7]},
             {"object_id": 1, "category": "street_light", "center": None, "n_observations": 1,
              "max_residual": None, "members": [2**62]},
             {"obs_id": 5, "frame_id": 1, "category": "trash_bin", "px": 0.0, "py": -0.0, "pz": 2.5,
-             "dx": 0.6, "dy": 0.8, "dz": 0.0, "w_norm": 0.01, "h_norm": 0.02},
-            {"b": [[1, [2.0, []]], {"z": "é", "a": {}}], "a": "\u2028\n\"q\""},
+             "dx": 0.6, "dy": 0.8, "dz": 1e-5, "w_norm": 0.01, "h_norm": 0.02},
+            {"b": [[1, [2.0, []]], {"z": "é", "a": {}}], "a": "\u2028\n\"q\"", "c": "\U0001f6a6"},
         ]
         path = tmp_path / "out.jsonl"
         sio.write_jsonl(str(path), records)
-        expected = "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in records)
-        assert path.read_bytes() == expected.encode("utf-8")
-        for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError):
-                sio.write_jsonl(str(tmp_path / "bad.jsonl"), [{"b": [[0.0, bad]]}])
+        data = path.read_bytes()
+        assert data == b"".join(orjson.dumps(r, option=orjson.OPT_SORT_KEYS) + b"\n" for r in records)
+        # U+2028 is written as it is: split at newlines alone, as every reader does.
+        lines = data.decode("utf-8").split("\n")[:-1]
+        assert [json.loads(line) for line in lines] == records
+        assert [list(json.loads(line)) for line in lines] == [sorted(r) for r in records]
+        assert "é" in lines[3] and "\U0001f6a6" in lines[3] and "\\u" not in lines[3]
+        assert os.listdir(tmp_path) == ["out.jsonl"]
+
+    def test_write_jsonl_numpy_scalars_are_numbers(self, tmp_path):
+        path = tmp_path / "truth.json"
+        record = {"center": [np.float64(0.1) + np.float64(0.2), np.float64(-0.0), np.float64(1e-5)],
+                  "object_id": np.int64(3), "height": np.float64(2.5)}
+        sio.write_jsonl(str(path), [record])
+        plain = {"center": [0.1 + 0.2, -0.0, 1e-5], "object_id": 3, "height": 2.5}
+        assert path.read_bytes() == orjson.dumps(plain, option=orjson.OPT_SORT_KEYS) + b"\n"
+        assert json.loads(path.read_bytes()) == record
 
 
 class TestEncoding:

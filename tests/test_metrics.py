@@ -1,5 +1,6 @@
 """Metrics: contingency-table pair counts, V-measure, identification, reports."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,9 +16,10 @@ from streetinv.metrics import (
     identification_metrics,
     pairwise_metrics,
 )
-from streetinv.simulator import GroundTruth, SceneObject
+from streetinv.pipeline import RunConfig, run_pipeline
+from streetinv.simulator import GroundTruth, SceneObject, default_scene_spec, generate_scene
 
-from conftest import oracle_build_report, oracle_pair_counts
+from conftest import assert_reports_match, oracle_build_report, oracle_category_loop, oracle_pair_counts
 
 # Six observations: objects 0 (x3), 1 (x2), 2 (x1); clusters A = {0, 0},
 # B = {0, 1, 1, 2}.
@@ -159,6 +161,11 @@ class TestBuildReport:
         assert agg.loc_err == pytest.approx(0.05)
         assert report.to_dict()["aggregate"]["counts_idf"] == {"tp": 2, "fp": 0, "fn": 1}
 
+    def test_to_dict_is_asdict(self):
+        inventory = [_record("a", [0, 1], [0.0, 0.0, 0.1]), _record("b", [4, 5, 6], None)]
+        report = build_report(inventory, _truth(), tol=1.0)
+        assert repr(report.to_dict()) == repr(dataclasses.asdict(report))
+
     def test_empty_inventory(self):
         report = build_report([], _truth(), tol=1.0)
         assert report.aggregate.counts_mat == MatchCounts()
@@ -203,7 +210,13 @@ class TestReportOracle:
     @given(_inventories())
     def test_build_report_matches_per_record_oracle(self, case):
         inventory, truth, tol = case
-        assert build_report(inventory, truth, tol).to_dict() == oracle_build_report(inventory, truth, tol).to_dict()
+        assert_reports_match(build_report(inventory, truth, tol), oracle_build_report(inventory, truth, tol))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_inventories())
+    def test_build_report_matches_category_loop(self, case):
+        inventory, truth, tol = case
+        assert_reports_match(build_report(inventory, truth, tol), oracle_category_loop(inventory, truth, tol))
 
     @settings(max_examples=300, deadline=None)
     @given(_inventories())
@@ -224,3 +237,39 @@ class TestReportOracle:
                      _record("b", [2], [20.0, 0.0, 0.2])]
         assert np.mean([0.1, 0.4, 0.2]) != np.mean([0.1, 0.2, 0.4])
         assert build_report(inventory, truth, tol=1.0).aggregate.loc_err == np.mean([0.1, 0.4, 0.2])
+
+
+class TestReportOneTable:
+    """`build_report` reads every category off one contingency table; a loop of
+    one table per category, `oracle_category_loop`, is the oracle (see
+    `assert_reports_match`)."""
+
+    @staticmethod
+    def _assert_run_matches(spec):
+        observations, truth = generate_scene(spec)
+        inventory = run_pipeline(RunConfig(), observations, truth).inventory
+        assert_reports_match(build_report(inventory, truth), oracle_category_loop(inventory, truth, 1.0))
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("regime", [{}, {"clutter_rate": 1.0, "drop_prob": 0.1}], ids=["clean", "clutter"])
+    def test_desk_scenes(self, seed, regime):
+        self._assert_run_matches(default_scene_spec(seed=seed, **regime))
+
+    @pytest.mark.parametrize("seed, regime", [(7000, {}), (23000, {"clutter_rate": 1.0, "drop_prob": 0.1})],
+                             ids=["7000-clean", "23000-clutter"])
+    def test_district_scenes(self, seed, regime):
+        self._assert_run_matches(default_scene_spec(seed=seed, n_objects=750, street_length=5000.0, **regime))
+
+    def test_empty_inventory(self):
+        assert_reports_match(build_report([], _truth()), oracle_category_loop([], _truth(), 1.0))
+
+    def test_category_with_objects_and_no_records(self):
+        # "b" has a true object and no record: its observation metrics keep
+        # the 0.0 of a slice with no observation, and its object is missed.
+        inventory = [_record("a", [0, 1], [0.0, 0.0, 0.1]), _record("a", [2, 3], [10.0, 0.0, 0.0])]
+        report = build_report(inventory, _truth())
+        assert_reports_match(report, oracle_category_loop(inventory, _truth(), 1.0))
+        b = report.per_category["b"]
+        assert (b.pre_mat, b.rec_mat, b.f1_mat, b.homogeneity, b.completeness, b.v_measure) == (0.0,) * 6
+        assert b.counts_mat == MatchCounts() and b.counts_idf == MatchCounts(tp=0, fp=0, fn=1)
+        assert b.loc_err is None and (b.pre_idf, b.rec_idf, b.f1_idf) == (0.0, 0.0, 0.0)
