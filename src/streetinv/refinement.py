@@ -8,7 +8,8 @@ distinct objects grouped together, biasing the center) and under-matching
          fitting the center until none is,
   Step 2 re-attaches singletons to consistent clusters or pairs them up
          (guarded by a physical-size consistency check), and leaves every
-         cluster it grows or makes blank,
+         cluster it grows or makes blank. A center it joins or makes lies
+         in front of each ray's camera, nearer than MAX_DEPTH along it,
   Step 3 is step 1 again, so it fits exactly what step 2 changed.
 
 A cluster is blank when it has no center (and so no residuals). `refine`
@@ -20,11 +21,14 @@ one, working on its columns and the observation table's rows. Steps 1 and
 3 work in rounds over all clusters at once: each round fits the center of
 every cluster still open in one batched closed-form solve
 (`triangulation.estimate_centers`) and frees every member past its
-threshold. Step 2 pairs rays in closed form: the least-squares point of
-two lines is the midpoint of their common perpendicular (Hartley &
-Zisserman). The pairs of every category are then taken best-first in one
-walk of `association.greedy_pairs`. Every threshold comes from the run's
-`pipeline.RunConfig`.
+threshold. Step 2 works on every category at once. Its depth gate bounds
+how far a candidate can lie from a ray's exposure, so its candidates come
+from two `scipy.spatial.cKDTree` queries, and their number grows with the
+singletons, not with their square. It pairs rays in closed form: the
+least-squares point of two lines is the midpoint of their common
+perpendicular (Hartley & Zisserman). The pairs are then taken best-first
+in one walk of `association.greedy_pairs`. Every threshold but MAX_DEPTH
+comes from the run's `pipeline.RunConfig`.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .association import ClusterTable, greedy_pairs
 from .geometry import Observation, ObservationTable
@@ -44,6 +49,10 @@ if TYPE_CHECKING:
     from .pipeline import RunConfig
 
 __all__ = ["split_overmatched", "estimate_physical_size", "merge_undermatched", "refine"]
+
+# The largest depth (m) of a merged center along each of its rays. The
+# simulator detects objects to 32 m.
+MAX_DEPTH = 50.0
 
 
 def split_overmatched(clusters: ClusterTable, table: ObservationTable, cfg: RunConfig) -> ClusterTable:
@@ -119,47 +128,110 @@ def _physical_size(exposure, direction, box_h_norm, c_tri):
     return box_h_norm * np.abs(np.einsum("...k,...k->...", offset, direction))
 
 
-def _pair(rays: ObservationTable, threshold: float, tau_scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs of rays from different frames whose two-ray center passes the gates.
+def _near(points: np.ndarray, radius: float, queries: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The merge's candidate rows: every pair of positions (i, j) of points within `radius` of each other.
+
+    Without `queries`, i and j are rows of `points` and i < j. With them,
+    i is a row of `queries` and j one of `points`. The rows come in no
+    particular order.
+    """
+    tree = cKDTree(points)
+    if queries is None:
+        pairs = tree.query_pairs(radius, output_type="ndarray")
+        return pairs[:, 0], pairs[:, 1]
+    rows = cKDTree(queries).sparse_distance_matrix(tree, radius, output_type="ndarray")
+    return rows["i"], rows["j"]
+
+
+def _absorb(rays: ObservationTable, code: np.ndarray, threshold: np.ndarray, targets: np.ndarray,
+            target_code: np.ndarray, max_depth: float) -> tuple[np.ndarray, np.ndarray]:
+    """The target each ray joins, if any: (s, t), row positions in `rays` and in `targets`.
+
+    A target is a candidate for a ray when it has the ray's category, lies
+    in front of the camera nearer than max_depth along the ray, and is
+    within the ray's threshold of its line. The ray joins the nearest
+    candidate, the first in `targets` on ties.
+    """
+    s, t = _near(targets, max_depth + threshold.max(), rays.exposure)
+    keep = code[s] == target_code[t]
+    s, t = s[keep], t[keep]
+    direction = rays.direction[s]
+    v = targets[t] - rays.exposure[s]
+    depth = np.einsum("pk,pk->p", v, direction)
+    dist = np.linalg.norm(np.cross(v, direction), axis=1)
+    ok = (0.0 < depth) & (depth < max_depth) & (dist < threshold[s])
+    s, t, dist = s[ok], t[ok], dist[ok]
+    order = np.lexsort((t, dist, s))
+    s, t = s[order], t[order]
+    nearest = np.ones(len(s), dtype=bool)
+    nearest[1:] = s[1:] != s[:-1]
+    return s[nearest], t[nearest]
+
+
+def _pair(rays: ObservationTable, code: np.ndarray, threshold: np.ndarray, tau_scale: float, max_depth: float
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs of rays of one category and different frames whose two-ray center passes the gates.
 
     The center is the midpoint of the common perpendicular and the residual
-    half the line-line gap. Returns (i, j, residual): row positions in
-    `rays`, i < j, and each pair's residual.
+    half the line-line gap. Each foot of the perpendicular lies in front of
+    its camera nearer than max_depth, and so the two exposures lie within
+    2 max_depth + 2 threshold of each other. Returns (i, j, residual): row
+    positions in `rays`, i < j, and each pair's residual.
     """
-    i, j = np.triu_indices(len(rays), 1)
+    i, j = _near(rays.exposure, 2.0 * max_depth + 2.0 * threshold.max(initial=0.0))
     direction, exposure = rays.direction, rays.exposure
+    keep = (code[i] == code[j]) & (rays.frame_id[i] != rays.frame_id[j])
+    i, j = i[keep], j[keep]
     cos = np.einsum("pk,pk->p", direction[i], direction[j])
     # Two unit rays have normal-matrix eigenvalues 1 - |cos|, 1 + |cos| and
     # 2, so this is estimate_center's parallel test on a trace of 4.
-    keep = (rays.frame_id[i] != rays.frame_id[j]) & (1.0 - np.abs(cos) > 4.0 * PARALLEL_EIGEN_RATIO)
+    keep = 1.0 - np.abs(cos) > 4.0 * PARALLEL_EIGEN_RATIO
     i, j, cos = i[keep], j[keep], cos[keep]
     d_a, d_b, o_a, o_b = direction[i], direction[j], exposure[i], exposure[j]
     w = o_b - o_a
     e = np.einsum("pk,pk->p", w, d_a)
     f = np.einsum("pk,pk->p", w, d_b)
-    foot_a = o_a + ((e - cos * f) / (1.0 - cos * cos))[:, None] * d_a
-    foot_b = o_b + ((cos * e - f) / (1.0 - cos * cos))[:, None] * d_b
+    # The feet of the common perpendicular, at depths t_a and t_b along the rays.
+    t_a = (e - cos * f) / (1.0 - cos * cos)
+    t_b = (cos * e - f) / (1.0 - cos * cos)
+    foot_a = o_a + t_a[:, None] * d_a
+    foot_b = o_b + t_b[:, None] * d_b
     residual = 0.5 * np.linalg.norm(foot_a - foot_b, axis=1)
     center = 0.5 * (foot_a + foot_b)
     size_a = _physical_size(o_a, d_a, rays.box_h_norm[i], center)
     size_b = _physical_size(o_b, d_b, rays.box_h_norm[j], center)
     # A zero size fails the ratio test too.
-    ok = (residual < threshold) & (np.maximum(size_a, size_b) < tau_scale * np.minimum(size_a, size_b))
+    ok = (
+        (residual < threshold[i])
+        & (np.maximum(size_a, size_b) < tau_scale * np.minimum(size_a, size_b))
+        & (0.0 < t_a) & (t_a < max_depth) & (0.0 < t_b) & (t_b < max_depth)
+    )
     return i[ok], j[ok], residual[ok]
 
 
 def merge_undermatched(clusters: ClusterTable, table: ObservationTable, cfg: RunConfig) -> ClusterTable:
-    """Recover missed links by absorbing and pairing singletons.
+    """Recover missed links by absorbing and pairing singletons, all categories in one pass.
 
-    Each singleton whose ray passes within the merge threshold of a
-    localized cluster of its own category (and no other) joins the nearest
-    one, the smallest id on ties; the distances are taken to the centers
-    as they were on entry. The rest are paired, most consistent pair
-    first, when their two-ray center is within the threshold of both rays
-    and the implied physical sizes (box height times projection depth)
-    agree within tau_scale. A pair is a new cluster with a fresh id; every
-    other cluster keeps its id. Every cluster that grows, and every pair,
-    comes out blank: no center, NaN residuals.
+    Every merge is gated on depth: a merged center must lie in front of
+    each of its rays' cameras, nearer than MAX_DEPTH (50 m) along the ray
+    (cheirality, Hartley & Zisserman ch. 21). Each singleton whose ray
+    passes within the merge threshold of such a center of a localized
+    cluster of its own category (and no other) joins the nearest one, the
+    smallest id on ties; the distances are taken to the centers as they
+    were on entry. The rest are paired, most consistent pair first, when
+    they come from different frames, their two-ray center is within the
+    threshold of both rays and in front of both cameras nearer than
+    MAX_DEPTH, and the implied physical sizes (box height times
+    projection depth) agree within tau_scale. A pair is a new cluster with
+    a fresh id; every other cluster keeps its id. Every cluster that
+    grows, and every pair, comes out blank: no center, NaN residuals.
+
+    The gate bounds the search. A center a ray may join lies within
+    sqrt(MAX_DEPTH^2 + threshold^2) of its exposure, and the exposures of
+    a pair within 2 MAX_DEPTH + 2 threshold of each other. So the
+    candidates come from two cKDTree queries, of radius MAX_DEPTH +
+    threshold and 2 MAX_DEPTH + 2 threshold (the largest threshold of any
+    singleton's category), and not from every target and every pair.
 
     Raises:
         OverflowError: if a fresh id would not fit 64 bits.
@@ -169,41 +241,29 @@ def merge_undermatched(clusters: ClusterTable, table: ObservationTable, cfg: Run
         return clusters
     names, codes = table.category_codes
     k, group = len(clusters), clusters.group
-    member_codes = codes[table.rows(clusters.member)]
+    rows = table.rows(clusters.member)
+    member_codes = codes[rows]
     first = member_codes[clusters.start]
     # A target has a center and members of one category.
     mixed = np.bincount(group[member_codes != first[group]], minlength=k) > 0
-    target = (clusters.size >= 2) & clusters.localized & ~mixed
+    target = np.flatnonzero((clusters.size >= 2) & clusters.localized & ~mixed)
     at = clusters.start[single]  # each singleton's index into the member columns
-    single_rays, single_codes = table.take(table.rows(clusters.member[at])), member_codes[at]
+    rays, code = table.take(rows[at]), member_codes[at]
+    threshold = np.array([cfg.merge_threshold(c) for c in names], dtype=float)[code]
 
     # Each member's cluster id, and each cluster's center, on the way out.
     owner, center = clusters.cluster_id[group], clusters.center.copy()
-    # Each category is absorbed on arrays of its own; its pair candidates
-    # are listed as positions into `single`.
-    candidates = []
-    for code in np.unique(single_codes):
-        in_category = np.flatnonzero(single_codes == code)
-        rays = single_rays.take(in_category)
-        threshold = cfg.merge_threshold(names[code])
-        free = np.ones(len(in_category), dtype=bool)
-        near = np.flatnonzero(target & (first == code))
-        if near.size:
-            v = clusters.center[near][None, :, :] - rays.exposure[:, None, :]
-            dist = np.linalg.norm(np.cross(v, rays.direction[:, None, :]), axis=2)
-            nearest = dist.argmin(axis=1)
-            free = dist[np.arange(len(in_category)), nearest] >= threshold
-            grown = near[nearest[~free]]
-            owner[at[in_category[~free]]] = clusters.cluster_id[grown]
-            center[grown] = np.nan
-        i, j, r = _pair(rays.take(free), threshold, cfg.tau_scale)
-        loose = in_category[free]
-        candidates.append((loose[i], loose[j], r))
+    s, t = _absorb(rays, code, threshold, clusters.center[target], first[target], MAX_DEPTH)
+    owner[at[s]] = clusters.cluster_id[target[t]]
+    center[target[t]] = np.nan
 
-    # No two categories share a singleton, so one walk by (residual r, id_a,
-    # id_b) takes each category's pairs; positions into `single` order as
-    # its ids do.
-    i, j, r = (np.concatenate(column) for column in zip(*candidates))
+    # One walk by (residual r, id_a, id_b) takes the pairs; positions into
+    # `single` order as its ids do.
+    loose = np.ones(len(single), dtype=bool)
+    loose[s] = False
+    loose = np.flatnonzero(loose)
+    i, j, r = _pair(rays.take(loose), code[loose], threshold[loose], cfg.tau_scale, MAX_DEPTH)
+    i, j = loose[i], loose[j]
     order = np.lexsort((j, i, r))
     order = order[greedy_pairs(i[order], j[order])]
     fresh = clusters.fresh_ids(len(order))

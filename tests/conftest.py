@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from streetinv import io as sio
+from streetinv import refinement
 from streetinv import (
     CameraPose,
     Cluster,
@@ -430,10 +431,13 @@ def oracle_merge_undermatched(clusters, table, cfg) -> list[Cluster]:
     """Singleton absorption and pairing, one pair at a time.
 
     The scalar reference `refinement.merge_undermatched` is checked
-    against: each singleton scans every localized single-category cluster;
-    each singleton pair is prefiltered by its line-line distance, then
-    triangulated by `estimate_center` and gated on its residual and on
-    its implied sizes (box height times depth); pairs are taken best-first.
+    against: each singleton scans every localized single-category cluster
+    whose center lies in front of its camera, nearer than
+    `refinement.MAX_DEPTH` along its ray; each singleton pair is
+    prefiltered by its line-line distance, then triangulated by
+    `estimate_center` and gated on its residual, on the depth of its
+    center along both rays (in (0, MAX_DEPTH)) and on its implied sizes
+    (box height times depth); pairs are taken best-first.
     A cluster that grows comes out blank, as a pair does: no center, no
     residuals.
     """
@@ -447,8 +451,14 @@ def oracle_merge_undermatched(clusters, table, cfg) -> list[Cluster]:
         categories = {obs[m].category for m in cluster.members}
         return categories.pop() if len(categories) == 1 else None
 
+    def depth(o, c):
+        return float(np.dot(np.asarray(c) - o.exposure, o.direction))
+
+    def in_front(o, c):
+        return 0.0 < depth(o, c) < refinement.MAX_DEPTH
+
     def size(o, c):
-        return o.box_h_norm * abs(float(np.dot(np.asarray(c) - o.exposure, o.direction)))
+        return o.box_h_norm * abs(depth(o, c))
 
     singles = sorted((c for c in clusters if c.size == 1), key=lambda c: c.cluster_id)
     multis = [
@@ -464,7 +474,7 @@ def oracle_merge_undermatched(clusters, table, cfg) -> list[Cluster]:
         o = obs[member]
         best = None
         for m in multis:
-            if m.center is None or category_of(m) != o.category:
+            if m.center is None or category_of(m) != o.category or not in_front(o, m.center):
                 continue
             d = point_ray_distance(m.center, ray(o))
             if d < cfg.merge_threshold(o.category) and (best is None or (d, m.cluster_id) < best[:2]):
@@ -493,6 +503,8 @@ def oracle_merge_undermatched(clusters, table, cfg) -> list[Cluster]:
                 continue
             if max(estimate.residuals) >= threshold:
                 continue
+            if not (in_front(obs_a, estimate.center) and in_front(obs_b, estimate.center)):
+                continue
             size_a, size_b = size(obs_a, estimate.center), size(obs_b, estimate.center)
             if min(size_a, size_b) <= 0.0 or max(size_a / size_b, size_b / size_a) >= cfg.tau_scale:
                 continue
@@ -507,6 +519,18 @@ def oracle_merge_undermatched(clusters, table, cfg) -> list[Cluster]:
         next_id += 1
         merged_away |= {id_a, id_b}
     return multis + [c for c in remaining if c.cluster_id not in merged_away] + new_clusters
+
+
+def dense_near(points, radius, queries=None) -> tuple[np.ndarray, np.ndarray]:
+    """Every candidate row `refinement._near` may list, whatever the radius: all pairs, all targets.
+
+    The merge gates every row it is given, so under this listing it gates
+    every pair of singletons and every (singleton, target) row.
+    """
+    if queries is None:
+        return np.triu_indices(len(points), 1)
+    i, j = np.meshgrid(np.arange(len(queries)), np.arange(len(points)), indexing="ij")
+    return i.ravel(), j.ravel()
 
 
 def oracle_split_overmatched(clusters, table, cfg) -> list[Cluster]:

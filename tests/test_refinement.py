@@ -18,7 +18,7 @@ from streetinv import refinement
 from streetinv.pipeline import associate
 from streetinv.simulator import default_scene_spec, generate_scene
 
-from conftest import corrupt_links, oracle_merge_undermatched, oracle_split_overmatched, true_clusters
+from conftest import corrupt_links, dense_near, oracle_merge_undermatched, oracle_split_overmatched, true_clusters
 
 as_table = ClusterTable.from_records
 
@@ -392,6 +392,51 @@ class TestMergeUndermatched:
             out = merge(clusters, obs, RunConfig())
             assert sorted(tuple(sorted(c.members)) for c in out) == [(0,), (1,)]
 
+    @pytest.mark.parametrize("behind", ["both", "one"])
+    def test_lines_crossing_behind_a_camera_never_pair(self, behind):
+        # The lines cross at [10, 0, 0], as in the pair that merges above,
+        # but ray 0 (and with "both" ray 1 too) points away from the crossing.
+        crossing = np.array([10.0, 0.0, 0.0])
+        a_at, b_at = np.array([0.0, 0.0, 0.0]), np.array([20.0, 5.0, 0.0])
+        a = mkobs(0, 0, a_at, 2 * a_at - crossing, category="bollard", height=0.9)
+        b = mkobs(1, 1, b_at, 2 * b_at - crossing if behind == "both" else crossing, category="bollard", height=0.9)
+        obs = ObservationTable.from_observations([a, b])
+        clusters = as_table([Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})])
+        for merge in (merge_undermatched, on_records(oracle_merge_undermatched)):
+            assert len(merge(clusters, obs, RunConfig())) == 2
+
+    @pytest.mark.parametrize("max_depth, merges", [(11.0, False), (11.5, True)])
+    def test_crossing_past_max_depth_never_pairs(self, monkeypatch, max_depth, merges):
+        # The crossing lies 10 m along ray 0 and 11.18 m along ray 1.
+        monkeypatch.setattr(refinement, "MAX_DEPTH", max_depth)
+        crossing = np.array([10.0, 0.0, 0.0])
+        a = mkobs(0, 0, [0, 0, 0], crossing, category="bollard", height=0.9)
+        b = mkobs(1, 1, [20, 5, 0], crossing, category="bollard", height=0.9)
+        obs = ObservationTable.from_observations([a, b])
+        clusters = as_table([Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={1})])
+        for merge in (merge_undermatched, on_records(oracle_merge_undermatched)):
+            assert (len(merge(clusters, obs, RunConfig())) == 1) == merges
+
+    def test_center_behind_the_camera_absorbs_nothing(self):
+        # Ray 3's line passes through T1, cluster 0's center, behind its camera.
+        members = [mkobs(i, i, FRAMES[i], T1) for i in range(3)]
+        stray = mkobs(3, 3, FRAMES[3], 2 * FRAMES[3] - T1)
+        obs = ObservationTable.from_observations(members + [stray])
+        clusters = split_with_stray(obs)
+        for merge in (merge_undermatched, on_records(oracle_merge_undermatched)):
+            out = merge(clusters, obs, RunConfig())
+            assert sorted(tuple(sorted(c.members)) for c in out) == [(0, 1, 2), (3,)]
+
+    @pytest.mark.parametrize("max_depth, absorbed", [(19.0, False), (19.1, True)])
+    def test_center_past_max_depth_absorbs_nothing(self, monkeypatch, max_depth, absorbed):
+        # T1, cluster 0's center, lies 19.03 m along ray 3.
+        monkeypatch.setattr(refinement, "MAX_DEPTH", max_depth)
+        members = [mkobs(i, i, FRAMES[i], T1) for i in range(3)]
+        obs = ObservationTable.from_observations(members + [mkobs(3, 3, FRAMES[3], T1)])
+        clusters = split_with_stray(obs)
+        for merge in (merge_undermatched, on_records(oracle_merge_undermatched)):
+            assert (len(merge(clusters, obs, RunConfig())) == 1) == absorbed
+
     def test_matches_scalar_oracle(self):
         cfg = RunConfig()
         absorbed = paired = 0
@@ -420,6 +465,71 @@ class TestMergeUndermatched:
         overlapping = [Cluster(cluster_id=0, members={0}), Cluster(cluster_id=1, members={0})]
         with pytest.raises(ValueError, match="disjoint"):
             merge_undermatched(as_table(overlapping), obs, RunConfig())
+
+
+def split_scene(**spec):
+    """A scene's chained clusters after the first split, as the merge gets them, and its table."""
+    observations, _ = generate_scene(default_scene_spec(**spec))
+    obs = ObservationTable.from_observations(observations)
+    return split_overmatched(associate(obs, RunConfig())[1], obs, RunConfig()), obs
+
+
+class TestMergeCandidates:
+    """The merge's candidates come from two cKDTree queries. Under the depth
+    gate they hold every row that passes it, and they grow as the singletons do."""
+
+    @staticmethod
+    def _merged(clusters, obs, near):
+        """The merge with `near` listing its candidates, and the rows its absorption and pairing keep."""
+        kept, absorb, pair = {}, refinement._absorb, refinement._pair
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(refinement, "_near", near)
+            patch.setattr(refinement, "_absorb", lambda *args: kept.setdefault("absorb", absorb(*args)))
+            patch.setattr(refinement, "_pair", lambda *args: kept.setdefault("pair", pair(*args)))
+            out = merge_undermatched(clusters, obs, RunConfig())
+        none = np.empty(0, dtype=np.intp)  # a merge with no singletons lists nothing
+        i, j, r = kept.get("pair", (none, none, none))
+        order = np.lexsort((j, i))
+        return out, (*kept.get("absorb", (none, none)), i[order], j[order], r[order])
+
+    def _assert_kd_is_dense(self, clusters, obs):
+        """The KD merge keeps the rows and writes the bits the all-pairs merge does; returns (absorbed, paired)."""
+        out, kept = self._merged(clusters, obs, refinement._near)
+        dense, dense_kept = self._merged(clusters, obs, dense_near)
+        for column in ("cluster_id", "size", "member", "center", "residual"):
+            assert getattr(out, column).tobytes() == getattr(dense, column).tobytes()
+        assert [rows.tobytes() for rows in kept] == [rows.tobytes() for rows in dense_kept]
+        return len(kept[0]), len(kept[2])
+
+    @pytest.mark.parametrize("regime", [{}, {"clutter_rate": 1.0, "drop_prob": 0.1}, {"pose_noise": 0.3}],
+                             ids=["clean", "clutter", "pose-noise-0.3"])
+    def test_equal_to_all_pairs_on_desk_scenes(self, regime):
+        found = np.array([self._assert_kd_is_dense(*split_scene(seed=seed, **regime)) for seed in range(20)])
+        assert (found.sum(axis=0) > 0).all()
+
+    def test_equal_to_all_pairs_on_a_5km_clutter_scene(self):
+        clusters, obs = split_scene(seed=21, n_objects=750, street_length=5000.0, clutter_rate=1.0, drop_prob=0.1)
+        assert min(self._assert_kd_is_dense(clusters, obs)) > 0
+
+    def test_candidate_rows_grow_as_the_singletons_do(self, monkeypatch):
+        # Counted, not timed: from 2 km to 8 km of clutter (30 objects per
+        # 200 m), all pairs of singletons would grow about 16-fold.
+        near, rows = refinement._near, []
+
+        def counted(*args):
+            found = near(*args)
+            rows[-1] += len(found[0])
+            return found
+
+        monkeypatch.setattr(refinement, "_near", counted)
+        singletons = []
+        for length in (2000.0, 8000.0):
+            clusters, obs = split_scene(seed=21, n_objects=int(length * 30 / 200), street_length=length,
+                                        clutter_rate=1.0, drop_prob=0.1)
+            rows.append(0)
+            merge_undermatched(clusters, obs, RunConfig())
+            singletons.append(int((clusters.size == 1).sum()))
+        assert rows[1] / rows[0] <= 1.25 * singletons[1] / singletons[0]
 
 
 class TestRefine:
