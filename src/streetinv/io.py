@@ -10,14 +10,15 @@ each rule a record must pass is one array test over the whole file (see
 fails. `truth.json` is one JSON object, and its errors name the file alone.
 `ingest` lifts every detection in one array pass.
 
-`orjson` decodes every file but the inventory: one call per line, and one
-for `truth.json`. The stdlib decoder decodes a file again, and the reader
-checks its records again, only when orjson refuses a line (malformed JSON,
-a number that overflows a float, an escaped lone surrogate) or the reader
-refuses the records orjson made. orjson reads an integer beyond 64 bits as
-a float, which a rule would word otherwise; so every result and every error
-is the one the stdlib's records give. `read_inventory` returns its records
-whole, fields no rule reads included, so the stdlib alone decodes them.
+`orjson` is the one JSON decoder: one call per line, and one for
+`truth.json`. A line, or `truth.json`, whose arrays and objects nest more
+than `MAX_NESTING` (512) levels deep is refused as nested too deep before
+orjson sees it; orjson 3.8 overflows the stack from about 150,000 levels.
+A line orjson refuses is malformed JSON, worded as orjson words it. So:
+an integer beyond 64 bits reads as a float, which an id field refuses as
+not an integer and a number field takes; `1e999`, `NaN`, `Infinity` and
+escaped lone surrogates are malformed JSON; and `read_inventory` returns
+the fields it does not check as orjson reads them.
 
 Poses may carry either local metric coordinates (x, y, z) or geodetic ones
 (lat, lon, alt in degrees/meters); geodetic input is converted to a local
@@ -33,16 +34,14 @@ rename so partial outputs never appear under the target name.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
-import sys
+import re
 import tempfile
-import threading
 from itertools import compress, count, repeat
 from operator import countOf, itemgetter
 from types import SimpleNamespace
-from typing import Callable, Collection, Iterable, TypeVar
+from typing import Callable, Collection, Iterable
 
 import numpy as np
 import orjson
@@ -62,6 +61,7 @@ from .geometry import (
 from .geometry import build_observation  # noqa: F401
 
 __all__ = [
+    "MAX_NESTING",
     "DataError",
     "OutputError",
     "geodetic_to_enu",
@@ -128,23 +128,20 @@ def geodetic_to_enu(lat: float, lon: float, alt: float, lat0: float, lon0: float
     return _enu(*(np.array(pair, dtype=float) for pair in ((lat0, lat), (lon0, lon), (alt0, alt))))[1]
 
 
-def _reject_constant(name: str):
-    """`parse_constant` hook: JSON has no NaN or Infinity, so refuse them."""
-    raise DataError(f"non-finite number {name}")
+# The deepest a line, or `truth.json`, may nest its arrays and objects.
+# orjson recurses once per level: 3.8.3, on an 8 MB stack, reads about
+# 150,000 levels, then crashes the process. A value this deep is well within
+# the interpreter's recursion limit, so every rule's message can print it
+# with `repr`.
+MAX_NESTING = 512
 
-
-# The stdlib decoder, of an inventory and of a file orjson refuses or whose
-# records fail a rule; one for every line, as json.loads with a hook builds a
-# new one per call.
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-
-# orjson reads values nested up to 1,024 levels deep. The stdlib decoder and
-# repr recurse once per level, so they run with that much more room; the
-# lock keeps two threads from restoring each other's recursion limit.
-_DEPTH = 1024
-_DEEPER = threading.Lock()
-
-_T = TypeVar("_T")
+# Quotes and brackets alone tell how deep JSON text nests, once its escapes
+# are gone. `_UNSTRUCTURED` is every other byte, `_ESCAPE` a backslash and
+# the byte it escapes, and `_STEP` the change of depth at each byte.
+_UNSTRUCTURED = bytes(sorted(set(range(256)) - set(b'"[]{}')))
+_ESCAPE = re.compile(rb"\\.", re.DOTALL)
+_STEP = np.zeros(256, dtype=np.int64)
+_STEP[list(b"[{")], _STEP[list(b"]}")] = 1, -1
 
 # The range of an id column.
 _INT64 = np.iinfo(np.int64)
@@ -171,74 +168,61 @@ def read_text(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _deep(call: Callable[..., _T], *args) -> _T:
-    """`call(*args)` with room for `_DEPTH` more levels of recursion."""
-    with _DEEPER:
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(limit + _DEPTH)
-        try:
-            return call(*args)
-        finally:
-            sys.setrecursionlimit(limit)
+def _too_deep(text: str) -> bool:
+    """Whether the arrays and objects of the JSON text `text` nest more than
+    `MAX_NESTING` deep: whether, at some point outside its strings, the `[`
+    and `{` before it outnumber the `]` and `}` by more than that.
+
+    A text with no more `[` and `{` than the limit cannot be that deep, so
+    it is not scanned. A string never closed runs to the end of the text.
+    """
+    data = text.encode()
+    if b"\\" in data:
+        data = _ESCAPE.sub(b"", data)  # so that each quote left opens or closes a string
+    structure = data.translate(None, _UNSTRUCTURED)
+    if structure.count(b"[") + structure.count(b"{") <= MAX_NESTING:
+        return False
+    codes = np.frombuffer(structure, dtype=np.uint8)
+    outside = np.cumsum(codes == ord('"')) % 2 == 0
+    return int(np.cumsum(_STEP[codes] * outside).max()) > MAX_NESTING
 
 
-def _decode(text: str, where: str) -> dict:
-    """`text` as one JSON object, or the DataError, prefixed by `where`, naming what it is instead."""
+def _json_objects(texts: list[str]) -> tuple[list[dict], str | None]:
+    """The JSON objects orjson decodes from `texts`, one per text, up to the
+    first text refused, and why that one is refused (None if none is).
+
+    A text is refused if it nests too deep (it is never decoded), if orjson
+    refuses it, or if it is not a JSON object.
+    """
+    # Only a text longer than the limit can nest deeper.
+    long = compress(count(), map(MAX_NESTING.__lt__, map(len, texts)))
+    deep = next((k for k in long if _too_deep(texts[k])), len(texts))
+    records = []
     try:
-        record = _deep(_DECODER.decode, text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{where}: malformed JSON: {exc.msg}") from exc
-    except ValueError as exc:
-        # int() refuses a literal longer than the interpreter's limit on digits.
-        raise DataError(f"{where}: integer literal of more than {sys.get_int_max_str_digits()} digits") from exc
-    except DataError as exc:
-        raise DataError(f"{where}: {exc}") from exc
-    except RecursionError as exc:
-        raise DataError(f"{where}: JSON nested too deep") from exc
-    if not isinstance(record, dict):
-        raise DataError(f"{where}: expected a JSON object")
-    return record
+        # `extend` keeps the records decoded before a refused text, so their count is its index.
+        records.extend(map(orjson.loads, texts[:deep]))
+    except orjson.JSONDecodeError as exc:
+        refusal = f"malformed JSON: {exc.msg}"
+    else:
+        refusal = "JSON nested too deep" if deep < len(texts) else None
+    if not set(map(type, records)) <= {dict}:
+        first = next(k for k, record in enumerate(records) if type(record) is not dict)
+        return records[:first], "expected a JSON object"
+    return records, refusal
 
 
-def _read_jsonl(path: str) -> tuple[list, list[int]]:
-    """The values of the non-blank lines of a JSON-lines file, decoded by
-    orjson, and their line numbers.
+def _read_jsonl(path: str) -> _Rules:
+    """The `_Rules` of the records of the non-blank lines of a JSON-lines file.
 
     Raises:
-        orjson.JSONDecodeError: if orjson refuses a line.
+        DataError: naming the first line `_json_objects` refuses, and why.
     """
     lines = list(map(str.strip, read_text(path).split("\n")))
-    return list(map(orjson.loads, filter(None, lines))), list(compress(count(1), lines))
-
-
-def _read_jsonl_exact(path: str) -> tuple[list[dict], list[int]]:
-    """The records of a JSON-lines file, decoded by the stdlib, and their line numbers.
-
-    Each non-blank line must be exactly one JSON object, so no value spans two lines.
-    """
-    records, numbers = [], []
-    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if line:
-            records.append(_decode(line, f"{path}:{line_no}"))
-            numbers.append(line_no)
-    return records, numbers
-
-
-def _read_records(path: str, read: Callable[..., _T], *args) -> _T:
-    """`read(rules, *args)` of the `_Rules` of the JSON-lines file `path`.
-
-    The records are orjson's, unless orjson refuses a line, a line is not a
-    JSON object, or `read` refuses them: then they are the stdlib's, and
-    `read` checks them again.
-    """
-    try:
-        records, numbers = _read_jsonl(path)
-        if set(map(type, records)) <= {dict}:
-            return read(_Rules(path, records, numbers), *args)
-    except (orjson.JSONDecodeError, DataError):
-        pass
-    return read(_Rules(path, *_read_jsonl_exact(path)), *args)
+    texts, numbers = list(filter(None, lines)), list(compress(count(1), lines))
+    records, refusal = _json_objects(texts)
+    if refusal:
+        raise DataError(f"{path}:{numbers[len(records)]}: {refusal}")
+    return _Rules(path, records, numbers)
 
 
 # --- Rules over columns ------------------------------------------------------
@@ -281,8 +265,7 @@ class _Rules:
             row = min(int(bad.argmax()) for bad, _ in self.broken)
             message = next(message for bad, message in self.broken if bad[row])
             where = self.path if self.lines is None else f"{self.path}:{self.lines[row]}"
-            # A message may show a value as deep as orjson reads.
-            raise DataError(f"{where}: {_deep(message, row)}")
+            raise DataError(f"{where}: {message(row)}")
 
     def fields(self, keys: tuple[str, ...]) -> dict[str, list]:
         """Each field of `keys` as the list of its values, one per record; a record missing any is refused."""
@@ -318,32 +301,19 @@ class _Rules:
     def numbers(self, values: list, key: str) -> np.ndarray:
         """Field `key` as floats: finite JSON numbers, never booleans or strings."""
         if set(map(type, values)) <= {int, float}:
-            try:
-                column = np.array(values, dtype=float)
-                if np.isfinite(column).all():
-                    return column
-            except OverflowError:  # an integer too large for a float
-                pass
+            column = np.array(values, dtype=float)
+            if np.isfinite(column).all():
+                return column
         ok = list(map(_is_number, values))
         self.check(np.array(ok, dtype=bool), lambda k: f"{key} must be a finite number, got {values[k]!r}")
         return np.array([v if good else math.nan for v, good in zip(values, ok)], dtype=float)
 
     def strings(self, values: list, key: str) -> np.ndarray:
-        """Field `key` as an object array of JSON strings that UTF-8 can encode.
-
-        The stdlib decodes an escaped lone surrogate, which no UTF-8 output
-        can hold, so a string holding one is refused.
-        """
+        """Field `key` as an object array of JSON strings."""
         if set(map(type, values)) <= {str}:
-            try:
-                "".join(values).encode("utf-8")
-                return np.array(values, dtype=object)
-            except UnicodeEncodeError:
-                pass
+            return np.array(values, dtype=object)
         ok = [isinstance(v, str) for v in values]
         self.check(np.array(ok, dtype=bool), lambda k: f"{key} must be a string, got {values[k]!r}")
-        self.check(np.array([not good or _is_utf8(v) for v, good in zip(values, ok)], dtype=bool),
-                   lambda k: f"{key} {values[k]!r} holds a lone surrogate, which UTF-8 cannot encode")
         return np.array([v if good else "" for v, good in zip(values, ok)], dtype=object)
 
     def points(self, values: list, key: str) -> np.ndarray:
@@ -365,7 +335,7 @@ class _Rules:
         entries = [m for v in lists for m in v]
         try:
             column = np.array(entries, dtype=np.int64)
-        except OverflowError:  # an entry beyond 64 bits: compare the entries as read
+        except OverflowError:  # an entry of 2**63 or more: compare the entries as read
             column = np.unique(np.array(entries, dtype=object), return_inverse=True)[1]
         rows = np.repeat(np.arange(len(lists)), [len(v) for v in lists])
         self.unique([column], lambda i: f"observation {entries[i]} is already a member", rows)
@@ -414,7 +384,7 @@ def read_poses(path: str, coord_mode: str = "local") -> list[CameraPose]:
     """
     if coord_mode not in ("local", "geodetic"):
         raise DataError(f"unknown coordinate mode {coord_mode!r}")
-    return _read_records(path, _poses, coord_mode)
+    return _poses(_read_jsonl(path), coord_mode)
 
 
 def _poses(rules: _Rules, coord_mode: str) -> list[CameraPose]:
@@ -464,7 +434,7 @@ def read_detections(path: str) -> DetectionTable:
 
     Every record must be a detection `Detection2D` accepts.
     """
-    return _read_records(path, _detections)
+    return _detections(_read_jsonl(path))
 
 
 def _detections(rules: _Rules) -> DetectionTable:
@@ -513,7 +483,7 @@ def read_score_triplets(path: str, obs_ids: Collection[int]) -> ScoreTriplets:
     Both ids of a score must be in `obs_ids` and differ, the score must lie
     in [0, 1], and no unordered pair may be scored twice, in either order.
     """
-    return _read_records(path, _score_triplets, np.fromiter(obs_ids, dtype=np.int64, count=len(obs_ids)))
+    return _score_triplets(_read_jsonl(path), np.fromiter(obs_ids, dtype=np.int64, count=len(obs_ids)))
 
 
 def _score_triplets(rules: _Rules, known: np.ndarray) -> ScoreTriplets:
@@ -521,7 +491,7 @@ def _score_triplets(rules: _Rules, known: np.ndarray) -> ScoreTriplets:
     (a, a_fits), (b, b_fits) = (rules.ids(values[key], key, any_size=True) for key in ("obs_a", "obs_b"))
     score = rules.numbers(values["score"], "score")
     rules.check((0.0 <= score) & (score <= 1.0), lambda k: f"score {score[k]} outside [0, 1]")
-    # An id beyond 64 bits holds 0 in its column, so compare it as read.
+    # An id of 2**63 or more holds 0 in its column, so compare it as read.
     same = a == b if (a_fits & b_fits).all() else np.array(
         [x == y for x, y in zip(values["obs_a"], values["obs_b"])], dtype=bool)
     rules.check(~same, lambda k: f"self-pair ({values['obs_a'][k]}, {values['obs_b'][k]})")
@@ -625,7 +595,7 @@ def read_observations(path: str) -> ObservationTable:
     A record's direction is normalized, and must then be a unit vector;
     every record must be an observation `Observation` accepts.
     """
-    return _read_records(path, _observations)
+    return _observations(_read_jsonl(path))
 
 
 def _observations(rules: _Rules) -> ObservationTable:
@@ -682,7 +652,7 @@ def read_clusters(path: str, obs_ids: Collection[int]) -> ClusterTable:
     are null with it and otherwise one finite number per member, in member
     order.
     """
-    return _read_records(path, _clusters, obs_ids)
+    return _clusters(_read_jsonl(path), obs_ids)
 
 
 def _clusters(rules: _Rules, obs_ids: Collection[int]) -> ClusterTable:
@@ -711,19 +681,8 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number: an int or a float, never a bool, finite as a float."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
-def _is_utf8(text: str) -> bool:
-    try:
-        text.encode("utf-8")
-        return True
-    except UnicodeEncodeError:
-        return False
+    """A finite JSON number: an int or a float, never a bool."""
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 def _is_point(value) -> bool:
@@ -735,9 +694,10 @@ def read_inventory(path: str) -> list[dict]:
 
     Each record needs a string category, a center that is null or three
     finite numbers, and a non-empty list of integer members; no
-    observation may be a member of two records.
+    observation may be a member of two records. The fields no rule reads
+    are returned as orjson reads them.
     """
-    rules = _Rules(path, *_read_jsonl_exact(path))
+    rules = _read_jsonl(path)
     values = rules.fields(("object_id", "category", "center", "n_observations", "max_residual", "members"))
     rules.strings(values["category"], "category")
     rules.points(values["center"], "center")
@@ -772,18 +732,12 @@ def read_truth(path: str):
     id, or null for clutter. No two observations may share an `obs_id`.
 
     The objects are checked in id order. Entries have no line, so an error
-    names the file alone. As for JSON lines, orjson decodes the file, and
-    the stdlib decodes it again, to be checked again, if orjson refuses it
-    or the document it made fails a rule.
+    names the file alone. The file is decoded as a JSON line is.
     """
-    text = read_text(path)
-    try:
-        payload = orjson.loads(text)
-        if type(payload) is dict:
-            return _truth(path, payload)
-    except (orjson.JSONDecodeError, DataError):
-        pass
-    return _truth(path, _decode(text, path))
+    payload, refusal = _json_objects([read_text(path)])
+    if refusal:
+        raise DataError(f"{path}: {refusal}")
+    return _truth(path, payload[0])
 
 
 def _truth(path: str, document: dict):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -11,6 +10,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
 from scipy.optimize import linear_sum_assignment
 
@@ -863,8 +863,9 @@ def corrupt_links(observations, truth: GroundTruth, frac: float, rng: np.random.
 # file's directions are normalized by one `np.linalg.norm(..., axis=1)` over
 # the file, as `io` normalizes them; a per-record norm can differ from it in
 # the last bit. A cluster_id must fit 64 bits, as every other id must.
-# They decode each line with the stdlib's decoder, on their own, never
-# through the decoding of `io`, which is under test with the readers.
+# They decode each line with orjson on their own, after their own depth
+# test, never through the decoding of `io`, which is under test with the
+# readers.
 
 _INT64 = np.iinfo(np.int64)
 _DETECTION_FIELDS = {
@@ -873,27 +874,52 @@ _DETECTION_FIELDS = {
 _OBSERVATION_FIELDS = ("obs_id", "frame_id", "category", "px", "py", "pz", "dx", "dy", "dz", "w_norm", "h_norm")
 
 
-def _reject_constant(name):
-    raise ValueError(f"non-finite number {name}")
+def _nesting(text):
+    """How deep the arrays and objects of the JSON text `text` nest: the most
+    `[` and `{` not yet closed at any point outside its strings."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for ch in text:
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch in "]}":
+            depth -= 1
+    return deepest
 
 
-_STDLIB_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+def orjson_refusal(text):
+    """orjson's message refusing the JSON text `text`, as the readers quote it."""
+    try:
+        orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
+        return exc.msg
+    raise AssertionError(f"orjson reads {text!r}")
 
 
-def read_jsonl_stdlib(path):
+def read_jsonl_per_line(path):
     """The (line number, record) pairs of a JSON-lines file, each non-blank line
-    decoded by the stdlib on its own; errors worded as the readers word them."""
+    decoded by orjson on its own; errors worded as the readers word them."""
     records = []
     for line_no, line in enumerate(sio.read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
+        if _nesting(line) > sio.MAX_NESTING:
+            raise sio.DataError(f"{path}:{line_no}: JSON nested too deep")
         try:
-            record = _STDLIB_DECODER.decode(line)
-        except json.JSONDecodeError as exc:
+            record = orjson.loads(line)
+        except orjson.JSONDecodeError as exc:
             raise sio.DataError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from exc
-        except ValueError as exc:  # a NaN or an Infinity
-            raise sio.DataError(f"{path}:{line_no}: {exc}") from exc
         if type(record) is not dict:
             raise sio.DataError(f"{path}:{line_no}: expected a JSON object")
         records.append((line_no, record))
@@ -927,10 +953,7 @@ def _id64(record, key):
 
 
 def _is_number(value):
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:
-        return False
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 def _is_point(value):
@@ -948,8 +971,6 @@ def _category(record):
     value = record["category"]
     if not isinstance(value, str):
         raise TypeError(f"category must be a string, got {value!r}")
-    if any("\ud800" <= ch <= "\udfff" for ch in value):
-        raise ValueError(f"category {value!r} holds a lone surrogate, which UTF-8 cannot encode")
     return value
 
 
@@ -968,7 +989,7 @@ def _check_detection(center_x, center_y, box_w, box_h, image_w, image_h, confide
 
 def oracle_read_detections(path):
     rows = []
-    for line_no, record in read_jsonl_stdlib(path):
+    for line_no, record in read_jsonl_per_line(path):
         _require(record, ("frame_id", *_DETECTION_FIELDS, "category"), path, line_no)
         try:
             row = dict(
@@ -1021,7 +1042,7 @@ def _observation(record):
 def oracle_read_observations(path):
     rows = []
     lines = {}
-    for line_no, record in read_jsonl_stdlib(path):
+    for line_no, record in read_jsonl_per_line(path):
         _require(record, _OBSERVATION_FIELDS, path, line_no)
         try:
             rows.append(_observation(record))
@@ -1044,7 +1065,7 @@ def oracle_read_score_triplets(path, obs_ids):
     known_set = set(np.asarray(obs_ids).tolist())
     triplets = []
     lines = {}
-    for line_no, record in read_jsonl_stdlib(path):
+    for line_no, record in read_jsonl_per_line(path):
         _require(record, ("obs_a", "obs_b", "score"), path, line_no)
         try:
             a, b, s = _id(record, "obs_a"), _id(record, "obs_b"), _number(record, "score")
@@ -1067,7 +1088,7 @@ def oracle_read_poses(path, coord_mode="local"):
     poses = []
     anchor = None
     frames = {}
-    for line_no, record in read_jsonl_stdlib(path):
+    for line_no, record in read_jsonl_per_line(path):
         _require(record, ("frame_id", "heading", "pitch", "roll"), path, line_no)
         try:
             frame_id = _id64(record, "frame_id")
@@ -1105,7 +1126,7 @@ def oracle_read_clusters(path, obs_ids):
     clusters = []
     owner = {}
     lines = {}
-    for line_no, record in read_jsonl_stdlib(path):
+    for line_no, record in read_jsonl_per_line(path):
         _require(record, ("cluster_id", "members"), path, line_no)
         members = record["members"]
         _claim_members(owner, members, path, line_no)
@@ -1137,7 +1158,7 @@ def oracle_read_inventory(path):
     records = []
     owner = {}
     fields = ("object_id", "category", "center", "n_observations", "max_residual", "members")
-    for line_no, record in read_jsonl_stdlib(path):
+    for line_no, record in read_jsonl_per_line(path):
         _require(record, fields, path, line_no)
         try:
             _category(record)

@@ -4,13 +4,18 @@ import argparse
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import orjson
 import pytest
 
+import streetinv
 from streetinv import cli, io as sio
 from streetinv.cli import _CONFIG_KEYS, _SCENE_KEYS, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
+
+from conftest import orjson_refusal
 
 
 def _strict_load(text: str):
@@ -83,14 +88,14 @@ class TestRun:
         assert not os.path.exists(os.path.join(out, "inventory.jsonl"))
 
     def test_lone_surrogate_category_is_a_data_error(self, scene_dir, tmp_path, capsys):
-        # The stdlib decodes an escaped lone surrogate; no UTF-8 output can hold it.
+        # orjson refuses an escaped lone surrogate, which no UTF-8 output can hold.
+        surrogate = "sign\ud800"
         bad = _copy_records(scene_dir, tmp_path, "detections.jsonl", lambda records: records[:2] + [
-            dict(records[2], category="sign\ud800")] + records[3:])
+            dict(records[2], category=surrogate)] + records[3:])
         out = str(tmp_path / "run")
         assert main(_run_args(scene_dir, out, detections=bad)) == EXIT_DATA
         err = capsys.readouterr().err
-        assert err == (f"data error: {bad}:3: category 'sign\\ud800' holds a lone surrogate, "
-                       "which UTF-8 cannot encode\n")
+        assert err == f"data error: {bad}:3: malformed JSON: {orjson_refusal(json.dumps(surrogate))}\n"
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("kind", ["observations", "inventory", "truth"])
@@ -113,8 +118,8 @@ class TestRun:
                 ["evaluate", "--inventory", inventory, "--truth", truth, "--out", out])
         assert main(args) == EXIT_DATA
         where = {"observations": f"{observations}:1", "inventory": f"{inventory}:1", "truth": truth}[kind]
-        assert capsys.readouterr().err == (f"data error: {where}: category '{kind}\\udc00' holds a lone "
-                                           "surrogate, which UTF-8 cannot encode\n")
+        assert capsys.readouterr().err == (
+            f"data error: {where}: malformed JSON: {orjson_refusal(json.dumps(category(kind)))}\n")
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("flags, config, message", [
@@ -454,7 +459,7 @@ class TestEvaluate:
         (lambda truth: dict(truth, objects=truth["objects"] + [7]), "objects must be a list of JSON objects"),
         (lambda truth: [truth], "expected a JSON object"),
         (lambda truth: dict(truth, observations=truth["observations"] + [{"obs_id": 2**64, "object_id": None}]),
-         f"obs_id {2**64} is outside the 64-bit integer range"),
+         f"obs_id must be an integer, got {float(2**64)!r}"),
     ], ids=["missing-field", "non-object-entry", "non-object-payload", "obs-id-beyond-64-bits"])
     def test_bad_truth_is_worded_by_the_reader(self, scene_dir, inventory, tmp_path, capsys, edit, message):
         assert self._evaluate(scene_dir, tmp_path, inventory, edit(self._truth(scene_dir))) == EXIT_DATA
@@ -463,10 +468,10 @@ class TestEvaluate:
 
     def test_member_naming_no_truth_observation_is_a_data_error(self, scene_dir, inventory, tmp_path, capsys):
         records = [dict(r) for r in inventory]
-        records[0]["members"] = records[0]["members"] + [2**64, 10**7]
+        records[0]["members"] = records[0]["members"] + [2**63, 10**7]
         assert self._evaluate(scene_dir, tmp_path, records) == EXIT_DATA
         assert capsys.readouterr().err.splitlines() == [
-            f"data error: inventory member {2**64} names no truth observation"]
+            f"data error: inventory member {2**63} names no truth observation"]
         assert not os.path.exists(tmp_path / "eval" / "report.json")
 
     def test_run_against_a_truth_missing_an_observation_is_a_data_error(self, scene_dir, tmp_path, capsys):
@@ -659,17 +664,17 @@ def _score(a="0", b="1", score="0.5") -> str:
 class TestReaders:
     @pytest.mark.parametrize("text, line, message", [
         (_score() + '\n{"obs_a": 0, "obs_b": 2,\n "score": 0.5}\n', 2,
-         "malformed JSON: Expecting property name enclosed in double quotes"),
-        (_score() + '\n{"q": [[\n]]}\n', 2, "malformed JSON: Expecting value"),
+         "malformed JSON: " + orjson_refusal('{"obs_a": 0, "obs_b": 2,')),
+        (_score() + '\n{"q": [[\n]]}\n', 2, "malformed JSON: " + orjson_refusal('{"q": [[')),
         (_score() + "\n" + _score(b="2") + " " + _score(a="1", b="2") + "\n", 2,
-         "malformed JSON: Extra data"),
+         "malformed JSON: " + orjson_refusal(_score(b="2") + " " + _score(a="1", b="2"))),
         (_score() + "\n[0, 2, 0.5]\n", 2, "expected a JSON object"),
         (_score() + "\r\n" + _score(b="2") + "\r\n" + _score(a="1") + "\r\n", 3, "self-pair (1, 1)"),
         (_score() + "\r" + _score() + "\r", 2, "pair (0, 1) is already scored on line 1"),
         ("\n" + _score() + "\n   \n\n" + _score() + "\n", 5, "pair (0, 1) is already scored on line 2"),
         (_score() + "\n" + _score(a="true"), 2, "obs_a must be an integer, got True"),
-        (_score() + "\n" + _score(score="1e999"), 2, "score must be a finite number, got inf"),
-        (_score() + "\n" + _score(b="1" + "0" * 399), 2, "unknown observation 1" + "0" * 399),
+        (_score() + "\n" + _score(score="1e999"), 2, "malformed JSON: " + orjson_refusal("1e999")),
+        (_score() + "\n" + _score(b="1" + "0" * 399), 2, "malformed JSON: " + orjson_refusal("1" + "0" * 399)),
     ], ids=["object-over-two-lines", "array-over-two-lines", "two-objects-on-a-line", "not-an-object",
             "crlf", "cr", "blank-lines", "true-id", "overflowing-score", "400-digit-id"])
     def test_each_line_is_one_record(self, tmp_path, text, line, message):
@@ -704,8 +709,9 @@ class TestReaders:
         path = tmp_path / "scores.jsonl"
         path.write_text('{"obs_a": 0, "obs_b": 1, "score": 0.5}\n'
                         f'{{"obs_a": 0, "obs_b": 2, "score": {token}}}\n')
-        with pytest.raises(sio.DataError, match=rf"scores.jsonl:2: non-finite number {token}"):
+        with pytest.raises(sio.DataError) as refused:
             sio.read_score_triplets(str(path), {0, 1, 2})
+        assert str(refused.value) == f"{path}:2: malformed JSON: {orjson_refusal(token)}"
 
     def test_truth_with_nan_rejected(self, scene_dir, tmp_path):
         with open(os.path.join(scene_dir, "truth.json"), encoding="utf-8") as handle:
@@ -713,8 +719,9 @@ class TestReaders:
         payload["objects"][0]["center"][0] = float("nan")
         path = tmp_path / "truth.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(sio.DataError, match="non-finite number NaN"):
+        with pytest.raises(sio.DataError) as refused:
             sio.read_truth(str(path))
+        assert str(refused.value) == f"{path}: malformed JSON: {orjson_refusal('NaN')}"
 
     @staticmethod
     def _truth_with_center(scene_dir, tmp_path, center) -> str:
@@ -731,21 +738,25 @@ class TestReaders:
         path = self._truth_with_center(scene_dir, tmp_path, center)
         with pytest.raises(sio.DataError) as refused:
             sio.read_truth(path)
-        assert str(refused.value) == f"{path}: center must be 3 finite numbers, got {center!r}"
+        # orjson refuses an integer too large for a float before any rule reads it.
+        message = (f"malformed JSON: {orjson_refusal(str(10**400))}" if center == [0, 0, 10**400] else
+                   f"center must be 3 finite numbers, got {center!r}")
+        assert str(refused.value) == f"{path}: {message}"
 
     def test_truth_center_may_hold_integers(self, scene_dir, tmp_path):
         path = self._truth_with_center(scene_dir, tmp_path, [1, -2, 3])
         assert sio.read_truth(path).objects[1].center.tolist() == [1.0, -2.0, 3.0]
 
     def test_truth_with_overflowing_number_rejected(self, scene_dir, tmp_path):
-        # 1e999 is valid JSON that parses to infinity without a NaN token.
+        # 1e999 is JSON grammar, but orjson refuses a number that overflows a float.
         with open(os.path.join(scene_dir, "truth.json"), encoding="utf-8") as handle:
             payload = json.load(handle)
         payload["objects"][0]["height"] = "HEIGHT"
         path = tmp_path / "truth.json"
         path.write_text(json.dumps(payload).replace('"HEIGHT"', "1e999"))
-        with pytest.raises(sio.DataError, match="finite"):
+        with pytest.raises(sio.DataError) as refused:
             sio.read_truth(str(path))
+        assert str(refused.value) == f"{path}: malformed JSON: {orjson_refusal('1e999')}"
 
     def test_ingest_rebuilds_exported_observations(self, scene_dir):
         # export_scene's contract: its poses and detections, written out and
@@ -809,6 +820,81 @@ class TestReaders:
         plain = {"center": [0.1 + 0.2, -0.0, 1e-5], "object_id": 3, "height": 2.5}
         assert path.read_bytes() == orjson.dumps(plain, option=orjson.OPT_SORT_KEYS) + b"\n"
         assert json.loads(path.read_bytes()) == record
+
+
+def _with_note(record: dict, note: str) -> str:
+    """The JSON text of `record` with a field `note` whose value is the JSON text `note`."""
+    return json.dumps(record)[:-1] + ', "note": ' + note + "}"
+
+
+class TestNestedInput:
+    """Input nested deeper than `io.MAX_NESTING` is a data error naming its line (the file for
+    truth.json), never a crash: orjson overflows the stack from about 150,000 levels. Each case
+    runs the CLI in a child process, so that a crash fails the test instead of ending the run."""
+
+    DEEP = "[" * 200_000 + "]" * 200_000
+
+    @staticmethod
+    def _main(args):
+        """The exit code and standard error of the CLI run on `args` in a child process."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(streetinv.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", "import sys; from streetinv.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", *args], env=env, capture_output=True, text=True)
+        return done.returncode, done.stderr
+
+    def _run_with(self, scene_dir, tmp_path, kind, note):
+        """Run on the scene with line 2 of `kind`'s file (all of truth.json) given `note`;
+        returns the exit code, standard error and where an error names the file."""
+        out, path = str(tmp_path / "out"), str(tmp_path / f"{kind}.jsonl")
+        args = _run_args(scene_dir, out)
+        if kind == "truth":
+            with open(os.path.join(scene_dir, "truth.json"), encoding="utf-8") as handle:
+                text, where = _with_note(json.load(handle), note), path
+            args[args.index("--truth") + 1] = path
+        else:
+            if kind == "scores":
+                records = [{"obs_a": 0, "obs_b": 1, "score": 0.5}, {"obs_a": 0, "obs_b": 2, "score": 0.5}]
+                args += ["--scorer", "file:" + path]
+            else:
+                records = [json.loads(line) for line in _read_lines(os.path.join(scene_dir, f"{kind}.jsonl"))]
+                args[args.index("--" + kind) + 1] = path
+            text, where = "\n".join([json.dumps(records[0]), _with_note(records[1], note),
+                                      *map(json.dumps, records[2:])]) + "\n", f"{path}:2"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return (*self._main(args), where)
+
+    @pytest.mark.parametrize("kind", ["detections", "scores", "truth"])
+    def test_run_on_a_line_nested_200_000_deep_exits_2(self, scene_dir, tmp_path, kind):
+        code, err, where = self._run_with(scene_dir, tmp_path, kind, self.DEEP)
+        assert (code, err) == (EXIT_DATA, f"data error: {where}: JSON nested too deep\n")
+
+    def test_evaluate_on_an_inventory_line_nested_200_000_deep_exits_2(self, scene_dir, tmp_path):
+        inventory, out = str(tmp_path / "inventory.jsonl"), str(tmp_path / "eval")
+        with open(inventory, "w", encoding="utf-8") as handle:
+            handle.write(_with_note({"object_id": 0, "category": "bollard", "center": None, "n_observations": 1,
+                                     "max_residual": None, "members": [0]}, self.DEEP) + "\n")
+        code, err = self._main(["evaluate", "--inventory", inventory,
+                                "--truth", os.path.join(scene_dir, "truth.json"), "--out", out])
+        assert (code, err) == (EXIT_DATA, f"data error: {inventory}:1: JSON nested too deep\n")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("kind", ["detections", "scores", "truth"])
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-the-limit", "one-over"])
+    def test_the_limit_is_exact(self, scene_dir, tmp_path, kind, over):
+        # The record is one level, so its line nests one level deeper than its note.
+        depth = sio.MAX_NESTING - 1 + over
+        code, err, where = self._run_with(scene_dir, tmp_path, kind, "[" * depth + "]" * depth)
+        if over:
+            assert (code, err) == (EXIT_DATA, f"data error: {where}: JSON nested too deep\n")
+        else:
+            assert (code, err) == (EXIT_OK, "")
+
+    @pytest.mark.parametrize("kind", ["detections", "scores", "truth"])
+    def test_brackets_in_a_string_are_not_nesting(self, scene_dir, tmp_path, kind):
+        code, err, _ = self._run_with(scene_dir, tmp_path, kind, json.dumps("[" * 200_000))
+        assert (code, err) == (EXIT_OK, "")
 
 
 class TestEncoding:
@@ -1087,5 +1173,8 @@ class TestNumbers:
         assert main(args) == EXIT_DATA
         err = capsys.readouterr().err
         expected = "3 finite numbers" if field == "center" else "a finite number"
-        assert f"{where}{field} must be {expected}" in err
+        if value == 10**400:  # too large for a float, so orjson refuses it before any rule reads it
+            assert f"{where}malformed JSON: {orjson_refusal(str(value))}" in err
+        else:
+            assert f"{where}{field} must be {expected}" in err
         assert not os.path.exists(out)

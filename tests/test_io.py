@@ -3,8 +3,6 @@
 import dataclasses
 import json
 import os
-import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +20,7 @@ from conftest import (
     oracle_read_observations,
     oracle_read_poses,
     oracle_read_score_triplets,
+    orjson_refusal,
 )
 
 # Written as the JSON number 1e999, which reads as infinity.
@@ -276,11 +275,13 @@ class TestReadersMatchPerRecordOracle:
         _assert_same(path, text, sio.read_inventory, oracle_read_inventory, _record_columns)
 
 
-# JSON text the two decoders read apart: integers beyond 64 bits, which orjson
-# reads as floats, and overflowing exponents and escaped lone surrogates,
-# which orjson refuses and the stdlib reads as infinities and strings.
+# JSON text that orjson reads otherwise than Python's own decoder would:
+# integers beyond 64 bits, which it reads as floats, and overflowing exponents
+# and escaped lone surrogates, which it refuses as malformed. Then arrays
+# nested to the limit, in a record one level deeper, and past it, and
+# brackets in a string, which do not nest.
 _TOKENS = ["18446744073709551616", "-9223372036854775809", "-18446744073709551617", "1e400", "-1e400",
-           '"\\ud800"', '"x\\udc00"']
+           '"\\ud800"', '"x\\udc00"', "[" * 511 + "]" * 511, "[" * 600 + "]" * 600, json.dumps("[" * 600)]
 
 
 @st.composite
@@ -308,59 +309,46 @@ def _raw_file(draw, records):
     return end.join(lines) + end
 
 
-def _stdlib_only(read):
-    """`read`, with orjson's decoding refused, so every file is read by the stdlib."""
-    def stdlib_read(*args):
-        with mock.patch.object(sio, "_read_jsonl", side_effect=sio.DataError("refused")):
-            return read(*args)
-
-    return stdlib_read
-
-
-class TestOrjsonReadsAsTheStdlib:
-    """orjson decodes every file, and the stdlib reads again one that orjson refuses or
-    whose records fail a rule. So each reader returns the columns, or raises the
-    DataError, that the stdlib's records give: as the per-record oracle does, and as
-    the reader does with orjson kept out."""
-
-    def _assert_as_stdlib(self, path, text, read, oracle, columns, *args):
-        _assert_same(path, text, read, oracle, columns, *args)
-        _assert_same(path, text, read, _stdlib_only(read), columns, *args)
+class TestRawTokensReadAsTheOracle:
+    """Each reader refuses a file of raw tokens, or reads it, as the per-record oracle,
+    which decodes each line with orjson on its own, does."""
 
     @settings(max_examples=200, deadline=None)
     @given(text=_raw_file(_detections))
     @example(text='{"frame_id": 18446744073709551616, "cx": 1e400}\n')
     def test_detections(self, path, text):
-        self._assert_as_stdlib(path, text, sio.read_detections, oracle_read_detections, _table_columns)
+        _assert_same(path, text, sio.read_detections, oracle_read_detections, _table_columns)
 
     @settings(max_examples=200, deadline=None)
     @given(text=_raw_file(_scores))
     @example(text='{"obs_a": 0, "obs_b": 18446744073709551617, "score": 0.5}\r\n')
     def test_scores(self, path, text):
-        self._assert_as_stdlib(path, text, sio.read_score_triplets, oracle_read_score_triplets,
-                               lambda scores: [scores.obs_a, scores.obs_b, scores.score], _KNOWN)
+        _assert_same(path, text, sio.read_score_triplets, oracle_read_score_triplets,
+                     lambda scores: [scores.obs_a, scores.obs_b, scores.score], _KNOWN)
 
     @settings(max_examples=200, deadline=None)
     @given(text=_raw_file(_local_poses))
-    # A coordinate beyond 64 bits is a finite number: orjson's float is the stdlib's float(int).
+    # A coordinate beyond 64 bits is a finite number: orjson's float.
     @example(text=_text(dict(_POSE, x=2**64 + 1, y=-(2**70)), dict(_POSE, frame_id=1, z=3**50)))
     @example(text=_text(dict(_POSE, heading=0.25, frame_id=1)).replace("0.25", '"\\ud800"'))
     def test_poses(self, path, text):
-        self._assert_as_stdlib(path, text, sio.read_poses, oracle_read_poses, _pose_columns)
+        _assert_same(path, text, sio.read_poses, oracle_read_poses, _pose_columns)
 
     @settings(max_examples=200, deadline=None)
     @given(text=_raw_file(_clusters()))
     @example(text=_text(dict(_CLUSTER, center=[2**64, 0, 1], residuals=[0, 2**65])))
     def test_clusters(self, path, text):
-        self._assert_as_stdlib(path, text, sio.read_clusters, _oracle_read_clusters, _table_columns,
-                               set(_KNOWN.tolist()))
+        _assert_same(path, text, sio.read_clusters, _oracle_read_clusters, _table_columns, set(_KNOWN.tolist()))
 
 
-_WIDE = [2**64, -(2**63) - 1]
+# 2**63 fits an unsigned 64-bit integer, so orjson reads it as an integer, outside
+# the range of an id; the others it reads as floats, which are not integers.
+_WIDE = [2**63, 2**64, -(2**63) - 1]
 
 
 class TestIdsBeyond64Bits:
-    """An id beyond 64 bits, which orjson reads as a float, is worded as the integer it is."""
+    """An id of 2**63 is worded as the integer it is; one beyond 64 bits, which orjson
+    reads as a float, is refused as not an integer."""
 
     @staticmethod
     def _refusal(path, text, read, *args):
@@ -381,8 +369,9 @@ class TestIdsBeyond64Bits:
             "clusters-cluster_id"])
     def test_id_outside_the_range(self, path, read, record, field, args, wide):
         text = "\n" + _text(dict(record, **{field: wide}))
-        assert self._refusal(path, text, read, *args) == (
-            f"{path}:2: {field} {wide} is outside the 64-bit integer range")
+        assert self._refusal(path, text, read, *args) == f"{path}:2: " + (
+            f"{field} {wide} is outside the 64-bit integer range" if wide == 2**63 else
+            f"{field} must be an integer, got {float(wide)!r}")
 
     @pytest.mark.parametrize("wide", _WIDE)
     @pytest.mark.parametrize("read, record, field, args", [
@@ -392,7 +381,10 @@ class TestIdsBeyond64Bits:
     ], ids=["scores-obs_a", "scores-obs_b", "clusters-members"])
     def test_observation_id_is_unknown(self, path, read, record, field, args, wide):
         text = _text(dict(record, **{field: [0, wide] if field == "members" else wide}))
-        assert self._refusal(path, text, read, *args) == f"{path}:1: unknown observation {wide}"
+        assert self._refusal(path, text, read, *args) == f"{path}:1: " + (
+            f"unknown observation {wide}" if wide == 2**63 else
+            "members must be a non-empty list of integers" if field == "members" else
+            f"{field} must be an integer, got {float(wide)!r}")
 
     @pytest.mark.parametrize("wide", _WIDE)
     @pytest.mark.parametrize("entries, entry, message", [
@@ -404,15 +396,20 @@ class TestIdsBeyond64Bits:
         truth = {"objects": [{"object_id": 0, "category": "a", "center": [0, 0, 0], "height": 1.0}],
                  "observations": [{"obs_id": 0, "object_id": 0}]}
         truth[entries][0].update({key: wide for key in entry})
+        if wide != 2**63:
+            message = f"{next(iter(entry))} must be an integer, got {float(wide)!r}"
         assert self._refusal(path, json.dumps(truth), sio.read_truth) == f"{path}: {message.format(wide=wide)}"
 
     @pytest.mark.parametrize("wide", _WIDE)
-    def test_inventory_keeps_the_integers(self, path, wide):
-        # An inventory record is returned whole, unchecked fields too.
+    def test_inventory_returns_unchecked_fields_as_orjson_reads_them(self, path, wide):
+        # An inventory record is returned whole, unchecked fields too: an
+        # integer beyond 64 bits among them reads as a float.
         record = dict(_RECORD, object_id=wide, max_residual=[wide, 0.5])
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(_text(_RECORD | {"members": [2]}, record))
-        assert repr(sio.read_inventory(path)) == repr([_RECORD | {"members": [2]}, record])
+        read = wide if wide == 2**63 else float(wide)
+        assert repr(sio.read_inventory(path)) == repr(
+            [_RECORD | {"members": [2]}, dict(record, object_id=read, max_residual=[read, 0.5])])
 
 
 def _nested(depth):
@@ -421,52 +418,100 @@ def _nested(depth):
 
 
 class TestDeepValues:
-    """A value nested deeper than Python's default recursion limit is a data error, not a traceback."""
+    """A line nested deeper than `MAX_NESTING` is refused before it is decoded; one
+    within it is decoded, and a rule's message prints its deepest value."""
 
-    @pytest.mark.parametrize("depth", [1010, 1024])
-    def test_checked_field_as_deep_as_orjson_reads(self, path, depth):
+    def _write(self, path, cx):
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(_text(_DETECTION) + json.dumps(_DETECTION).replace('"cx": 5', '"cx": ' + _nested(depth)))
+            handle.write(_text(_DETECTION) + json.dumps(_DETECTION).replace('"cx": 5', '"cx": ' + cx))
+
+    def test_checked_field_at_the_limit(self, path):
+        # The record is one level, so the line nests exactly as deep as the limit.
+        self._write(path, _nested(sio.MAX_NESTING - 1))
         with pytest.raises(sio.DataError) as refused:
             sio.read_detections(path)
-        assert str(refused.value) == f"{path}:2: cx must be a finite number, got {_nested(depth)}"
+        assert str(refused.value) == f"{path}:2: cx must be a finite number, got {_nested(sio.MAX_NESTING - 1)}"
 
-    def test_line_deeper_than_any_decoder_reads(self, path):
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(_text(_DETECTION) + '{"note": ' + _nested(100_000) + "}\n")
+    @pytest.mark.parametrize("depth", [sio.MAX_NESTING, 1010, 100_000])
+    def test_line_deeper_than_the_limit(self, path, depth):
+        self._write(path, _nested(depth))
         with pytest.raises(sio.DataError) as refused:
             sio.read_detections(path)
         assert str(refused.value) == f"{path}:2: JSON nested too deep"
 
+    @pytest.mark.parametrize("text", [
+        '"' + "[" * 2000 + '"',
+        '"\\"' + "{" * 2000 + '"',
+        '["\\\\", "' + "[" * 2000 + '"]',
+    ], ids=["brackets-in-a-string", "after-an-escaped-quote", "after-an-escaped-backslash"])
+    def test_brackets_in_strings_do_not_count(self, path, text):
+        # Its strings left out, each line nests at most three levels deep.
+        self._write(path, text)
+        with pytest.raises(sio.DataError) as refused:
+            sio.read_detections(path)
+        assert str(refused.value).startswith(f"{path}:2: cx must be a finite number, got ")
+
+    def test_unclosed_string_hides_its_brackets(self, path):
+        self._write(path, '"' + "[" * 2000)
+        with pytest.raises(sio.DataError) as refused:
+            sio.read_detections(path)
+        assert str(refused.value).startswith(f"{path}:2: malformed JSON: ")
+
+    def test_unclosed_brackets_count(self, path):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(_text(_DETECTION) + '{"cx": ' + "[" * (sio.MAX_NESTING + 1))
+        with pytest.raises(sio.DataError) as refused:
+            sio.read_detections(path)
+        assert str(refused.value) == f"{path}:2: JSON nested too deep"
+
+    def test_first_bad_line_is_named(self, path):
+        # A malformed line before a deep one is named; so is a deep line before a malformed one.
+        deep = json.dumps(_DETECTION).replace('"cx": 5', '"cx": ' + _nested(1010))
+        for lines, line in ((["{", deep], 1), ([deep, "{"], 1), (["[1]", deep], 1)):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
+            with pytest.raises(sio.DataError) as refused:
+                sio.read_detections(path)
+            assert str(refused.value).startswith(f"{path}:{line}: ")
+
+    def test_truth_deeper_than_the_limit(self, path):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write('{"objects": [], "observations": [], "note": ' + _nested(sio.MAX_NESTING) + "}")
+        with pytest.raises(sio.DataError) as refused:
+            sio.read_truth(path)
+        assert str(refused.value) == f"{path}: JSON nested too deep"
+
     def test_run_exits_2(self, tmp_path, capsys):
         poses, detections, out = (str(tmp_path / name) for name in ("poses.jsonl", "detections.jsonl", "out"))
         _write_poses(poses, [_POSE])
-        with open(detections, "w", encoding="utf-8") as handle:
-            handle.write(_text(_DETECTION) + json.dumps(_DETECTION).replace('"cx": 5', '"cx": ' + _nested(1010)))
+        self._write(detections, _nested(1010))
         assert main(["run", "--poses", poses, "--detections", detections, "--out", out]) == EXIT_DATA
-        assert capsys.readouterr().err.startswith(f"data error: {detections}:2: cx must be a finite number")
+        assert capsys.readouterr().err == f"data error: {detections}:2: JSON nested too deep\n"
 
 
 class TestLongIntegers:
-    """An integer literal longer than the interpreter converts is a data error, not a traceback."""
+    """An integer literal too long for a float, which orjson refuses, is malformed JSON naming its line."""
 
-    @staticmethod
-    def _write(path):
+    _DIGITS = "1" * 5000
+
+    def _write(self, path):
+        line = json.dumps(_DETECTION).replace('"frame_id": 0', '"frame_id": ' + self._DIGITS)
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(_text(_DETECTION) + json.dumps(_DETECTION).replace('"frame_id": 0', '"frame_id": ' + "1" * 5000))
+            handle.write(_text(_DETECTION) + line)
 
     def test_refused_naming_the_line(self, path):
         self._write(path)
         with pytest.raises(sio.DataError) as refused:
             sio.read_detections(path)
-        assert str(refused.value) == f"{path}:2: integer literal of more than {sys.get_int_max_str_digits()} digits"
+        assert str(refused.value) == f"{path}:2: malformed JSON: {orjson_refusal(self._DIGITS)}"
 
     def test_run_exits_2(self, tmp_path, capsys):
         poses, detections, out = (str(tmp_path / name) for name in ("poses.jsonl", "detections.jsonl", "out"))
         _write_poses(poses, [_POSE])
         self._write(detections)
         assert main(["run", "--poses", poses, "--detections", detections, "--out", out]) == EXIT_DATA
-        assert capsys.readouterr().err.startswith(f"data error: {detections}:2: integer literal of more than")
+        assert capsys.readouterr().err == (
+            f"data error: {detections}:2: malformed JSON: {orjson_refusal(self._DIGITS)}\n")
 
 
 class TestDirectionNorms:
